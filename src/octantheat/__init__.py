@@ -13,6 +13,7 @@ from .lattice import (
     make_grid,
     box_project,
     convolve,
+    convolve_frames,
     convolve_power,
     support_stats,
     save_field,
@@ -74,8 +75,8 @@ from .probes import (
 __all__ = [
     "__version__",
     "FrequencyGrid", "FrequencyField", "SupportStats", "make_grid",
-    "box_project", "convolve", "convolve_power", "support_stats",
-    "save_field", "load_field",
+    "box_project", "convolve", "convolve_frames", "convolve_power",
+    "support_stats", "save_field", "load_field",
     "NormFlavor", "NormSpec", "TimeSpaceNormSpec", "SpaceTimeField",
     "static_norm", "timespace_norm", "weighted_l1_seq_norm",
     "InitialDataKind", "InitialDataSpec", "IllposedPair", "ScalingPlan",

@@ -111,20 +111,23 @@ def _build_problem(cfg: dict, refine: bool) -> tuple[ProblemSpec, FrequencyField
     if refine:
         grid = make_grid(grid.d, grid.xi_max, grid.h / 2.0)
         nt = 2 * nt - 1
-    spec = ProblemSpec(
-        grid=grid,
-        nonlinearity=nl,
-        eps0=float(cfg.get("epsilon0", 1.0)),
-        s=float(cfg.get("s", -1.0)),
-        sigma=float(cfg.get("sigma", 0.0)),
-        delta=float(cfg.get("delta", 1.0)),
-        lambda_shift=float(cfg.get("lambda_shift", 0.0)),
-        T=float(_need(tcfg, "T", "time")),
-        nt=nt,
-        jmax=int(icfg.get("jmax", 12)),
-        tol=float(icfg.get("tol", 1e-10)),
-        conv_rule=str(cfg.get("conv_rule", "trapezoid")),
-    )
+    try:
+        spec = ProblemSpec(
+            grid=grid,
+            nonlinearity=nl,
+            eps0=float(cfg.get("epsilon0", 1.0)),
+            s=float(cfg.get("s", -1.0)),
+            sigma=float(cfg.get("sigma", 0.0)),
+            delta=float(cfg.get("delta", 1.0)),
+            lambda_shift=float(cfg.get("lambda_shift", 0.0)),
+            T=float(_need(tcfg, "T", "time")),
+            nt=nt,
+            jmax=int(icfg.get("jmax", 12)),
+            tol=float(icfg.get("tol", 1e-10)),
+            conv_rule=str(cfg.get("conv_rule", "trapezoid")),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     datum = _build_datum(cfg, spec.grid)
     if not isinstance(datum, FrequencyField):
         raise GateError("sign-pair inflation data are not admissible solver input")
@@ -347,21 +350,17 @@ def _cmd_oracle_compare(cfg: dict, out: Path, seed: int, refine: bool) \
         raise ConfigError("oracle nt_fine must be at least four times the engine's")
     trace = picard_iterate(spec, v0)
     ref = etd_reference_solve(v0, spec.nonlinearity.m, spec.T, cfg_o,
-                              delta=spec.delta, conv_rule=spec.conv_rule)
+                              delta=spec.delta, lambda_shift=spec.lambda_shift,
+                              conv_rule=spec.conv_rule)
     grid = spec.grid
     band = grid.l1() < cfg_o.compare_band - 1e-12
     eng = trace.final.values[-1]
     orc = ref.values[-1]
     rows = []
-    it = np.ndindex(grid.shape)
-    for idx in it:
-        if not band[idx]:
-            continue
-        xi = [float(grid.axis[i]) for i in idx]
+    for idx in zip(*np.nonzero(band)):
         e, o = eng[idx], orc[idx]
-        denom = abs(o)
-        rel = abs(e - o) / denom if denom > 0 else 0.0
-        rows.append([*xi, spec.T, e, o, rel])
+        rel = abs(e - o) / abs(o) if abs(o) > 0 else 0.0
+        rows.append([*(float(grid.axis[i]) for i in idx), spec.T, e, o, rel])
     _csv(out / "oracle_compare.csv",
          [*(f"xi{i}" for i in range(grid.d)), "t", "engine", "oracle", "rel_err"],
          rows)

@@ -4,12 +4,14 @@ semigroup.
 
 Everything happens on the frequency grid: the heat semigroup is the
 pointwise multiplier exp(-t(|xi|_2^2 - lam^2)), the power nonlinearity is
-an m-fold discrete convolution per time node, and Duhamel integrals are
-cumulative trapezoid sums evaluated by an exact one-step recurrence.
-Because octant supports only move upward and each nonlinear application
-adds at least (m-1) copies of the datum's support offset, every iterate
-is exact on a growing low-frequency band; on a finite grid the iteration
-terminates exactly once the increments escape the band.
+an m-fold discrete convolution per time node (all nodes in one batched
+FFT kernel), and Duhamel integrals are cumulative trapezoid sums evaluated
+by an exact one-step recurrence.  Because octant supports only move upward
+and each nonlinear application adds at least (m-1) copies of the datum's
+support offset, every iterate is exact on a growing low-frequency band.
+The Picard loop copies that band from the previous iterate, so it stays
+bitwise fixed under FFT round-off, and on a finite grid the iteration
+terminates exactly once the band covers the grid.
 
 Iterations are sequential in j; per-node work uses fixed-order
 reductions, so runs are bit-identical.
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import FrequencyField, FrequencyGrid, convolve, support_stats
+from .lattice import (RULES, FrequencyField, FrequencyGrid, convolve_frames,
+                      support_stats)
 from .norms import SpaceTimeField, weighted_l1_seq_norm
 
 __all__ = [
@@ -95,6 +98,8 @@ class ProblemSpec:
             raise ValueError("need T > 0 and nt >= 2")
         if self.jmax < 1:
             raise ValueError("jmax must be positive")
+        if self.conv_rule not in RULES:
+            raise ValueError(f"conv_rule must be in {RULES}, got {self.conv_rule!r}")
 
     @property
     def tgrid(self) -> np.ndarray:
@@ -176,21 +181,6 @@ def duhamel(G: SpaceTimeField, lambda_shift: float = 0.0) -> SpaceTimeField:
     return SpaceTimeField(G.grid, G.tgrid, out)
 
 
-def _conv_frames(
-    a: np.ndarray, b: np.ndarray, grid: FrequencyGrid, rule: str
-) -> np.ndarray:
-    """Per-frame convolution of two (nt, *grid.shape) stacks."""
-    out = np.empty_like(a)
-    for n in range(a.shape[0]):
-        out[n] = convolve(
-            FrequencyField(grid, a[n]),
-            FrequencyField(grid, b[n]),
-            rule=rule,
-            warn_on_truncation=False,
-        ).values
-    return out
-
-
 def _conv_power_frames(
     v: np.ndarray, m: int, grid: FrequencyGrid, rule: str
 ) -> list[np.ndarray]:
@@ -198,7 +188,7 @@ def _conv_power_frames(
     powers = []
     acc = v
     for _ in range(m - 1):
-        acc = _conv_frames(acc, v, grid, rule)
+        acc = convolve_frames(acc, v, grid, rule)
         powers.append(acc)
     return powers
 
@@ -233,22 +223,31 @@ def _run_picard(
     v0: FrequencyField,
     nonlin,
     lambda_shift: float,
+    band_step: int,
 ) -> IterationTrace:
+    """Shared Picard loop.  v^{j+1} - v^j vanishes on |xi|_1 <
+    (j band_step + 1) eps, eps the datum's l1 offset and band_step = m - 1
+    (1 for e^u), so v^{j+1} takes that band from v^j.  Counting it in cell
+    indices keeps it exact, so the run ends once the band covers the grid."""
     tgrid = spec.tgrid
     grid = spec.grid
-    free = free_trajectory(v0, tgrid, lambda_shift)
-    free_vals = spec.delta * free.values
+    free_vals = spec.delta * free_trajectory(v0, tgrid, lambda_shift).values
+    index_l1 = np.indices(grid.shape).sum(axis=0)
+    occupied = index_l1[v0.values != 0]
+    eps_cells = int(occupied.min()) if occupied.size else 0
 
     v = np.zeros_like(free_vals)
     iterates: list[np.ndarray] = []
     supports: list[float] = []
     inc_norms: list[float] = []
     converged = False
-    for _ in range(spec.jmax):
+    for j in range(spec.jmax):
         G = nonlin(v)
         v_next = free_vals + duhamel(
             SpaceTimeField(grid, tgrid, G), lambda_shift
         ).values
+        settled = index_l1 < (j * band_step + 1) * eps_cells
+        v_next[:, settled] = v[:, settled]
         if not np.all(np.isfinite(v_next.view(np.float64))):
             raise DivergenceError("iterates left the floating-point range")
         diff = v_next - v
@@ -303,7 +302,7 @@ def picard_iterate(spec: ProblemSpec, v0: FrequencyField) -> IterationTrace:
             return np.zeros_like(v)
         return _conv_power_frames(v, m, grid, rule)[-1]
 
-    return _run_picard(spec, v0, nonlin, spec.lambda_shift)
+    return _run_picard(spec, v0, nonlin, spec.lambda_shift, m - 1)
 
 
 def exp_picard_iterate(
@@ -344,9 +343,9 @@ def exp_picard_iterate(
         return nonlin
 
     M = spec.nonlinearity.taylor_order
-    trace = _run_picard(spec, u0, make_nonlin(M), lam)
+    trace = _run_picard(spec, u0, make_nonlin(M), lam, 1)
     if sensitivity_probe:
-        hi = _run_picard(spec, u0, make_nonlin(M + 2), lam)
+        hi = _run_picard(spec, u0, make_nonlin(M + 2), lam, 1)
         diff = trace.final.values - hi.final.values
         sens = weighted_l1_seq_norm(
             SpaceTimeField(grid, spec.tgrid, diff), spec.s
@@ -383,10 +382,7 @@ def taylor_coefficients(
         )
     _gate(spec, v0, spec.eps0)
     st = support_stats(v0, tol=0.0)
-    if st.empty:
-        eps = spec.eps0
-    else:
-        eps = st.min_l1
+    eps = spec.eps0 if st.empty else st.min_l1
     m = spec.nonlinearity.m
     grid, rule, tgrid = spec.grid, spec.conv_rule, spec.tgrid
 
@@ -400,7 +396,8 @@ def taylor_coefficients(
         math.ceil(K / ((m - 1) * eps) - 1e-9),
     )
 
-    a: dict[int, np.ndarray] = {1: free_trajectory(v0, tgrid).values}
+    lam = spec.lambda_shift
+    a: dict[int, np.ndarray] = {1: free_trajectory(v0, tgrid, lam).values}
     zero = np.zeros_like(a[1])
 
     # P[r][k]: degree-k coefficient of the r-fold convolution power of
@@ -422,14 +419,14 @@ def taylor_coefficients(
                 rest = power_coeff(r - 1, k - i)
                 if not rest.any():
                     continue
-                acc += _conv_frames(ai, rest, grid, rule)
+                acc += convolve_frames(ai, rest, grid, rule)
             P[key] = acc
         return P[key]
 
     for k in range(2, k_top + 1):
         Gk = power_coeff(m, k)
         if Gk.any():
-            a[k] = duhamel(SpaceTimeField(grid, tgrid, Gk)).values
+            a[k] = duhamel(SpaceTimeField(grid, tgrid, Gk), lam).values
         else:
             a[k] = zero
 

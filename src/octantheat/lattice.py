@@ -4,23 +4,27 @@ m-fold discrete convolution, and support bookkeeping.
 A field lives on a uniform grid over the frequency octant [0, xi_max)^d.
 Cells are half-open, samples sit at left edges, and the cell count per
 unit cube is an integer, so the unit-cube projections form an exact
-partition of every field.  Discrete convolution is direct summation with
-a Riemann weight h^d per pairwise convolution; an optional run-aware
-trapezoid weighting raises the quadrature order for data that are smooth
-within their support, and an FFT path reproduces the direct results.
+partition of every field.  Discrete convolution has a Riemann weight h^d
+per pairwise convolution; an optional run-aware trapezoid weighting raises
+the quadrature order for data that are smooth within their support.
+:func:`convolve` sums one pair of fields directly; :func:`convolve_frames`
+convolves (nt, *grid) frame stacks by zero-padded FFTs, with the direct
+sum's exact zeros and its values up to FFT round-off.
 
 All operations are pure functions on immutable inputs and use fixed-order
 reductions, so repeated runs are bit-identical.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as _fft
 from scipy.signal import convolve as _sig_convolve
-from scipy.signal import fftconvolve as _sig_fftconvolve
 
 __all__ = [
     "FrequencyGrid",
@@ -29,11 +33,14 @@ __all__ = [
     "make_grid",
     "box_project",
     "convolve",
+    "convolve_frames",
     "convolve_power",
     "support_stats",
     "save_field",
     "load_field",
 ]
+
+RULES = ("riemann", "trapezoid")  # convolution quadrature rules
 
 
 @dataclass(frozen=True)
@@ -90,53 +97,37 @@ class FrequencyGrid:
 
     def coords(self) -> list[np.ndarray]:
         """Per-axis coordinate arrays broadcastable to ``shape``."""
-        out = []
-        for a in range(self.d):
-            sh = [1] * self.d
-            sh[a] = self.n
-            out.append(self.axis.reshape(sh))
-        return out
+        return _axis_views(self.axis, self.d)
 
     def l1(self) -> np.ndarray:
         """|xi| = sum_j xi(j) per cell (octant, so no absolute values needed)."""
-        out = np.zeros(self.shape)
-        for c in self.coords():
-            out = out + c
-        return out
+        return sum(self.coords())
 
     def linf(self) -> np.ndarray:
         """|xi|_inf per cell."""
-        out = np.zeros(self.shape)
-        for c in self.coords():
-            out = np.maximum(out, c)
-        return out
+        return functools.reduce(np.maximum, self.coords())
 
     def euclid_sq(self) -> np.ndarray:
         """Squared Euclidean norm per cell (the Laplacian symbol)."""
-        out = np.zeros(self.shape)
-        for c in self.coords():
-            out = out + c * c
-        return out
+        return sum(c * c for c in self.coords())
+
+    def lattice_coords(self) -> list[np.ndarray]:
+        """Per-axis unit-cube lattice indices k(j), broadcastable to
+        (xi_max,)*d."""
+        return _axis_views(np.arange(self.xi_max, dtype=float), self.d)
 
     def lattice_l1(self) -> np.ndarray:
         """|k| over the unit-cube lattice, shape (xi_max,)*d."""
-        k = np.arange(self.xi_max, dtype=float)
-        out = np.zeros((self.xi_max,) * self.d)
-        for a in range(self.d):
-            sh = [1] * self.d
-            sh[a] = self.xi_max
-            out = out + k.reshape(sh)
-        return out
+        return sum(self.lattice_coords())
 
     def lattice_bracket(self) -> np.ndarray:
         """<k> = (1 + |k|_2^2)^(1/2) over the unit-cube lattice."""
-        k = np.arange(self.xi_max, dtype=float)
-        out = np.ones((self.xi_max,) * self.d)
-        for a in range(self.d):
-            sh = [1] * self.d
-            sh[a] = self.xi_max
-            out = out + (k.reshape(sh)) ** 2
-        return np.sqrt(out)
+        return np.sqrt(1.0 + sum(k * k for k in self.lattice_coords()))
+
+
+def _axis_views(axis: np.ndarray, d: int) -> list[np.ndarray]:
+    """``axis`` laid along each of d axes, broadcastable to (len(axis),)*d."""
+    return [axis.reshape([-1 if b == a else 1 for b in range(d)]) for a in range(d)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,28 +218,42 @@ def _shifted_nonzero(mask: np.ndarray, axis: int, step: int) -> np.ndarray:
     return out
 
 
-def _raw_convolve(a: np.ndarray, b: np.ndarray, method: str) -> np.ndarray:
-    if method == "direct":
-        return _sig_convolve(a, b, mode="full", method="direct")
-    if method == "fft":
-        full = _sig_fftconvolve(a, b, mode="full")
-        # recover exact support: cell-count convolution of the masks
-        counts = _sig_fftconvolve(
-            (a != 0).astype(float), (b != 0).astype(float), mode="full"
-        )
-        full[counts < 0.5] = 0.0
-        return full
-    raise ValueError(f"unknown convolution method {method!r}")
+def _rule_terms(f: np.ndarray, g: np.ndarray, d: int, rule: str):
+    """Operand pairs whose plain convolutions over the last ``d`` axes sum
+    to the rule's convolution, and the weight of that sum in units of h^d.
+
+    The trapezoid rule has one pair per sign pattern: along every axis a
+    product keeps its half weight only where the f factor's neighbor on one
+    side and the g factor's neighbor on the other side are nonzero (the
+    opposite pattern, at the mirrored position).  ``g is f`` shares operands.
+    """
+    if rule not in RULES:
+        raise ValueError(f"unknown convolution rule {rule!r}")
+    if rule == "riemann":
+        return [(f, g)], 1.0
+
+    def masked(x: np.ndarray) -> list[np.ndarray]:
+        nonzero = x != 0
+        out = []
+        for signs in itertools.product((1, -1), repeat=d):
+            keep = True
+            for axis, s in enumerate(signs, start=x.ndim - d):
+                keep = keep & _shifted_nonzero(nonzero, axis, s)
+            out.append(x * keep)
+        return out
+
+    fm = masked(f)
+    return list(zip(fm, reversed(fm if g is f else masked(g)))), 1.0 / 2**d
 
 
 def convolve(
     f: FrequencyField,
     g: FrequencyField,
     rule: str = "riemann",
-    method: str = "direct",
     warn_on_truncation: bool = True,
 ) -> FrequencyField:
-    """Discrete convolution of two octant fields, truncated at xi_max.
+    """Discrete convolution of two octant fields by direct summation,
+    truncated at xi_max.
 
     ``rule="riemann"`` weights every product by h^d (exact for indicator
     data sampled on whole cells).  ``rule="trapezoid"`` halves the weight
@@ -262,43 +267,67 @@ def convolve(
     if f.mirrored or g.mirrored:
         raise ValueError("convolve is defined for octant-stored fields only")
     grid = f.grid
-    hd = grid.h**grid.d
-
-    if rule == "riemann":
-        full = hd * _raw_convolve(f.values, g.values, method)
-    elif rule == "trapezoid":
-        mf = f.values != 0
-        mg = g.values != 0
-        full = np.zeros(tuple(2 * n - 1 for n in grid.shape), dtype=np.complex128)
-        for signs in itertools.product((1, -1), repeat=grid.d):
-            fm = f.values.copy()
-            gm = g.values.copy()
-            for axis, s in enumerate(signs):
-                fm = fm * _shifted_nonzero(mf, axis, s)
-                gm = gm * _shifted_nonzero(mg, axis, -s)
-            full = full + _raw_convolve(fm, gm, method)
-        full *= hd / 2**grid.d
-    else:
-        raise ValueError(f"unknown convolution rule {rule!r}")
+    terms, weight = _rule_terms(f.values, g.values, grid.d, rule)
+    full = np.zeros(tuple(2 * n - 1 for n in grid.shape), dtype=np.complex128)
+    for fm, gm in terms:
+        full = full + _sig_convolve(fm, gm, mode="full", method="direct")
+    full *= grid.h**grid.d * weight
 
     cut = tuple(slice(0, n) for n in grid.shape)
     if warn_on_truncation:
         spill = full.copy()
         spill[cut] = 0.0
         if np.any(spill != 0):
-            warnings.warn(
-                "convolution support reaches xi_max; band of validity shrinks",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            warnings.warn("convolution support reaches xi_max; band of validity "
+                          "shrinks", RuntimeWarning, stacklevel=2)
     return FrequencyField(grid, full[cut])
+
+
+def convolve_frames(
+    a: np.ndarray, b: np.ndarray, grid: FrequencyGrid, rule: str = "riemann"
+) -> np.ndarray:
+    """Frame-by-frame :func:`convolve` of two (nt, *grid.shape) stacks,
+    truncated at xi_max, by zero-padded FFTs over the grid axes.
+
+    Grid axes are padded to 2n, so the cyclic convolution is the linear one
+    on [0, n).  The rule's operand pairs are summed in the frequency domain
+    and inverted once.  As in the direct sum, cells outside the
+    combinatorial support (the count convolution of the operands' nonzero
+    masks) are exact zeros; inside it the values agree with the direct sum
+    to FFT round-off.  Blocks of about 2^16 padded cells bound the working
+    memory.
+    """
+    if a.shape != b.shape or a.shape[1:] != grid.shape:
+        raise ValueError(f"frame stacks must both have shape (nt, *{grid.shape}), "
+                         f"got {a.shape} and {b.shape}")
+    out = np.zeros(a.shape, dtype=np.complex128)
+    axes = tuple(range(1, grid.d + 1))
+    pad = tuple(2 * n for n in grid.shape)
+    cut = (slice(None),) + tuple(slice(0, n) for n in grid.shape)
+    block = max(1, 2**16 // math.prod(pad))
+    for lo in range(0, a.shape[0], block):
+        fa = a[lo:lo + block]
+        fb = fa if b is a else b[lo:lo + block]
+        # when every frame has the same support, one frame's counts serve all
+        same = all(np.array_equal(m.any(0), m.all(0)) for m in (fa != 0, fb != 0))
+        frames = 1 if same else fa.shape[0]
+        terms, weight = _rule_terms(fa, fb, grid.d, rule)
+        ops = {id(x): x for pair in terms for x in pair}  # one FFT per operand
+        hat = {k: _fft.fftn(x, pad, axes) for k, x in ops.items()}
+        cnt = {k: _fft.rfftn(x[:frames] != 0, pad, axes) for k, x in ops.items()}
+        spec = sum(hat[id(f)] * hat[id(g)] for f, g in terms)
+        counts = sum(cnt[id(f)] * cnt[id(g)] for f, g in terms)
+        spec *= grid.h**grid.d * weight
+        np.copyto(out[lo:lo + block],
+                  _fft.ifftn(spec, pad, axes, overwrite_x=True)[cut],
+                  where=_fft.irfftn(counts, pad, axes)[cut] > 0.5)
+    return out
 
 
 def convolve_power(
     f: FrequencyField,
     m: int,
     rule: str = "riemann",
-    method: str = "direct",
     warn_on_truncation: bool = True,
 ) -> FrequencyField:
     """m-fold self-convolution by repeated pairwise convolution (m >= 1)."""
@@ -306,8 +335,7 @@ def convolve_power(
         raise ValueError(f"power must be a positive integer, got {m}")
     out = f.copy()
     for _ in range(int(m) - 1):
-        out = convolve(out, f, rule=rule, method=method,
-                       warn_on_truncation=warn_on_truncation)
+        out = convolve(out, f, rule=rule, warn_on_truncation=warn_on_truncation)
     return out
 
 

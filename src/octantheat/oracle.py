@@ -5,9 +5,10 @@ Two deliberately different routes:
 * :func:`etd_reference_solve` integrates the stiff spectral ODE
   v' = -(|xi|^2 - lam^2) v + v^{*m} with an integrating-factor classical
   Runge-Kutta scheme (exact for the linear part, fourth order in the
-  nonlinear part).  It shares the discrete convolution kernel with the
-  engine but no Duhamel code path, so band agreement between the two is
-  evidence rather than tautology.
+  nonlinear part).  It convolves frame by frame by direct summation, where
+  the engine uses the batched FFT kernel, and shares no Duhamel code path
+  with the engine, so band agreement between the two is evidence rather
+  than tautology.
 
 * :func:`exp_halfline_reference` evaluates the closed-form amplitude
   derivatives of the quadratic flow with datum e^xi H(xi - 1) by nested

@@ -17,6 +17,7 @@ positive time profile.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -33,8 +34,7 @@ from .engine import IterationTrace, duhamel, free_trajectory, heat_symbol
 from .lattice import (
     FrequencyField,
     FrequencyGrid,
-    box_project,
-    convolve,
+    convolve_frames,
     cube_l2_table,
     make_grid,
 )
@@ -47,6 +47,7 @@ from .norms import (
     timespace_norm,
     weighted_l1_seq_norm,
 )
+from .oracle import _gl
 
 __all__ = [
     "ProbeReport",
@@ -96,10 +97,7 @@ class ProbeReport:
 
 
 def _cube_envelope(grid: FrequencyGrid, rho: float) -> np.ndarray:
-    out = np.ones(grid.shape)
-    for c in grid.coords():
-        out = out + np.floor(c) ** 2
-    return np.sqrt(out) ** (-rho)
+    return np.sqrt(1.0 + sum(np.floor(c) ** 2 for c in grid.coords())) ** (-rho)
 
 
 def _draw_cells(grid: FrequencyGrid, rho: float, rng: np.random.Generator,
@@ -177,19 +175,10 @@ def _conv_traj(trajs: list[SpaceTimeField], rule: str = "riemann") -> SpaceTimeF
     """Per-node convolution of separable trajectories (space parts convolved
     once per stage, exact for the separable family)."""
     grid = trajs[0].grid
-    tgrid = trajs[0].tgrid
     acc = trajs[0].values
     for nxt in trajs[1:]:
-        out = np.empty_like(acc)
-        for n in range(tgrid.size):
-            out[n] = convolve(
-                FrequencyField(grid, acc[n]),
-                FrequencyField(grid, nxt.values[n]),
-                rule=rule,
-                warn_on_truncation=False,
-            ).values
-        acc = out
-    return SpaceTimeField(grid, tgrid, acc)
+        acc = convolve_frames(acc, nxt.values, grid, rule)
+    return SpaceTimeField(grid, trajs[0].tgrid, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +213,9 @@ def _measure_shifted_semigroup(grid, tgrid, samples, factor, p) -> dict:
     lam = p["lam"]
     c_rate = p.get("c_rate", 0.5)
     w = heat_symbol(grid, lam)
-    k2 = np.zeros((grid.xi_max,) * grid.d)
-    kk = np.arange(grid.xi_max, dtype=float)
-    for a in range(grid.d):
-        sh = [1] * grid.d
-        sh[a] = grid.xi_max
-        k2 = k2 + kk.reshape(sh) ** 2
-    klinf = np.zeros((grid.xi_max,) * grid.d)
-    for a in range(grid.d):
-        sh = [1] * grid.d
-        sh[a] = grid.xi_max
-        klinf = np.maximum(klinf, kk.reshape(sh))
-    admissible = klinf >= 2 * lam
+    kk = grid.lattice_coords()
+    k2 = sum(k * k for k in kk)
+    admissible = functools.reduce(np.maximum, kk) >= 2 * lam
     best = 0.0
     for smp in samples:
         (u0,) = smp.fields(grid, factor)[:1]
@@ -274,16 +254,11 @@ def _measure_product_es(grid, tgrid, samples, factor, p) -> dict:
 
 def _measure_product_no_lowband(grid, tgrid, samples, factor, p) -> dict:
     s, sigma, m = p["s"], p["sigma"], p["m"]
-    zero = (0,) * grid.d
+    cube0 = np.indices(grid.shape).max(axis=0) < grid.n_sub  # unit cube k = 0
     best = 0.0
     for smp in samples:
         trajs = smp.trajectories(grid, tgrid, factor)[:m]
-        low = [
-            SpaceTimeField(grid, tgrid,
-                           np.stack([box_project(u.frame(n), zero).values
-                                     for n in range(tgrid.size)]))
-            for u in trajs
-        ]
+        low = [SpaceTimeField(grid, tgrid, np.where(cube0, u.values, 0)) for u in trajs]
         full = _conv_traj(trajs)
         lowprod = _conv_traj(low)
         diff = SpaceTimeField(grid, tgrid, full.values - lowprod.values)
@@ -713,13 +688,13 @@ def illposed_probe_H(
                     b = min(hi, x - lo)
                     if b <= a:
                         continue
-                    nodes, wts = _gl_cached(quad_order, a, b)
+                    nodes, wts = _gl(quad_order, a, b)
                     Q = nodes**2 + (x - nodes) ** 2
                     kern = tN * _exprel(tN * (x**2 - Q))
                     out[i] = amp**2 * np.sum(wts * kern)
                 else:
                     q1 = max(32, quad_order // 2)
-                    n1, w1 = _gl_cached(q1, lo, hi)
+                    n1, w1 = _gl(q1, lo, hi)
                     e1 = n1[:, None]
                     e2 = n1[None, :]
                     rest = x - e1 - e2
@@ -739,7 +714,7 @@ def illposed_probe_H(
         for aa, bb in zip(kinks[:-1], kinks[1:]):
             if bb - aa <= 0:
                 continue
-            nodes, wts = _gl_cached(quad_order, float(aa), float(bb))
+            nodes, wts = _gl(quad_order, float(aa), float(bb))
             vals_F = F(nodes)
             wgt = (1.0 + nodes**2) ** (sigma / 2.0)
             total += float(np.sum(wts * (wgt * math.factorial(m) * vals_F) ** 2))
@@ -759,11 +734,6 @@ def illposed_probe_H(
         stable=True,
         curve=curve,
     )
-
-
-def _gl_cached(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
 # ---------------------------------------------------------------------------

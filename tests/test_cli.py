@@ -73,6 +73,12 @@ class TestSolve:
         assert status == 2
         assert "config" in manifest(out)["error"]
 
+    def test_unknown_conv_rule_exit_2(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = solve_cfg(conv_rule="simpson")
+        assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 2
+        assert "conv_rule" in manifest(out)["error"]
+
     def test_invalid_json_exit_2(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -247,6 +253,14 @@ class TestTaylorAndOracle:
         assert man["details"]["band_rel_err"] < 1e-3
         header = (out / "oracle_compare.csv").read_text().splitlines()[0]
         assert header == "xi0,t,engine,oracle,rel_err"
+
+    def test_oracle_compare_with_shifted_semigroup(self, tmp_path):
+        # the reference integrator must use the engine's shifted semigroup
+        cfg = solve_cfg(lambda_shift=0.5, time={"T": 0.5, "nt": 33},
+                        oracle={"tol": 1e-3})
+        out = tmp_path / "out"
+        assert run("oracle-compare", write_cfg(tmp_path, cfg), str(out)) == 0
+        assert manifest(out)["details"]["band_rel_err"] < 1e-3
 
     def test_oracle_nt_fine_floor(self, tmp_path):
         cfg = solve_cfg(oracle={"nt_fine": 33})

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -132,6 +133,12 @@ class TestDuhamel:
             direct[n] = np.trapezoid(integrand, tg[:n + 1], axis=0)
         scale = np.abs(direct).max()
         assert np.abs(out.values - direct).max() <= 1e-13 * scale
+
+
+class TestProblemSpec:
+    def test_rejects_unknown_conv_rule(self):
+        with pytest.raises(ValueError, match="conv_rule"):
+            power_spec(make_grid(1, 4, 0.25), conv_rule="trapezoidal")
 
 
 class TestPicardIterate:
@@ -273,6 +280,19 @@ class TestTaylor:
         scale = np.abs(b).max()
         assert np.abs(a - b).max() <= 1e-10 * scale
 
+    def test_taylor_matches_picard_with_shifted_semigroup(self):
+        # both routes must evolve with exp(-t(|xi|^2 - lam^2))
+        g = make_grid(1, 4, 1 / 16)
+        spec = power_spec(g, nt=33, jmax=8, lambda_shift=0.5, T=0.5)
+        v0 = exp_halfline(g)
+        band_sol = assemble_band_solution(taylor_coefficients(spec, v0, K=3.0),
+                                          1.0, 3.0)
+        trace = picard_iterate(spec, v0)
+        band = g.l1() < 3.0 - 1e-12
+        a = band_sol.values[:, band]
+        b = trace.final.values[:, band]
+        assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
     def test_second_order_time_refinement(self):
         # trapezoid Duhamel: against the engine's own fine-time limit (the
         # spatial quadrature is held fixed) the defect shrinks ~4x per nt
@@ -368,6 +388,22 @@ class TestExponentialFlow:
             G = SpaceTimeField(spec.grid, spec.tgrid, 0.5 * lam2 * conv)
             v = free.values + duhamel(G, spec.lambda_shift).values
         assert np.allclose(trace.final.values, v, rtol=0, atol=1e-14)
+
+    def test_exact_band_stability_bitwise(self):
+        # each application of e^u - u - 1 adds at least one datum offset, so
+        # iterate j is final below j * eps; from j = 3 on that band holds
+        # convolution values, not only the free evolution
+        spec, u0l = self._setup(M=4)
+        spec = dataclasses.replace(spec, tol=0.0, jmax=5)
+        trace = exp_picard_iterate(spec, u0l, sensitivity_probe=False)
+        eps = support_stats(u0l).min_l1
+        l1 = spec.grid.l1()
+        assert len(trace.iterates) == 5
+        for j in range(1, len(trace.iterates)):
+            band = l1 < j * eps
+            for r in range(j, len(trace.iterates)):
+                assert np.array_equal(trace.iterates[j - 1].values[:, band],
+                                      trace.iterates[r].values[:, band])
 
     def test_support_analog_and_sensitivity(self):
         spec, u0l = self._setup(M=6)

@@ -6,6 +6,7 @@ from octantheat import (
     FrequencyField,
     box_project,
     convolve,
+    convolve_frames,
     convolve_power,
     load_field,
     make_grid,
@@ -175,12 +176,12 @@ class TestConvolve:
         f = rng_field(g, 5, sparse=True)
         h = rng_field(g, 6, sparse=True)
         for rule in ("riemann", "trapezoid"):
-            a = convolve(f, h, rule=rule, method="direct", warn_on_truncation=False)
-            b = convolve(f, h, rule=rule, method="fft", warn_on_truncation=False)
-            scale = np.abs(a.values).max() or 1.0
-            assert np.abs(a.values - b.values).max() <= 1e-12 * scale
+            a = convolve(f, h, rule=rule, warn_on_truncation=False).values
+            b = convolve_frames(f.values[None], h.values[None], g, rule)[0]
+            scale = np.abs(a).max() or 1.0
+            assert np.abs(a - b).max() <= 1e-12 * scale
             # the FFT path must keep exact support semantics
-            assert np.array_equal(a.values != 0, b.values != 0)
+            assert np.array_equal(a != 0, b != 0)
 
     def test_trapezoid_rule_second_order_on_smooth_support(self):
         # convolving heat-damped half-line data: trapezoid weighting
@@ -234,6 +235,86 @@ class TestConvolve:
         g = rng_field(make_grid(1, 4, 0.5), 0)
         with pytest.raises(ValueError):
             convolve(f, g)
+
+
+frame_grids = st.one_of(
+    st.builds(make_grid, st.just(1), st.sampled_from([1, 2, 4]),
+              st.sampled_from([0.5, 0.25, 0.125])),
+    st.builds(make_grid, st.just(2), st.sampled_from([1, 2, 3]),
+              st.sampled_from([0.5, 0.25])),
+    st.builds(make_grid, st.just(3), st.sampled_from([1, 2]),
+              st.sampled_from([1.0, 0.5])),
+)
+
+
+def direct_frames(a, b, grid, rule):
+    """Per-frame direct convolution, the reference for convolve_frames."""
+    return np.stack([
+        convolve(FrequencyField(grid, x), FrequencyField(grid, y), rule=rule,
+                 warn_on_truncation=False).values
+        for x, y in zip(a, b)
+    ])
+
+
+def sparse_stack(grid, nt, rng, density, shared):
+    """Complex frames on a random support (one support for all frames when
+    ``shared``); about a quarter of the frames are emptied."""
+    shape = (nt, *grid.shape)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    vals = vals * (rng.random(grid.shape if shared else shape) < density)
+    vals[rng.random(nt) < 0.25] = 0.0
+    return vals
+
+
+class TestConvolveFrames:
+    @settings(max_examples=80, deadline=None)
+    @given(frame_grids, st.integers(1, 4), st.sampled_from([0.0, 0.15, 0.5, 1.0]),
+           st.booleans(), st.booleans(), st.sampled_from(["riemann", "trapezoid"]),
+           st.integers(0, 2**31 - 1))
+    def test_matches_direct(self, g, nt, density, shared, self_conv, rule, seed):
+        rng = np.random.default_rng(seed)
+        a = sparse_stack(g, nt, rng, density, shared)
+        b = a if self_conv else sparse_stack(g, nt, rng, density, shared)
+        ref = direct_frames(a, b, g, rule)
+        got = convolve_frames(a, b, g, rule)
+        scale = np.abs(ref).max()
+        assert np.abs(got - ref).max() <= 1e-12 * scale
+        assert np.array_equal(got != 0, ref != 0)
+
+    def test_all_zero_stack(self):
+        g = make_grid(2, 2, 0.25)
+        b = sparse_stack(g, 3, np.random.default_rng(0), 0.5, False)
+        for rule in ("riemann", "trapezoid"):
+            out = convolve_frames(np.zeros_like(b), b, g, rule)
+            assert out.shape == b.shape and not out.any()
+
+    def test_frames_in_several_blocks(self):
+        # 64^2 cells pad to 128^2, so the kernel takes four frames per block:
+        # five frames with different supports span two blocks
+        g = make_grid(2, 2, 1 / 32)
+        rng = np.random.default_rng(3)
+        a = sparse_stack(g, 5, rng, 0.05, False)
+        a[:, 0, 0] = 1.0  # no empty frames
+        b = sparse_stack(g, 5, rng, 0.05, False)
+        b[:, 0, 0] = 1.0
+        for rule in ("riemann", "trapezoid"):
+            # one-frame stacks are one block each; the direct comparison is
+            # test_matches_direct's
+            ref = np.concatenate([convolve_frames(x[None], y[None], g, rule)
+                                  for x, y in zip(a, b)])
+            got = convolve_frames(a, b, g, rule)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.array_equal(got != 0, ref != 0)
+
+    def test_rejects_bad_input(self):
+        g = make_grid(1, 2, 0.5)
+        a = np.ones((2, *g.shape), dtype=complex)
+        with pytest.raises(ValueError):
+            convolve_frames(a, a[:1], g)
+        with pytest.raises(ValueError):
+            convolve_frames(a, a, make_grid(1, 4, 0.5))
+        with pytest.raises(ValueError):
+            convolve_frames(a, a, g, rule="simpson")
 
 
 class TestSupportStats:
