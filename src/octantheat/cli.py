@@ -2,6 +2,9 @@
 norms / probe / oracle-compare pipelines, and emit plot-ready CSV plus a
 run manifest.
 
+Each config section is read against the spec or entry point it builds
+(its parameters, types and defaults); any other key is rejected.
+
 Exit codes: 0 all requested checks passed, 2 configuration or schema
 violation, 3 support-gate violation, 4 numerical divergence.  Re-running
 with the same configuration and seed is byte-identical in all numerical
@@ -10,49 +13,56 @@ outputs (manifest timings excluded).
 from __future__ import annotations
 
 import argparse
+import enum
+import inspect
 import json
 import math
 import sys
 import time
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .data import InitialDataKind, InitialDataSpec, make_initial_data
-from .engine import (
-    DivergenceError,
-    GateError,
-    Nonlinearity,
-    NonlinearityKind,
-    ProblemSpec,
-    assemble_band_solution,
-    exp_picard_iterate,
-    free_trajectory,
-    picard_iterate,
-    taylor_coefficients,
-)
-from .lattice import FrequencyField, load_field, make_grid, save_field, support_stats
-from .norms import NormFlavor, NormSpec, SpaceTimeField, TimeSpaceNormSpec, \
-    static_norm, timespace_norm
+from .data import InitialDataSpec, make_initial_data
+from .engine import DivergenceError, GateError, Nonlinearity, NonlinearityKind, \
+    ProblemSpec, assemble_band_solution, exp_picard_iterate, free_trajectory, \
+    picard_iterate, taylor_coefficients
+from .lattice import FrequencyField, FrequencyGrid, load_field, make_grid, save_field, \
+    support_stats
+from .norms import NormSpec, SpaceTimeField, TimeSpaceNormSpec, static_norm, \
+    timespace_norm
 from .oracle import OracleConfig, etd_reference_solve
-from .probes import (
-    INEQUALITY_KINDS,
-    error_decay_fit,
-    illposed_probe_E,
-    illposed_probe_H,
-    inequality_probe,
-    scaling_vanishing_curve,
-)
+from .probes import INEQUALITY_KINDS, error_decay_fit, illposed_probe_E, \
+    illposed_probe_H, inequality_probe, scaling_vanishing_curve
 
 __all__ = ["main", "run"]
-
-COMMANDS = ("solve", "taylor", "norms", "probe", "oracle-compare")
 
 
 class ConfigError(ValueError):
     """The JSON configuration violates the schema."""
+
+
+# config key -> ProblemSpec field, for the top-level keys of a solver run
+PROBLEM_KEYS = {"epsilon0": "eps0", "s": "s", "delta": "delta",
+                "lambda_shift": "lambda_shift", "conv_rule": "conv_rule"}
+# top-level keys over all commands, so one config serves solve and taylor
+TOP_KEYS = (*PROBLEM_KEYS, "d", "sigma", "band_K", "field_file", "grid", "time",
+            "iterate", "nonlinearity", "initial_data", "output", "norms", "probe",
+            "oracle")
+PROBE_KEYS = ("kind", "params", "n_samples", "T", "nt")
+# probe kind -> entry point, its probe.params keys, and the parameter --refine
+# scales by a factor (inequality kinds: params from INEQUALITY_KINDS)
+PROBES = {
+    "illposed_H": (illposed_probe_H, ("sigma", "m", "N_list", "c_t", "quad_order"),
+                   ("quad_order", 2)),
+    "illposed_E": (illposed_probe_E, ("s", "sigma", "m", "k_list", "t", "h"),
+                   ("h", 0.5)),
+    "scaling_vanishing": (scaling_vanishing_curve, ("sigma", "lam_list", "s"), None),
+}
 
 
 def _need(cfg: dict, key: str, where: str = "config"):
@@ -61,77 +71,122 @@ def _need(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
-def _build_grid(cfg: dict):
-    g = _need(cfg, "grid")
-    return make_grid(int(cfg.get("d", 1)), int(_need(g, "xi_max", "grid")),
-                     float(_need(g, "h", "grid")))
+def _pick(section: dict, keys) -> dict:
+    return {k: section[k] for k in keys if k in section}
+
+
+def _check_keys(section, where: str, accepted) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(section) - set(accepted))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in "
+                          f"{where}; accepted: {', '.join(sorted(accepted))}")
+    return section
+
+
+def _coerce(hint, value, where: str):
+    """Convert a config value to an annotated type: by calling the type
+    (float, int, complex, str, dict), an enum by upper-cased name, and a
+    ``tuple[T, ...]`` item by item."""
+    if typing.get_origin(hint) is types.UnionType:  # ``X | None``
+        hint = typing.get_args(hint)[0]
+    kind = typing.get_origin(hint) or hint
+    try:
+        if kind is tuple:
+            return tuple(_coerce(typing.get_args(hint)[0], v, where) for v in value)
+        return kind(str(value).upper()) if issubclass(kind, enum.Enum) else kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _fields(target, section, where: str, keys=None, given=()) -> dict:
+    """Coerced keyword arguments for ``target`` from one config section.
+    ``keys`` maps each accepted config key to the target parameter it sets
+    (a sequence: parameters under their own names; default: all of them).
+    Other keys, and missing ones whose parameter has no default and is not
+    ``given``, are config errors; absent keys keep the target's default."""
+    params = inspect.signature(target).parameters
+    if not isinstance(keys, dict):
+        keys = {k: k for k in (keys or params)}
+    _check_keys(section, where, keys)
+    for key, name in keys.items():
+        if key not in section and name not in given \
+                and params[name].default is inspect.Parameter.empty:
+            raise ConfigError(f"missing key {key!r} in {where}")
+    hints = typing.get_type_hints(target)
+    return {keys[k]: _coerce(hints[keys[k]], v, f"{where}.{k}")
+            for k, v in section.items()}
+
+
+def _read(target, section, where: str, keys=None, /, **given):
+    """Build ``target`` from one config section on top of the arguments the
+    CLI supplies itself (section values win)."""
+    return _call(target, **{**given, **_fields(target, section, where, keys, given)})
+
+
+def _call(target, *args, **kwargs):
+    """Call or construct ``target``; its ValueError is a config error."""
+    try:
+        return target(*args, **kwargs)
+    except GateError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _default(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
+
+
+def _refine(grid: FrequencyGrid | None, nt: int | None):
+    """--refine: halve the grid spacing, double the time nodes (None stays None)."""
+    return (None if grid is None else make_grid(grid.d, grid.xi_max, grid.h / 2.0),
+            None if nt is None else 2 * nt - 1)
+
+
+def _build_grid(cfg: dict) -> FrequencyGrid:
+    return _read(make_grid, _need(cfg, "grid"), "grid", ("xi_max", "h"),
+                 **_fields(make_grid, {"d": cfg.get("d", 1)}, "config", ("d",)))
+
+
+def _time(cfg: dict) -> dict:
+    """The time section; T and nt are both required."""
+    t = _fields(ProblemSpec, _need(cfg, "time"), "time", ("T", "nt"))
+    return {key: _need(t, key, "time") for key in ("T", "nt")}
 
 
 def _build_datum(cfg: dict, grid):
-    idata = _need(cfg, "initial_data")
-    kind = str(_need(idata, "kind", "initial_data")).upper()
-    try:
-        kind = InitialDataKind(kind)
-    except ValueError as exc:
-        raise ConfigError(f"unknown initial_data kind {kind!r}") from exc
-    spec = InitialDataSpec(
-        kind=kind,
-        eps0=float(idata.get("eps0", 1.0)),
-        width=float(idata.get("width", 0.5)),
-        amplitude=complex(idata.get("amplitude", 1.0)),
-        deriv_order=int(idata.get("deriv_order", 1)),
-        shift=float(idata.get("shift", 1.0)),
-        pair_k=int(idata.get("pair_k", 16)),
-        scale_n=int(idata.get("scale_n", 8)),
-        s=float(idata.get("s", cfg.get("s", -1.0))),
-        sigma=float(idata.get("sigma", cfg.get("sigma", 0.0))),
-        m=int(idata.get("m", 2)),
-    )
-    try:
-        return make_initial_data(spec, grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """The datum; the top-level s and sigma are its defaults."""
+    spec = _read(InitialDataSpec, _need(cfg, "initial_data"), "initial_data",
+                 **_fields(InitialDataSpec, _pick(cfg, ("s", "sigma")), "config",
+                           ("s", "sigma")))
+    return _call(make_initial_data, spec, grid)
 
 
 def _build_problem(cfg: dict, refine: bool) -> tuple[ProblemSpec, FrequencyField]:
-    grid = _build_grid(cfg)
-    tcfg = _need(cfg, "time")
-    icfg = cfg.get("iterate", {})
-    ncfg = _need(cfg, "nonlinearity")
-    ntype = str(_need(ncfg, "type", "nonlinearity")).upper()
-    if ntype == "POWER":
-        nl = Nonlinearity(NonlinearityKind.POWER, m=int(ncfg.get("m", 2)))
-    elif ntype == "EXPONENTIAL":
-        nl = Nonlinearity(NonlinearityKind.EXPONENTIAL,
-                          taylor_order=int(ncfg.get("M", 12)))
-    else:
-        raise ConfigError(f"nonlinearity type must be POWER or EXPONENTIAL, "
-                          f"got {ntype!r}")
-    nt = int(_need(tcfg, "nt", "time"))
+    grid, t = _build_grid(cfg), _time(cfg)
     if refine:
-        grid = make_grid(grid.d, grid.xi_max, grid.h / 2.0)
-        nt = 2 * nt - 1
-    try:
-        spec = ProblemSpec(
-            grid=grid,
-            nonlinearity=nl,
-            eps0=float(cfg.get("epsilon0", 1.0)),
-            s=float(cfg.get("s", -1.0)),
-            sigma=float(cfg.get("sigma", 0.0)),
-            delta=float(cfg.get("delta", 1.0)),
-            lambda_shift=float(cfg.get("lambda_shift", 0.0)),
-            T=float(_need(tcfg, "T", "time")),
-            nt=nt,
-            jmax=int(icfg.get("jmax", 12)),
-            tol=float(icfg.get("tol", 1e-10)),
-            conv_rule=str(cfg.get("conv_rule", "trapezoid")),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        grid, t["nt"] = _refine(grid, t["nt"])
+    nl = _read(Nonlinearity, _need(cfg, "nonlinearity"), "nonlinearity",
+               {"type": "kind", "m": "m", "M": "taylor_order"})
+    spec = _read(ProblemSpec, _pick(cfg, PROBLEM_KEYS), "config", PROBLEM_KEYS,
+                 grid=grid, nonlinearity=nl, eps0=1.0, **t,
+                 **_fields(ProblemSpec, cfg.get("iterate", {}), "iterate",
+                           ("jmax", "tol")))
     datum = _build_datum(cfg, spec.grid)
     if not isinstance(datum, FrequencyField):
         raise GateError("sign-pair inflation data are not admissible solver input")
     return spec, datum
+
+
+def _frame_stride(cfg: dict, nt: int) -> int:
+    output = _check_keys(cfg.get("output", {}), "output", ("frame_stride",))
+    stride = _coerce(int, output.get("frame_stride", max(1, (nt - 1) // 8)),
+                     "output.frame_stride")
+    if stride < 1:
+        raise ConfigError(f"output.frame_stride must be positive, got {stride}")
+    return stride
 
 
 def _write_frames(u: SpaceTimeField, out: Path, stem: str, stride: int) -> list[str]:
@@ -145,9 +200,7 @@ def _write_frames(u: SpaceTimeField, out: Path, stem: str, stride: int) -> list[
 
 def _csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
 
 
 def _fmt(x) -> str:
@@ -160,18 +213,15 @@ def _fmt(x) -> str:
 
 def _cmd_solve(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dict]:
     spec, v0 = _build_problem(cfg, refine)
-    stride = int(cfg.get("output", {}).get("frame_stride", max(1, (spec.nt - 1) // 8)))
+    stride = _frame_stride(cfg, spec.nt)
     if spec.nonlinearity.kind is NonlinearityKind.POWER:
         trace = picard_iterate(spec, v0)
-        m_eff = spec.nonlinearity.m
-        gate = spec.eps0
-        bound = lambda j: j * (m_eff - 1) * gate  # noqa: E731
+        step = (spec.nonlinearity.m - 1) * spec.eps0  # support gained per iterate
     else:
         trace = exp_picard_iterate(spec, v0)
-        gate = support_stats(v0).min_l1
-        bound = lambda j: j * gate  # noqa: E731
+        step = support_stats(v0).min_l1
     support_ok = all(
-        s >= bound(j) - 1e-12 for j, s in enumerate(trace.support_min_l1[1:], start=1)
+        s >= j * step - 1e-12 for j, s in enumerate(trace.support_min_l1[1:], start=1)
     )
     fit = error_decay_fit(trace, s_tilde=spec.s - 1.0) \
         if len(trace.iterates) >= 4 else None
@@ -184,153 +234,99 @@ def _cmd_solve(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dic
     checks = {"converged": trace.converged, "support_propagation": support_ok}
     if fit is not None:
         checks["error_decay"] = bool(fit.passed)
-    extras = {
+    return checks, {
+        "outputs": files,
         "support_min_l1": trace.support_min_l1,
         "increment_norms": trace.increment_norms,
         "errors": trace.errors,
         "fitted_C": fit.measured["C"] if fit is not None else None,
         "truncation_sensitivity": trace.truncation_sensitivity,
     }
-    return checks, {"outputs": files, **extras}
 
 
 def _cmd_taylor(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dict]:
     spec, v0 = _build_problem(cfg, refine)
-    K = float(cfg.get("band_K", min(3.0, spec.grid.xi_max)))
-    stack = taylor_coefficients(spec, v0, K)
-    assembled = assemble_band_solution(stack, spec.delta, K)
-    stride = int(cfg.get("output", {}).get("frame_stride", max(1, (spec.nt - 1) // 8)))
+    K = _coerce(float, cfg.get("band_K", min(3.0, spec.grid.xi_max)), "band_K")
+    stride = _frame_stride(cfg, spec.nt)
+    stack = _call(taylor_coefficients, spec, v0, K)
+    assembled = _call(assemble_band_solution, stack, spec.delta, K)
     files = _write_frames(assembled, out, "band_solution", stride)
-    rows = []
-    for k, ck in enumerate(stack.coeffs, start=1):
-        st = support_stats(ck.frame(ck.nt - 1))
-        rows.append([k, st.min_l1 if not st.empty else math.inf])
+    stats = [support_stats(ck.frame(ck.nt - 1)) for ck in stack.coeffs]
+    rows = [[k, math.inf if st.empty else st.min_l1] for k, st in enumerate(stats, 1)]
     _csv(out / "coefficients.csv", ["order", "support_min_l1"], rows)
     files.append("coefficients.csv")
-    order_ok = all(
-        math.isinf(row[1]) or row[1] >= (k + 1) * stack.eps0 - 1e-12
-        for k, row in enumerate(rows)
-    )
-    checks = {"coefficient_supports": order_ok}
+    # order k starts at k * eps0 (an empty coefficient passes)
+    checks = {"coefficient_supports": all(s >= k * stack.eps0 - 1e-12 for k, s in rows)}
     return checks, {"outputs": files, "orders": stack.orders, "band_K": K}
 
 
-def _norm_specs(cfg: dict) -> list[dict]:
-    specs = cfg.get("norms")
-    if not specs:
-        raise ConfigError("norms command needs a nonempty 'norms' list")
-    return specs
-
-
 def _cmd_norms(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dict]:
-    if "field_file" in cfg:
-        f = load_field(cfg["field_file"])
-    else:
-        grid = _build_grid(cfg)
-        if refine:
-            grid = make_grid(grid.d, grid.xi_max, grid.h / 2.0)
-        datum = _build_datum(cfg, grid)
-        if not isinstance(datum, FrequencyField):
-            raise ConfigError("norms command needs a plain field datum")
-        f = datum
+    items = cfg.get("norms")
+    if not items or not isinstance(items, list):
+        raise ConfigError("norms command needs a nonempty 'norms' list")
+    # a row with gamma is a time-space norm on the heat evolution of the field
+    timed = [isinstance(item, dict) and "gamma" in item for item in items]
+    grid = None if "field_file" in cfg else _build_grid(cfg)
+    t = _time(cfg) if any(timed) else {"nt": None}
+    if refine:
+        grid, t["nt"] = _refine(grid, t["nt"])
+    f = _call(load_field, _coerce(str, cfg["field_file"], "field_file")) \
+        if grid is None else _build_datum(cfg, grid)
+    if not isinstance(f, FrequencyField):
+        raise ConfigError("norms command needs a plain field datum")
+    if any(timed):
+        traj = _call(free_trajectory, f, _call(np.linspace, 0.0, t["T"], t["nt"]))
     rows = []
-    for item in _norm_specs(cfg):
-        flavor = str(_need(item, "flavor", "norms[]")).upper()
-        s = float(item.get("s", 0.0))
-        sigma = float(item.get("sigma", 0.0))
-        gamma = item.get("gamma")
-        q = item.get("q")
-        if gamma is None:
-            try:
-                value = static_norm(f, NormSpec(NormFlavor(flavor), s, sigma))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            rows.append([flavor, s, sigma, "", "", value])
+    for i, (item, is_timed) in enumerate(zip(items, timed)):
+        where = f"norms[{i}]"
+        _check_keys(item, where, ("flavor", "s", "sigma", *(("gamma", "q") if is_timed
+                                                             else ())))
+        spec = _read(NormSpec, _pick(item, ("flavor", "s", "sigma")), where)
+        if is_timed:
+            tspec = _read(TimeSpaceNormSpec, _pick(item, ("gamma", "q")), where,
+                          ("gamma", "q"), q=2, s=spec.s, sigma=spec.sigma)
+            tail = [item["gamma"], tspec.q, _call(timespace_norm, traj, tspec)]
         else:
-            tcfg = _need(cfg, "time")
-            nt = int(_need(tcfg, "nt", "time"))
-            if refine:
-                nt = 2 * nt - 1
-            tgrid = np.linspace(0.0, float(_need(tcfg, "T", "time")), nt)
-            traj = free_trajectory(f, tgrid)
-            gamma_f = math.inf if str(gamma) in ("inf", "Infinity") else float(gamma)
-            value = timespace_norm(
-                traj, TimeSpaceNormSpec(gamma_f, int(q or 2), s, sigma)
-            )
-            rows.append([flavor, s, sigma, gamma, int(q or 2), value])
+            tail = ["", "", _call(static_norm, f, spec)]
+        rows.append([spec.flavor.value, spec.s, spec.sigma, *tail])
     _csv(out / "norms.csv", ["flavor", "s", "sigma", "gamma", "q", "value"], rows)
     return {"norms_evaluated": True}, {"outputs": ["norms.csv"],
                                        "count": len(rows)}
 
 
 def _cmd_probe(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dict]:
-    pcfg = _need(cfg, "probe")
+    pcfg = _check_keys(_need(cfg, "probe"), "probe", PROBE_KEYS)
     kind = str(_need(pcfg, "kind", "probe"))
-    params = dict(pcfg.get("params", {}))
-    try:
-        if kind == "illposed_H":
-            report = illposed_probe_H(
-                sigma=float(_need(params, "sigma", "probe.params")),
-                m=int(params.get("m", 2)),
-                N_list=tuple(params.get("N_list", (8, 16, 32, 64))),
-                c_t=float(params.get("c_t", 1.0)),
-                quad_order=int(params.get("quad_order", 64)) * (2 if refine else 1),
-            )
-        elif kind == "illposed_E":
-            report = illposed_probe_E(
-                s=float(_need(params, "s", "probe.params")),
-                sigma=float(params.get("sigma", 0.0)),
-                m=int(params.get("m", 2)),
-                k_list=tuple(params.get("k_list", (16, 32, 64))),
-                t=float(params.get("t", 1.0)),
-                h=float(params.get("h", 1.0 / 16)) / (2 if refine else 1),
-            )
-        elif kind == "scaling_vanishing":
-            grid = _build_grid(cfg)
-            datum = _build_datum(cfg, grid)
-            report = scaling_vanishing_curve(
-                datum,
-                sigma=float(params.get("sigma", 0.0)),
-                lam_list=tuple(params.get("lam_list", (1, 2, 4, 8, 16))),
-                s=float(params.get("s", -1.0)),
-            )
-        elif kind in INEQUALITY_KINDS:
-            grid = _build_grid(cfg) if "grid" in cfg else None
-            nt = int(pcfg.get("nt", 33))
-            if refine:
-                # run the whole probe (including its internal stability
-                # pass) from a doubled base resolution
-                if grid is None:
-                    grid = make_grid(1, 8, 1.0 / 16)
-                else:
-                    grid = make_grid(grid.d, grid.xi_max, grid.h / 2.0)
-                nt = 2 * nt - 1
-            report = inequality_probe(
-                kind,
-                params=params,
-                n_samples=int(pcfg.get("n_samples", 20)),
-                seed=seed,
-                grid=grid,
-                T=float(pcfg.get("T", 1.0)),
-                nt=nt,
-            )
-        else:
-            raise ConfigError(f"unknown probe kind {kind!r}")
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    if kind in INEQUALITY_KINDS:
+        args = _fields(inequality_probe, pcfg, "probe", PROBE_KEYS)
+        args["grid"] = _build_grid(cfg) if "grid" in cfg \
+            else _default(inequality_probe, "grid")
+        if refine:  # the whole probe, stability pass included, from a finer base
+            args["grid"], args["nt"] = _refine(
+                args["grid"], args.get("nt", _default(inequality_probe, "nt")))
+        report = _call(inequality_probe, seed=seed, **args)
+    elif kind in PROBES:
+        entry, keys, refined = PROBES[kind]
+        args = _fields(entry, _check_keys(pcfg, "probe", ("kind", "params"))
+                       .get("params", {}), "probe.params", keys)
+        if refine and refined:
+            name, factor = refined
+            args[name] = factor * args.get(name, _default(entry, name))
+        if kind == "scaling_vanishing":
+            args["f"] = _build_datum(cfg, _build_grid(cfg))
+        report = _call(entry, **args)
+    else:
+        raise ConfigError(f"unknown probe kind {kind!r}")
     with open(out / "probe_report.json", "w") as fh:
         json.dump(_sanitize(report.to_dict()), fh, indent=2, sort_keys=True,
                   default=_json_safe)
         fh.write("\n")
+    outputs = ["probe_report.json"]
     if report.curve:
         header = sorted({k for row in report.curve for k in row})
         _csv(out / "probe_curve.csv", header,
              [[row.get(k, "") for k in header] for row in report.curve])
-        outputs = ["probe_report.json", "probe_curve.csv"]
-    else:
-        outputs = ["probe_report.json"]
+        outputs.append("probe_curve.csv")
     return ({kind: bool(report.passed)} if report.passed is not None else {},
             {"outputs": outputs, "measured": report.measured})
 
@@ -340,18 +336,19 @@ def _cmd_oracle_compare(cfg: dict, out: Path, seed: int, refine: bool) \
     spec, v0 = _build_problem(cfg, refine)
     if spec.nonlinearity.kind is not NonlinearityKind.POWER:
         raise ConfigError("oracle comparison drives the power nonlinearity")
-    ocfg = cfg.get("oracle", {})
-    cfg_o = OracleConfig(
-        nt_fine=int(ocfg.get("nt_fine", 4 * (spec.nt - 1) + 1)),
-        quad_order=int(ocfg.get("quad_order", 32)),
-        compare_band=float(ocfg.get("compare_band", min(3.0, spec.grid.xi_max))),
-    )
-    if cfg_o.nt_fine < 4 * (spec.nt - 1) + 1:
+    ocfg = _check_keys(cfg.get("oracle", {}), "oracle",
+                       ("nt_fine", "quad_order", "compare_band", "tol"))
+    floor = 4 * (spec.nt - 1) + 1
+    cfg_o = _read(OracleConfig, _pick(ocfg, ("nt_fine", "quad_order", "compare_band")),
+                  "oracle", None, nt_fine=floor,
+                  compare_band=min(3.0, spec.grid.xi_max))
+    if cfg_o.nt_fine < floor:
         raise ConfigError("oracle nt_fine must be at least four times the engine's")
+    tol = _coerce(float, ocfg.get("tol", 1e-3), "oracle.tol")
     trace = picard_iterate(spec, v0)
-    ref = etd_reference_solve(v0, spec.nonlinearity.m, spec.T, cfg_o,
-                              delta=spec.delta, lambda_shift=spec.lambda_shift,
-                              conv_rule=spec.conv_rule)
+    ref = _call(etd_reference_solve, v0, spec.nonlinearity.m, spec.T, cfg_o,
+                delta=spec.delta, lambda_shift=spec.lambda_shift,
+                conv_rule=spec.conv_rule)
     grid = spec.grid
     band = grid.l1() < cfg_o.compare_band - 1e-12
     eng = trace.final.values[-1]
@@ -367,10 +364,14 @@ def _cmd_oracle_compare(cfg: dict, out: Path, seed: int, refine: bool) \
     num = np.sqrt(np.sum(np.abs(eng[band] - orc[band]) ** 2))
     den = np.sqrt(np.sum(np.abs(orc[band]) ** 2))
     band_err = float(num / den) if den > 0 else 0.0
-    tol = float(ocfg.get("tol", 1e-3))
     checks = {"band_agreement": band_err <= tol}
     return checks, {"outputs": ["oracle_compare.csv"], "band_rel_err": band_err,
                     "tolerance": tol}
+
+
+HANDLERS = {"solve": _cmd_solve, "taylor": _cmd_taylor, "norms": _cmd_norms,
+            "probe": _cmd_probe, "oracle-compare": _cmd_oracle_compare}
+COMMANDS = tuple(HANDLERS)
 
 
 def _json_safe(x):
@@ -403,36 +404,25 @@ def run(command: str, config_path: str, out_dir: str, seed: int = 0,
         "command": command,
         "seed": seed,
         "refine": refine,
-        "versions": {
-            "octantheat": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
+        "versions": {"octantheat": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__},
     }
     try:
         if command not in COMMANDS:
-            raise ConfigError(
-                f"unknown command {command!r}; expected one of {COMMANDS}"
-            )
+            raise ConfigError(f"unknown command {command!r}; "
+                              f"expected one of {COMMANDS}")
         with open(config_path) as fh:
             try:
                 cfg = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
         manifest["config"] = cfg
-        handler = {
-            "solve": _cmd_solve,
-            "taylor": _cmd_taylor,
-            "norms": _cmd_norms,
-            "probe": _cmd_probe,
-            "oracle-compare": _cmd_oracle_compare,
-        }[command]
-        checks, details = handler(cfg, out, seed, refine)
+        checks, details = HANDLERS[command](_check_keys(cfg, "config", TOP_KEYS),
+                                            out, seed, refine)
         status = 0 if all(checks.values()) else 1
-        manifest["checks"] = checks
-        manifest["details"] = details
-        manifest["outputs"] = details.get("outputs", [])
-    except (ConfigError, FileNotFoundError) as exc:
+        manifest.update(checks=checks, details=details,
+                        outputs=details.get("outputs", []))
+    except (ConfigError, OSError) as exc:
         manifest["error"] = f"config: {exc}"
         status = 2
     except GateError as exc:
@@ -455,8 +445,7 @@ def run(command: str, config_path: str, out_dir: str, seed: int = 0,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="octantheat",
-        description="Fourier-side semilinear heat engine: batch pipelines",
-    )
+        description="Fourier-side semilinear heat engine: batch pipelines")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="JSON problem config")
     parser.add_argument("--out", required=True, help="output directory")

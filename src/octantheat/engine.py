@@ -82,7 +82,6 @@ class ProblemSpec:
     nonlinearity: Nonlinearity
     eps0: float
     s: float = -1.0
-    sigma: float = 0.0
     delta: float = 1.0
     lambda_shift: float = 0.0
     T: float = 1.0
@@ -94,8 +93,8 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if self.eps0 <= 0:
             raise ValueError("eps0 must be positive")
-        if self.T <= 0 or self.nt < 2:
-            raise ValueError("need T > 0 and nt >= 2")
+        if not 0 < self.T < math.inf or self.nt < 2 or not math.isfinite(self.delta):
+            raise ValueError("need 0 < T < inf, nt >= 2 and a finite delta")
         if self.jmax < 1:
             raise ValueError("jmax must be positive")
         if self.conv_rule not in RULES:

@@ -68,7 +68,7 @@ class FrequencyGrid:
         if not float(self.xi_max).is_integer() or self.xi_max < 1:
             raise ValueError(f"xi_max must be a positive integer, got {self.xi_max}")
         object.__setattr__(self, "xi_max", int(self.xi_max))
-        inv = 1.0 / self.h
+        inv = 1.0 / self.h if self.h > 0 else 0.0
         n_sub = int(round(inv))
         if n_sub < 1 or abs(inv - n_sub) > 1e-9 * inv:
             raise ValueError(
@@ -372,18 +372,26 @@ def save_field(f: FrequencyField, path) -> None:
 
 
 def load_field(path) -> FrequencyField:
-    """Read a field written by :func:`save_field`."""
+    """Read a field written by :func:`save_field`.  Every cell needs exactly
+    one row: malformed, out-of-range, repeated or missing rows raise
+    ValueError."""
     with open(path) as fh:
         head = fh.readline().split()
         if len(head) != 3:
             raise ValueError(f"malformed field header in {path}")
         d, h, xi_max = int(head[0]), float(head[1]), int(head[2])
         grid = make_grid(d, xi_max, h)
+        n = grid.n
         vals = np.zeros(grid.shape, dtype=np.complex128)
+        seen: set[tuple[int, ...]] = set()
         for line in fh:
             parts = line.strip().split(",")
-            if len(parts) != d + 2:
-                raise ValueError(f"malformed field row in {path}: {line!r}")
-            idx = tuple(int(p) for p in parts[:d])
+            idx = tuple(map(int, parts[:d]))
+            if len(parts) != d + 2 or idx in seen or min(idx) < 0 or max(idx) >= n:
+                raise ValueError(f"malformed, out-of-range or repeated field row in "
+                                 f"{path}: {line!r}")
+            seen.add(idx)
             vals[idx] = complex(float(parts[d]), float(parts[d + 1]))
+    if len(seen) != vals.size:
+        raise ValueError(f"field file {path} has {len(seen)} of {vals.size} rows")
     return FrequencyField(grid, vals)

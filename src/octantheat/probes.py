@@ -191,7 +191,7 @@ def _sigma_c(d: int, m: int) -> float:
 
 def _measure_heat_semigroup(grid, tgrid, samples, factor, p) -> dict:
     s, sigma = p["s"], p["sigma"]
-    gammas = p.get("gammas", (1.0, float(p.get("m", 2)), math.inf))
+    gammas = p["gammas"] or (1.0, float(p["m"]), math.inf)  # None: (1, m, inf)
     per_gamma: dict[str, float] = {}
     for gamma in gammas:
         best = 0.0
@@ -210,8 +210,7 @@ def _measure_heat_semigroup(grid, tgrid, samples, factor, p) -> dict:
 
 
 def _measure_shifted_semigroup(grid, tgrid, samples, factor, p) -> dict:
-    lam = p["lam"]
-    c_rate = p.get("c_rate", 0.5)
+    lam, c_rate = p["lam"], p["c_rate"]
     w = heat_symbol(grid, lam)
     kk = grid.lattice_coords()
     k2 = sum(k * k for k in kk)
@@ -282,8 +281,7 @@ def _measure_product_no_lowband(grid, tgrid, samples, factor, p) -> dict:
 
 
 def _measure_highband_smoothing(grid, tgrid, samples, factor, p) -> dict:
-    s, sigma, A = p["s"], p["sigma"], p["A"]
-    q = p.get("q", 1)
+    s, sigma, A, q = p["s"], p["sigma"], p["A"], p["q"]
     best = 0.0
     for smp in samples:
         trajs = smp.trajectories(grid, tgrid, factor)[:1]
@@ -378,16 +376,27 @@ def _measure_e21_chain(grid, tgrid, samples, factor, p) -> dict:
     }
 
 
+_S_SIGMA_M = {"s": -1.0, "sigma": 0.0, "m": 2}
+
+# kind -> (measurement, fields per sample (None: one per power m), every
+# parameter with its default, |xi|_inf below which the drawn fields vanish)
 INEQUALITY_KINDS = {
-    "heat_semigroup": (_measure_heat_semigroup, 1),
-    "shifted_semigroup": (_measure_shifted_semigroup, 1),
-    "product_es": (_measure_product_es, None),          # m fields
-    "product_no_lowband": (_measure_product_no_lowband, None),
-    "highband_smoothing": (_measure_highband_smoothing, 1),
-    "conv_weighted_l1": (_measure_conv_weighted_l1, None),
-    "product_e21": (_measure_product_e21, 1),
-    "sobolev_embedding": (_measure_sobolev_embedding, 1),
-    "e21_chain": (_measure_e21_chain, 1),
+    "heat_semigroup": (_measure_heat_semigroup, 1, {**_S_SIGMA_M, "gammas": None},
+                       lambda p: 1.0),
+    "shifted_semigroup": (_measure_shifted_semigroup, 1, {"lam": 2.0, "c_rate": 0.5},
+                          lambda p: 2.0 * p["lam"]),
+    "product_es": (_measure_product_es, None, _S_SIGMA_M, None),
+    "product_no_lowband": (_measure_product_no_lowband, None, _S_SIGMA_M, None),
+    "highband_smoothing": (_measure_highband_smoothing, 1,
+                           {"s": -1.0, "sigma": 0.0, "A": 4.0, "q": 1},
+                           lambda p: p["A"]),
+    "conv_weighted_l1": (_measure_conv_weighted_l1, None, {"s_tilde": -1.0, "m": 2},
+                         None),
+    "product_e21": (_measure_product_e21, 1, {"s": -1.0, "m": 2}, None),
+    "sobolev_embedding": (_measure_sobolev_embedding, 1,
+                          {"s": -1.0, "sigma": 0.0, "r": 0.0}, None),
+    "e21_chain": (_measure_e21_chain, 1,
+                  {"s": -1.0, "sigma_low": 0.0, "sigma_high": 1.0}, None),
 }
 
 
@@ -396,7 +405,7 @@ def inequality_probe(
     params: dict | None = None,
     n_samples: int = 20,
     seed: int = 0,
-    grid: FrequencyGrid | None = None,
+    grid: FrequencyGrid = make_grid(1, 8, 1.0 / 8),
     T: float = 1.0,
     nt: int = 33,
     refine: bool = True,
@@ -405,41 +414,30 @@ def inequality_probe(
 
     The constant is re-measured once with halved grid spacing and doubled
     time resolution (same functions); a drift above 2x marks the report
-    inconclusive.  Parameter combinations outside an estimate's
-    hypotheses raise ValueError.
+    inconclusive.  Parameters the estimate does not take, and parameter
+    combinations outside its hypotheses, raise ValueError.
     """
     if kind not in INEQUALITY_KINDS:
         raise ValueError(f"unknown probe kind {kind!r}; "
                          f"available: {sorted(INEQUALITY_KINDS)}")
-    measure, n_fields = INEQUALITY_KINDS[kind]
-    p = dict(params or {})
-    p.setdefault("s", -1.0)
-    p.setdefault("sigma", 0.0)
-    p.setdefault("m", 2)
-    if kind == "conv_weighted_l1":
-        p.setdefault("s_tilde", -1.0)
-    if kind == "sobolev_embedding":
-        p.setdefault("r", 0.0)
-    if kind == "e21_chain":
-        p.setdefault("sigma_low", 0.0)
-        p.setdefault("sigma_high", 1.0)
-    if kind == "highband_smoothing":
-        p.setdefault("A", 4.0)
-    if kind == "shifted_semigroup":
-        p.setdefault("lam", 2.0)
-
-    if grid is None:
-        grid = make_grid(1, 8, 1.0 / 8)
+    measure, n_fields, defaults, linf_floor = INEQUALITY_KINDS[kind]
+    unknown = sorted(set(params or {}) - set(defaults))
+    if unknown:
+        raise ValueError(f"{kind} takes no parameter(s) {', '.join(unknown)}; "
+                         f"it takes {', '.join(sorted(defaults))}")
+    p = dict(defaults)
+    for key, value in (params or {}).items():
+        try:  # to the default's type; gammas (default None) to floats
+            p[key] = type(p[key])(value) if p[key] is not None \
+                else tuple(map(float, value))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{kind} parameter {key}: {exc}") from exc
+    if p.get("m", 2) < 2:
+        raise ValueError(f"{kind} needs m >= 2")
     fields = n_fields if n_fields is not None else int(p["m"])
-    linf_floor = 0.0
-    if kind == "heat_semigroup":
-        linf_floor = 1.0
-    elif kind == "shifted_semigroup":
-        linf_floor = 2.0 * float(p["lam"])
-    elif kind == "highband_smoothing":
-        linf_floor = float(p["A"])
     rng = np.random.default_rng(seed)
-    samples = _draw_samples(grid, rng, n_samples, fields, linf_floor)
+    samples = _draw_samples(grid, rng, n_samples, fields,
+                            linf_floor(p) if linf_floor else 0.0)
     tgrid = np.linspace(0.0, T, nt)
 
     measured = measure(grid, tgrid, samples, 1, p)
@@ -484,7 +482,7 @@ def inequality_probe(
 
 def scaling_vanishing_curve(
     f: FrequencyField,
-    sigma: float,
+    sigma: float = 0.0,
     lam_list: tuple[int, ...] = (1, 2, 4, 8, 16),
     s: float = -1.0,
 ) -> ProbeReport:
@@ -496,6 +494,8 @@ def scaling_vanishing_curve(
     """
     if s >= 0:
         raise ValueError("the vanishing-scaling curve requires s < 0")
+    if not lam_list:
+        raise ValueError("the vanishing-scaling curve needs a nonempty lam_list")
     if sigma < 0:
         raise ValueError("the vanishing-scaling curve requires sigma >= 0")
     grid = f.grid
@@ -667,6 +667,8 @@ def illposed_probe_H(
         raise ValueError("the scaled-datum probe is implemented for d = 1")
     if m not in (2, 3):
         raise ValueError("the scaled-datum probe supports m in {2, 3}")
+    if not N_list or min(N_list) < 1:
+        raise ValueError("the scaled-datum probe needs positive scales N_list")
     expo = inflation_exponent(m, d, sigma)
     if expo <= 0:
         raise ValueError(

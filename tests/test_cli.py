@@ -30,6 +30,18 @@ def solve_cfg(**over):
     return cfg
 
 
+def norms_cfg(**over):
+    cfg = {
+        "d": 1,
+        "grid": {"xi_max": 2, "h": 0.5},
+        "initial_data": {"kind": "EXP_HALFLINE"},
+        "time": {"T": 0.5, "nt": 5},
+        "norms": [{"flavor": "E21", "s": -1.0}],
+    }
+    cfg.update(over)
+    return cfg
+
+
 def manifest(out):
     return json.loads((Path(out) / "manifest.json").read_text())
 
@@ -266,3 +278,87 @@ class TestTaylorAndOracle:
         cfg = solve_cfg(oracle={"nt_fine": 33})
         assert run("oracle-compare", write_cfg(tmp_path, cfg),
                    str(tmp_path / "o")) == 2
+
+
+FIELD_ROWS = "0,1.0,0.0\n1,1.0,0.0\n2,1.0,0.0\n3,1.0,0.0\n"  # a 4-cell 1D grid
+
+# (command, config, field file text or None): every row must exit 2
+BAD_CONFIGS = {
+    # a misspelled key in each section
+    "top-level": ("solve", solve_cfg(epsilon_0=7.0), None),
+    "grid": ("solve", solve_cfg(grid={"xi_max": 4, "h": 1 / 16, "hh": 0.5}), None),
+    "time": ("solve", solve_cfg(time={"T": 1.0, "nt": 33, "NT": 65}), None),
+    "iterate": ("solve", solve_cfg(iterate={"jmax": 8, "tolerance": 1e-3}), None),
+    "nonlinearity": ("solve", solve_cfg(nonlinearity={"type": "POWER", "mm": 3}),
+                     None),
+    "initial_data": ("solve", solve_cfg(initial_data={"kind": "EXP_HALFLINE",
+                                                      "amplitud": 2.0}), None),
+    "output": ("solve", solve_cfg(output={"frame_strid": 2}), None),
+    "oracle": ("oracle-compare", solve_cfg(oracle={"toll": 1e-3}), None),
+    "norms-row": ("norms", norms_cfg(norms=[{"flavor": "E21", "ss": -1.0}]), None),
+    "probe": ("probe", {"probe": {"kind": "product_es", "n_sample": 2}}, None),
+    "params-inequality": ("probe", {"probe": {"kind": "product_es",
+                                              "params": {"sigmaa": 0.5}}}, None),
+    "params-illposed_H": ("probe", {"probe": {"kind": "illposed_H",
+                                              "params": {"sigma": -2.0,
+                                                         "Nlist": [8, 16]}}}, None),
+    "params-illposed_E": ("probe", {"probe": {"kind": "illposed_E",
+                                              "params": {"s": -0.5, "klist": [16]}}},
+                          None),
+    "params-scaling": ("probe", {**solve_cfg(), "probe": {
+        "kind": "scaling_vanishing", "params": {"lamlist": [1, 2]}}}, None),
+    # values the specs or the engine reject
+    "grid.h": ("solve", solve_cfg(grid={"xi_max": 4, "h": 0.3}), None),
+    "d": ("solve", solve_cfg(d=4), None),
+    "nonlinearity.m": ("solve", solve_cfg(nonlinearity={"type": "POWER", "m": 1}),
+                       None),
+    "time.nt": ("solve", solve_cfg(time={"T": 1.0, "nt": "abc"}), None),
+    "band_K": ("taylor", solve_cfg(band_K=100), None),
+    "frame_stride": ("solve", solve_cfg(output={"frame_stride": 0}), None),
+    "norms-q": ("norms", norms_cfg(norms=[{"flavor": "ES_LATTICE", "gamma": 2,
+                                           "q": 3}]), None),
+    "norms-gamma": ("norms", norms_cfg(norms=[{"flavor": "ES_LATTICE",
+                                               "gamma": 0.5}]), None),
+    "field-header": ("norms", None, "1 0.5\n" + FIELD_ROWS),
+    "field-row": ("norms", None, "1 0.5 2\n" + FIELD_ROWS + "7,1.0,0.0\n"),
+}
+
+
+class TestStrictConfig:
+    @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+    def test_bad_config_exit_2(self, tmp_path, name):
+        command, cfg, field_text = BAD_CONFIGS[name]
+        if field_text is not None:
+            path = tmp_path / "f.field"
+            path.write_text(field_text)
+            cfg = {"field_file": str(path), "norms": [{"flavor": "E21", "s": -1.0}]}
+        out = tmp_path / "out"
+        assert run(command, write_cfg(tmp_path, cfg), str(out)) == 2
+        man = manifest(out)
+        assert man["exit_status"] == 2
+        assert man["error"].startswith("config:")
+
+    def test_unknown_key_named_in_error(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = solve_cfg(iterate={"jmax": 8, "tolerance": 1e-3})
+        assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 2
+        assert "'tolerance'" in manifest(out)["error"]
+        assert "iterate" in manifest(out)["error"]
+
+    def test_one_config_serves_solve_and_taylor(self, tmp_path):
+        cfg = write_cfg(tmp_path, solve_cfg(band_K=2.0, output={"frame_stride": 16}))
+        assert run("solve", cfg, str(tmp_path / "s")) == 0
+        assert run("taylor", cfg, str(tmp_path / "t")) == 0
+        assert len(list((tmp_path / "s").glob("solution_*.field"))) == 3
+
+    def test_top_level_sigma_is_datum_default(self, tmp_path):
+        # INFLATION_BUMP's amplitude is N^(-sigma - d/2)
+        cfg = {"d": 1, "grid": {"xi_max": 16, "h": 0.5}, "sigma": 1.0,
+               "initial_data": {"kind": "INFLATION_BUMP", "scale_n": 4},
+               "norms": [{"flavor": "HSIGMA"}]}
+        own = {**cfg, "sigma": 0.0,
+               "initial_data": {**cfg["initial_data"], "sigma": 1.0}}
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("norms", write_cfg(tmp_path, cfg, "a.json"), str(a)) == 0
+        assert run("norms", write_cfg(tmp_path, own, "b.json"), str(b)) == 0
+        assert (a / "norms.csv").read_bytes() == (b / "norms.csv").read_bytes()

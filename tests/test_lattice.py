@@ -374,6 +374,20 @@ class TestFieldIO:
         first = p.read_text().splitlines()[0]
         assert first == "1 0.25 4"
 
+    @pytest.mark.parametrize("rows,why", [
+        (["0,1.0,0.0", "1,1.0,0.0", "2,1.0,0.0", "3,1.0,0.0", "7,1.0,0.0"],
+         "out-of-range"),
+        (["0,1.0,0.0", "1,1.0,0.0", "2,1.0,0.0", "-1,5.0,0.0"], "out-of-range"),
+        (["0,1.0,0.0", "1,1.0,0.0", "1,5.0,0.0", "2,1.0,0.0", "3,1.0,0.0"],
+         "repeated"),
+        (["0,1.0,0.0", "1,1.0,0.0", "3,1.0,0.0"], "3 of 4 rows"),
+    ], ids=["beyond-grid", "negative", "duplicate", "missing"])
+    def test_rejects_bad_rows(self, tmp_path, rows, why):
+        p = tmp_path / "f.field"
+        p.write_text("\n".join(["1 0.5 2", *rows]) + "\n")  # 4 cells
+        with pytest.raises(ValueError, match=why):
+            load_field(p)
+
     def test_rejects_nonfinite(self):
         g = make_grid(1, 2, 0.5)
         vals = np.zeros(g.shape, dtype=complex)

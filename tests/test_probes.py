@@ -65,6 +65,21 @@ class TestInequalityProbes:
         with pytest.raises(ValueError):
             inequality_probe("no_such_probe")
 
+    @pytest.mark.parametrize("kind,params", [
+        ("product_es", {"sigmaa": 0.5}),           # misspelled
+        ("conv_weighted_l1", {"sigma": 0.5}),      # not a parameter of the kind
+        ("product_es", {"s": None}),               # not a number
+        ("product_es", {"m": 1}),
+    ])
+    def test_rejects_bad_params(self, kind, params):
+        with pytest.raises(ValueError):
+            inequality_probe(kind, params, n_samples=2, refine=False)
+
+    def test_params_default_per_kind(self):
+        rep = inequality_probe("shifted_semigroup", {"lam": 1}, n_samples=2,
+                               nt=5, refine=False)
+        assert rep.params == {"lam": 1.0, "c_rate": 0.5}
+
     def test_determinism(self):
         a = inequality_probe("product_es", {"s": -1.0, "sigma": 0.5, "m": 2},
                              n_samples=5, seed=11, nt=9, refine=False)
