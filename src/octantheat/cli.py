@@ -54,6 +54,8 @@ TOP_KEYS = (*PROBLEM_KEYS, "d", "sigma", "band_K", "field_file", "grid", "time",
             "iterate", "nonlinearity", "initial_data", "output", "norms", "probe",
             "oracle")
 PROBE_KEYS = ("kind", "params", "n_samples", "T", "nt")
+# the parameters to which inf is a legitimate value (gamma = inf: sup in time)
+INF_OK = {(TimeSpaceNormSpec, "gamma")}
 # probe kind -> entry point, its probe.params keys, and the parameter --refine
 # scales by a factor (inequality kinds: params from INEQUALITY_KINDS)
 PROBES = {
@@ -85,19 +87,22 @@ def _check_keys(section, where: str, accepted) -> dict:
     return section
 
 
-def _coerce(hint, value, where: str):
+def _coerce(hint, value, where: str, inf_ok: bool = False):
     """Convert a config value to an annotated type: by calling the type
     (float, int, complex, str, dict), an enum by upper-cased name, and a
-    ``tuple[T, ...]`` item by item."""
+    ``tuple[T, ...]`` item by item.  NaN and -inf fail, +inf unless ``inf_ok``."""
     if typing.get_origin(hint) is types.UnionType:  # ``X | None``
         hint = typing.get_args(hint)[0]
     kind = typing.get_origin(hint) or hint
     try:
         if kind is tuple:
             return tuple(_coerce(typing.get_args(hint)[0], v, where) for v in value)
-        return kind(str(value).upper()) if issubclass(kind, enum.Enum) else kind(value)
+        out = kind(str(value).upper()) if issubclass(kind, enum.Enum) else kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    if kind in (float, complex) and not (np.isfinite(out) or inf_ok and out == np.inf):
+        raise ConfigError(f"{where}: {value!r} is not a finite number")
+    return out
 
 
 def _fields(target, section, where: str, keys=None, given=()) -> dict:
@@ -115,8 +120,8 @@ def _fields(target, section, where: str, keys=None, given=()) -> dict:
                 and params[name].default is inspect.Parameter.empty:
             raise ConfigError(f"missing key {key!r} in {where}")
     hints = typing.get_type_hints(target)
-    return {keys[k]: _coerce(hints[keys[k]], v, f"{where}.{k}")
-            for k, v in section.items()}
+    return {keys[k]: _coerce(hints[keys[k]], v, f"{where}.{k}",
+                             (target, keys[k]) in INF_OK) for k, v in section.items()}
 
 
 def _read(target, section, where: str, keys=None, /, **given):
@@ -337,9 +342,9 @@ def _cmd_oracle_compare(cfg: dict, out: Path, seed: int, refine: bool) \
     if spec.nonlinearity.kind is not NonlinearityKind.POWER:
         raise ConfigError("oracle comparison drives the power nonlinearity")
     ocfg = _check_keys(cfg.get("oracle", {}), "oracle",
-                       ("nt_fine", "quad_order", "compare_band", "tol"))
+                       ("nt_fine", "compare_band", "tol"))
     floor = 4 * (spec.nt - 1) + 1
-    cfg_o = _read(OracleConfig, _pick(ocfg, ("nt_fine", "quad_order", "compare_band")),
+    cfg_o = _read(OracleConfig, _pick(ocfg, ("nt_fine", "compare_band")),
                   "oracle", None, nt_fine=floor,
                   compare_band=min(3.0, spec.grid.xi_max))
     if cfg_o.nt_fine < floor:

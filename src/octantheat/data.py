@@ -16,8 +16,8 @@ Data kinds
   [N/2d, N/d), the Sobolev-scaled datum of the H-norm inflation probe.
 
 Dilations act on the Fourier side: x -> lam^a f(lam x) becomes
-v(xi) -> lam^{a-d} v(xi/lam), resampled onto a target grid by linear
-interpolation that respects half-open-cell support semantics.
+v(xi) -> lam^{a-d} v(xi/lam), resampled axis by axis onto a target grid by
+a blocked linear interpolation that keeps half-open-cell supports exact.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .lattice import (
     make_grid,
     support_stats,
 )
-from .norms import NormFlavor, NormSpec, static_norm
+from .norms import NormFlavor, NormSpec, SpaceTimeField, static_norm
 
 __all__ = [
     "InitialDataKind",
@@ -210,43 +210,40 @@ def scaled_grid(grid: FrequencyGrid, lam: int) -> FrequencyGrid:
     return make_grid(grid.d, grid.xi_max * lam, grid.h * lam)
 
 
-def _resample_axis(values: np.ndarray, axis: int, src_axis: np.ndarray,
-                   src_h: float, out_coords: np.ndarray) -> np.ndarray:
-    """Support-aware linear interpolation of one axis onto ``out_coords``.
+def _resample(values: np.ndarray, grid: FrequencyGrid, at: np.ndarray) -> np.ndarray:
+    """Support-aware linear interpolation of the last ``grid.d`` axes of
+    ``values``, sampled on ``grid``, onto the coordinates ``at`` along each.
 
     A point belongs to the half-open cell containing it; points whose cell
     carries a zero sample map to zero, so dilated supports stay exact.
     Within a support run, values are interpolated linearly, with one-sided
-    extrapolation inside the top edge cell.
+    extrapolation inside the top edge cell.  Rows share their source cells and
+    are gathered in blocks of about 2^13 cells, which bounds the working memory.
     """
-    v = np.moveaxis(values, axis, -1)
-    lead = v.shape[:-1]
-    n = v.shape[-1]
-    out = np.zeros(lead + (out_coords.size,), dtype=v.dtype)
-
-    cell = np.floor(out_coords / src_h + 1e-9).astype(int)
+    n = grid.n
+    cell = np.floor(at / grid.h + 1e-9).astype(int)
     inside = (cell >= 0) & (cell < n)
     cid = np.clip(cell, 0, n - 1)
-    frac = out_coords / src_h - cid
+    frac = at / grid.h - cid
+    base = np.where(inside, cid, 0)
+    nxt = np.clip(base + 1, 0, n - 1)
+    prv = np.clip(base - 1, 0, n - 1)
+    block = max(1, 2**13 // max(n, at.size))
 
-    flat = v.reshape(-1, n)
-    res = out.reshape(-1, out_coords.size)
-    nz = flat != 0
-    for r in range(flat.shape[0]):
-        row = flat[r]
-        mask = nz[r]
-        base = np.where(inside, cid, 0)
-        own = mask[base] & inside
-        nxt = np.clip(base + 1, 0, n - 1)
-        has_next = mask[nxt] & (base + 1 < n)
-        prv = np.clip(base - 1, 0, n - 1)
-        has_prev = mask[prv] & (base - 1 >= 0)
-        lo = row[base]
-        slope_up = row[nxt] - lo
-        slope_down = lo - row[prv]
-        slope = np.where(has_next, slope_up, np.where(has_prev, slope_down, 0.0))
-        res[r] = np.where(own, lo + frac * slope, 0.0)
-    return np.moveaxis(out.reshape(lead + (out_coords.size,)), -1, axis)
+    def last_axis(v: np.ndarray) -> np.ndarray:  # frees its copy of v on return
+        flat = v.reshape(-1, n)
+        out = np.empty((flat.shape[0], at.size), dtype=v.dtype)
+        for lo in range(0, flat.shape[0], block):
+            rows = flat[lo:lo + block]
+            low, up, down = rows[:, base], rows[:, nxt], rows[:, prv]
+            slope = np.where((up != 0) & (base + 1 < n), up - low,
+                             np.where((down != 0) & (base > 0), low - down, 0.0))
+            out[lo:lo + block] = np.where((low != 0) & inside, low + frac * slope, 0.0)
+        return out.reshape(v.shape[:-1] + at.shape)
+
+    for axis in range(values.ndim - grid.d, values.ndim):
+        values = np.moveaxis(last_axis(np.moveaxis(values, axis, -1)), -1, axis)
+    return values
 
 
 def scale_data(
@@ -269,18 +266,15 @@ def scale_data(
         out_grid = make_grid(grid.d, max(1, math.ceil(lam * grid.xi_max)), grid.h)
     if out_grid.d != grid.d:
         raise ValueError("target grid dimension mismatch")
-    st = support_stats(f, tol=0.0)
-    if not st.empty:
-        top = float(grid.linf()[np.abs(f.values) > 0].max()) + grid.h
+    nz = f.values != 0
+    if nz.any():
+        top = float(grid.linf()[nz].max()) + grid.h
         if lam * top > out_grid.xi_max + 1e-9:
             raise ValueError(
                 f"dilated support reaches {lam * top}, beyond target extent "
                 f"{out_grid.xi_max}"
             )
-    vals = f.values
-    for axis in range(grid.d):
-        vals = _resample_axis(vals, axis, grid.axis, grid.h, out_grid.axis / lam)
-    vals = lam ** (a - grid.d) * vals
+    vals = lam ** (a - grid.d) * _resample(f.values, grid, out_grid.axis / lam)
     return FrequencyField(out_grid, vals, f.mirrored)
 
 
@@ -342,8 +336,6 @@ def rescale_solution(
     With ``out_grid`` the inverse of :func:`scaled_grid` the per-index map
     is exact; otherwise values are resampled like :func:`scale_data`.
     """
-    from .norms import SpaceTimeField  # local import to avoid a cycle
-
     if lam <= 0:
         raise ValueError("scale factor must be positive")
     grid = u.grid
@@ -361,10 +353,5 @@ def rescale_solution(
         raise ValueError(
             f"rescaled horizon {tgrid_out[-1]} exceeds the configured limit {t_limit}"
         )
-    frames = u.values
-    for axis in range(grid.d):
-        frames = _resample_axis(
-            frames, axis + 1, grid.axis, grid.h, out_grid.axis * lam
-        )
-    frames = lam ** (grid.d - a) * frames
+    frames = lam ** (grid.d - a) * _resample(u.values, grid, out_grid.axis * lam)
     return SpaceTimeField(out_grid, tgrid_out, frames)

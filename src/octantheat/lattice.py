@@ -1,5 +1,5 @@
 """Frequency-octant lattices: uniform grids, unit-cube projections,
-m-fold discrete convolution, and support bookkeeping.
+m-fold discrete convolution, support bookkeeping, and field files.
 
 A field lives on a uniform grid over the frequency octant [0, xi_max)^d.
 Cells are half-open, samples sit at left edges, and the cell count per
@@ -12,7 +12,8 @@ convolves (nt, *grid) frame stacks by zero-padded FFTs, with the direct
 sum's exact zeros and its values up to FFT round-off.
 
 All operations are pure functions on immutable inputs and use fixed-order
-reductions, so repeated runs are bit-identical.
+reductions, so repeated runs are bit-identical.  A field file holds one text
+row per cell with each value's ``repr``, built and parsed as whole arrays.
 """
 from __future__ import annotations
 
@@ -361,37 +362,42 @@ def support_stats(f: FrequencyField, tol: float | None = None) -> SupportStats:
 
 def save_field(f: FrequencyField, path) -> None:
     """Write a field as text: header "d h xi_max", then one row per cell
-    "i0[,i1[,i2]],re,im" in lexicographic index order."""
+    "i0[,i1[,i2]],re,im" in lexicographic index order, values as ``repr``."""
     grid = f.grid
+    cells = itertools.product([f"{i}," for i in range(grid.n)], repeat=grid.d)
+    rows = map("{}{!r},{!r}\n".format, map("".join, cells),
+               f.values.real.ravel().tolist(), f.values.imag.ravel().tolist())
     with open(path, "w") as fh:
-        fh.write(f"{grid.d} {grid.h!r} {grid.xi_max}\n")
-        for idx in np.ndindex(grid.shape):
-            v = f.values[idx]
-            cells = ",".join(str(i) for i in idx)
-            fh.write(f"{cells},{float(v.real)!r},{float(v.imag)!r}\n")
+        fh.write(f"{grid.d} {grid.h!r} {grid.xi_max}\n" + "".join(rows))
 
 
 def load_field(path) -> FrequencyField:
     """Read a field written by :func:`save_field`.  Every cell needs exactly
-    one row: malformed, out-of-range, repeated or missing rows raise
+    one row: blank, malformed, out-of-range, repeated or missing rows raise
     ValueError."""
     with open(path) as fh:
-        head = fh.readline().split()
-        if len(head) != 3:
-            raise ValueError(f"malformed field header in {path}")
-        d, h, xi_max = int(head[0]), float(head[1]), int(head[2])
-        grid = make_grid(d, xi_max, h)
-        n = grid.n
-        vals = np.zeros(grid.shape, dtype=np.complex128)
-        seen: set[tuple[int, ...]] = set()
-        for line in fh:
-            parts = line.strip().split(",")
-            idx = tuple(map(int, parts[:d]))
-            if len(parts) != d + 2 or idx in seen or min(idx) < 0 or max(idx) >= n:
-                raise ValueError(f"malformed, out-of-range or repeated field row in "
-                                 f"{path}: {line!r}")
-            seen.add(idx)
-            vals[idx] = complex(float(parts[d]), float(parts[d + 1]))
-    if len(seen) != vals.size:
-        raise ValueError(f"field file {path} has {len(seen)} of {vals.size} rows")
-    return FrequencyField(grid, vals)
+        head, body = fh.readline().split(), fh.read()
+    if len(head) != 3:
+        raise ValueError(f"malformed field header in {path}")
+    grid = make_grid(int(head[0]), int(head[2]), float(head[1]))
+    if body.startswith("\n") or "\n\n" in body:  # loadtxt would skip them
+        raise ValueError(f"blank field row in {path}")
+    dtype = [("idx", np.int64, (grid.d,)), ("val", np.float64, (2,))]
+    try:  # on an empty body loadtxt warns
+        rows = np.loadtxt(body.split("\n"), dtype, comments=None, delimiter=",",
+                          ndmin=1) if body else np.zeros(0, dtype)
+    except ValueError as exc:
+        raise ValueError(f"malformed field row in {path}: {exc}") from None
+    bad = np.any((rows["idx"] < 0) | (rows["idx"] >= grid.n), axis=1)
+    if bad.any():
+        raise ValueError(f"out-of-range field row in {path}: line {bad.argmax() + 2}")
+    cell = np.ravel_multi_index(tuple(rows["idx"].T), grid.shape)
+    count = np.bincount(cell, minlength=math.prod(grid.shape))
+    if count.max() > 1:
+        raise ValueError(f"repeated field row in {path}: the cell of line "
+                         f"{(count[cell] > 1).argmax() + 2} has {count.max()} rows")
+    if rows.size != count.size:
+        raise ValueError(f"field file {path} has {rows.size} of {count.size} rows")
+    vals = np.zeros(count.size, dtype=np.complex128)
+    vals.real[cell], vals.imag[cell] = rows["val"].T
+    return FrequencyField(grid, vals.reshape(grid.shape))

@@ -40,7 +40,6 @@ class OracleConfig:
     times the engine's node count for the comparisons to be one-sided."""
 
     nt_fine: int = 1025
-    quad_order: int = 32
     compare_band: float = 3.0
 
 

@@ -319,6 +319,14 @@ BAD_CONFIGS = {
                                            "q": 3}]), None),
     "norms-gamma": ("norms", norms_cfg(norms=[{"flavor": "ES_LATTICE",
                                                "gamma": 0.5}]), None),
+    "oracle.quad_order": ("oracle-compare", solve_cfg(oracle={"quad_order": 32}),
+                          None),
+    "params-nan": ("probe", {"probe": {"kind": "illposed_H",
+                                       "params": {"sigma": -2.0, "c_t": float("nan")}}},
+                   None),
+    "params-inf": ("probe", {"probe": {"kind": "illposed_H",
+                                       "params": {"sigma": -2.0, "c_t": "-inf"}}}, None),
+    "iterate.tol-inf": ("solve", solve_cfg(iterate={"jmax": 8, "tol": "inf"}), None),
     "field-header": ("norms", None, "1 0.5\n" + FIELD_ROWS),
     "field-row": ("norms", None, "1 0.5 2\n" + FIELD_ROWS + "7,1.0,0.0\n"),
 }
@@ -350,6 +358,14 @@ class TestStrictConfig:
         assert run("solve", cfg, str(tmp_path / "s")) == 0
         assert run("taylor", cfg, str(tmp_path / "t")) == 0
         assert len(list((tmp_path / "s").glob("solution_*.field"))) == 3
+
+    def test_gamma_inf_is_accepted(self, tmp_path):
+        # gamma = inf (the supremum in time) is the one non-finite value accepted
+        cfg = norms_cfg(norms=[{"flavor": "ES_LATTICE", "gamma": "inf", "q": 1}])
+        out = tmp_path / "out"
+        assert run("norms", write_cfg(tmp_path, cfg), str(out)) == 0
+        row = (out / "norms.csv").read_text().splitlines()[1].split(",")
+        assert row[3] == "inf" and np.isfinite(float(row[5]))
 
     def test_top_level_sigma_is_datum_default(self, tmp_path):
         # INFLATION_BUMP's amplitude is N^(-sigma - d/2)

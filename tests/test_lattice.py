@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -374,6 +376,34 @@ class TestFieldIO:
         first = p.read_text().splitlines()[0]
         assert first == "1 0.25 4"
 
+    # values: signed zeros, the smallest subnormal, the smallest normal, 1e300
+    # and integers stored as floats, each written as its repr
+    GOLDEN = {
+        1: ([complex(-0.0, 5e-324), complex(1e300, -2.5), complex(3.0, 0.0),
+             complex(2.2250738585072014e-308, -0.0)],
+            "1 0.25 1\n0,-0.0,5e-324\n1,1e+300,-2.5\n2,3.0,0.0\n"
+            "3,2.2250738585072014e-308,-0.0\n"),
+        2: ([complex(0.0, -0.0), complex(-7.0, 1e-310), complex(0.1, -1e300),
+             complex(-5e-324, 42.0)],
+            "2 0.5 1\n0,0,0.0,-0.0\n0,1,-7.0,1e-310\n1,0,0.1,-1e+300\n"
+            "1,1,-5e-324,42.0\n"),
+        3: ([complex(k, -k) for k in range(7)] + [complex(-0.0, 1e300)],
+            "3 0.5 1\n0,0,0,0.0,0.0\n0,0,1,1.0,-1.0\n0,1,0,2.0,-2.0\n"
+            "0,1,1,3.0,-3.0\n1,0,0,4.0,-4.0\n1,0,1,5.0,-5.0\n1,1,0,6.0,-6.0\n"
+            "1,1,1,-0.0,1e+300\n"),
+    }
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_golden_bytes(self, tmp_path, d):
+        values, text = self.GOLDEN[d]
+        g = make_grid(d, 1, 0.25 if d == 1 else 0.5)
+        f = FrequencyField(g, np.array(values).reshape(g.shape))
+        p = tmp_path / "f.field"
+        save_field(f, p)
+        assert p.read_bytes() == text.encode()
+        back = load_field(p)
+        assert back.grid == g and back.values.tobytes() == f.values.tobytes()
+
     @pytest.mark.parametrize("rows,why", [
         (["0,1.0,0.0", "1,1.0,0.0", "2,1.0,0.0", "3,1.0,0.0", "7,1.0,0.0"],
          "out-of-range"),
@@ -381,12 +411,25 @@ class TestFieldIO:
         (["0,1.0,0.0", "1,1.0,0.0", "1,5.0,0.0", "2,1.0,0.0", "3,1.0,0.0"],
          "repeated"),
         (["0,1.0,0.0", "1,1.0,0.0", "3,1.0,0.0"], "3 of 4 rows"),
-    ], ids=["beyond-grid", "negative", "duplicate", "missing"])
+        (["0,1.0,0.0", "1,1.0,0.0", "", "2,1.0,0.0", "3,1.0,0.0"], "blank"),
+        (["0,1.0,0.0", "1,1.0,0.0", "2,1.0,0.0", "3,1.0,0.0", ""], "blank"),
+        (["#", "0,1.0,0.0", "1,1.0,0.0", "2,1.0,0.0", "3,1.0,0.0"], "malformed"),
+        (["0,1.0,0.0", "1.0,1.0,0.0", "2,1.0,0.0", "3,1.0,0.0"], "malformed"),
+        (["0,1.0,0.0", "1,1.0,0.0,0.0", "2,1.0,0.0", "3,1.0,0.0"], "malformed"),
+        (["0,1.0,0.0", "1,1.0", "2,1.0,0.0", "3,1.0,0.0"], "malformed"),
+        (["0,1.0,0.0", "1,x,0.0", "2,1.0,0.0", "3,1.0,0.0"], "malformed"),
+        (["0,1.0,0.0", "1,nan,0.0", "2,1.0,0.0", "3,1.0,0.0"], "finite"),
+        ([], "0 of 4 rows"),
+    ], ids=["beyond-grid", "negative", "duplicate", "missing", "blank-line",
+            "trailing-blank-line", "hash-line", "float-index", "extra-column",
+            "missing-column", "bad-value", "nan-value", "header-only"])
     def test_rejects_bad_rows(self, tmp_path, rows, why):
         p = tmp_path / "f.field"
         p.write_text("\n".join(["1 0.5 2", *rows]) + "\n")  # 4 cells
-        with pytest.raises(ValueError, match=why):
-            load_field(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. an empty-input warning
+            with pytest.raises(ValueError, match=why):
+                load_field(p)
 
     def test_rejects_nonfinite(self):
         g = make_grid(1, 2, 0.5)
