@@ -31,7 +31,6 @@ from .lattice import (
     FrequencyField,
     FrequencyGrid,
     make_grid,
-    support_stats,
 )
 from .norms import NormFlavor, NormSpec, SpaceTimeField, static_norm
 
@@ -116,9 +115,10 @@ def make_initial_data(
 ) -> FrequencyField | IllposedPair:
     """Sample the requested datum on ``grid``.
 
-    Solver-bound kinds are checked against the octant/eps0 support gates
-    at construction.  ``INFLATION_PAIR`` returns an :class:`IllposedPair`,
-    which no solver accepts.
+    Solver-bound kinds are sampled in the octant, each from its own
+    support threshold (eps0, 1 or the shift) upward; the solvers check
+    their support gates when they run.  ``INFLATION_PAIR`` returns an
+    :class:`IllposedPair`, which no solver accepts.
     """
     kind = spec.kind
     if kind is InitialDataKind.EXP_HALFLINE:
@@ -126,18 +126,14 @@ def make_initial_data(
             raise ValueError("EXP_HALFLINE is a one-dimensional datum")
         xi = grid.axis
         vals = spec.amplitude * np.exp(xi) * (xi >= 1.0 - 1e-12)
-        f = FrequencyField(grid, vals)
-        _gate_solver_datum(f, eps0=1.0)
-        return f
+        return FrequencyField(grid, vals)
 
     if kind is InitialDataKind.OCTANT_BUMP:
         if spec.eps0 <= 0 or spec.width <= 0:
             raise ValueError("OCTANT_BUMP needs eps0 > 0 and width > 0")
         _check_cover(grid, spec.eps0 + spec.width, "OCTANT_BUMP")
         vals = spec.amplitude * _indicator_box(grid, spec.eps0, spec.eps0 + spec.width)
-        f = FrequencyField(grid, vals)
-        _gate_solver_datum(f, eps0=spec.eps0)
-        return f
+        return FrequencyField(grid, vals)
 
     if kind is InitialDataKind.HALFLINE_DERIVATIVE:
         if grid.d != 1:
@@ -147,10 +143,7 @@ def make_initial_data(
         xi = grid.axis
         mask = xi >= spec.shift - 1e-12
         vals = spec.amplitude * (1j * (xi - spec.shift)) ** spec.deriv_order * mask
-        f = FrequencyField(grid, vals)
-        if spec.shift > 0:
-            _gate_solver_datum(f, eps0=spec.shift)
-        return f
+        return FrequencyField(grid, vals)
 
     if kind is InitialDataKind.INFLATION_PAIR:
         k, m, d = spec.pair_k, spec.m, grid.d
@@ -180,18 +173,6 @@ def make_initial_data(
         return FrequencyField(grid, vals)
 
     raise ValueError(f"unknown data kind {kind}")
-
-
-def _gate_solver_datum(f: FrequencyField, eps0: float) -> None:
-    st = support_stats(f)
-    if st.empty:
-        return
-    if not st.in_octant:
-        raise ValueError("solver-bound datum must be octant-supported")
-    if st.min_linf < eps0 - 1e-12:
-        raise ValueError(
-            f"datum support starts at |xi|_inf = {st.min_linf}, below eps0 = {eps0}"
-        )
 
 
 def scaled_grid(grid: FrequencyGrid, lam: int) -> FrequencyGrid:

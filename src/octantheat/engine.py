@@ -110,7 +110,9 @@ class IterationTrace:
     """Iterates v^1..v^J with support statistics and error sequences.
 
     ``support_min_l1[i]`` is the smallest l1 support distance of the
-    increment v^{i+1} - v^i (inf when the increment vanishes on the grid);
+    increment v^{i+1} - v^i (inf when it vanishes on the grid), a lower
+    bound on the exact one: FFT round-off can make it read the edge of the
+    band copied from v^i;
     ``increment_norms[i]`` is its weighted l1-over-cubes size; ``errors[i]``
     measures v^{i+1} against the final iterate.
     """
@@ -241,7 +243,7 @@ def _run_picard(
     inc_norms: list[float] = []
     converged = False
     for j in range(spec.jmax):
-        G = nonlin(v)
+        G = nonlin(v) if v.any() else np.zeros_like(v)
         v_next = free_vals + duhamel(
             SpaceTimeField(grid, tgrid, G), lambda_shift
         ).values
@@ -297,8 +299,6 @@ def picard_iterate(spec: ProblemSpec, v0: FrequencyField) -> IterationTrace:
     grid, rule = spec.grid, spec.conv_rule
 
     def nonlin(v: np.ndarray) -> np.ndarray:
-        if not v.any():
-            return np.zeros_like(v)
         return _conv_power_frames(v, m, grid, rule)[-1]
 
     return _run_picard(spec, v0, nonlin, spec.lambda_shift, m - 1)
@@ -331,8 +331,6 @@ def exp_picard_iterate(
         facts = [math.factorial(mm) for mm in range(M + 1)]
 
         def nonlin(v: np.ndarray) -> np.ndarray:
-            if not v.any():
-                return np.zeros_like(v)
             powers = _conv_power_frames(v, M, grid, rule)
             out = np.zeros_like(v)
             for mm, pw in zip(range(2, M + 1), powers):
@@ -400,7 +398,8 @@ def taylor_coefficients(
     zero = np.zeros_like(a[1])
 
     # P[r][k]: degree-k coefficient of the r-fold convolution power of
-    # sum_k a_k delta^k, built lazily.
+    # sum_k a_k delta^k, built lazily.  Both rules are symmetric, so for
+    # r = 2 each unordered pair a_i * a_{k-i} is convolved once.
     P: dict[tuple[int, int], np.ndarray] = {}
 
     def power_coeff(r: int, k: int) -> np.ndarray:
@@ -411,14 +410,15 @@ def taylor_coefficients(
         key = (r, k)
         if key not in P:
             acc = np.zeros_like(zero)
-            for i in range(1, k - r + 2):
+            for i in range(1, (k // 2 if r == 2 else k - r + 1) + 1):
                 ai = a.get(i, None)
                 if ai is None or not ai.any():
                     continue
                 rest = power_coeff(r - 1, k - i)
                 if not rest.any():
                     continue
-                acc += convolve_frames(ai, rest, grid, rule)
+                pair = 2.0 if r == 2 and 2 * i < k else 1.0
+                acc += pair * convolve_frames(ai, rest, grid, rule)
             P[key] = acc
         return P[key]
 

@@ -331,10 +331,11 @@ def convolve_power(
     rule: str = "riemann",
     warn_on_truncation: bool = True,
 ) -> FrequencyField:
-    """m-fold self-convolution by repeated pairwise convolution (m >= 1)."""
+    """m-fold self-convolution by repeated pairwise convolution (m >= 1;
+    ``f`` itself for m = 1)."""
     if m < 1 or int(m) != m:
         raise ValueError(f"power must be a positive integer, got {m}")
-    out = f.copy()
+    out = f  # the first product f * f shares its operands
     for _ in range(int(m) - 1):
         out = convolve(out, f, rule=rule, warn_on_truncation=warn_on_truncation)
     return out
@@ -383,11 +384,19 @@ def load_field(path) -> FrequencyField:
     if body.startswith("\n") or "\n\n" in body:  # loadtxt would skip them
         raise ValueError(f"blank field row in {path}")
     dtype = [("idx", np.int64, (grid.d,)), ("val", np.float64, (2,))]
+    parse = functools.partial(np.loadtxt, dtype=dtype, comments=None, delimiter=",",
+                              ndmin=1)
+    lines = body.split("\n")  # only the last can be empty
     try:  # on an empty body loadtxt warns
-        rows = np.loadtxt(body.split("\n"), dtype, comments=None, delimiter=",",
-                          ndmin=1) if body else np.zeros(0, dtype)
-    except ValueError as exc:
-        raise ValueError(f"malformed field row in {path}: {exc}") from None
+        rows = parse(lines) if body else np.zeros(0, dtype)
+    except ValueError:  # re-parse line by line to name the first bad one
+        for line, text in enumerate(filter(None, lines), start=2):
+            try:
+                parse([text])
+            except ValueError as exc:  # without numpy's own row count
+                raise ValueError(f"malformed field row in {path}: line {line}: "
+                                 + str(exc).split(" at row")[0]) from None
+        raise
     bad = np.any((rows["idx"] < 0) | (rows["idx"] >= grid.n), axis=1)
     if bad.any():
         raise ValueError(f"out-of-range field row in {path}: line {bad.argmax() + 2}")

@@ -30,7 +30,7 @@ from .data import (
     scale_data,
     scaled_grid,
 )
-from .engine import IterationTrace, duhamel, free_trajectory, heat_symbol
+from .engine import IterationTrace, duhamel, free_trajectory
 from .lattice import (
     FrequencyField,
     FrequencyGrid,
@@ -211,7 +211,6 @@ def _measure_heat_semigroup(grid, tgrid, samples, factor, p) -> dict:
 
 def _measure_shifted_semigroup(grid, tgrid, samples, factor, p) -> dict:
     lam, c_rate = p["lam"], p["c_rate"]
-    w = heat_symbol(grid, lam)
     kk = grid.lattice_coords()
     k2 = sum(k * k for k in kk)
     admissible = functools.reduce(np.maximum, kk) >= 2 * lam
@@ -222,11 +221,9 @@ def _measure_shifted_semigroup(grid, tgrid, samples, factor, p) -> dict:
         ok = admissible & (base > 0)
         if not ok.any():
             continue
-        for t in tgrid:
-            evolved = cube_l2_table(np.exp(-t * w) * u0.values, grid)
-            ratio = np.zeros_like(base)
-            ratio[ok] = evolved[ok] * np.exp(c_rate * t * k2[ok]) / base[ok]
-            best = max(best, float(ratio.max()))
+        evolved = cube_l2_table(free_trajectory(u0, tgrid, lam).values, grid)
+        growth = np.exp(np.multiply.outer(c_rate * tgrid, k2[ok]))
+        best = max(best, float((evolved[:, ok] * growth / base[ok]).max()))
     return {"C": best, "c_rate": c_rate}
 
 
@@ -430,8 +427,12 @@ def inequality_probe(
         try:  # to the default's type; gammas (default None) to floats
             p[key] = type(p[key])(value) if p[key] is not None \
                 else tuple(map(float, value))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{kind} parameter {key}: {exc}") from exc
+        # NaN and +-inf fail, except gamma = inf (the supremum in time)
+        if not all(math.isfinite(v) or key == "gammas" and v == math.inf
+                   for v in np.atleast_1d(p[key])):
+            raise ValueError(f"{kind} parameter {key}: {value!r} is not finite")
     if p.get("m", 2) < 2:
         raise ValueError(f"{kind} needs m >= 2")
     fields = n_fields if n_fields is not None else int(p["m"])
@@ -558,8 +559,8 @@ def illposed_probe_E(
     datum, against the pair frequency k.
 
     For each k the datum's positive and mirrored pieces are sampled on a
-    grid, their cross-convolution is accumulated cell by cell, and the
-    time integral of the semigroup kernel is carried out in closed form
+    grid, their cross term is summed over all offsets and cells at once, and
+    the time integral of the semigroup kernel is carried out in closed form
     (the integrand decays on the k^-2 timescale, far below any uniform
     time grid).  The report passes when the weighted low-band size grows
     at least ``growth_factor`` per step in k; with s = 0 there is no
@@ -579,43 +580,21 @@ def illposed_probe_E(
         pos = pair.pos.values.real
         neg = pair.neg.values.real
         n_half = int(round(0.5 / h))
-        offsets = np.arange(-n_half, n_half + 1)
-        xi = offsets * h
-        jp = np.nonzero(pos)[0]
-        jn = np.nonzero(neg)[0]
-        eta_p = jp * h
-        eta_n = jn * h
-        I = np.zeros(xi.size)
-        if m == 2:
-            # cross term 2 * phi_+ * phi_-: xi = eta_p - eta_n
-            for oi, x in enumerate(xi):
-                Q = eta_p**2
-                match = eta_p - x
-                # negative factor frequency is -(match); amplitude lives on
-                # the mirrored sample at match
-                idx = np.round(match / h).astype(int)
-                ok = (idx >= 0) & (idx < neg.size)
-                amp = np.where(ok, neg[np.clip(idx, 0, neg.size - 1)], 0.0)
-                Qtot = Q + match**2
-                kern = t * _exprel(t * (x**2 - Qtot))
-                I[oi] = 2.0 * np.exp(-t * x**2) * h * np.sum(
-                    pos[jp] * amp * kern
-                )
-        else:
-            # m = 3: low band comes from 3 * phi_+ * phi_- * phi_-
-            for oi, x in enumerate(xi):
-                e1 = eta_n[:, None]
-                e2 = eta_n[None, :]
-                etap = x + e1 + e2  # positive factor frequency
-                idx = np.round(etap / h).astype(int)
-                ok = (idx >= 0) & (idx < pos.size)
-                amp_p = np.where(ok, pos[np.clip(idx, 0, pos.size - 1)], 0.0)
-                Qtot = etap**2 + e1**2 + e2**2
-                kern = t * _exprel(t * (x**2 - Qtot))
-                amp_n = neg[jn][:, None] * neg[jn][None, :]
-                I[oi] = 3.0 * np.exp(-t * x**2) * h**2 * np.sum(
-                    amp_p * amp_n * kern
-                )
+        # the low band comes from m phi_+ phi_-^(m-1): axis 0 runs over the
+        # output offsets xi, axes 1..m-1 over the mirrored piece's cells
+        # eta_n, and the positive factor sits at xi + sum eta_n
+        cells = np.ix_(np.arange(-n_half, n_half + 1), *[np.nonzero(neg)[0]] * (m - 1))
+        x, etas = cells[0] * h, [c * h for c in cells[1:]]
+        xi = x.ravel()
+        zeta = sum(etas, x)
+        idx = sum(cells)
+        ok = (idx >= 0) & (idx < pos.size)
+        amp_p = np.where(ok, pos[np.clip(idx, 0, pos.size - 1)], 0.0)
+        amp_n = functools.reduce(np.multiply, [neg[c] for c in cells[1:]])
+        Qtot = sum((e**2 for e in etas), zeta**2)
+        kern = t * _exprel(t * (x**2 - Qtot))
+        I = m * np.exp(-t * xi**2) * h ** (m - 1) * np.sum(
+            amp_p * amp_n * kern, axis=tuple(range(1, m)))
         w = 2.0 ** (s * np.abs(xi)) * (1.0 + xi**2) ** (sigma / 2.0)
         G = float(np.sqrt(h * np.sum((w * I) ** 2)))
         values.append(G)
@@ -683,27 +662,23 @@ def illposed_probe_H(
         lo, hi = N / 2.0, float(N)
 
         def F(xi: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(xi)
-            for i, x in enumerate(xi):
-                if m == 2:
-                    a = max(lo, x - hi)
-                    b = min(hi, x - lo)
-                    if b <= a:
-                        continue
-                    nodes, wts = _gl(quad_order, a, b)
-                    Q = nodes**2 + (x - nodes) ** 2
-                    kern = tN * _exprel(tN * (x**2 - Q))
-                    out[i] = amp**2 * np.sum(wts * kern)
-                else:
-                    q1 = max(32, quad_order // 2)
-                    n1, w1 = _gl(q1, lo, hi)
-                    e1 = n1[:, None]
-                    e2 = n1[None, :]
-                    rest = x - e1 - e2
-                    ok = (rest >= lo) & (rest < hi)
-                    Q = e1**2 + e2**2 + rest**2
-                    kern = tN * _exprel(tN * (x**2 - Q)) * ok
-                    out[i] = amp**3 * np.einsum("i,j,ij->", w1, w1, kern)
+            # axis 0 runs over the output nodes, the others over the
+            # quadrature nodes of the first m - 1 factors' frequencies
+            x = xi[:, None]
+            if m == 2:  # x - e1 in [lo, hi) too: a nonempty range on (2 lo, 2 hi)
+                e1, w1 = _gl(quad_order, np.maximum(lo, x - hi),
+                             np.minimum(hi, x - lo))
+                Q = e1**2 + (x - e1) ** 2
+                kern = tN * _exprel(tN * (x**2 - Q))
+                out = amp**2 * np.sum(w1 * kern, axis=1)
+            else:
+                n1, w1 = _gl(max(32, quad_order // 2), lo, hi)
+                x, e1, e2 = x[:, None], n1[:, None], n1[None, :]
+                rest = x - e1 - e2
+                ok = (rest >= lo) & (rest < hi)
+                Q = e1**2 + e2**2 + rest**2
+                kern = tN * _exprel(tN * (x**2 - Q)) * ok
+                out = amp**3 * np.einsum("i,j,pij->p", w1, w1, kern)
             return np.exp(-tN * xi**2) * out
 
         total = 0.0

@@ -326,6 +326,11 @@ BAD_CONFIGS = {
                    None),
     "params-inf": ("probe", {"probe": {"kind": "illposed_H",
                                        "params": {"sigma": -2.0, "c_t": "-inf"}}}, None),
+    "params-inequality-nan": ("probe", {"probe": {"kind": "product_e21",
+                                                  "params": {"s": float("nan")}}},
+                              None),
+    "params-inequality-inf": ("probe", {"probe": {"kind": "product_es",
+                                                  "params": {"sigma": "inf"}}}, None),
     "iterate.tol-inf": ("solve", solve_cfg(iterate={"jmax": 8, "tol": "inf"}), None),
     "field-header": ("norms", None, "1 0.5\n" + FIELD_ROWS),
     "field-row": ("norms", None, "1 0.5 2\n" + FIELD_ROWS + "7,1.0,0.0\n"),

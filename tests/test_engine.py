@@ -28,6 +28,7 @@ from octantheat import (
     support_stats,
     taylor_coefficients,
 )
+from octantheat import engine
 from octantheat.oracle import exp_halfline_reference
 
 
@@ -266,6 +267,24 @@ class TestTaylor:
         stack = taylor_coefficients(spec, exp_halfline(g), K=2.0)
         out = assemble_band_solution(stack, 1.0, 1.0)
         assert not out.values.any()
+
+    def test_pairs_convolved_once(self, monkeypatch):
+        # a_i * a_{k-i} equals a_{k-i} * a_i under both rules, so order k of
+        # a quadratic flow takes one kernel call per unordered pair: k // 2.
+        # The Riemann rule is bilinear, so the band matches Picard's.
+        calls = []
+        kernel = engine.convolve_frames
+        monkeypatch.setattr(engine, "convolve_frames",
+                            lambda *args: calls.append(args) or kernel(*args))
+        g = make_grid(1, 8, 1 / 16)
+        spec = power_spec(g, nt=33, conv_rule="riemann")
+        stack = taylor_coefficients(spec, exp_halfline(g), K=6.0)
+        assert stack.orders == 6
+        assert len(calls) == sum(k // 2 for k in range(2, 7)) == 9  # 15 ordered
+        band = g.l1() < 6.0 - 1e-12
+        a = assemble_band_solution(stack, 1.0, 6.0).values[:, band]
+        b = picard_iterate(spec, exp_halfline(g)).final.values[:, band]
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_taylor_matches_picard_on_band(self):
         g = make_grid(1, 4, 1 / 16)

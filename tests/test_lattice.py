@@ -130,12 +130,14 @@ class TestConvolve:
             assert nz.min() == pytest.approx(m * 0.5, abs=1e-12)
             assert nz.max() == pytest.approx(m * 1.0 - m * g.h, abs=1e-12)
 
-    def test_power_matches_repeated_pairwise(self):
-        g = make_grid(1, 6, 0.25)
-        f = rng_field(g, 11)
-        p3 = convolve_power(f, 3, warn_on_truncation=False)
-        two = convolve(f, f, warn_on_truncation=False)
-        three = convolve(two, f, warn_on_truncation=False)
+    @pytest.mark.parametrize("d,xi_max,h", [(1, 6, 0.25), (2, 3, 0.25), (3, 2, 0.5)])
+    @pytest.mark.parametrize("rule", ["riemann", "trapezoid"])
+    def test_power_matches_repeated_pairwise(self, rule, d, xi_max, h):
+        g = make_grid(d, xi_max, h)
+        f = rng_field(g, 11, sparse=rule == "trapezoid")
+        p3 = convolve_power(f, 3, rule, warn_on_truncation=False)
+        two = convolve(f, f, rule, warn_on_truncation=False)
+        three = convolve(two, f, rule, warn_on_truncation=False)
         assert np.array_equal(p3.values, three.values)
 
     def test_truncation_warning(self):
@@ -413,16 +415,22 @@ class TestFieldIO:
         (["0,1.0,0.0", "1,1.0,0.0", "3,1.0,0.0"], "3 of 4 rows"),
         (["0,1.0,0.0", "1,1.0,0.0", "", "2,1.0,0.0", "3,1.0,0.0"], "blank"),
         (["0,1.0,0.0", "1,1.0,0.0", "2,1.0,0.0", "3,1.0,0.0", ""], "blank"),
-        (["#", "0,1.0,0.0", "1,1.0,0.0", "2,1.0,0.0", "3,1.0,0.0"], "malformed"),
-        (["0,1.0,0.0", "1.0,1.0,0.0", "2,1.0,0.0", "3,1.0,0.0"], "malformed"),
-        (["0,1.0,0.0", "1,1.0,0.0,0.0", "2,1.0,0.0", "3,1.0,0.0"], "malformed"),
-        (["0,1.0,0.0", "1,1.0", "2,1.0,0.0", "3,1.0,0.0"], "malformed"),
-        (["0,1.0,0.0", "1,x,0.0", "2,1.0,0.0", "3,1.0,0.0"], "malformed"),
+        # a malformed row is named by its line in the file (the header is line 1)
+        (["#", "0,1.0,0.0", "1,1.0,0.0", "2,1.0,0.0", "3,1.0,0.0"],
+         "malformed.*line 2:"),
+        (["0,1.0,0.0", "1.0,1.0,0.0", "2,1.0,0.0", "3,1.0,0.0"], "malformed.*line 3:"),
+        (["0,1.0,0.0", "1,1.0,0.0,0.0", "2,1.0,0.0", "3,1.0,0.0"],
+         "malformed.*line 3:"),
+        (["0,1.0,0.0", "1,1.0", "2,1.0,0.0", "3,1.0,0.0"], "malformed.*line 3:"),
+        (["0,1.0,0.0", "1,x,0.0", "2,1.0,0.0", "3,1.0,0.0"], "malformed.*line 3:"),
+        (["0,1.0,0.0", "1,1.0,0.0", "2,1.0,0.0", "3,1.0"], "malformed.*line 5:"),
+        (["0,1.0,0.0", "1,1.0,0.0", "2,1.0,0.0", "3,x,0.0"], "malformed.*line 5:"),
         (["0,1.0,0.0", "1,nan,0.0", "2,1.0,0.0", "3,1.0,0.0"], "finite"),
         ([], "0 of 4 rows"),
     ], ids=["beyond-grid", "negative", "duplicate", "missing", "blank-line",
             "trailing-blank-line", "hash-line", "float-index", "extra-column",
-            "missing-column", "bad-value", "nan-value", "header-only"])
+            "missing-column", "bad-value", "missing-column-last-line",
+            "bad-value-last-line", "nan-value", "header-only"])
     def test_rejects_bad_rows(self, tmp_path, rows, why):
         p = tmp_path / "f.field"
         p.write_text("\n".join(["1 0.5 2", *rows]) + "\n")  # 4 cells

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -22,7 +23,15 @@ from octantheat import (
     scaling_vanishing_curve,
     weighted_l1_seq_norm,
 )
-from octantheat.engine import IterationTrace
+from octantheat.engine import IterationTrace, heat_symbol
+from octantheat.lattice import cube_l2_table
+from octantheat.oracle import _gl
+from octantheat.probes import (
+    INEQUALITY_KINDS,
+    _draw_samples,
+    _exprel,
+    _measure_shifted_semigroup,
+)
 
 
 class TestInequalityProbes:
@@ -110,6 +119,33 @@ class TestInequalityProbes:
         assert max(logs) - min(logs) < 3.0
         assert all(abs(v) < 5.0 for v in logs)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_shifted_semigroup_matches_per_node_loop(self, d):
+        # reference: one cube_l2_table per time node, as before the whole
+        # time stack went through one call
+        grid = make_grid(d, 6, 0.5)
+        tgrid = np.linspace(0.0, 1.0, 9)
+        lam, c_rate = 1.0, 2.0  # a rate above 1 moves the maximum past t = 0
+        samples = _draw_samples(grid, np.random.default_rng(5), 4, 1,
+                                INEQUALITY_KINDS["shifted_semigroup"][3]({"lam": lam}))
+        w = heat_symbol(grid, lam)
+        kk = grid.lattice_coords()
+        k2 = sum(k * k for k in kk)
+        best = 0.0
+        for smp in samples:
+            u0 = smp.cells[0]
+            base = cube_l2_table(u0, grid)
+            ok = (functools.reduce(np.maximum, kk) >= 2 * lam) & (base > 0)
+            for t in tgrid:
+                evolved = cube_l2_table(np.exp(-t * w) * u0, grid)
+                ratio = np.zeros_like(base)
+                ratio[ok] = evolved[ok] * np.exp(c_rate * t * k2[ok]) / base[ok]
+                best = max(best, float(ratio.max()))
+        got = _measure_shifted_semigroup(grid, tgrid, samples, 1,
+                                         {"lam": lam, "c_rate": c_rate})
+        assert best > 1.0
+        assert got["C"] == pytest.approx(best, rel=1e-13, abs=0)
+
     def test_conv_weighted_l1_near_identity_for_cube_pair(self):
         # two unit-cube indicators: convolution is a hat over two cubes and
         # the bound is saturated up to (1 + 2^s)/sqrt(3)
@@ -130,6 +166,25 @@ class TestInequalityProbes:
         predict = (1 + 2.0**s0) / math.sqrt(3.0)
         assert ratio == pytest.approx(predict, rel=0.05)
         assert 0.4 <= ratio <= 1.05
+
+
+    @pytest.mark.parametrize("kind,params", [
+        ("product_e21", {"s": math.nan}),
+        ("product_es", {"sigma": math.inf}),
+        ("shifted_semigroup", {"lam": -math.inf}),
+        ("conv_weighted_l1", {"s_tilde": "-inf"}),
+        ("product_es", {"m": math.inf}),
+        ("heat_semigroup", {"gammas": [1.0, math.nan]}),
+    ])
+    def test_rejects_nonfinite_params(self, kind, params):
+        with pytest.raises(ValueError):
+            inequality_probe(kind, params, n_samples=2, nt=5, refine=False)
+
+    def test_gamma_inf_is_accepted(self):
+        rep = inequality_probe("heat_semigroup", {"gammas": [2.0, math.inf]},
+                               n_samples=2, nt=5, refine=False)
+        assert list(rep.measured["per_gamma"]) == ["2.0", "inf"]
+        assert math.isfinite(rep.measured["C"])
 
 
 class TestScalingCurve:
@@ -157,6 +212,118 @@ class TestScalingCurve:
     def test_refuses_negative_sigma(self):
         with pytest.raises(ValueError):
             scaling_vanishing_curve(self._datum(), sigma=-0.5, s=-1.0)
+
+
+def lowband_per_offset(s, sigma, m, k_list, t, h=1.0 / 16):
+    """Reference: illposed_probe_E's curve by the per-offset loops that its
+    m-general broadcast replaced."""
+    values = []
+    for k in k_list:
+        grid = make_grid(1, (m - 1) * k + 1, h)
+        pair = make_initial_data(
+            InitialDataSpec(InitialDataKind.INFLATION_PAIR, s=s, m=m, pair_k=k), grid)
+        pos = pair.pos.values.real
+        neg = pair.neg.values.real
+        n_half = int(round(0.5 / h))
+        xi = np.arange(-n_half, n_half + 1) * h
+        jp = np.nonzero(pos)[0]
+        jn = np.nonzero(neg)[0]
+        eta_p = jp * h
+        eta_n = jn * h
+        I = np.zeros(xi.size)
+        for oi, x in enumerate(xi):
+            if m == 2:
+                match = eta_p - x
+                idx = np.round(match / h).astype(int)
+                ok = (idx >= 0) & (idx < neg.size)
+                amp = np.where(ok, neg[np.clip(idx, 0, neg.size - 1)], 0.0)
+                kern = t * _exprel(t * (x**2 - (eta_p**2 + match**2)))
+                I[oi] = 2.0 * np.exp(-t * x**2) * h * np.sum(pos[jp] * amp * kern)
+            else:
+                e1 = eta_n[:, None]
+                e2 = eta_n[None, :]
+                etap = x + e1 + e2
+                idx = np.round(etap / h).astype(int)
+                ok = (idx >= 0) & (idx < pos.size)
+                amp_p = np.where(ok, pos[np.clip(idx, 0, pos.size - 1)], 0.0)
+                kern = t * _exprel(t * (x**2 - (etap**2 + e1**2 + e2**2)))
+                amp_n = neg[jn][:, None] * neg[jn][None, :]
+                I[oi] = 3.0 * np.exp(-t * x**2) * h**2 * np.sum(amp_p * amp_n * kern)
+        w = 2.0 ** (s * np.abs(xi)) * (1.0 + xi**2) ** (sigma / 2.0)
+        values.append(float(np.sqrt(h * np.sum((w * I) ** 2))))
+    return values
+
+
+def h_norms_per_node(sigma, m, N_list, c_t=1.0, quad_order=64):
+    """Reference: illposed_probe_H's curve with the per-node integrand loop
+    that its broadcast over all quadrature nodes replaced."""
+    vals = []
+    for N in N_list:
+        tN = c_t / N**2
+        amp = float(N) ** (-sigma - 0.5)
+        lo, hi = N / 2.0, float(N)
+
+        def F(xi):
+            out = np.zeros_like(xi)
+            for i, x in enumerate(xi):
+                if m == 2:
+                    a = max(lo, x - hi)
+                    b = min(hi, x - lo)
+                    if b <= a:
+                        continue
+                    nodes, wts = _gl(quad_order, a, b)
+                    Q = nodes**2 + (x - nodes) ** 2
+                    kern = tN * _exprel(tN * (x**2 - Q))
+                    out[i] = amp**2 * np.sum(wts * kern)
+                else:
+                    n1, w1 = _gl(max(32, quad_order // 2), lo, hi)
+                    e1 = n1[:, None]
+                    e2 = n1[None, :]
+                    rest = x - e1 - e2
+                    ok = (rest >= lo) & (rest < hi)
+                    Q = e1**2 + e2**2 + rest**2
+                    kern = tN * _exprel(tN * (x**2 - Q)) * ok
+                    out[i] = amp**3 * np.einsum("i,j,ij->", w1, w1, kern)
+            return np.exp(-tN * xi**2) * out
+
+        total = 0.0
+        kinks = np.unique(np.clip(
+            np.array([m * lo, m * lo + (hi - lo), m * hi - (hi - lo), m * hi]),
+            m * lo, m * hi))
+        for aa, bb in zip(kinks[:-1], kinks[1:]):
+            if bb - aa <= 0:
+                continue
+            nodes, wts = _gl(quad_order, float(aa), float(bb))
+            wgt = (1.0 + nodes**2) ** (sigma / 2.0)
+            total += float(np.sum(wts * (wgt * math.factorial(m) * F(nodes)) ** 2))
+        vals.append(math.sqrt(total))
+    return vals
+
+
+class TestIllposedAgainstLoops:
+    @pytest.mark.parametrize("s,m,k_list,t", [
+        (-0.5, 2, (16, 32, 64), 1.0),  # acceptance criterion 7
+        (0.0, 2, (16, 32, 64), 1.0),
+        (-0.5, 2, (16, 32), 0.3),
+        (-0.5, 3, (8, 16), 1.0),
+        (-0.5, 3, (8, 16, 32), 0.7),
+    ])
+    def test_E_matches_per_offset_loop(self, s, m, k_list, t):
+        rep = illposed_probe_E(s=s, m=m, k_list=k_list, t=t)
+        got = [row["lowband"] for row in rep.curve]
+        np.testing.assert_allclose(got, lowband_per_offset(s, 0.0, m, k_list, t),
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("sigma,m,N_list", [
+        (-2.0, 2, (8, 16, 32, 64)),  # acceptance criterion 7
+        (-2.0, 3, (8, 16, 32)),
+        (-1.0, 3, (4, 8, 16)),
+    ])
+    def test_H_matches_per_node_loop(self, sigma, m, N_list):
+        rep = illposed_probe_H(sigma=sigma, m=m, N_list=N_list)
+        got = [row["h_norm"] for row in rep.curve]
+        np.testing.assert_allclose(got, h_norms_per_node(sigma, m, N_list),
+                                   rtol=1e-13, atol=0)
 
 
 class TestIllposedE:
