@@ -322,10 +322,7 @@ def _cmd_probe(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dic
         report = _call(entry, **args)
     else:
         raise ConfigError(f"unknown probe kind {kind!r}")
-    with open(out / "probe_report.json", "w") as fh:
-        json.dump(_sanitize(report.to_dict()), fh, indent=2, sort_keys=True,
-                  default=_json_safe)
-        fh.write("\n")
+    _write_json(out / "probe_report.json", report.to_dict())
     outputs = ["probe_report.json"]
     if report.curve:
         header = sorted({k for row in report.curve for k in row})
@@ -398,6 +395,12 @@ def _sanitize(x):
     return x
 
 
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(_sanitize(obj), fh, indent=2, sort_keys=True, default=_json_safe)
+        fh.write("\n")
+
+
 def run(command: str, config_path: str, out_dir: str, seed: int = 0,
         refine: bool = False) -> int:
     """Execute one pipeline; writes outputs and a manifest, returns the
@@ -438,10 +441,7 @@ def run(command: str, config_path: str, out_dir: str, seed: int = 0,
         status = 4
     manifest["timings"] = {"total_s": time.perf_counter() - t0}
     manifest["exit_status"] = status
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(_sanitize(manifest), fh, indent=2, sort_keys=True,
-                  default=_json_safe)
-        fh.write("\n")
+    _write_json(out / "manifest.json", manifest)
     if "error" in manifest:
         print(f"error: {manifest['error']}", file=sys.stderr)
     return status

@@ -122,11 +122,9 @@ def static_norm(f: FrequencyField, spec: NormSpec) -> float:
     grid = f.grid
     hd = grid.h**grid.d
     flavor = spec.flavor
-    if flavor is NormFlavor.ES_INTEGRAL:
-        w = 2.0 ** (spec.s * grid.l1()) * (1.0 + grid.euclid_sq()) ** (spec.sigma / 2)
-        return float(np.sqrt(np.sum((w * np.abs(f.values)) ** 2) * hd))
-    if flavor is NormFlavor.HSIGMA:
-        w = (1.0 + grid.euclid_sq()) ** (spec.sigma / 2)
+    if flavor in (NormFlavor.ES_INTEGRAL, NormFlavor.HSIGMA):
+        s = spec.s if flavor is NormFlavor.ES_INTEGRAL else 0.0  # 2.0**0.0 == 1.0
+        w = 2.0 ** (s * grid.l1()) * (1.0 + grid.euclid_sq()) ** (spec.sigma / 2)
         return float(np.sqrt(np.sum((w * np.abs(f.values)) ** 2) * hd))
     table = cube_l2_table(f.values, grid)
     if flavor is NormFlavor.ES_LATTICE:
@@ -165,11 +163,8 @@ def weighted_l1_seq_norm(u: SpaceTimeField | FrequencyField, s_tilde: float) -> 
     Accepts a single field, which is treated as a constant-in-time
     trajectory (the supremum is over one frame).
     """
-    if isinstance(u, FrequencyField):
-        table = cube_l2_table(u.values, u.grid)
-        grid = u.grid
-    else:
-        table = cube_l2_table(u.values, u.grid).max(axis=0)
-        grid = u.grid
-    w = 2.0 ** (s_tilde * grid.lattice_l1())
+    table = cube_l2_table(u.values, u.grid)
+    if not isinstance(u, FrequencyField):
+        table = table.max(axis=0)
+    w = 2.0 ** (s_tilde * u.grid.lattice_l1())
     return float(np.sum(w * table))

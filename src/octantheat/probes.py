@@ -51,7 +51,6 @@ from .oracle import _gl
 
 __all__ = [
     "ProbeReport",
-    "INEQUALITY_KINDS",
     "inequality_probe",
     "scaling_vanishing_curve",
     "illposed_probe_E",
@@ -189,23 +188,29 @@ def _sigma_c(d: int, m: int) -> float:
     return d / 2.0 - 2.0 / (m - 1)
 
 
+def _max_ratio(pairs) -> float:
+    """The largest num / den over (num, den) pairs with den > 0; 0 if none."""
+    best = 0.0
+    for num, den in pairs:
+        if den > 0:
+            best = max(best, num / den)
+    return best
+
+
 def _measure_heat_semigroup(grid, tgrid, samples, factor, p) -> dict:
     s, sigma = p["s"], p["sigma"]
-    gammas = p["gammas"] or (1.0, float(p["m"]), math.inf)  # None: (1, m, inf)
-    per_gamma: dict[str, float] = {}
-    for gamma in gammas:
-        best = 0.0
-        for smp in samples:
-            (u0,) = smp.fields(grid, factor)[:1]
-            denom = static_norm(u0, NormSpec(NormFlavor.ES_LATTICE, s, sigma))
-            if denom == 0.0:
-                continue
-            traj = free_trajectory(u0, tgrid)
-            lhs = timespace_norm(
-                traj, TimeSpaceNormSpec(gamma, 2, s, sigma + 2.0 / gamma)
-            )
-            best = max(best, lhs / denom)
-        per_gamma[str(gamma)] = best
+    gammas = (1.0, float(p["m"]), math.inf) if p["gammas"] is None else p["gammas"]
+    if not gammas:
+        raise ValueError("heat_semigroup needs at least one gamma")
+    rows = []  # per sample: the trajectory's norm for each gamma, the datum's norm
+    for smp in samples:
+        (u0,) = smp.fields(grid, factor)[:1]
+        traj = free_trajectory(u0, tgrid)
+        rows.append(([timespace_norm(traj, TimeSpaceNormSpec(g, 2, s, sigma + 2.0 / g))
+                      for g in gammas],
+                     static_norm(u0, NormSpec(NormFlavor.ES_LATTICE, s, sigma))))
+    per_gamma = {str(g): _max_ratio((lhs[i], den) for lhs, den in rows)
+                 for i, g in enumerate(gammas)}
     return {"C": max(per_gamma.values()), "per_gamma": per_gamma}
 
 
@@ -233,98 +238,69 @@ def _measure_product_es(grid, tgrid, samples, factor, p) -> dict:
         raise ValueError(
             f"product estimate needs sigma >= d/2 - 2/(m-1) = {_sigma_c(grid.d, m)}"
         )
-    best = 0.0
-    for smp in samples:
+    lhs_spec = TimeSpaceNormSpec(1.0, 2, s, sigma)
+    rhs_spec = TimeSpaceNormSpec(float(m), 2, s, sigma + 2.0 / m)
+
+    def ratio(smp):
         trajs = smp.trajectories(grid, tgrid, factor)[:m]
-        prod = _conv_traj(trajs)
-        lhs = timespace_norm(prod, TimeSpaceNormSpec(1.0, 2, s, sigma))
-        rhs = 1.0
-        for u in trajs:
-            rhs *= timespace_norm(
-                u, TimeSpaceNormSpec(float(m), 2, s, sigma + 2.0 / m)
-            )
-        if rhs > 0:
-            best = max(best, lhs / rhs)
-    return {"C": best}
+        return (timespace_norm(_conv_traj(trajs), lhs_spec),
+                math.prod(timespace_norm(u, rhs_spec) for u in trajs))
+    return {"C": _max_ratio(map(ratio, samples))}
 
 
 def _measure_product_no_lowband(grid, tgrid, samples, factor, p) -> dict:
     s, sigma, m = p["s"], p["sigma"], p["m"]
     cube0 = np.indices(grid.shape).max(axis=0) < grid.n_sub  # unit cube k = 0
-    best = 0.0
-    for smp in samples:
+    lhs_spec = TimeSpaceNormSpec(1.0, 2, s, sigma, "EXCLUDE_ZERO")
+    high_spec = TimeSpaceNormSpec(1.0, 2, s, sigma + 2.0, "EXCLUDE_ZERO")
+    sup_spec = TimeSpaceNormSpec(math.inf, 2, s, sigma)
+
+    def ratio(smp):
         trajs = smp.trajectories(grid, tgrid, factor)[:m]
         low = [SpaceTimeField(grid, tgrid, np.where(cube0, u.values, 0)) for u in trajs]
-        full = _conv_traj(trajs)
-        lowprod = _conv_traj(low)
-        diff = SpaceTimeField(grid, tgrid, full.values - lowprod.values)
-        lhs = timespace_norm(
-            diff, TimeSpaceNormSpec(1.0, 2, s, sigma, "EXCLUDE_ZERO")
-        )
-        rhs = 0.0
-        for i in range(m):
-            term = timespace_norm(
-                trajs[i], TimeSpaceNormSpec(1.0, 2, s, sigma + 2.0, "EXCLUDE_ZERO")
-            )
-            for j in range(m):
-                if j != i:
-                    term *= timespace_norm(
-                        trajs[j], TimeSpaceNormSpec(math.inf, 2, s, sigma)
-                    )
-            rhs += term
-        if rhs > 0:
-            best = max(best, lhs / rhs)
-    return {"C": best}
+        lhs = timespace_norm(_conv_traj(trajs) - _conv_traj(low), lhs_spec)
+        sup = [timespace_norm(u, sup_spec) for u in trajs]  # once per trajectory
+        rhs = 0.0  # sum over i of the high norm of u_i times the sups of the others
+        for i, u in enumerate(trajs):
+            rhs += math.prod([timespace_norm(u, high_spec), *sup[:i], *sup[i + 1:]])
+        return lhs, rhs
+    return {"C": _max_ratio(map(ratio, samples))}
 
 
 def _measure_highband_smoothing(grid, tgrid, samples, factor, p) -> dict:
     s, sigma, A, q = p["s"], p["sigma"], p["A"], p["q"]
-    best = 0.0
-    for smp in samples:
-        trajs = smp.trajectories(grid, tgrid, factor)[:1]
-        f = trajs[0]
-        rhs = timespace_norm(f, TimeSpaceNormSpec(math.inf, q, s, sigma))
-        if rhs == 0.0:
-            continue
-        lhs = timespace_norm(
-            duhamel(f), TimeSpaceNormSpec(math.inf, q, s, sigma)
-        )
-        best = max(best, lhs * A**2 / rhs)
-    return {"C": best, "A": A}
+    spec = TimeSpaceNormSpec(math.inf, q, s, sigma)
+
+    def ratio(smp):
+        (f,) = smp.trajectories(grid, tgrid, factor)[:1]
+        return timespace_norm(duhamel(f), spec) * A**2, timespace_norm(f, spec)
+    return {"C": _max_ratio(map(ratio, samples)), "A": A}
 
 
 def _measure_conv_weighted_l1(grid, tgrid, samples, factor, p) -> dict:
     s_tilde, m = p["s_tilde"], p["m"]
     if s_tilde > 0:
         raise ValueError("the weighted l1 convolution bound needs s_tilde <= 0")
-    best = 0.0
-    for smp in samples:
+
+    def ratio(smp):
         trajs = smp.trajectories(grid, tgrid, factor)[:m]
-        prod = _conv_traj(trajs)
-        lhs = weighted_l1_seq_norm(prod, s_tilde)
-        rhs = 1.0
-        for u in trajs:
-            rhs *= weighted_l1_seq_norm(u, s_tilde)
-        if rhs > 0:
-            best = max(best, lhs / rhs)
-    return {"C": best}
+        return (weighted_l1_seq_norm(_conv_traj(trajs), s_tilde),
+                math.prod(weighted_l1_seq_norm(u, s_tilde) for u in trajs))
+    return {"C": _max_ratio(map(ratio, samples))}
 
 
 def _measure_product_e21(grid, tgrid, samples, factor, p) -> dict:
     s, m = p["s"], p["m"]
     if s >= 0:
         raise ValueError("the E21 product bound needs s < 0")
-    best = 0.0
-    for smp in samples:
+    one_spec = TimeSpaceNormSpec(1.0, 1, s, 0.0)
+    sup_spec = TimeSpaceNormSpec(math.inf, 1, s, 0.0)
+
+    def ratio(smp):
         (u,) = smp.trajectories(grid, tgrid, factor)[:1]
-        prod = _conv_traj([u] * m)
-        lhs = timespace_norm(prod, TimeSpaceNormSpec(1.0, 1, s, 0.0))
-        sup = timespace_norm(u, TimeSpaceNormSpec(math.inf, 1, s, 0.0))
-        one = timespace_norm(u, TimeSpaceNormSpec(1.0, 1, s, 0.0))
-        rhs = sup ** (m - 1) * one
-        if rhs > 0:
-            best = max(best, lhs / rhs)
-    return {"C": best}
+        return (timespace_norm(_conv_traj([u] * m), one_spec),
+                timespace_norm(u, sup_spec) ** (m - 1) * timespace_norm(u, one_spec))
+    return {"C": _max_ratio(map(ratio, samples))}
 
 
 def _measure_sobolev_embedding(grid, tgrid, samples, factor, p) -> dict:
@@ -333,14 +309,12 @@ def _measure_sobolev_embedding(grid, tgrid, samples, factor, p) -> dict:
         raise ValueError("the embedding into the exponential scale needs s < 0")
     weight = (1.0 + grid.euclid_sq()) ** ((sigma - r) / 2.0) * 2.0 ** (s * grid.l1())
     C_explicit = float(weight.max())
-    best = 0.0
-    for smp in samples:
+
+    def ratio(smp):
         (f,) = smp.fields(grid, factor)[:1]
-        denom = static_norm(f, NormSpec(NormFlavor.HSIGMA, sigma=r))
-        if denom == 0.0:
-            continue
-        num = static_norm(f, NormSpec(NormFlavor.ES_INTEGRAL, s, sigma))
-        best = max(best, num / denom)
+        return (static_norm(f, NormSpec(NormFlavor.ES_INTEGRAL, s, sigma)),
+                static_norm(f, NormSpec(NormFlavor.HSIGMA, sigma=r)))
+    best = _max_ratio(map(ratio, samples))
     return {"C": best, "C_explicit": C_explicit,
             "holds": bool(best <= C_explicit * (1 + 1e-9))}
 
@@ -353,17 +327,14 @@ def _measure_e21_chain(grid, tgrid, samples, factor, p) -> dict:
         raise ValueError("the upper embedding needs sigma_high > d/2")
     bracket = grid.lattice_bracket()
     C_cs = float(np.sqrt(np.sum(bracket ** (-2.0 * sigma_high))))
-    lo_best, hi_best = 0.0, 0.0
+    norms = []  # per sample: E21, ES_LATTICE at sigma_low and at sigma_high
     for smp in samples:
         (f,) = smp.fields(grid, factor)[:1]
-        e21 = static_norm(f, NormSpec(NormFlavor.E21, s))
-        if e21 == 0.0:
-            continue
-        lo = static_norm(f, NormSpec(NormFlavor.ES_LATTICE, s, sigma_low))
-        hi = static_norm(f, NormSpec(NormFlavor.ES_LATTICE, s, sigma_high))
-        lo_best = max(lo_best, lo / e21)
-        if hi > 0:
-            hi_best = max(hi_best, e21 / (C_cs * hi))
+        norms.append([static_norm(f, NormSpec(NormFlavor.E21, s)),
+                      static_norm(f, NormSpec(NormFlavor.ES_LATTICE, s, sigma_low)),
+                      static_norm(f, NormSpec(NormFlavor.ES_LATTICE, s, sigma_high))])
+    lo_best = _max_ratio((lo, e21) for e21, lo, _ in norms)
+    hi_best = _max_ratio((e21, C_cs * hi) for e21, _, hi in norms)
     return {
         "C": max(lo_best, hi_best),
         "lower_ratio": lo_best,
@@ -435,6 +406,8 @@ def inequality_probe(
             raise ValueError(f"{kind} parameter {key}: {value!r} is not finite")
     if p.get("m", 2) < 2:
         raise ValueError(f"{kind} needs m >= 2")
+    if n_samples < 1:
+        raise ValueError(f"{kind} needs n_samples >= 1")
     fields = n_fields if n_fields is not None else int(p["m"])
     rng = np.random.default_rng(seed)
     samples = _draw_samples(grid, rng, n_samples, fields,

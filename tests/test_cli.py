@@ -331,6 +331,10 @@ BAD_CONFIGS = {
                               None),
     "params-inequality-inf": ("probe", {"probe": {"kind": "product_es",
                                                   "params": {"sigma": "inf"}}}, None),
+    "probe.n_samples": ("probe", {"probe": {"kind": "product_es", "n_samples": -3}},
+                        None),
+    "params-gammas-empty": ("probe", {"probe": {"kind": "heat_semigroup",
+                                                "params": {"gammas": []}}}, None),
     "iterate.tol-inf": ("solve", solve_cfg(iterate={"jmax": 8, "tol": "inf"}), None),
     "field-header": ("norms", None, "1 0.5\n" + FIELD_ROWS),
     "field-row": ("norms", None, "1 0.5 2\n" + FIELD_ROWS + "7,1.0,0.0\n"),

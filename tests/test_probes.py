@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 
@@ -23,6 +24,7 @@ from octantheat import (
     scaling_vanishing_curve,
     weighted_l1_seq_norm,
 )
+from octantheat import probes
 from octantheat.engine import IterationTrace, heat_symbol
 from octantheat.lattice import cube_l2_table
 from octantheat.oracle import _gl
@@ -79,10 +81,31 @@ class TestInequalityProbes:
         ("conv_weighted_l1", {"sigma": 0.5}),      # not a parameter of the kind
         ("product_es", {"s": None}),               # not a number
         ("product_es", {"m": 1}),
+        ("heat_semigroup", {"gammas": []}),        # empty, not the default
     ])
     def test_rejects_bad_params(self, kind, params):
         with pytest.raises(ValueError):
             inequality_probe(kind, params, n_samples=2, refine=False)
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_rejects_empty_sample_set(self, n_samples):
+        with pytest.raises(ValueError):
+            inequality_probe("product_es", n_samples=n_samples, refine=False)
+
+    def test_norms_computed_once_per_sample(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("timespace_norm", "static_norm", "free_trajectory"):
+            def counted(*args, _fn=getattr(probes, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(probes, name, counted)
+        # 20 samples, each measured on the base and the refined grid
+        inequality_probe("product_no_lowband", {"s": -1.0, "sigma": 0.5, "m": 3})
+        assert calls["timespace_norm"] == 2 * 20 * (1 + 3 + 3)  # lhs, m high, m sup
+        calls.clear()
+        inequality_probe("heat_semigroup")
+        assert calls["static_norm"] == calls["free_trajectory"] == 2 * 20
+        assert calls["timespace_norm"] == 2 * 20 * 3  # gammas (1, m, inf)
 
     def test_params_default_per_kind(self):
         rep = inequality_probe("shifted_semigroup", {"lam": 1}, n_samples=2,
