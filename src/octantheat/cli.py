@@ -27,7 +27,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .data import InitialDataSpec, make_initial_data
+from .data import DATA_KINDS, InitialDataKind, InitialDataSpec, make_initial_data
 from .engine import DivergenceError, GateError, Nonlinearity, NonlinearityKind, \
     ProblemSpec, assemble_band_solution, exp_picard_iterate, free_trajectory, \
     picard_iterate, taylor_coefficients
@@ -162,11 +162,21 @@ def _time(cfg: dict) -> dict:
 
 
 def _build_datum(cfg: dict, grid):
-    """The datum; the top-level s and sigma are its defaults."""
-    spec = _read(InitialDataSpec, _need(cfg, "initial_data"), "initial_data",
-                 **_fields(InitialDataSpec, _pick(cfg, ("s", "sigma")), "config",
-                           ("s", "sigma")))
-    return _call(make_initial_data, spec, grid)
+    """The datum: ``kind`` picks a sampler in ``DATA_KINDS``, whose keyword
+    parameters are the section's other keys; the top-level s and sigma are
+    defaults for the kinds that take them."""
+    section = _need(cfg, "initial_data")
+    if not isinstance(section, dict):
+        raise ConfigError("initial_data must be a JSON object")
+    kind = _coerce(InitialDataKind, _need(section, "kind", "initial_data"),
+                   "initial_data.kind")
+    sampler = DATA_KINDS[kind]
+    keys = tuple(inspect.signature(sampler).parameters)[1:]  # all but the grid
+    _check_keys(section, f"initial_data of kind {kind.value}", ("kind", *keys))
+    top = {k: _coerce(float, cfg[k], f"config.{k}") for k in ("s", "sigma") if k in cfg}
+    params = {**_pick(top, keys), **_fields(sampler, _pick(section, keys),
+                                            "initial_data", keys)}
+    return _call(make_initial_data, InitialDataSpec(kind, **params), grid)
 
 
 def _build_problem(cfg: dict, refine: bool) -> tuple[ProblemSpec, FrequencyField]:

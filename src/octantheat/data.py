@@ -3,17 +3,23 @@ scale-factor selection that turns large data into small data.
 
 Data kinds
 ----------
-* ``EXP_HALFLINE``        — v0(xi) = A e^xi on xi >= 1 (d = 1); the golden
-  reference datum with a closed-form band solution.
-* ``OCTANT_BUMP``         — A on the box [eps0, eps0 + width)^d.
-* ``HALFLINE_DERIVATIVE`` — A (i (xi - shift))^k on xi >= shift (d = 1),
-  the Fourier side of a modulated derivative of delta(x) + 2i/x.
-* ``INFLATION_PAIR``      — the +/-k indicator pair with amplitude
-  2^{-s d k / 2} whose cross-convolution piles up near the origin; the
-  negative piece is carried as a separate mirrored field and is rejected
-  by every solver gate.
-* ``INFLATION_BUMP``      — N^{-sigma - d/2} per-axis indicator of
-  [N/2d, N/d), the Sobolev-scaled datum of the H-norm inflation probe.
+Each kind's sampler in ``DATA_KINDS`` takes the grid and exactly the
+parameters shown with their defaults; any other raises ValueError.
+
+* ``EXP_HALFLINE(amplitude=1)``: v0(xi) = A e^xi on xi >= 1 (d = 1), the
+  golden reference datum with a closed-form band solution.
+* ``OCTANT_BUMP(eps0=1, width=0.5, amplitude=1)``: A on the box
+  [eps0, eps0 + width)^d.
+* ``HALFLINE_DERIVATIVE(amplitude=1, deriv_order=1, shift=1)``:
+  A (i (xi - shift))^deriv_order on xi >= shift (d = 1), the Fourier side of a
+  modulated derivative of delta(x) + 2i/x.
+* ``INFLATION_PAIR(pair_k=16, s=-1, m=2)``: the +/-k indicator pair with
+  amplitude 2^{-s d k / 2} whose cross-convolution piles up near the
+  origin; the negative piece is carried as a separate mirrored field and
+  is rejected by every solver gate.
+* ``INFLATION_BUMP(scale_n=8, sigma=0)``: N^{-sigma - d/2} per-axis
+  indicator of [N/2d, N/d), the Sobolev-scaled datum of the H-norm
+  inflation probe.
 
 Dilations act on the Fourier side: x -> lam^a f(lam x) becomes
 v(xi) -> lam^{a-d} v(xi/lam), resampled axis by axis onto a target grid by
@@ -22,6 +28,7 @@ a blocked linear interpolation that keeps half-open-cell supports exact.
 from __future__ import annotations
 
 import enum
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -53,26 +60,6 @@ class InitialDataKind(str, enum.Enum):
     HALFLINE_DERIVATIVE = "HALFLINE_DERIVATIVE"
     INFLATION_PAIR = "INFLATION_PAIR"
     INFLATION_BUMP = "INFLATION_BUMP"
-
-
-@dataclass(frozen=True)
-class InitialDataSpec:
-    """Parameters of one data family member; unused fields are ignored."""
-
-    kind: InitialDataKind
-    eps0: float = 1.0
-    width: float = 0.5
-    amplitude: complex = 1.0
-    deriv_order: int = 1
-    shift: float = 1.0
-    pair_k: int = 16
-    scale_n: int = 8
-    s: float = -1.0
-    sigma: float = 0.0
-    m: int = 2
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", InitialDataKind(self.kind))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,6 +97,90 @@ def _check_cover(grid: FrequencyGrid, hi: float, what: str) -> None:
         )
 
 
+def _exp_halfline(grid: FrequencyGrid, /, amplitude: complex = 1.0) -> FrequencyField:
+    if grid.d != 1:
+        raise ValueError("EXP_HALFLINE is a one-dimensional datum")
+    xi = grid.axis
+    return FrequencyField(grid, amplitude * np.exp(xi) * (xi >= 1.0 - 1e-12))
+
+
+def _octant_bump(grid: FrequencyGrid, /, eps0: float = 1.0, width: float = 0.5,
+                 amplitude: complex = 1.0) -> FrequencyField:
+    if eps0 <= 0 or width <= 0:
+        raise ValueError("OCTANT_BUMP needs eps0 > 0 and width > 0")
+    _check_cover(grid, eps0 + width, "OCTANT_BUMP")
+    return FrequencyField(grid, amplitude * _indicator_box(grid, eps0, eps0 + width))
+
+
+def _halfline_derivative(grid: FrequencyGrid, /, amplitude: complex = 1.0,
+                         deriv_order: int = 1, shift: float = 1.0) -> FrequencyField:
+    if grid.d != 1:
+        raise ValueError("HALFLINE_DERIVATIVE is a one-dimensional datum")
+    if deriv_order < 0:
+        raise ValueError("derivative order must be nonnegative")
+    xi = grid.axis
+    mask = xi >= shift - 1e-12
+    return FrequencyField(grid, amplitude * (1j * (xi - shift)) ** deriv_order * mask)
+
+
+def _inflation_pair(grid: FrequencyGrid, /, pair_k: int = 16, s: float = -1.0,
+                    m: int = 2) -> IllposedPair:
+    k, d = pair_k, grid.d
+    if m < 2:
+        raise ValueError("INFLATION_PAIR needs m >= 2")
+    amp = 2.0 ** (-s * d * k / 2.0)
+    pos_hi = (m - 1) * k + 0.5
+    neg_w = 1.0 / (2.0 * (m - 1))
+    _check_cover(grid, pos_hi, "INFLATION_PAIR positive piece")
+    _check_cover(grid, k + neg_w, "INFLATION_PAIR negative piece")
+    if neg_w < grid.h - 1e-12:
+        raise ValueError("grid too coarse for the negative piece width")
+    pos = FrequencyField(grid, amp * _indicator_box(grid, (m - 1) * k, pos_hi))
+    # stored as g(xi) = v(-xi): support [k, k + 1/(2(m-1)))
+    neg = FrequencyField(grid, amp * _indicator_box(grid, k, k + neg_w), mirrored=True)
+    return IllposedPair(pos, neg, amp, k)
+
+
+def _inflation_bump(grid: FrequencyGrid, /, scale_n: int = 8,
+                    sigma: float = 0.0) -> FrequencyField:
+    N, d = scale_n, grid.d
+    if N < 1:
+        raise ValueError("INFLATION_BUMP needs a positive scale")
+    _check_cover(grid, N / d, "INFLATION_BUMP")
+    amp = float(N) ** (-sigma - d / 2.0)
+    return FrequencyField(grid, amp * _indicator_box(grid, N / (2.0 * d), N / d))
+
+
+# kind -> sampler(grid, /, **params); its keyword parameters, defaults and
+# type hints are the kind's whole parameter schema
+DATA_KINDS = {
+    InitialDataKind.EXP_HALFLINE: _exp_halfline,
+    InitialDataKind.OCTANT_BUMP: _octant_bump,
+    InitialDataKind.HALFLINE_DERIVATIVE: _halfline_derivative,
+    InitialDataKind.INFLATION_PAIR: _inflation_pair,
+    InitialDataKind.INFLATION_BUMP: _inflation_bump,
+}
+
+
+@dataclass(frozen=True, init=False)
+class InitialDataSpec:
+    """A datum kind and the keyword parameters of its sampler in
+    ``DATA_KINDS``; a parameter the kind does not take raises ValueError."""
+
+    kind: InitialDataKind
+    params: dict
+
+    def __init__(self, kind: InitialDataKind, **params) -> None:
+        kind = InitialDataKind(kind)
+        takes = tuple(inspect.signature(DATA_KINDS[kind]).parameters)[1:]
+        unknown = sorted(set(params) - set(takes))
+        if unknown:
+            raise ValueError(f"{kind.value} takes no parameter(s) "
+                             f"{', '.join(unknown)}; it takes {', '.join(takes)}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
+
+
 def make_initial_data(
     spec: InitialDataSpec, grid: FrequencyGrid
 ) -> FrequencyField | IllposedPair:
@@ -120,59 +191,7 @@ def make_initial_data(
     their support gates when they run.  ``INFLATION_PAIR`` returns an
     :class:`IllposedPair`, which no solver accepts.
     """
-    kind = spec.kind
-    if kind is InitialDataKind.EXP_HALFLINE:
-        if grid.d != 1:
-            raise ValueError("EXP_HALFLINE is a one-dimensional datum")
-        xi = grid.axis
-        vals = spec.amplitude * np.exp(xi) * (xi >= 1.0 - 1e-12)
-        return FrequencyField(grid, vals)
-
-    if kind is InitialDataKind.OCTANT_BUMP:
-        if spec.eps0 <= 0 or spec.width <= 0:
-            raise ValueError("OCTANT_BUMP needs eps0 > 0 and width > 0")
-        _check_cover(grid, spec.eps0 + spec.width, "OCTANT_BUMP")
-        vals = spec.amplitude * _indicator_box(grid, spec.eps0, spec.eps0 + spec.width)
-        return FrequencyField(grid, vals)
-
-    if kind is InitialDataKind.HALFLINE_DERIVATIVE:
-        if grid.d != 1:
-            raise ValueError("HALFLINE_DERIVATIVE is a one-dimensional datum")
-        if spec.deriv_order < 0:
-            raise ValueError("derivative order must be nonnegative")
-        xi = grid.axis
-        mask = xi >= spec.shift - 1e-12
-        vals = spec.amplitude * (1j * (xi - spec.shift)) ** spec.deriv_order * mask
-        return FrequencyField(grid, vals)
-
-    if kind is InitialDataKind.INFLATION_PAIR:
-        k, m, d = spec.pair_k, spec.m, grid.d
-        if m < 2:
-            raise ValueError("INFLATION_PAIR needs m >= 2")
-        amp = 2.0 ** (-spec.s * d * k / 2.0)
-        pos_hi = (m - 1) * k + 0.5
-        neg_w = 1.0 / (2.0 * (m - 1))
-        _check_cover(grid, pos_hi, "INFLATION_PAIR positive piece")
-        _check_cover(grid, k + neg_w, "INFLATION_PAIR negative piece")
-        if neg_w < grid.h - 1e-12:
-            raise ValueError("grid too coarse for the negative piece width")
-        pos = FrequencyField(grid, amp * _indicator_box(grid, (m - 1) * k, pos_hi))
-        # stored as g(xi) = v(-xi): support [k, k + 1/(2(m-1)))
-        neg = FrequencyField(
-            grid, amp * _indicator_box(grid, k, k + neg_w), mirrored=True
-        )
-        return IllposedPair(pos, neg, amp, k)
-
-    if kind is InitialDataKind.INFLATION_BUMP:
-        N, d = spec.scale_n, grid.d
-        if N < 1:
-            raise ValueError("INFLATION_BUMP needs a positive scale")
-        _check_cover(grid, N / d, "INFLATION_BUMP")
-        amp = float(N) ** (-spec.sigma - d / 2.0)
-        vals = amp * _indicator_box(grid, N / (2.0 * d), N / d)
-        return FrequencyField(grid, vals)
-
-    raise ValueError(f"unknown data kind {kind}")
+    return DATA_KINDS[spec.kind](grid, **spec.params)
 
 
 def scaled_grid(grid: FrequencyGrid, lam: int) -> FrequencyGrid:
@@ -259,6 +278,9 @@ def scale_data(
     return FrequencyField(out_grid, vals, f.mirrored)
 
 
+_LAM_CAP = 10**6  # choose_lambda's search bound
+
+
 def choose_lambda(
     f: FrequencyField | float,
     s: float,
@@ -266,15 +288,14 @@ def choose_lambda(
     m: int,
     eps0: float,
     C_fix: float,
-    norm_spec: NormSpec | None = None,
-    lam_cap: int = 10**6,
 ) -> ScalingPlan:
     """Smallest integer lam > max(2, 1/eps0) making the dilated datum small.
 
     The criterion is C_fix * (lam^{2/(m-1) - d/2 + max(sigma, 0)}
     2^{s (lam-1) eps0} ||f||)^{m-1} <= 1/100, with d read from the field
-    (d = 1 when a bare norm value is passed).  Such a lam exists for every
-    s < 0; a safety cap guards against misconfiguration.
+    and ||f|| its ES_INTEGRAL norm at (s, sigma) (d = 1 when a bare norm
+    value is passed).  Such a lam exists for every s < 0; a safety cap
+    guards against misconfiguration.
     """
     if s >= 0:
         raise ValueError("scale selection requires s < 0")
@@ -282,15 +303,14 @@ def choose_lambda(
         raise ValueError("eps0 and C_fix must be positive")
     if isinstance(f, FrequencyField):
         d = f.grid.d
-        spec = norm_spec or NormSpec(NormFlavor.ES_INTEGRAL, s=s, sigma=sigma)
-        norm = static_norm(f, spec)
+        norm = static_norm(f, NormSpec(NormFlavor.ES_INTEGRAL, s=s, sigma=sigma))
     else:
         d = 1
         norm = float(f)
 
     expo = 2.0 / (m - 1) - d / 2.0 + max(sigma, 0.0)
     lam = math.floor(max(2.0, 1.0 / eps0)) + 1
-    if lam > lam_cap:
+    if lam > _LAM_CAP:
         raise RuntimeError("scale-factor search exceeded the safety cap")
 
     def crit(lam_: int) -> float:
@@ -298,7 +318,7 @@ def choose_lambda(
 
     while crit(lam) > 0.01:
         lam += 1
-        if lam > lam_cap:
+        if lam > _LAM_CAP:
             raise RuntimeError("scale-factor search exceeded the safety cap")
     return ScalingPlan(lam=lam, a=2.0 / (m - 1), s0=lam * s,
                        smallness_margin=crit(lam))

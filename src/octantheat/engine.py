@@ -343,10 +343,7 @@ def exp_picard_iterate(
     trace = _run_picard(spec, u0, make_nonlin(M), lam, 1)
     if sensitivity_probe:
         hi = _run_picard(spec, u0, make_nonlin(M + 2), lam, 1)
-        diff = trace.final.values - hi.final.values
-        sens = weighted_l1_seq_norm(
-            SpaceTimeField(grid, spec.tgrid, diff), spec.s
-        )
+        sens = weighted_l1_seq_norm(trace.final - hi.final, spec.s)
         trace.truncation_sensitivity = sens
         if sens > spec.tol:
             trace.truncation_partner = hi.final
@@ -424,10 +421,8 @@ def taylor_coefficients(
 
     for k in range(2, k_top + 1):
         Gk = power_coeff(m, k)
-        if Gk.any():
-            a[k] = duhamel(SpaceTimeField(grid, tgrid, Gk), lam).values
-        else:
-            a[k] = zero
+        a[k] = (duhamel(SpaceTimeField(grid, tgrid, Gk), lam).values if Gk.any()
+                else zero)
 
     coeffs = [
         SpaceTimeField(grid, tgrid, math.factorial(k) * a[k])

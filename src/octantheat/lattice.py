@@ -348,8 +348,7 @@ def support_stats(f: FrequencyField, tol: float | None = None) -> SupportStats:
     """
     mags = np.abs(f.values)
     if tol is None:
-        peak = float(mags.max()) if mags.size else 0.0
-        tol = 1e-13 * peak
+        tol = 1e-13 * (float(mags.max()) if mags.size else 0.0)
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     mask = mags > tol

@@ -170,13 +170,12 @@ def _draw_samples(grid: FrequencyGrid, rng: np.random.Generator, n_samples: int,
     return samples
 
 
-def _conv_traj(trajs: list[SpaceTimeField], rule: str = "riemann") -> SpaceTimeField:
-    """Per-node convolution of separable trajectories (space parts convolved
-    once per stage, exact for the separable family)."""
+def _conv_traj(trajs: list[SpaceTimeField]) -> SpaceTimeField:
+    """Per-node Riemann-rule convolution of separable trajectories (space
+    parts convolved once per stage, exact for the separable family)."""
     grid = trajs[0].grid
-    acc = trajs[0].values
-    for nxt in trajs[1:]:
-        acc = convolve_frames(acc, nxt.values, grid, rule)
+    acc = functools.reduce(lambda a, u: convolve_frames(a, u.values, grid), trajs[1:],
+                           trajs[0].values)
     return SpaceTimeField(grid, trajs[0].tgrid, acc)
 
 
@@ -189,11 +188,15 @@ def _sigma_c(d: int, m: int) -> float:
 
 
 def _max_ratio(pairs) -> float:
-    """The largest num / den over (num, den) pairs with den > 0; 0 if none."""
-    best = 0.0
+    """The largest num / den (at least 0) over (num, den) pairs with a finite
+    den > 0.  Without such a pair nothing was measured: ValueError."""
+    best, usable = 0.0, False
     for num, den in pairs:
-        if den > 0:
-            best = max(best, num / den)
+        if 0 < den < math.inf:
+            best, usable = max(best, num / den), True
+    if not usable:
+        raise ValueError("no sample gives a finite positive denominator: the drawn "
+                         "fields vanish on this grid or their norms overflow")
     return best
 
 
@@ -219,17 +222,17 @@ def _measure_shifted_semigroup(grid, tgrid, samples, factor, p) -> dict:
     kk = grid.lattice_coords()
     k2 = sum(k * k for k in kk)
     admissible = functools.reduce(np.maximum, kk) >= 2 * lam
-    best = 0.0
+    ratios = []  # per sample: the largest ratio over its cubes with a usable base
     for smp in samples:
         (u0,) = smp.fields(grid, factor)[:1]
         base = cube_l2_table(u0.values, grid)
-        ok = admissible & (base > 0)
+        ok = admissible & (base > 0) & (base < math.inf)
         if not ok.any():
             continue
         evolved = cube_l2_table(free_trajectory(u0, tgrid, lam).values, grid)
         growth = np.exp(np.multiply.outer(c_rate * tgrid, k2[ok]))
-        best = max(best, float((evolved[:, ok] * growth / base[ok]).max()))
-    return {"C": best, "c_rate": c_rate}
+        ratios.append(float((evolved[:, ok] * growth / base[ok]).max()))
+    return {"C": _max_ratio((r, 1.0) for r in ratios), "c_rate": c_rate}
 
 
 def _measure_product_es(grid, tgrid, samples, factor, p) -> dict:
@@ -432,12 +435,8 @@ def inequality_probe(
         refined = measure(fine_grid, fine_t, samples, 2, p)
         report.refined = refined
         base_c, fine_c = measured["C"], refined["C"]
-        if base_c == 0.0 and fine_c == 0.0:
-            drift = 1.0
-        elif base_c == 0.0 or fine_c == 0.0:
-            drift = math.inf
-        else:
-            drift = max(base_c / fine_c, fine_c / base_c)
+        drift = (1.0 if base_c == fine_c else math.inf if 0.0 in (base_c, fine_c)
+                 else max(base_c / fine_c, fine_c / base_c))
         report.drift = drift
         report.stable = bool(drift <= 2.0)
         report.curve.append(
@@ -475,16 +474,10 @@ def scaling_vanishing_curve(
     grid = f.grid
     a = grid.d / 2.0 - sigma
     spec = NormSpec(NormFlavor.ES_INTEGRAL, s, sigma)
-    curve = []
-    values = []
-    for lam in lam_list:
-        if lam == 1:
-            g = f
-        else:
-            g = scale_data(f, lam, a, out_grid=scaled_grid(grid, lam))
-        v = static_norm(g, spec)
-        values.append(v)
-        curve.append({"lam": int(lam), "norm": v})
+    values = [static_norm(f if lam == 1 else
+                          scale_data(f, lam, a, out_grid=scaled_grid(grid, lam)), spec)
+              for lam in lam_list]
+    curve = [{"lam": int(lam), "norm": v} for lam, v in zip(lam_list, values)]
     if values[0] == 0.0:
         passed = all(v == 0.0 for v in values)
         note = "zero datum; curve identically zero"
@@ -542,7 +535,6 @@ def illposed_probe_E(
     if m not in (2, 3):
         raise ValueError("the sign-pair probe supports m in {2, 3}")
     d = 1
-    curve = []
     values = []
     for k in k_list:
         grid = make_grid(d, (m - 1) * k + 1, h)
@@ -571,7 +563,6 @@ def illposed_probe_E(
         w = 2.0 ** (s * np.abs(xi)) * (1.0 + xi**2) ** (sigma / 2.0)
         G = float(np.sqrt(h * np.sum((w * I) ** 2)))
         values.append(G)
-        curve.append({"k": int(k), "lowband": G})
     ratios = [
         values[i + 1] / values[i] if values[i] > 0 else math.inf if values[i + 1] > 0
         else 0.0
@@ -589,7 +580,7 @@ def illposed_probe_E(
                   "ratios": ratios, "diverging": diverging},
         passed=diverging,
         stable=True,
-        curve=curve,
+        curve=[{"k": int(k), "lowband": G} for k, G in zip(k_list, values)],
     )
 
 
@@ -603,20 +594,18 @@ def illposed_probe_H(
     sigma: float,
     m: int = 2,
     N_list: tuple[int, ...] = (8, 16, 32, 64),
-    d: int = 1,
     c_t: float = 1.0,
     quad_order: int = 64,
     slope_tol: float = 0.15,
 ) -> ProbeReport:
     """Sobolev size of the m-th amplitude derivative at t = c/N^2 for the
-    N-scaled indicator datum, with a log-log slope fit against the
+    N-scaled indicator datum in d = 1, with a log-log slope fit against the
     predicted growth exponent.
 
     Refuses weight indices at or above the scaling index, where the
     exponent is nonpositive and there is nothing to verify.
     """
-    if d != 1:
-        raise ValueError("the scaled-datum probe is implemented for d = 1")
+    d = 1
     if m not in (2, 3):
         raise ValueError("the scaled-datum probe supports m in {2, 3}")
     if not N_list or min(N_list) < 1:
@@ -628,7 +617,6 @@ def illposed_probe_H(
             f"{_sigma_c(d, m):.3g}"
         )
     vals = []
-    curve = []
     for N in N_list:
         tN = c_t / N**2
         amp = float(N) ** (-sigma - d / 2.0)
@@ -669,7 +657,6 @@ def illposed_probe_H(
             wgt = (1.0 + nodes**2) ** (sigma / 2.0)
             total += float(np.sum(wts * (wgt * math.factorial(m) * vals_F) ** 2))
         vals.append(math.sqrt(total))
-        curve.append({"N": int(N), "h_norm": vals[-1]})
     slope = float(np.polyfit(np.log(np.asarray(N_list, float)),
                              np.log(np.asarray(vals)), 1)[0])
     passed = abs(slope - expo) <= slope_tol
@@ -682,7 +669,7 @@ def illposed_probe_H(
         measured={"C": slope, "slope": slope, "target": expo},
         passed=bool(passed),
         stable=True,
-        curve=curve,
+        curve=[{"N": int(N), "h_norm": v} for N, v in zip(N_list, vals)],
     )
 
 
@@ -712,17 +699,12 @@ def error_decay_fit(
     if len(iterates) < 4:
         raise ValueError("need at least four iterates to fit the decay law")
     ref = reference if reference is not None else trace.final
-    e = {}
-    for j, vj in enumerate(iterates, start=1):
-        diff = SpaceTimeField(vj.grid, vj.tgrid, vj.values - ref.values)
-        e[j] = weighted_l1_seq_norm(diff, s_tilde)
+    e = {j: weighted_l1_seq_norm(vj - ref, s_tilde)
+         for j, vj in enumerate(iterates, start=1)}
     j_hi = len(iterates) if reference is not None else len(iterates) - 1
     fit_js = [j for j in range(j_lo, j_hi + 1) if e.get(j, 0.0) > 0.0]
     if not fit_js:
-        C_bound = 0.0
-        C = 0.0
-        ratios: list[float] = []
-        passed = True
+        C_bound, C, ratios, passed = 0.0, 0.0, [], True
     else:
         C_bound = max((e[j] * math.factorial(j) ** 2) ** (1.0 / j) for j in fit_js)
         ratios = [

@@ -336,9 +336,31 @@ BAD_CONFIGS = {
     "params-gammas-empty": ("probe", {"probe": {"kind": "heat_semigroup",
                                                 "params": {"gammas": []}}}, None),
     "iterate.tol-inf": ("solve", solve_cfg(iterate={"jmax": 8, "tol": "inf"}), None),
+    "probe.T-overflow": ("probe", {"probe": {"kind": "product_es", "n_samples": 2,
+                                             "T": 1e308, "nt": 5}}, None),
     "field-header": ("norms", None, "1 0.5\n" + FIELD_ROWS),
     "field-row": ("norms", None, "1 0.5 2\n" + FIELD_ROWS + "7,1.0,0.0\n"),
 }
+
+
+# one key from another kind per datum kind, and the keys that kind takes
+FOREIGN_DATUM_KEYS = {
+    "EXP_HALFLINE-width": ("solve", solve_cfg(initial_data={
+        "kind": "EXP_HALFLINE", "width": 3.0}), "width", ("amplitude",)),
+    "OCTANT_BUMP-pair_k": ("solve", solve_cfg(initial_data={
+        "kind": "OCTANT_BUMP", "eps0": 1.0, "width": 0.5, "pair_k": 99}),
+        "pair_k", ("eps0", "width", "amplitude")),
+    "HALFLINE_DERIVATIVE-eps0": ("solve", solve_cfg(initial_data={
+        "kind": "HALFLINE_DERIVATIVE", "eps0": 7.0}),
+        "eps0", ("amplitude", "deriv_order", "shift")),
+    "INFLATION_PAIR-amplitude": ("solve", solve_cfg(initial_data={
+        "kind": "INFLATION_PAIR", "pair_k": 1, "amplitude": 2.0}),
+        "amplitude", ("pair_k", "s", "m")),
+    "INFLATION_BUMP-m": ("norms", norms_cfg(initial_data={
+        "kind": "INFLATION_BUMP", "scale_n": 2, "m": 3}), "m", ("scale_n", "sigma")),
+}
+BAD_CONFIGS.update({f"initial_data-{name}": (command, cfg, None)
+                    for name, (command, cfg, _, _) in FOREIGN_DATUM_KEYS.items()})
 
 
 class TestStrictConfig:
@@ -354,6 +376,28 @@ class TestStrictConfig:
         man = manifest(out)
         assert man["exit_status"] == 2
         assert man["error"].startswith("config:")
+
+    @pytest.mark.parametrize("name", sorted(FOREIGN_DATUM_KEYS))
+    def test_foreign_datum_key_named_with_accepted_keys(self, tmp_path, name):
+        command, cfg, key, takes = FOREIGN_DATUM_KEYS[name]
+        out = tmp_path / "out"
+        assert run(command, write_cfg(tmp_path, cfg), str(out)) == 2
+        error = manifest(out)["error"]
+        assert error.startswith("config:") and f"'{key}'" in error
+        assert cfg["initial_data"]["kind"] in error
+        accepted = error.split("accepted: ")[1].split(", ")
+        assert sorted(accepted) == sorted(("kind", *takes))
+
+    @pytest.mark.parametrize("extra", [
+        {"width": 3.0}, {"deriv_order": 5, "pair_k": 99}, {"eps0": 7.0},
+        {"scale_n": -3}, {"m": 1}, {"s": -2.0}, {"sigma": 1.0}], ids="-".join)
+    def test_golden_datum_takes_only_amplitude(self, tmp_path, extra):
+        cfg = solve_cfg(initial_data={"kind": "EXP_HALFLINE", **extra})
+        out = tmp_path / "out"
+        assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 2
+        error = manifest(out)["error"]
+        assert error.startswith("config:")
+        assert all(f"'{key}'" in error for key in extra)
 
     def test_unknown_key_named_in_error(self, tmp_path):
         out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from octantheat import (
     static_norm,
     support_stats,
 )
+from octantheat.data import DATA_KINDS
 
 
 def exp_halfline(grid, amp=1.0):
@@ -102,6 +104,110 @@ class TestMakeInitialData:
             make_initial_data(
                 InitialDataSpec(InitialDataKind.INFLATION_BUMP, scale_n=64), g
             )
+
+
+# The parent's eleven-field spec fields (all but kind) and each kind's own.
+SPEC_FIELDS = ("eps0", "width", "amplitude", "deriv_order", "shift", "pair_k",
+               "scale_n", "s", "sigma", "m")
+KIND_PARAMS = {
+    InitialDataKind.EXP_HALFLINE: {"amplitude": 1.0},
+    InitialDataKind.OCTANT_BUMP: {"eps0": 1.0, "width": 0.5, "amplitude": 1.0},
+    InitialDataKind.HALFLINE_DERIVATIVE: {"amplitude": 1.0, "deriv_order": 1,
+                                          "shift": 1.0},
+    InitialDataKind.INFLATION_PAIR: {"pair_k": 16, "s": -1.0, "m": 2},
+    InitialDataKind.INFLATION_BUMP: {"scale_n": 8, "sigma": 0.0},
+}
+
+
+def _ref_box(grid, lo, hi):
+    out = np.ones(grid.shape)
+    for c in grid.coords():
+        out = out * ((c >= lo - 1e-12) & (c < hi - 1e-12))
+    return out
+
+
+def reference_initial_data(kind, grid, eps0=1.0, width=0.5, amplitude=1.0,
+                           deriv_order=1, shift=1.0, pair_k=16, scale_n=8, s=-1.0,
+                           sigma=0.0, m=2):
+    """The if-chain sampler the kind table replaced, kept as the reference
+    (its coverage and parameter checks left out: only values are compared)."""
+    if kind is InitialDataKind.EXP_HALFLINE:
+        xi = grid.axis
+        return FrequencyField(grid, amplitude * np.exp(xi) * (xi >= 1.0 - 1e-12))
+    if kind is InitialDataKind.OCTANT_BUMP:
+        return FrequencyField(grid, amplitude * _ref_box(grid, eps0, eps0 + width))
+    if kind is InitialDataKind.HALFLINE_DERIVATIVE:
+        xi = grid.axis
+        mask = xi >= shift - 1e-12
+        return FrequencyField(grid, amplitude * (1j * (xi - shift)) ** deriv_order * mask)
+    if kind is InitialDataKind.INFLATION_PAIR:
+        k, d = pair_k, grid.d
+        amp = 2.0 ** (-s * d * k / 2.0)
+        neg_w = 1.0 / (2.0 * (m - 1))
+        pos = FrequencyField(grid, amp * _ref_box(grid, (m - 1) * k, (m - 1) * k + 0.5))
+        neg = FrequencyField(grid, amp * _ref_box(grid, k, k + neg_w), mirrored=True)
+        return IllposedPair(pos, neg, amp, k)
+    N, d = scale_n, grid.d
+    amp = float(N) ** (-sigma - d / 2.0)
+    return FrequencyField(grid, amp * _ref_box(grid, N / (2.0 * d), N / d))
+
+
+# kind -> (dimensions, grid per d, non-default parameters)
+SAMPLE_CASES = {
+    InitialDataKind.EXP_HALFLINE: ((1,), lambda d: make_grid(d, 4, 1 / 16),
+                                   {"amplitude": 2.5 - 1j}),
+    InitialDataKind.OCTANT_BUMP: ((1, 2, 3), lambda d: make_grid(d, 2, 1 / 4),
+                                  {"eps0": 0.5, "width": 1.25, "amplitude": 3.0}),
+    InitialDataKind.HALFLINE_DERIVATIVE: (
+        (1,), lambda d: make_grid(d, 4, 1 / 16),
+        {"amplitude": 2.0, "deriv_order": 3, "shift": 1.5}),
+    InitialDataKind.INFLATION_PAIR: ((1, 2, 3), lambda d: make_grid(d, 17, 1 / 4),
+                                     {"pair_k": 3, "s": -0.5, "m": 3}),
+    InitialDataKind.INFLATION_BUMP: ((1, 2, 3), lambda d: make_grid(d, 8, 1 / 4),
+                                     {"scale_n": 6, "sigma": 1.5}),
+}
+
+
+def _bits(datum):
+    if isinstance(datum, IllposedPair):
+        return (datum.pos.values.tobytes(), datum.neg.values.tobytes(),
+                datum.neg.mirrored, datum.amplitude, datum.pair_k)
+    return datum.values.tobytes(), datum.mirrored
+
+
+class TestKindTable:
+    def test_each_kind_takes_its_own_parameters(self):
+        for kind, params in KIND_PARAMS.items():
+            sig = inspect.signature(DATA_KINDS[kind]).parameters
+            assert {k: p.default for k, p in list(sig.items())[1:]} == params
+
+    @pytest.mark.parametrize("kind,key", [
+        (kind, key) for kind in InitialDataKind for key in SPEC_FIELDS
+        if key not in KIND_PARAMS[kind]])
+    def test_foreign_key_rejected(self, kind, key):
+        with pytest.raises(ValueError, match=rf"{kind.value} takes no parameter\(s\) "
+                                             rf"{key};") as err:
+            InitialDataSpec(kind, **{key: 1})
+        assert all(own in str(err.value) for own in KIND_PARAMS[kind])
+
+    @pytest.mark.parametrize("kind", list(InitialDataKind))
+    @pytest.mark.parametrize("which", ["default", "set"])
+    def test_samples_bitwise_equal_to_if_chain(self, kind, which):
+        dims, make, params = SAMPLE_CASES[kind]
+        params = {} if which == "default" else params
+        for d in dims:
+            g = make(d)
+            got = make_initial_data(InitialDataSpec(kind.value, **params), g)
+            assert _bits(got) == _bits(reference_initial_data(kind, g, **params))
+
+    def test_kind_string_and_keyword_forms(self):
+        g = make_grid(2, 2, 1 / 4)
+        a = make_initial_data(InitialDataSpec(kind="OCTANT_BUMP", width=0.75), g)
+        b = make_initial_data(
+            InitialDataSpec(InitialDataKind.OCTANT_BUMP, width=0.75), g)
+        assert a.values.tobytes() == b.values.tobytes()
+        with pytest.raises(ValueError):
+            InitialDataSpec("NO_SUCH_KIND")
 
 
 class TestScaleData:

@@ -92,6 +92,18 @@ class TestInequalityProbes:
         with pytest.raises(ValueError):
             inequality_probe("product_es", n_samples=n_samples, refine=False)
 
+    @pytest.mark.parametrize("kind,params,T", [
+        ("product_es", {}, 1e308),  # every denominator overflows to NaN
+        ("shifted_semigroup", {"lam": 10.0}, 1.0),  # l-inf floor 20 > xi_max 8
+        ("highband_smoothing", {"A": 100.0}, 1.0),  # l-inf floor 100 > xi_max 8
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_rejects_measurement_without_usable_ratio(self, kind, params, T):
+        # a measurement over no usable sample used to pass with C = 0
+        with pytest.raises(ValueError, match="finite positive denominator"):
+            inequality_probe(kind, params, n_samples=3, T=T, nt=5)
+
     def test_norms_computed_once_per_sample(self, monkeypatch):
         calls = collections.Counter()
         for name in ("timespace_norm", "static_norm", "free_trajectory"):
