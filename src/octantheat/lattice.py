@@ -7,9 +7,13 @@ unit cube is an integer, so the unit-cube projections form an exact
 partition of every field.  Discrete convolution has a Riemann weight h^d
 per pairwise convolution; an optional run-aware trapezoid weighting raises
 the quadrature order for data that are smooth within their support.
-:func:`convolve` sums one pair of fields directly; :func:`convolve_frames`
-convolves (nt, *grid) frame stacks by zero-padded FFTs, with the direct
-sum's exact zeros and its values up to FFT round-off.
+:func:`convolve` and :func:`convolve_power` sum directly, each operand over
+its support box (the cells whose products can reach [0, n)).  The boxes and
+the rule's operand masks are planned once per pair of nonzero patterns and
+reused, and the truncation warning follows the combinatorial support, not
+the values.  :func:`convolve_frames` convolves (nt, *grid) frame stacks by
+zero-padded FFTs, with the direct sum's exact zeros and its values up to FFT
+round-off.
 
 All operations are pure functions on immutable inputs and use fixed-order
 reductions, so repeated runs are bit-identical.  A field file holds one text
@@ -247,6 +251,76 @@ def _rule_terms(f: np.ndarray, g: np.ndarray, d: int, rule: str):
     return list(zip(fm, reversed(fm if g is f else masked(g)))), 1.0 / 2**d
 
 
+_SPILL = "convolution support reaches xi_max; band of validity shrinks"
+
+
+@functools.lru_cache(maxsize=16)
+def _plan(f_bits: bytes, g_bits: bytes, grid: FrequencyGrid, rule: str):
+    """The direct kernel's plan for one pair of nonzero patterns (each packed
+    by ``np.packbits``): per rule term, the boxes of f and g whose products
+    can land in [0, n) with the operand masks on them, the output slice and
+    the crop of the boxes' full convolution; the weight h^d times the rule's;
+    and whether some product lands at or beyond n on an axis.
+
+    A term whose operands start at cells a and b and end at cells A and B
+    (per axis) needs f on [a, min(A + 1, n - b)) and g on [b, min(B + 1,
+    n - a)); it spills when A + B >= n and is dropped when a + b >= n.
+    """
+    pats = [np.unpackbits(np.frombuffer(bits, np.uint8), count=math.prod(grid.shape))
+            .reshape(grid.shape).astype(bool) for bits in (f_bits, g_bits)]
+    terms, weight = _rule_terms(*pats, grid.d, rule)
+    n, plan, spills = grid.n, [], False
+    for fm, gm in terms:
+        if not (fm.any() and gm.any()):
+            continue
+        (a, A), (b, B) = ((nz.min(0), nz.max(0)) for nz in map(np.argwhere, (fm, gm)))
+        spills |= bool(np.any(A + B >= n))
+        if np.any(a + b >= n):
+            continue
+        f_end, g_end = np.minimum(A + 1, n - b), np.minimum(B + 1, n - a)
+        out_end = np.minimum(f_end + g_end - 1, n)
+        fbox, gbox = _box(a, f_end), _box(b, g_end)
+        plan.append((fbox, fm[fbox], gbox, gm[gbox], _box(a + b, out_end),
+                     _box(np.zeros_like(a), out_end - a - b)))
+    return plan, grid.h**grid.d * weight, spills
+
+
+def _box(lo: np.ndarray, hi: np.ndarray) -> tuple[slice, ...]:
+    """Per-axis slices [lo, hi) with plain ints, which index faster."""
+    return tuple(map(slice, lo.tolist(), hi.tolist()))
+
+
+def _direct(f: np.ndarray, g: np.ndarray, grid: FrequencyGrid, rule: str):
+    """The direct convolution sum of two value arrays under ``rule``,
+    truncated at xi_max, and whether it spills past xi_max.
+
+    Only the products inside each term's planned box are formed.  For d = 1
+    this is the ``np.convolve`` call ``scipy.signal.convolve(method="direct")``
+    makes for one-dimensional inputs.
+    """
+    bits = np.packbits(f != 0).tobytes()
+    plan, scale, spills = _plan(bits, bits if g is f else np.packbits(g != 0).tobytes(),
+                                grid, rule)
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    for fbox, fmask, gbox, gmask, cells, crop in plan:
+        fm, gm = f[fbox] * fmask, g[gbox] * gmask
+        full = (np.convolve(fm, gm) if grid.d == 1
+                else _sig_convolve(fm, gm, mode="full", method="direct"))
+        out[cells] += full[crop]
+    out *= scale
+    return out, spills
+
+
+def _direct_power(v: np.ndarray, m: int, grid: FrequencyGrid, rule: str):
+    """m-fold :func:`_direct` self-convolution of a value array (m >= 2),
+    and whether any of its products spills past xi_max."""
+    out, spills = v, False  # the first product v * v shares its operands
+    for _ in range(m - 1):
+        out, spilled = _direct(out, v, grid, rule)
+        spills |= spilled
+    return out, spills
+
+
 def convolve(
     f: FrequencyField,
     g: FrequencyField,
@@ -262,26 +336,21 @@ def convolve(
     every axis, which is second-order accurate for data smooth within
     their support.  Octant support only moves upward, so truncation never
     corrupts values below xi_max.
+
+    The sum runs over each operand's support box: the cells that can reach
+    [0, n) against the other operand's first nonzero cell.  Boxes are
+    planned once per pair of nonzero patterns, grid and rule, and reused
+    while the supports stay the same.  The truncation warning fires when
+    the combinatorial support of the product reaches xi_max.
     """
     if f.grid != g.grid:
         raise ValueError("convolve requires a shared grid")
     if f.mirrored or g.mirrored:
         raise ValueError("convolve is defined for octant-stored fields only")
-    grid = f.grid
-    terms, weight = _rule_terms(f.values, g.values, grid.d, rule)
-    full = np.zeros(tuple(2 * n - 1 for n in grid.shape), dtype=np.complex128)
-    for fm, gm in terms:
-        full = full + _sig_convolve(fm, gm, mode="full", method="direct")
-    full *= grid.h**grid.d * weight
-
-    cut = tuple(slice(0, n) for n in grid.shape)
-    if warn_on_truncation:
-        spill = full.copy()
-        spill[cut] = 0.0
-        if np.any(spill != 0):
-            warnings.warn("convolution support reaches xi_max; band of validity "
-                          "shrinks", RuntimeWarning, stacklevel=2)
-    return FrequencyField(grid, full[cut])
+    values, spills = _direct(f.values, g.values, f.grid, rule)
+    if warn_on_truncation and spills:
+        warnings.warn(_SPILL, RuntimeWarning, stacklevel=2)
+    return FrequencyField(f.grid, values)
 
 
 def convolve_frames(
@@ -335,10 +404,14 @@ def convolve_power(
     ``f`` itself for m = 1)."""
     if m < 1 or int(m) != m:
         raise ValueError(f"power must be a positive integer, got {m}")
-    out = f  # the first product f * f shares its operands
-    for _ in range(int(m) - 1):
-        out = convolve(out, f, rule=rule, warn_on_truncation=warn_on_truncation)
-    return out
+    if m == 1:
+        return f
+    if f.mirrored:
+        raise ValueError("convolve is defined for octant-stored fields only")
+    values, spills = _direct_power(f.values, int(m), f.grid, rule)
+    if warn_on_truncation and spills:
+        warnings.warn(_SPILL, RuntimeWarning, stacklevel=2)
+    return FrequencyField(f.grid, values)
 
 
 def support_stats(f: FrequencyField, tol: float | None = None) -> SupportStats:

@@ -5,10 +5,11 @@ Two deliberately different routes:
 * :func:`etd_reference_solve` integrates the stiff spectral ODE
   v' = -(|xi|^2 - lam^2) v + v^{*m} with an integrating-factor classical
   Runge-Kutta scheme (exact for the linear part, fourth order in the
-  nonlinear part).  It convolves frame by frame by direct summation
-  (:func:`convolve_power`), where the engine uses the batched FFT kernel,
-  and shares no Duhamel code path with the engine, so band agreement
-  between the two is evidence rather than tautology.
+  nonlinear part).  Each stage convolves one frame by direct summation,
+  through the lattice's support-planned direct kernel on plain arrays,
+  where the engine transforms whole frame stacks at once; it shares no
+  Duhamel code path with the engine, so band agreement between the two is
+  evidence rather than tautology.
 
 * :func:`exp_halfline_reference` evaluates the closed-form amplitude
   derivatives of the quadratic flow with datum e^xi H(xi - 1) by nested
@@ -23,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .engine import DivergenceError, heat_symbol
-from .lattice import FrequencyField, convolve_power
+from .lattice import FrequencyField, _direct_power
 from .norms import SpaceTimeField
 
 __all__ = [
@@ -78,8 +79,7 @@ def etd_reference_solve(
     E2 = np.exp(-0.5 * dt * w)
 
     def N(v: np.ndarray) -> np.ndarray:
-        return convolve_power(FrequencyField(grid, v), m, conv_rule,
-                              warn_on_truncation=False).values
+        return _direct_power(v, m, grid, conv_rule)[0]
 
     v = delta * v0.values.copy()
     frames = np.empty((nt, *grid.shape), dtype=np.complex128)

@@ -60,6 +60,13 @@ __all__ = [
     "random_field",
 ]
 
+# Verdict thresholds, echoed in the reports' params: the least growth of the
+# sign-pair low band per step in k, the largest miss of the predicted slope,
+# and the first iterate of the decay-law fit.
+GROWTH_FACTOR = 4.0
+SLOPE_TOL = 0.15
+J_LO = 2
+
 
 @dataclass
 class ProbeReport:
@@ -416,6 +423,13 @@ def inequality_probe(
     samples = _draw_samples(grid, rng, n_samples, fields,
                             linf_floor(p) if linf_floor else 0.0)
     tgrid = np.linspace(0.0, T, nt)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected right below
+        profiles = [_time_profile(q, tgrid) for smp in samples for q in smp.profiles]
+        # the norms integrate over [0, T] and square the result
+        scale = np.trapezoid(profiles, tgrid, axis=-1) ** 2
+    if not np.all(np.isfinite(scale)):
+        raise ValueError(f"{kind}: T = {T!r} gives no finite positive denominator: "
+                         "the time profiles or their norms overflow")
 
     measured = measure(grid, tgrid, samples, 1, p)
     report = ProbeReport(
@@ -519,7 +533,6 @@ def illposed_probe_E(
     k_list: tuple[int, ...] = (16, 32, 64),
     t: float = 1.0,
     h: float = 1.0 / 16,
-    growth_factor: float = 4.0,
 ) -> ProbeReport:
     """Low-band output of the second iteration step for the +/-k sign-pair
     datum, against the pair frequency k.
@@ -529,7 +542,7 @@ def illposed_probe_E(
     the time integral of the semigroup kernel is carried out in closed form
     (the integrand decays on the k^-2 timescale, far below any uniform
     time grid).  The report passes when the weighted low-band size grows
-    at least ``growth_factor`` per step in k; with s = 0 there is no
+    at least ``GROWTH_FACTOR`` per step in k; with s = 0 there is no
     exponential amplitude and the sequence does not diverge.
     """
     if m not in (2, 3):
@@ -569,11 +582,11 @@ def illposed_probe_E(
         for i in range(len(values) - 1)
     ]
     diverging = bool(values and values[-1] > 0
-                     and all(r >= growth_factor for r in ratios))
+                     and all(r >= GROWTH_FACTOR for r in ratios))
     return ProbeReport(
         kind="illposed_E",
         params={"s": s, "sigma": sigma, "m": m, "k_list": list(k_list), "t": t,
-                "growth_factor": growth_factor},
+                "growth_factor": GROWTH_FACTOR},
         seed=None,
         resolution={"d": d, "h": h},
         measured={"C": max(values) if values else 0.0,
@@ -596,11 +609,10 @@ def illposed_probe_H(
     N_list: tuple[int, ...] = (8, 16, 32, 64),
     c_t: float = 1.0,
     quad_order: int = 64,
-    slope_tol: float = 0.15,
 ) -> ProbeReport:
     """Sobolev size of the m-th amplitude derivative at t = c/N^2 for the
     N-scaled indicator datum in d = 1, with a log-log slope fit against the
-    predicted growth exponent.
+    predicted growth exponent; it passes within ``SLOPE_TOL`` of it.
 
     Refuses weight indices at or above the scaling index, where the
     exponent is nonpositive and there is nothing to verify.
@@ -659,11 +671,11 @@ def illposed_probe_H(
         vals.append(math.sqrt(total))
     slope = float(np.polyfit(np.log(np.asarray(N_list, float)),
                              np.log(np.asarray(vals)), 1)[0])
-    passed = abs(slope - expo) <= slope_tol
+    passed = abs(slope - expo) <= SLOPE_TOL
     return ProbeReport(
         kind="illposed_H",
         params={"sigma": sigma, "m": m, "d": d, "N_list": list(N_list),
-                "c_t": c_t, "target_exponent": expo, "slope_tol": slope_tol},
+                "c_t": c_t, "target_exponent": expo, "slope_tol": SLOPE_TOL},
         seed=None,
         resolution={"quad_order": quad_order},
         measured={"C": slope, "slope": slope, "target": expo},
@@ -681,12 +693,11 @@ def error_decay_fit(
     trace: IterationTrace,
     reference: SpaceTimeField | None = None,
     s_tilde: float = -2.0,
-    j_lo: int = 2,
 ) -> ProbeReport:
     """Fit the smallest single C satisfying both halves of the decay law,
     e_j <= C^j / (j!)^2 and e_{j+1} (j+1)^2 / e_j <= C, over the recorded
-    iterates, with e_j measured against the reference (final iterate when
-    not given).
+    iterates from ``J_LO`` on, with e_j measured against the reference
+    (final iterate when not given).
 
     Vanishing errors satisfy any C and are skipped.  A sequence whose
     implied constant keeps escalating through the end of the window (the
@@ -702,7 +713,7 @@ def error_decay_fit(
     e = {j: weighted_l1_seq_norm(vj - ref, s_tilde)
          for j, vj in enumerate(iterates, start=1)}
     j_hi = len(iterates) if reference is not None else len(iterates) - 1
-    fit_js = [j for j in range(j_lo, j_hi + 1) if e.get(j, 0.0) > 0.0]
+    fit_js = [j for j in range(J_LO, j_hi + 1) if e.get(j, 0.0) > 0.0]
     if not fit_js:
         C_bound, C, ratios, passed = 0.0, 0.0, [], True
     else:
@@ -721,7 +732,7 @@ def error_decay_fit(
         passed = math.isfinite(C) and not escalating
     return ProbeReport(
         kind="error_decay",
-        params={"s_tilde": s_tilde, "j_lo": j_lo, "j_hi": j_hi},
+        params={"s_tilde": s_tilde, "j_lo": J_LO, "j_hi": j_hi},
         seed=None,
         resolution={},
         measured={"C": C, "C_bound": C_bound, "ratios": ratios,

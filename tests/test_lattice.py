@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import convolve as sig_convolve
 
 from octantheat import (
     FrequencyField,
@@ -15,6 +16,7 @@ from octantheat import (
     save_field,
     support_stats,
 )
+from octantheat.lattice import _rule_terms
 
 
 def indicator(grid, lo, hi, amp=1.0):
@@ -268,6 +270,101 @@ def sparse_stack(grid, nt, rng, density, shared):
     vals = vals * (rng.random(grid.shape if shared else shape) < density)
     vals[rng.random(nt) < 0.25] = 0.0
     return vals
+
+
+def unboxed_direct(f, g, grid, rule):
+    """The unboxed direct sum, the reference for the planned kernel: every
+    rule term convolved over the whole grid by scipy's direct method and
+    truncated to [0, n), and whether the terms' combinatorial support (their
+    count convolution) reaches past n."""
+    terms, weight = _rule_terms(f, g, grid.d, rule)
+    full = np.zeros(tuple(2 * n - 1 for n in grid.shape), dtype=np.complex128)
+    counts = np.zeros(full.shape)
+    for fm, gm in terms:
+        full = full + sig_convolve(fm, gm, mode="full", method="direct")
+        counts += sig_convolve((fm != 0) * 1.0, (gm != 0) * 1.0, method="direct")
+    full *= grid.h**grid.d * weight
+    cut = tuple(slice(0, n) for n in grid.shape)
+    counts[cut] = 0.0
+    return full[cut], bool(np.any(counts > 0.5))
+
+
+OPERANDS = ("sparse", "far-corner", "one-cell", "zero", "escaping")
+
+
+def operand(grid, kind, rng):
+    """Complex values on a support of the given kind: random cells, random
+    cells beyond a random corner, one cell, none, or cells in the upper half
+    of the first axis (so every product with another such operand lands past
+    xi_max)."""
+    vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    keep = rng.random(grid.shape) < rng.uniform(0.1, 1.0)
+    idx = np.indices(grid.shape)
+    if kind == "far-corner":
+        keep &= idx.min(axis=0) >= rng.integers(grid.n)
+    elif kind == "one-cell":
+        keep = np.zeros(grid.shape, dtype=bool)
+        keep[tuple(rng.integers(grid.n, size=grid.d))] = True
+    elif kind == "zero":
+        keep[...] = False
+    elif kind == "escaping":
+        keep &= idx[0] >= (grid.n + 1) // 2
+    return vals * keep
+
+
+class TestPlannedKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(frame_grids, st.sampled_from(OPERANDS), st.sampled_from(OPERANDS),
+           st.booleans(), st.sampled_from(["riemann", "trapezoid"]),
+           st.integers(0, 2**31 - 1))
+    def test_matches_unboxed_sum(self, g, kind_f, kind_h, self_conv, rule, seed):
+        rng = np.random.default_rng(seed)
+        f = FrequencyField(g, operand(g, kind_f, rng))
+        h = f if self_conv else FrequencyField(g, operand(g, kind_h, rng))
+        ref, spills = unboxed_direct(f.values, h.values, g, rule)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = convolve(f, h, rule).values
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(got != 0, ref != 0)
+        # the warning follows the combinatorial support, not the values
+        assert [w.category for w in caught] == [RuntimeWarning] * spills
+
+    def test_no_truncation_warning_below_xi_max(self):
+        g = make_grid(1, 2, 0.25)
+        f = indicator(g, 0.5, 1.0)  # f * f lives on [1, 1.75]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rule in ("riemann", "trapezoid"):
+                convolve_power(f, 2, rule)
+                convolve(f, f, rule)
+
+    def test_plans_never_mix(self):
+        # the same nonzero pattern on grids with the same cell count, under
+        # both rules, and two patterns alternating in one loop
+        rng = np.random.default_rng(4)
+        grids = [make_grid(1, 2, 1 / 8), make_grid(1, 16, 1.0), make_grid(2, 1, 0.25)]
+        vals = operand(grids[0], "sparse", rng)
+        other = operand(grids[0], "far-corner", rng)
+        for _ in range(2):
+            for g in grids:
+                for rule in ("riemann", "trapezoid"):
+                    for x in (vals, other):
+                        f = FrequencyField(g, x.reshape(g.shape))
+                        ref, _ = unboxed_direct(f.values, f.values, g, rule)
+                        got = convolve(f, f, rule, warn_on_truncation=False).values
+                        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+                        assert np.array_equal(got != 0, ref != 0)
+
+    @pytest.mark.parametrize("la,lb", [(1, 1), (7, 3), (3, 7), (64, 64), (63, 17)])
+    def test_np_convolve_is_scipy_direct(self, la, lb):
+        # the one-dimensional kernel calls np.convolve, which is what
+        # scipy.signal.convolve(method="direct") runs for 1D inputs
+        rng = np.random.default_rng(la * 100 + lb)
+        a = rng.standard_normal(la) + 1j * rng.standard_normal(la)
+        b = rng.standard_normal(lb) + 1j * rng.standard_normal(lb)
+        assert np.array_equal(np.convolve(a, b),
+                              sig_convolve(a, b, mode="full", method="direct"))
 
 
 class TestConvolveFrames:

@@ -119,3 +119,23 @@ class TestEtdReference:
 
         src = open(oracle_mod.__file__).read()
         assert "duhamel" not in src
+        # nor the engine's batched transform kernel: direct summation only
+        assert "convolve_frames" not in src
+        assert "fft" not in src.lower()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_planned_kernel_matches_unboxed_sum(self, m, monkeypatch):
+        # the bump's support grows over the first steps, so the stages run
+        # through several plans before their patterns settle
+        import octantheat.lattice as lattice_mod
+        from test_lattice import unboxed_direct
+
+        g = make_grid(1, 4, 1 / 16)
+        v0 = make_initial_data(InitialDataSpec(InitialDataKind.OCTANT_BUMP, eps0=0.5,
+                                               width=0.5), g)
+        cfg = OracleConfig(nt_fine=17)
+        got = etd_reference_solve(v0, m, 0.5, cfg).values
+        monkeypatch.setattr(lattice_mod, "_direct", unboxed_direct)
+        ref = etd_reference_solve(v0, m, 0.5, cfg).values
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(got != 0, ref != 0)
