@@ -1,0 +1,53 @@
+"""Picard iteration of the quadratic heat flow in three dimensions.
+
+The datum is the octant bump on [1, 1.5)^3 (l1 offset eps = 3) on a 32^3
+grid over [0, 4)^3.  Each increment climbs at least eps in l1, so after
+four iterates it has left the grid, and every iterate takes the band below
+the last increment's support from the previous one bitwise: below 2 eps,
+where no product of the datum reaches, the final iterate is the free
+evolution itself.
+"""
+import time
+
+import numpy as np
+
+from octantheat import (
+    InitialDataKind,
+    InitialDataSpec,
+    Nonlinearity,
+    NonlinearityKind,
+    ProblemSpec,
+    free_trajectory,
+    make_grid,
+    make_initial_data,
+    picard_iterate,
+)
+
+grid = make_grid(3, 4, 1 / 8)
+eps0, m = 1.0, 2
+v0 = make_initial_data(
+    InitialDataSpec(InitialDataKind.OCTANT_BUMP, eps0=eps0, width=0.5), grid
+)
+spec = ProblemSpec(
+    grid=grid,
+    nonlinearity=Nonlinearity(NonlinearityKind.POWER, m=m),
+    eps0=eps0, s=-1.0, T=1.0, nt=33, jmax=4, tol=0.0,
+)
+start = time.perf_counter()
+trace = picard_iterate(spec, v0)
+wall = time.perf_counter() - start
+
+eps = grid.d * eps0  # the datum's l1 offset
+print(f"datum: bump on [{eps0}, {eps0 + 0.5})^3 on a {grid.n}^3 grid, nt = {spec.nt}")
+print(f"{'j':>3} {'supp >=':>9} {'support_min_l1':>15}")
+for j, s in enumerate(trace.support_min_l1, start=1):
+    print(f"{j:>3} {(j - 1) * (m - 1) * eps:>9.3f} {s:>15.3f}")
+    assert s >= (j - 1) * (m - 1) * eps
+print(f"wall time of the solve: {wall:.2f} s")
+
+free = spec.delta * free_trajectory(v0, spec.tgrid).values
+band = grid.l1() < m * eps - 1e-12  # no product of the datum reaches below m eps
+assert trace.final.values[:, band].tobytes() == free[:, band].tobytes(), \
+    "the settled band must equal the free evolution bitwise"
+print(f"settled band |xi|_1 < {m * eps:g}: {int(band.sum())} cells per frame "
+      "equal the free evolution bitwise")

@@ -222,7 +222,8 @@ def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     if isinstance(x, (complex, np.complexfloating)):
-        return f"{float(x.real)!r}+{float(x.imag)!r}j"
+        im = repr(float(x.imag))  # its own sign when negative, so complex() parses it
+        return f"{float(x.real)!r}{'' if im[0] == '-' else '+'}{im}j"
     return str(x)
 
 

@@ -174,11 +174,14 @@ def duhamel(G: SpaceTimeField, lambda_shift: float = 0.0) -> SpaceTimeField:
     """
     w = heat_symbol(G.grid, lambda_shift)
     dt = float(G.tgrid[1] - G.tgrid[0])
-    decay = np.exp(-dt * w)
+    decay = np.exp(-dt * w).astype(np.complex128)  # as the product would cast it
     out = np.zeros_like(G.values)
-    half = 0.5 * dt
-    for n in range(G.nt - 1):
-        out[n + 1] = decay * (out[n] + half * G.values[n]) + half * G.values[n + 1]
+    hG = (0.5 * dt) * G.values
+    # in place, frame by frame, in the recurrence's operation order
+    for prev, cur, h0, h1 in zip(out[:-1], out[1:], hG[:-1], hG[1:]):
+        np.add(prev, h0, out=cur)
+        cur *= decay
+        cur += h1
     return SpaceTimeField(G.grid, G.tgrid, out)
 
 

@@ -12,8 +12,9 @@ its support box (the cells whose products can reach [0, n)).  The boxes and
 the rule's operand masks are planned once per pair of nonzero patterns and
 reused, and the truncation warning follows the combinatorial support, not
 the values.  :func:`convolve_frames` convolves (nt, *grid) frame stacks by
-zero-padded FFTs, with the direct sum's exact zeros and its values up to FFT
-round-off.
+zero-padded FFTs over the same support boxes, taken over all frames, with the
+direct sum's exact zeros (one count convolution per distinct pair of frame
+patterns) and its values up to FFT round-off.
 
 All operations are pure functions on immutable inputs and use fixed-order
 reductions, so repeated runs are bit-identical.  A field file holds one text
@@ -262,9 +263,8 @@ def _plan(f_bits: bytes, g_bits: bytes, grid: FrequencyGrid, rule: str):
     the crop of the boxes' full convolution; the weight h^d times the rule's;
     and whether some product lands at or beyond n on an axis.
 
-    A term whose operands start at cells a and b and end at cells A and B
-    (per axis) needs f on [a, min(A + 1, n - b)) and g on [b, min(B + 1,
-    n - a)); it spills when A + B >= n and is dropped when a + b >= n.
+    A term (boxes from :func:`_extent`) spills when A + B >= n and is dropped
+    when a + b >= n.
     """
     pats = [np.unpackbits(np.frombuffer(bits, np.uint8), count=math.prod(grid.shape))
             .reshape(grid.shape).astype(bool) for bits in (f_bits, g_bits)]
@@ -273,16 +273,25 @@ def _plan(f_bits: bytes, g_bits: bytes, grid: FrequencyGrid, rule: str):
     for fm, gm in terms:
         if not (fm.any() and gm.any()):
             continue
-        (a, A), (b, B) = ((nz.min(0), nz.max(0)) for nz in map(np.argwhere, (fm, gm)))
-        spills |= bool(np.any(A + B >= n))
+        a, b, f_end, g_end, reach = _extent(fm, gm, n)
+        spills |= bool(np.any(reach >= n))
         if np.any(a + b >= n):
             continue
-        f_end, g_end = np.minimum(A + 1, n - b), np.minimum(B + 1, n - a)
         out_end = np.minimum(f_end + g_end - 1, n)
         fbox, gbox = _box(a, f_end), _box(b, g_end)
         plan.append((fbox, fm[fbox], gbox, gm[gbox], _box(a + b, out_end),
                      _box(np.zeros_like(a), out_end - a - b)))
     return plan, grid.h**grid.d * weight, spills
+
+
+def _extent(fm: np.ndarray, gm: np.ndarray, n: int):
+    """Per axis, for two nonempty nonzero masks f and g: their first nonzero
+    cells a and b; the ends of their boxes of cells whose products can land
+    in [0, n), f on [a, min(A + 1, n - b)) and g on [b, min(B + 1, n - a)),
+    with A and B their last nonzero cells; and A + B, the last cell their
+    products reach."""
+    (a, A), (b, B) = ((nz.min(0), nz.max(0)) for nz in map(np.argwhere, (fm, gm)))
+    return a, b, np.minimum(A + 1, n - b), np.minimum(B + 1, n - a), A + B
 
 
 def _box(lo: np.ndarray, hi: np.ndarray) -> tuple[slice, ...]:
@@ -359,39 +368,79 @@ def convolve_frames(
     """Frame-by-frame :func:`convolve` of two (nt, *grid.shape) stacks,
     truncated at xi_max, by zero-padded FFTs over the grid axes.
 
-    Grid axes are padded to 2n, so the cyclic convolution is the linear one
-    on [0, n).  The rule's operand pairs are summed in the frequency domain
-    and inverted once.  As in the direct sum, cells outside the
-    combinatorial support (the count convolution of the operands' nonzero
-    masks) are exact zeros; inside it the values agree with the direct sum
-    to FFT round-off.  Blocks of about 2^16 padded cells bound the working
-    memory.
+    Each operand is cut to its support box over all frames (the cells whose
+    products can reach [0, n), as in :func:`convolve`).  Each grid axis is
+    padded to ``scipy.fft.next_fast_len`` of the boxes' full convolution
+    length, so the cyclic convolution is the linear one, and only the cells
+    from a + b up are written, a and b the operands' first nonzero cells.
+    The rule's operand pairs are summed in the frequency domain and
+    inverted once.  As in the direct sum, cells outside the combinatorial
+    support (the count convolution of the operands' nonzero masks) are
+    exact zeros; inside it the values agree with the direct sum to FFT
+    round-off.  The count convolution runs once per distinct pair of frame
+    patterns.  An empty operand, or a + b >= n on an axis, gives zeros
+    without a transform.  Blocks of about 2^16 padded cells bound the
+    working memory.
+
+    The trapezoid rule's operand masks are built on the boxes.  Cropping
+    f at n - b clears one cell layer's right-neighbour mask, but that layer
+    meets only g's first layer, whose left-neighbour mask is zero (and
+    likewise with f and g swapped), so the sum is unchanged.
     """
     if a.shape != b.shape or a.shape[1:] != grid.shape:
         raise ValueError(f"frame stacks must both have shape (nt, *{grid.shape}), "
                          f"got {a.shape} and {b.shape}")
-    out = np.zeros(a.shape, dtype=np.complex128)
+    if rule not in RULES:
+        raise ValueError(f"unknown convolution rule {rule!r}")
+    n, out = grid.n, np.zeros(a.shape, dtype=np.complex128)
+    nz_a = a != 0
+    nz_b = nz_a if b is a else b != 0
+    fm, gm = nz_a.any(0), nz_b.any(0)
+    if not (fm.any() and gm.any()):
+        return out
+    lo_f, lo_g, f_end, g_end, _ = _extent(fm, gm, n)
+    start = lo_f + lo_g
+    if np.any(start >= n):
+        return out
+    # b is a gives equal boxes, so the operands stay shared
+    fbox, gbox = (slice(None), *_box(lo_f, f_end)), (slice(None), *_box(lo_g, g_end))
+    f, nf = a[fbox], nz_a[fbox]
+    g, ng = (f, nf) if b is a else (b[gbox], nz_b[gbox])
+    full = f_end - lo_f + g_end - lo_g - 1
+    pad = tuple(map(_fft.next_fast_len, full.tolist()))
     axes = tuple(range(1, grid.d + 1))
-    pad = tuple(2 * n for n in grid.shape)
-    cut = (slice(None),) + tuple(slice(0, n) for n in grid.shape)
+    keep = np.minimum(full, n - start)
+    cells = (slice(None), *_box(start, start + keep))
+    crop = (slice(None), *map(slice, keep.tolist()))
+
+    # count convolutions on one frame of each distinct pair of patterns
+    rows = [np.packbits(x.reshape(len(x), -1), axis=1)
+            for x in ((nf,) if g is f else (nf, ng))]
+    _, first, which = np.unique(np.hstack(rows), axis=0, return_index=True,
+                                return_inverse=True)
+    pf = nf[first]
+    terms, _ = _rule_terms(pf, pf if g is f else ng[first], grid.d, rule)
+    counts = _fft.irfftn(_spectrum(terms, pad, axes, _fft.rfftn), pad, axes)
+    support = counts[crop] > 0.5
+
     block = max(1, 2**16 // math.prod(pad))
-    for lo in range(0, a.shape[0], block):
-        fa = a[lo:lo + block]
-        fb = fa if b is a else b[lo:lo + block]
-        # when every frame has the same support, one frame's counts serve all
-        same = all(np.array_equal(m.any(0), m.all(0)) for m in (fa != 0, fb != 0))
-        frames = 1 if same else fa.shape[0]
-        terms, weight = _rule_terms(fa, fb, grid.d, rule)
-        ops = {id(x): x for pair in terms for x in pair}  # one FFT per operand
-        hat = {k: _fft.fftn(x, pad, axes) for k, x in ops.items()}
-        cnt = {k: _fft.rfftn(x[:frames] != 0, pad, axes) for k, x in ops.items()}
-        spec = sum(hat[id(f)] * hat[id(g)] for f, g in terms)
-        counts = sum(cnt[id(f)] * cnt[id(g)] for f, g in terms)
+    for lo in range(0, len(f), block):
+        fa = f[lo:lo + block]
+        terms, weight = _rule_terms(fa, fa if g is f else g[lo:lo + block], grid.d, rule)
+        spec = _spectrum(terms, pad, axes, _fft.fftn)
         spec *= grid.h**grid.d * weight
-        np.copyto(out[lo:lo + block],
-                  _fft.ifftn(spec, pad, axes, overwrite_x=True)[cut],
-                  where=_fft.irfftn(counts, pad, axes)[cut] > 0.5)
+        np.copyto(out[lo:lo + block][cells],
+                  _fft.ifftn(spec, pad, axes, overwrite_x=True)[crop],
+                  where=support[which[lo:lo + block]])
     return out
+
+
+def _spectrum(terms, pad: tuple[int, ...], axes: tuple[int, ...], transform):
+    """Sum over the operand pairs of their transforms' products, each distinct
+    operand transformed once."""
+    ops = {id(x): x for pair in terms for x in pair}
+    hat = {k: transform(x, pad, axes) for k, x in ops.items()}
+    return sum(hat[id(f)] * hat[id(g)] for f, g in terms)
 
 
 def convolve_power(

@@ -1,10 +1,11 @@
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from octantheat.cli import run
+from octantheat.cli import _fmt, run
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -265,6 +266,33 @@ class TestTaylorAndOracle:
         assert man["details"]["band_rel_err"] < 1e-3
         header = (out / "oracle_compare.csv").read_text().splitlines()[0]
         assert header == "xi0,t,engine,oracle,rel_err"
+
+    def test_oracle_compare_engine_cells_parse_back(self, tmp_path):
+        cfg = solve_cfg(
+            grid={"xi_max": 4, "h": 1 / 32},
+            time={"T": 1.0, "nt": 65},
+            oracle={"nt_fine": 257, "compare_band": 3.0, "tol": 1e-3},
+        )
+        out = tmp_path / "out"
+        assert run("oracle-compare", write_cfg(tmp_path, cfg), str(out)) == 0
+        with open(out / "oracle_compare.csv", newline="") as fh:
+            cells = [row["engine"] for row in csv.DictReader(fh)]
+        values = [complex(c) for c in cells]
+        assert any(np.signbit(z.imag) for z in values)  # the case that failed
+        # repr is the shortest string that reads back, so equal text is equal bits
+        assert [_fmt(z) for z in values] == cells
+
+    @pytest.mark.parametrize("z", [complex(0.1356663897392495, -2.7795092252521833e-18),
+                                   complex(1.0, -0.0), complex(-0.0, 0.0),
+                                   complex(-0.0, -0.0), complex(2.5, -5e-324),
+                                   complex(-1e300, -1e300), complex(3.0, 1e-310)])
+    def test_complex_cell_round_trip(self, z):
+        cell = _fmt(z)
+        back = complex(cell)
+        assert np.array([back]).tobytes() == np.array([z]).tobytes()
+        assert _fmt(np.complex128(z)) == cell
+        if not np.signbit(z.imag):  # unchanged bytes when the sign bit is clear
+            assert cell == f"{z.real!r}+{z.imag!r}j"
 
     def test_oracle_compare_with_shifted_semigroup(self, tmp_path):
         # the reference integrator must use the engine's shifted semigroup

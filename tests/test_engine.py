@@ -118,6 +118,26 @@ class TestDuhamel:
         out = duhamel(SpaceTimeField(g, tg, np.zeros((9, g.n), dtype=complex)))
         assert not out.values.any()
 
+    @pytest.mark.parametrize("d,xi_max,h,lam",
+                             [(1, 8, 1 / 64, 0.0), (2, 2, 1 / 8, 0.5)])
+    def test_bitwise_equal_to_loop(self, d, xi_max, h, lam):
+        def loop(G, lam):  # the recurrence with temporaries in every step
+            dt = float(G.tgrid[1] - G.tgrid[0])
+            decay = np.exp(-dt * (G.grid.euclid_sq() - lam**2))
+            half = 0.5 * dt
+            out = np.zeros_like(G.values)
+            for n in range(G.nt - 1):
+                out[n + 1] = (decay * (out[n] + half * G.values[n])
+                              + half * G.values[n + 1])
+            return out
+
+        g = make_grid(d, xi_max, h)
+        rng = np.random.default_rng(11)
+        shape = (257, *g.shape)
+        G = SpaceTimeField(g, np.linspace(0.0, 1.0, 257),
+                           rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert duhamel(G, lam).values.tobytes() == loop(G, lam).tobytes()
+
     def test_recurrence_equals_composite_trapezoid(self):
         # the one-step recurrence is algebraically the composite trapezoid
         # of the full integrand; check it against the direct O(nt^2) sum

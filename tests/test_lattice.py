@@ -16,7 +16,8 @@ from octantheat import (
     save_field,
     support_stats,
 )
-from octantheat.lattice import _rule_terms
+from octantheat import lattice
+from octantheat.lattice import RULES, _rule_terms
 
 
 def indicator(grid, lo, hi, amp=1.0):
@@ -312,6 +313,39 @@ def operand(grid, kind, rng):
     return vals * keep
 
 
+FRAME_GRIDS = {1: make_grid(1, 4, 0.25), 2: make_grid(2, 3, 0.25),
+               3: make_grid(3, 3, 0.5)}
+
+
+def kind_stack(grid, kind, rng, nt=3):
+    """Frames on one support of an :func:`operand` kind, values drawn per frame."""
+    keep = operand(grid, kind, rng) != 0
+    shape = (nt, *grid.shape)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * keep
+
+
+def picard_like_stack(grid, rng, nt=6):
+    """Frames on one sparse support but frame 0, which keeps only the cells of
+    l1 index below d n / 2 (and differs from the others)."""
+    while True:
+        a = kind_stack(grid, "sparse", rng, nt)
+        low = a[0] * (np.indices(grid.shape).sum(axis=0) < grid.d * grid.n // 2)
+        if low.any() and (low != 0).sum() < (a[0] != 0).sum():
+            a[0] = low
+            return a
+
+
+def check_frames(a, b, grid, rule):
+    """convolve_frames against direct_frames: the 1e-12 * max bound and equal
+    nonzero patterns; a self-convolution also against an equal copy."""
+    ref = direct_frames(a, b, grid, rule)
+    got = convolve_frames(a, b, grid, rule)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(got != 0, ref != 0)
+    if b is a:
+        assert np.array_equal(convolve_frames(a, a.copy(), grid, rule), got)
+
+
 class TestPlannedKernel:
     @settings(max_examples=150, deadline=None)
     @given(frame_grids, st.sampled_from(OPERANDS), st.sampled_from(OPERANDS),
@@ -390,8 +424,9 @@ class TestConvolveFrames:
             assert out.shape == b.shape and not out.any()
 
     def test_frames_in_several_blocks(self):
-        # 64^2 cells pad to 128^2, so the kernel takes four frames per block:
-        # five frames with different supports span two blocks
+        # both supports span the 64^2 grid, so each axis pads to
+        # next_fast_len(127) = 128 and the kernel takes four frames per
+        # block: five frames with different supports span two blocks
         g = make_grid(2, 2, 1 / 32)
         rng = np.random.default_rng(3)
         a = sparse_stack(g, 5, rng, 0.05, False)
@@ -406,6 +441,72 @@ class TestConvolveFrames:
             got = convolve_frames(a, b, g, rule)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
             assert np.array_equal(got != 0, ref != 0)
+
+    KIND_PAIRS = [("far-corner", "sparse"), ("far-corner", "far-corner"),
+                  ("one-cell", "one-cell"), ("one-cell", "sparse"),
+                  ("escaping", "escaping")]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("kinds", KIND_PAIRS)
+    def test_support_boxes(self, d, rule, kinds):
+        g = FRAME_GRIDS[d]
+        rng = np.random.default_rng(d)
+        for _ in range(6):
+            a, b = (kind_stack(g, kind, rng) for kind in kinds)
+            check_frames(a, b, g, rule)
+            if kinds == ("escaping", "escaping"):  # a + b >= n on the first axis
+                assert not convolve_frames(a, b, g, rule).any()
+
+    @pytest.mark.parametrize("kinds", [("escaping", "escaping"), ("zero", "sparse")])
+    def test_zeros_without_a_transform(self, monkeypatch, kinds):
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transformed an operand that cannot reach [0, n)")
+
+        for name in ("fftn", "rfftn"):
+            monkeypatch.setattr(lattice._fft, name, no_transform)
+        g = FRAME_GRIDS[2]
+        a, b = (kind_stack(g, kind, np.random.default_rng(4)) for kind in kinds)
+        for rule in RULES:
+            assert not convolve_frames(a, b, g, rule).any()
+            assert not convolve_frames(b, a, g, rule).any()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rule", RULES)
+    def test_first_frame_pattern_differs(self, d, rule):
+        # as in Picard: frame 0 holds the datum, the later frames a wider
+        # support; the other operand's frames differ alike or share one support
+        g = FRAME_GRIDS[d]
+        rng = np.random.default_rng(10 + d)
+        for _ in range(3):
+            a = picard_like_stack(g, rng)
+            check_frames(a, a, g, rule)
+            for b in (picard_like_stack(g, rng), kind_stack(g, "sparse", rng, nt=6)):
+                check_frames(a, b, g, rule)
+                check_frames(b, a, g, rule)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("rule", RULES)
+    def test_one_count_convolution_per_pattern_pair(self, monkeypatch, d, rule):
+        g = FRAME_GRIDS[d]
+        rng = np.random.default_rng(20 + d)
+        a, b = (picard_like_stack(g, rng) for _ in range(2))
+        frames = []
+        rfftn = lattice._fft.rfftn
+
+        def counting(x, *args, **kwargs):
+            frames.append(x.shape[0])
+            return rfftn(x, *args, **kwargs)
+
+        monkeypatch.setattr(lattice._fft, "rfftn", counting)
+        for other in (a, b):
+            frames.clear()
+            convolve_frames(a, other, g, rule)
+            # two pattern pairs, frame 0's and the later frames', and one
+            # transform per distinct operand of the rule's terms
+            operands = (1 if other is a else 2) * (2**d if rule == "trapezoid" else 1)
+            assert frames == [2] * operands
+            check_frames(a, other, g, rule)
 
     def test_rejects_bad_input(self):
         g = make_grid(1, 2, 0.5)
