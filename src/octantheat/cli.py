@@ -50,7 +50,7 @@ class ConfigError(ValueError):
 PROBLEM_KEYS = {"epsilon0": "eps0", "s": "s", "delta": "delta",
                 "lambda_shift": "lambda_shift", "conv_rule": "conv_rule"}
 # top-level keys over all commands, so one config serves solve and taylor
-TOP_KEYS = (*PROBLEM_KEYS, "d", "sigma", "band_K", "field_file", "grid", "time",
+TOP_KEYS = (*PROBLEM_KEYS, "d", "band_K", "field_file", "grid", "time",
             "iterate", "nonlinearity", "initial_data", "output", "norms", "probe",
             "oracle")
 PROBE_KEYS = ("kind", "params", "n_samples", "T", "nt")
@@ -163,8 +163,7 @@ def _time(cfg: dict) -> dict:
 
 def _build_datum(cfg: dict, grid):
     """The datum: ``kind`` picks a sampler in ``DATA_KINDS``, whose keyword
-    parameters are the section's other keys; the top-level s and sigma are
-    defaults for the kinds that take them."""
+    parameters are the section's other keys."""
     section = _need(cfg, "initial_data")
     if not isinstance(section, dict):
         raise ConfigError("initial_data must be a JSON object")
@@ -173,9 +172,7 @@ def _build_datum(cfg: dict, grid):
     sampler = DATA_KINDS[kind]
     keys = tuple(inspect.signature(sampler).parameters)[1:]  # all but the grid
     _check_keys(section, f"initial_data of kind {kind.value}", ("kind", *keys))
-    top = {k: _coerce(float, cfg[k], f"config.{k}") for k in ("s", "sigma") if k in cfg}
-    params = {**_pick(top, keys), **_fields(sampler, _pick(section, keys),
-                                            "initial_data", keys)}
+    params = _fields(sampler, _pick(section, keys), "initial_data", keys)
     return _call(make_initial_data, InitialDataSpec(kind, **params), grid)
 
 

@@ -123,7 +123,6 @@ class IterationTrace:
     errors: list[float]
     converged: bool
     truncation_sensitivity: float | None = None
-    truncation_partner: SpaceTimeField | None = None  # kept when above tol
 
     @property
     def final(self) -> SpaceTimeField:
@@ -349,10 +348,9 @@ def exp_picard_iterate(
         sens = weighted_l1_seq_norm(trace.final - hi.final, spec.s)
         trace.truncation_sensitivity = sens
         if sens > spec.tol:
-            trace.truncation_partner = hi.final
             warnings.warn(
                 f"exponential-series truncation sensitivity {sens:.3e} exceeds "
-                f"tol {spec.tol:.3e}; both final iterates are kept on the trace",
+                f"tol {spec.tol:.3e}; the series order M = {M} is too low for that tol",
                 RuntimeWarning,
                 stacklevel=2,
             )

@@ -7,14 +7,13 @@ unit cube is an integer, so the unit-cube projections form an exact
 partition of every field.  Discrete convolution has a Riemann weight h^d
 per pairwise convolution; an optional run-aware trapezoid weighting raises
 the quadrature order for data that are smooth within their support.
-:func:`convolve` and :func:`convolve_power` sum directly, each operand over
-its support box (the cells whose products can reach [0, n)).  The boxes and
-the rule's operand masks are planned once per pair of nonzero patterns and
-reused, and the truncation warning follows the combinatorial support, not
-the values.  :func:`convolve_frames` convolves (nt, *grid) frame stacks by
-zero-padded FFTs over the same support boxes, taken over all frames, with the
-direct sum's exact zeros (one count convolution per distinct pair of frame
-patterns) and its values up to FFT round-off.
+:func:`convolve` and :func:`convolve_power` sum directly, and
+:func:`convolve_frames` convolves (nt, *grid) frame stacks by zero-padded
+FFTs.  Both kernels take from one plan per pair of nonzero patterns each
+operand's support box (the cells whose products can reach [0, n)) and the
+rule's operand masks.  The FFT kernel keeps the direct sum's exact zeros (a
+count convolution kept with the plan) and its values up to FFT round-off;
+the truncation warning follows the combinatorial support, not the values.
 
 All operations are pure functions on immutable inputs and use fixed-order
 reductions, so repeated runs are bit-identical.  A field file holds one text
@@ -224,9 +223,9 @@ def _shifted_nonzero(mask: np.ndarray, axis: int, step: int) -> np.ndarray:
     return out
 
 
-def _rule_terms(f: np.ndarray, g: np.ndarray, d: int, rule: str):
-    """Operand pairs whose plain convolutions over the last ``d`` axes sum
-    to the rule's convolution, and the weight of that sum in units of h^d.
+def _rule_terms(f: np.ndarray, g: np.ndarray, rule: str):
+    """Operand pairs whose plain convolutions sum to the rule's
+    convolution, and the weight of that sum in units of h^d.
 
     The trapezoid rule has one pair per sign pattern: along every axis a
     product keeps its half weight only where the f factor's neighbor on one
@@ -241,57 +240,80 @@ def _rule_terms(f: np.ndarray, g: np.ndarray, d: int, rule: str):
     def masked(x: np.ndarray) -> list[np.ndarray]:
         nonzero = x != 0
         out = []
-        for signs in itertools.product((1, -1), repeat=d):
+        for signs in itertools.product((1, -1), repeat=x.ndim):
             keep = True
-            for axis, s in enumerate(signs, start=x.ndim - d):
+            for axis, s in enumerate(signs):
                 keep = keep & _shifted_nonzero(nonzero, axis, s)
             out.append(x * keep)
         return out
 
     fm = masked(f)
-    return list(zip(fm, reversed(fm if g is f else masked(g)))), 1.0 / 2**d
+    return list(zip(fm, reversed(fm if g is f else masked(g)))), 1.0 / 2**f.ndim
 
 
 _SPILL = "convolution support reaches xi_max; band of validity shrinks"
 
 
-@functools.lru_cache(maxsize=16)
-def _plan(f_bits: bytes, g_bits: bytes, grid: FrequencyGrid, rule: str):
-    """The direct kernel's plan for one pair of nonzero patterns (each packed
-    by ``np.packbits``): per rule term, the boxes of f and g whose products
-    can land in [0, n) with the operand masks on them, the output slice and
-    the crop of the boxes' full convolution; the weight h^d times the rule's;
-    and whether some product lands at or beyond n on an axis.
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """How one pair of nonzero patterns f, g convolves under a rule.
 
-    A term (boxes from :func:`_extent`) spills when A + B >= n and is dropped
-    when a + b >= n.
+    Per axis, with a, b the patterns' first and A, B their last nonzero
+    cells, only f on [a, min(A + 1, n - b)) and g on [b, min(B + 1, n - a))
+    have products that land in [0, n).  ``terms`` holds the rule's operand
+    masks, computed on the whole patterns and cut to those boxes; ``cells``
+    is the output from a + b up and ``crop`` the part of the boxes' full
+    convolution that lands there; ``pad`` is ``scipy.fft.next_fast_len`` of
+    that convolution's length per axis, so that a cyclic convolution of
+    that length is the linear one.  ``scale`` is h^d times the rule's
+    weight, and ``spills`` whether some product of a term lands at or beyond
+    n on an axis.  There are no terms when a pattern is empty or a + b >= n
+    on an axis.
     """
-    pats = [np.unpackbits(np.frombuffer(bits, np.uint8), count=math.prod(grid.shape))
-            .reshape(grid.shape).astype(bool) for bits in (f_bits, g_bits)]
-    terms, weight = _rule_terms(*pats, grid.d, rule)
-    n, plan, spills = grid.n, [], False
-    for fm, gm in terms:
-        if not (fm.any() and gm.any()):
-            continue
-        a, b, f_end, g_end, reach = _extent(fm, gm, n)
-        spills |= bool(np.any(reach >= n))
-        if np.any(a + b >= n):
-            continue
-        out_end = np.minimum(f_end + g_end - 1, n)
-        fbox, gbox = _box(a, f_end), _box(b, g_end)
-        plan.append((fbox, fm[fbox], gbox, gm[gbox], _box(a + b, out_end),
-                     _box(np.zeros_like(a), out_end - a - b)))
-    return plan, grid.h**grid.d * weight, spills
+
+    spills: bool
+    terms: tuple = ()
+    fbox: tuple[slice, ...] = ()
+    gbox: tuple[slice, ...] = ()
+    cells: tuple[slice, ...] = ()
+    crop: tuple[slice, ...] = ()
+    pad: tuple[int, ...] = ()
+    scale: float = 1.0
+
+    @functools.cached_property
+    def support(self) -> np.ndarray:
+        """Which ``crop`` cells some product reaches (the count convolution
+        of the masks), where the direct sum may be nonzero."""
+        # one object for both operands, so that equal masks share a transform
+        spec = _spectrum(self.terms, True, True, self.pad, _fft.rfftn)
+        return _fft.irfftn(spec, self.pad)[self.crop] > 0.5
 
 
-def _extent(fm: np.ndarray, gm: np.ndarray, n: int):
-    """Per axis, for two nonempty nonzero masks f and g: their first nonzero
-    cells a and b; the ends of their boxes of cells whose products can land
-    in [0, n), f on [a, min(A + 1, n - b)) and g on [b, min(B + 1, n - a)),
-    with A and B their last nonzero cells; and A + B, the last cell their
-    products reach."""
-    (a, A), (b, B) = ((nz.min(0), nz.max(0)) for nz in map(np.argwhere, (fm, gm)))
-    return a, b, np.minimum(A + 1, n - b), np.minimum(B + 1, n - a), A + B
+@functools.lru_cache(maxsize=16)
+def _plan(f_bits: bytes, g_bits: bytes, grid: FrequencyGrid, rule: str) -> _Plan:
+    """The :class:`_Plan` of two nonzero patterns, each packed by
+    ``np.packbits``; equal patterns share their masks."""
+    f, g = (np.unpackbits(np.frombuffer(bits, np.uint8), count=math.prod(grid.shape))
+            .reshape(grid.shape).astype(bool) for bits in (f_bits, g_bits))
+    terms, weight = _rule_terms(f, f if g_bits == f_bits else g, rule)
+    terms = [(fm, gm) for fm, gm in terms if fm.any() and gm.any()]
+    n = grid.n
+    spills = any(np.any(np.argwhere(fm).max(0) + np.argwhere(gm).max(0) >= n)
+                 for fm, gm in terms)
+    if not terms:
+        return _Plan(spills)
+    (a, A), (b, B) = ((nz.min(0), nz.max(0)) for nz in map(np.argwhere, (f, g)))
+    if np.any(a + b >= n):
+        return _Plan(spills)
+    f_end, g_end = np.minimum(A + 1, n - b), np.minimum(B + 1, n - a)
+    fbox, gbox = _box(a, f_end), _box(b, g_end)
+    cut = {}  # each mask cut once, so that equal patterns keep sharing masks
+    terms = tuple((cut.setdefault(id(fm), fm[fbox]), cut.setdefault(id(gm), gm[gbox]))
+                  for fm, gm in terms)
+    out_end = np.minimum(f_end + g_end - 1, n)
+    pad = tuple(map(_fft.next_fast_len, (f_end - a + g_end - b - 1).tolist()))
+    return _Plan(spills, terms, fbox, gbox, _box(a + b, out_end),
+                 _box(np.zeros_like(a), out_end - a - b), pad, grid.h**grid.d * weight)
 
 
 def _box(lo: np.ndarray, hi: np.ndarray) -> tuple[slice, ...]:
@@ -303,21 +325,20 @@ def _direct(f: np.ndarray, g: np.ndarray, grid: FrequencyGrid, rule: str):
     """The direct convolution sum of two value arrays under ``rule``,
     truncated at xi_max, and whether it spills past xi_max.
 
-    Only the products inside each term's planned box are formed.  For d = 1
-    this is the ``np.convolve`` call ``scipy.signal.convolve(method="direct")``
+    Only the products inside the plan's boxes are formed.  For d = 1 this
+    is the ``np.convolve`` call ``scipy.signal.convolve(method="direct")``
     makes for one-dimensional inputs.
     """
     bits = np.packbits(f != 0).tobytes()
-    plan, scale, spills = _plan(bits, bits if g is f else np.packbits(g != 0).tobytes(),
-                                grid, rule)
+    p = _plan(bits, bits if g is f else np.packbits(g != 0).tobytes(), grid, rule)
     out = np.zeros(grid.shape, dtype=np.complex128)
-    for fbox, fmask, gbox, gmask, cells, crop in plan:
-        fm, gm = f[fbox] * fmask, g[gbox] * gmask
-        full = (np.convolve(fm, gm) if grid.d == 1
-                else _sig_convolve(fm, gm, mode="full", method="direct"))
-        out[cells] += full[crop]
-    out *= scale
-    return out, spills
+    fb, gb = f[p.fbox], g[p.gbox]
+    for fm, gm in p.terms:
+        full = (np.convolve(fb * fm, gb * gm) if grid.d == 1
+                else _sig_convolve(fb * fm, gb * gm, mode="full", method="direct"))
+        out[p.cells] += full[p.crop]
+    out *= p.scale
+    return out, p.spills
 
 
 def _direct_power(v: np.ndarray, m: int, grid: FrequencyGrid, rule: str):
@@ -368,79 +389,53 @@ def convolve_frames(
     """Frame-by-frame :func:`convolve` of two (nt, *grid.shape) stacks,
     truncated at xi_max, by zero-padded FFTs over the grid axes.
 
-    Each operand is cut to its support box over all frames (the cells whose
-    products can reach [0, n), as in :func:`convolve`).  Each grid axis is
-    padded to ``scipy.fft.next_fast_len`` of the boxes' full convolution
-    length, so the cyclic convolution is the linear one, and only the cells
-    from a + b up are written, a and b the operands' first nonzero cells.
-    The rule's operand pairs are summed in the frequency domain and
-    inverted once.  As in the direct sum, cells outside the combinatorial
-    support (the count convolution of the operands' nonzero masks) are
-    exact zeros; inside it the values agree with the direct sum to FFT
-    round-off.  The count convolution runs once per distinct pair of frame
-    patterns.  An empty operand, or a + b >= n on an axis, gives zeros
-    without a transform.  Blocks of about 2^16 padded cells bound the
-    working memory.
-
-    The trapezoid rule's operand masks are built on the boxes.  Cropping
-    f at n - b clears one cell layer's right-neighbour mask, but that layer
-    meets only g's first layer, whose left-neighbour mask is zero (and
-    likewise with f and g swapped), so the sum is unchanged.
+    Frames are grouped by their pair of nonzero patterns, and each group
+    runs through the plan :func:`convolve` uses for that pair: each operand
+    is cut to its support box (the cells whose products can reach [0, n))
+    and masked by the rule, each axis is padded to ``scipy.fft.next_fast_len``
+    of the boxes' full convolution length, the rule's terms are summed in
+    the frequency domain and inverted once, and only cells from a + b up
+    are written (a, b the patterns' first nonzero cells).  Cells outside
+    the combinatorial support, a count convolution of the masks kept with
+    the plan, are exact zeros as in the direct sum; inside it the values
+    agree with the direct sum to FFT round-off.  An empty operand, or
+    a + b >= n on an axis, gives zeros without a transform.  Blocks of
+    about 2^16 padded cells bound the working memory.
     """
     if a.shape != b.shape or a.shape[1:] != grid.shape:
         raise ValueError(f"frame stacks must both have shape (nt, *{grid.shape}), "
                          f"got {a.shape} and {b.shape}")
     if rule not in RULES:
         raise ValueError(f"unknown convolution rule {rule!r}")
-    n, out = grid.n, np.zeros(a.shape, dtype=np.complex128)
-    nz_a = a != 0
-    nz_b = nz_a if b is a else b != 0
-    fm, gm = nz_a.any(0), nz_b.any(0)
-    if not (fm.any() and gm.any()):
-        return out
-    lo_f, lo_g, f_end, g_end, _ = _extent(fm, gm, n)
-    start = lo_f + lo_g
-    if np.any(start >= n):
-        return out
-    # b is a gives equal boxes, so the operands stay shared
-    fbox, gbox = (slice(None), *_box(lo_f, f_end)), (slice(None), *_box(lo_g, g_end))
-    f, nf = a[fbox], nz_a[fbox]
-    g, ng = (f, nf) if b is a else (b[gbox], nz_b[gbox])
-    full = f_end - lo_f + g_end - lo_g - 1
-    pad = tuple(map(_fft.next_fast_len, full.tolist()))
-    axes = tuple(range(1, grid.d + 1))
-    keep = np.minimum(full, n - start)
-    cells = (slice(None), *_box(start, start + keep))
-    crop = (slice(None), *map(slice, keep.tolist()))
-
-    # count convolutions on one frame of each distinct pair of patterns
-    rows = [np.packbits(x.reshape(len(x), -1), axis=1)
-            for x in ((nf,) if g is f else (nf, ng))]
-    _, first, which = np.unique(np.hstack(rows), axis=0, return_index=True,
-                                return_inverse=True)
-    pf = nf[first]
-    terms, _ = _rule_terms(pf, pf if g is f else ng[first], grid.d, rule)
-    counts = _fft.irfftn(_spectrum(terms, pad, axes, _fft.rfftn), pad, axes)
-    support = counts[crop] > 0.5
-
-    block = max(1, 2**16 // math.prod(pad))
-    for lo in range(0, len(f), block):
-        fa = f[lo:lo + block]
-        terms, weight = _rule_terms(fa, fa if g is f else g[lo:lo + block], grid.d, rule)
-        spec = _spectrum(terms, pad, axes, _fft.fftn)
-        spec *= grid.h**grid.d * weight
-        np.copyto(out[lo:lo + block][cells],
-                  _fft.ifftn(spec, pad, axes, overwrite_x=True)[crop],
-                  where=support[which[lo:lo + block]])
+    out = np.zeros(a.shape, dtype=np.complex128)
+    bits = [[row.tobytes() for row in np.packbits(x.reshape(len(x), -1) != 0, axis=1)]
+            for x in ((a,) if b is a else (a, b))]
+    groups: dict[tuple[bytes, bytes], list[int]] = {}
+    for t, pair in enumerate(zip(bits[0], bits[-1])):
+        groups.setdefault(pair, []).append(t)
+    for pair, frames in groups.items():
+        p = _plan(*pair, grid, rule)
+        if not p.terms:
+            continue
+        block = max(1, 2**16 // math.prod(p.pad))
+        for lo in range(0, len(frames), block):
+            t = frames[lo:lo + block]
+            f = a[(t, *p.fbox)]
+            g = f if b is a else b[(t, *p.gbox)]  # b is a shares the transforms
+            spec = _spectrum(p.terms, f, g, p.pad, _fft.fftn)
+            spec *= p.scale
+            vals = _fft.ifftn(spec, p.pad, overwrite_x=True)[(..., *p.crop)]
+            out[(t, *p.cells)] = np.where(p.support, vals, 0.0)
     return out
 
 
-def _spectrum(terms, pad: tuple[int, ...], axes: tuple[int, ...], transform):
-    """Sum over the operand pairs of their transforms' products, each distinct
-    operand transformed once."""
-    ops = {id(x): x for pair in terms for x in pair}
-    hat = {k: transform(x, pad, axes) for k, x in ops.items()}
-    return sum(hat[id(f)] * hat[id(g)] for f, g in terms)
+def _spectrum(terms, f, g, pad: tuple[int, ...], transform):
+    """Sum over the mask pairs (fm, gm) of the transforms' products of
+    f * fm and g * gm over the last len(pad) axes, padded to ``pad``; each
+    distinct operand is transformed once."""
+    ops = {(id(x), id(m)): (x, m) for pair in terms for x, m in zip((f, g), pair)}
+    hat = {key: transform(x * m, pad) for key, (x, m) in ops.items()}
+    return sum(hat[id(f), id(fm)] * hat[id(g), id(gm)] for fm, gm in terms)
 
 
 def convolve_power(

@@ -20,7 +20,6 @@ def solve_cfg(**over):
         "nonlinearity": {"type": "POWER", "m": 2},
         "epsilon0": 1.0,
         "s": -1.0,
-        "sigma": 0.0,
         "delta": 1.0,
         "grid": {"xi_max": 4, "h": 1 / 16},
         "time": {"T": 1.0, "nt": 33},
@@ -448,14 +447,12 @@ class TestStrictConfig:
         row = (out / "norms.csv").read_text().splitlines()[1].split(",")
         assert row[3] == "inf" and np.isfinite(float(row[5]))
 
-    def test_top_level_sigma_is_datum_default(self, tmp_path):
-        # INFLATION_BUMP's amplitude is N^(-sigma - d/2)
+    def test_top_level_sigma_is_rejected(self, tmp_path):
+        # datum parameters are set only in initial_data: a top-level sigma
+        # is an unknown key
         cfg = {"d": 1, "grid": {"xi_max": 16, "h": 0.5}, "sigma": 1.0,
                "initial_data": {"kind": "INFLATION_BUMP", "scale_n": 4},
                "norms": [{"flavor": "HSIGMA"}]}
-        own = {**cfg, "sigma": 0.0,
-               "initial_data": {**cfg["initial_data"], "sigma": 1.0}}
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert run("norms", write_cfg(tmp_path, cfg, "a.json"), str(a)) == 0
-        assert run("norms", write_cfg(tmp_path, own, "b.json"), str(b)) == 0
-        assert (a / "norms.csv").read_bytes() == (b / "norms.csv").read_bytes()
+        out = tmp_path / "out"
+        assert run("norms", write_cfg(tmp_path, cfg), str(out)) == 2
+        assert "'sigma'" in manifest(out)["error"]

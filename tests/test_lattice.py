@@ -278,7 +278,7 @@ def unboxed_direct(f, g, grid, rule):
     rule term convolved over the whole grid by scipy's direct method and
     truncated to [0, n), and whether the terms' combinatorial support (their
     count convolution) reaches past n."""
-    terms, weight = _rule_terms(f, g, grid.d, rule)
+    terms, weight = _rule_terms(f, g, rule)
     full = np.zeros(tuple(2 * n - 1 for n in grid.shape), dtype=np.complex128)
     counts = np.zeros(full.shape)
     for fm, gm in terms:
@@ -491,22 +491,40 @@ class TestConvolveFrames:
         g = FRAME_GRIDS[d]
         rng = np.random.default_rng(20 + d)
         a, b = (picard_like_stack(g, rng) for _ in range(2))
-        frames = []
+        counted = []
         rfftn = lattice._fft.rfftn
 
         def counting(x, *args, **kwargs):
-            frames.append(x.shape[0])
+            counted.append(x.shape)
             return rfftn(x, *args, **kwargs)
 
         monkeypatch.setattr(lattice._fft, "rfftn", counting)
+        lattice._plan.cache_clear()
         for other in (a, b):
-            frames.clear()
+            counted.clear()
             convolve_frames(a, other, g, rule)
             # two pattern pairs, frame 0's and the later frames', and one
-            # transform per distinct operand of the rule's terms
-            operands = (1 if other is a else 2) * (2**d if rule == "trapezoid" else 1)
-            assert frames == [2] * operands
+            # count transform per distinct mask of each pair's terms: two
+            # per term, one when equal patterns share their masks
+            pairs = {tuple(np.packbits(x != 0).tobytes() for x in frames)
+                     for frames in zip(a, other)}
+            terms = [len(lattice._plan(*pair, g, rule).terms) for pair in pairs]
+            assert len(pairs) == 2 and sum(terms) > 0
+            assert len(counted) == (1 if other is a else 2) * sum(terms)
+            # a repeat call finds the counts with the plans
+            counted.clear()
             check_frames(a, other, g, rule)
+            assert counted == []
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_direct_and_fft_kernels_share_a_plan(self, rule):
+        g = FRAME_GRIDS[2]
+        rng = np.random.default_rng(30)
+        f, h = (FrequencyField(g, operand(g, "sparse", rng)) for _ in range(2))
+        lattice._plan.cache_clear()
+        convolve(f, h, rule, warn_on_truncation=False)
+        convolve_frames(f.values[None], h.values[None], g, rule)
+        assert lattice._plan.cache_info().misses == 1
 
     def test_rejects_bad_input(self):
         g = make_grid(1, 2, 0.5)

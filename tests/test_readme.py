@@ -26,10 +26,6 @@ def test_minimal_solve_block_runs():
 @pytest.mark.parametrize("command", ["solve", "taylor"])
 def test_json_config_runs(tmp_path, command):
     (text,) = blocks("json")
-    cfg = json.loads(text)
-    # the config sets a top-level sigma, a datum default only for kinds that
-    # take one: EXP_HALFLINE does not, so it must not reach the datum
-    assert "sigma" in cfg and cfg["initial_data"] == {"kind": "EXP_HALFLINE"}
     path = tmp_path / "cfg.json"
     path.write_text(text)
     out = tmp_path / "out"
