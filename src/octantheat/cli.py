@@ -176,12 +176,23 @@ def _build_datum(cfg: dict, grid):
     return _call(make_initial_data, InitialDataSpec(kind, **params), grid)
 
 
+def _build_nonlinearity(cfg: dict) -> Nonlinearity:
+    """The nonlinearity: ``type`` picks the kind, which takes only its own
+    parameter, ``m`` for POWER and ``M`` for EXPONENTIAL."""
+    section = _check_keys(_need(cfg, "nonlinearity"), "nonlinearity",
+                          ("type", "m", "M"))
+    kind = _coerce(NonlinearityKind, _need(section, "type", "nonlinearity"),
+                   "nonlinearity.type")
+    own = {"m": "m"} if kind is NonlinearityKind.POWER else {"M": "taylor_order"}
+    _check_keys(section, f"nonlinearity of type {kind.value}", ("type", *own))
+    return _read(Nonlinearity, section, "nonlinearity", {"type": "kind", **own})
+
+
 def _build_problem(cfg: dict, refine: bool) -> tuple[ProblemSpec, FrequencyField]:
     grid, t = _build_grid(cfg), _time(cfg)
     if refine:
         grid, t["nt"] = _refine(grid, t["nt"])
-    nl = _read(Nonlinearity, _need(cfg, "nonlinearity"), "nonlinearity",
-               {"type": "kind", "m": "m", "M": "taylor_order"})
+    nl = _build_nonlinearity(cfg)
     spec = _read(ProblemSpec, _pick(cfg, PROBLEM_KEYS), "config", PROBLEM_KEYS,
                  grid=grid, nonlinearity=nl, eps0=1.0, **t,
                  **_fields(ProblemSpec, cfg.get("iterate", {}), "iterate",

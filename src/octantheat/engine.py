@@ -1,17 +1,19 @@
-"""Fourier-side Duhamel/Picard iteration, the band-exact Taylor-coefficient
-recursion, and the exponential-nonlinearity variant with a shifted
-semigroup.
+"""Fourier-side Duhamel/Picard iteration for u^m and for the truncated
+e^u - 1 (with a shifted semigroup), and the band-exact Taylor-coefficient
+recursion.
 
 Everything happens on the frequency grid: the heat semigroup is the
-pointwise multiplier exp(-t(|xi|_2^2 - lam^2)), the power nonlinearity is
-an m-fold discrete convolution per time node (all nodes in one batched
-FFT kernel), and Duhamel integrals are cumulative trapezoid sums evaluated
-by an exact one-step recurrence.  Because octant supports only move upward
-and each nonlinear application adds at least (m-1) copies of the datum's
-support offset, every iterate is exact on a growing low-frequency band.
-The Picard loop copies that band from the previous iterate, so it stays
-bitwise fixed under FFT round-off, and on a finite grid the iteration
-terminates exactly once the band covers the grid.
+pointwise multiplier exp(-t(|xi|_2^2 - lam^2)), and Duhamel integrals are
+cumulative trapezoid sums evaluated by an exact one-step recurrence.  One
+Picard loop drives both flows.  The nonlinearity gives its integrand from
+the convolution powers v^{*2}, ..., v^{*M} per time node (all nodes in one
+batched FFT kernel): v^{*m} for u^m, lam^2 sum_r v^{*r} / r! for e^u.
+Because octant supports only move upward and each nonlinear application
+adds at least (m-1) copies of the datum's support offset (one for e^u),
+every iterate is exact on a growing low-frequency band.  The Picard loop
+copies that band from the previous iterate, so it stays bitwise fixed
+under FFT round-off, and on a finite grid the iteration terminates exactly
+once the band covers the grid.
 
 Iterations are sequential in j; per-node work uses fixed-order
 reductions, so runs are bit-identical.
@@ -62,16 +64,25 @@ class NonlinearityKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Nonlinearity:
+    """u^m (POWER: ``m``, default 2) or e^u - 1 truncated at order M
+    (EXPONENTIAL: ``taylor_order``, default 12); each kind takes only its own."""
+
     kind: NonlinearityKind
-    m: int = 2           # power for POWER
-    taylor_order: int = 12  # truncation order M for EXPONENTIAL
+    m: int | None = None
+    taylor_order: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", NonlinearityKind(self.kind))
-        if self.kind is NonlinearityKind.POWER and self.m < 2:
-            raise ValueError("power nonlinearity needs m >= 2")
-        if self.kind is NonlinearityKind.EXPONENTIAL and self.taylor_order < 2:
-            raise ValueError("exponential nonlinearity needs taylor_order >= 2")
+        kind = NonlinearityKind(self.kind)
+        power = kind is NonlinearityKind.POWER
+        own, other = ("m", "taylor_order") if power else ("taylor_order", "m")
+        if getattr(self, other) is not None:
+            raise ValueError(f"{other} is not a parameter of the {kind.value} "
+                             "nonlinearity")
+        if getattr(self, own) is None:
+            object.__setattr__(self, own, 2 if power else 12)
+        if getattr(self, own) < 2:
+            raise ValueError(f"{kind.value.lower()} nonlinearity needs {own} >= 2")
+        object.__setattr__(self, "kind", kind)
 
 
 @dataclass(frozen=True)
@@ -184,18 +195,6 @@ def duhamel(G: SpaceTimeField, lambda_shift: float = 0.0) -> SpaceTimeField:
     return SpaceTimeField(G.grid, G.tgrid, out)
 
 
-def _conv_power_frames(
-    v: np.ndarray, m: int, grid: FrequencyGrid, rule: str
-) -> list[np.ndarray]:
-    """[v^{*2}, ..., v^{*m}] per frame (stagewise, truncated at xi_max)."""
-    powers = []
-    acc = v
-    for _ in range(m - 1):
-        acc = convolve_frames(acc, v, grid, rule)
-        powers.append(acc)
-    return powers
-
-
 def _gate(spec: ProblemSpec, v0: FrequencyField, min_linf: float) -> None:
     if not isinstance(v0, FrequencyField):
         raise GateError(
@@ -214,27 +213,21 @@ def _gate(spec: ProblemSpec, v0: FrequencyField, min_linf: float) -> None:
         )
 
 
-def _support_min_l1(diff: np.ndarray, grid: FrequencyGrid) -> float:
-    mask = np.any(diff != 0, axis=0)
-    if not mask.any():
-        return math.inf
-    return float(grid.l1()[mask].min())
+def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace:
+    """The Picard loop v^{j+1} = delta e^{-t w} v0 + Duhamel(N(v^j)), v^0 = 0.
 
-
-def _run_picard(
-    spec: ProblemSpec,
-    v0: FrequencyField,
-    nonlin,
-    lambda_shift: float,
-    band_step: int,
-) -> IterationTrace:
-    """Shared Picard loop.  v^{j+1} - v^j vanishes on |xi|_1 <
-    (j band_step + 1) eps, eps the datum's l1 offset and band_step = m - 1
-    (1 for e^u), so v^{j+1} takes that band from v^j.  Counting it in cell
-    indices keeps it exact, so the run ends once the band covers the grid."""
-    tgrid = spec.tgrid
-    grid = spec.grid
-    free_vals = spec.delta * free_trajectory(v0, tgrid, lambda_shift).values
+    The spec's nonlinearity gives N from the stages v^{*2}, ..., v^{*M}
+    (M - 1 batched convolutions per iterate): N(v) = v^{*M} for u^m
+    (M = m), lam^2 sum_{r=2}^M v^{*r} / r! for e^u truncated at order M.
+    v^{j+1} - v^j vanishes on |xi|_1 < (j band_step + 1) eps, eps the
+    datum's l1 offset and band_step = M - 1 (1 for e^u), so v^{j+1} takes
+    that band from v^j.  Counting it in cell indices keeps it exact, so the
+    run ends once the band covers the grid."""
+    exponential = spec.nonlinearity.kind is NonlinearityKind.EXPONENTIAL
+    band_step = 1 if exponential else M - 1
+    lam = spec.lambda_shift
+    tgrid, grid, rule = spec.tgrid, spec.grid, spec.conv_rule
+    free_vals = spec.delta * free_trajectory(v0, tgrid, lam).values
     index_l1 = np.indices(grid.shape).sum(axis=0)
     occupied = index_l1[v0.values != 0]
     eps_cells = int(occupied.min()) if occupied.size else 0
@@ -245,16 +238,20 @@ def _run_picard(
     inc_norms: list[float] = []
     converged = False
     for j in range(spec.jmax):
-        G = nonlin(v) if v.any() else np.zeros_like(v)
-        v_next = free_vals + duhamel(
-            SpaceTimeField(grid, tgrid, G), lambda_shift
-        ).values
+        acc, G = v, np.zeros_like(v) if exponential else None
+        for r in range(2, M + 1) if v.any() else ():  # N(v^0) = N(0) = 0
+            acc = convolve_frames(acc, v, grid, rule)
+            if exponential:
+                G += acc / math.factorial(r)
+        G = lam**2 * G if exponential else acc
+        v_next = free_vals + duhamel(SpaceTimeField(grid, tgrid, G), lam).values
         settled = index_l1 < (j * band_step + 1) * eps_cells
         v_next[:, settled] = v[:, settled]
         if not np.all(np.isfinite(v_next.view(np.float64))):
             raise DivergenceError("iterates left the floating-point range")
         diff = v_next - v
-        supports.append(_support_min_l1(diff, grid))
+        changed = np.any(diff != 0, axis=0)
+        supports.append(float(grid.l1()[changed].min()) if changed.any() else math.inf)
         inc = weighted_l1_seq_norm(SpaceTimeField(grid, tgrid, diff), spec.s)
         inc_norms.append(inc)
         iterates.append(v_next)
@@ -297,13 +294,7 @@ def picard_iterate(spec: ProblemSpec, v0: FrequencyField) -> IterationTrace:
         raise ValueError("picard_iterate drives the power nonlinearity; "
                          "use exp_picard_iterate for the exponential flow")
     _gate(spec, v0, spec.eps0)
-    m = spec.nonlinearity.m
-    grid, rule = spec.grid, spec.conv_rule
-
-    def nonlin(v: np.ndarray) -> np.ndarray:
-        return _conv_power_frames(v, m, grid, rule)[-1]
-
-    return _run_picard(spec, v0, nonlin, spec.lambda_shift, m - 1)
+    return _run_picard(spec, v0, spec.nonlinearity.m)
 
 
 def exp_picard_iterate(
@@ -322,29 +313,13 @@ def exp_picard_iterate(
     """
     if spec.nonlinearity.kind is not NonlinearityKind.EXPONENTIAL:
         raise ValueError("exp_picard_iterate needs an EXPONENTIAL nonlinearity")
-    lam = spec.lambda_shift
-    if lam <= 0:
+    if spec.lambda_shift <= 0:
         raise GateError("the exponential flow needs a positive semigroup shift")
-    _gate(spec, u0, 2.0 * lam)
-    grid, rule = spec.grid, spec.conv_rule
-    lam2 = lam**2
-
-    def make_nonlin(M: int):
-        facts = [math.factorial(mm) for mm in range(M + 1)]
-
-        def nonlin(v: np.ndarray) -> np.ndarray:
-            powers = _conv_power_frames(v, M, grid, rule)
-            out = np.zeros_like(v)
-            for mm, pw in zip(range(2, M + 1), powers):
-                out += pw / facts[mm]
-            return lam2 * out
-
-        return nonlin
-
+    _gate(spec, u0, 2.0 * spec.lambda_shift)
     M = spec.nonlinearity.taylor_order
-    trace = _run_picard(spec, u0, make_nonlin(M), lam, 1)
+    trace = _run_picard(spec, u0, M)
     if sensitivity_probe:
-        hi = _run_picard(spec, u0, make_nonlin(M + 2), lam, 1)
+        hi = _run_picard(spec, u0, M + 2)
         sens = weighted_l1_seq_norm(trace.final - hi.final, spec.s)
         trace.truncation_sensitivity = sens
         if sens > spec.tol:

@@ -81,17 +81,17 @@ class FrequencyGrid:
             )
         object.__setattr__(self, "h", 1.0 / n_sub)
 
-    @property
+    @functools.cached_property
     def n_sub(self) -> int:
         """Cells per unit length (1/h)."""
         return int(round(1.0 / self.h))
 
-    @property
+    @functools.cached_property
     def n(self) -> int:
         """Cells per axis."""
         return self.xi_max * self.n_sub
 
-    @property
+    @functools.cached_property
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.d
 

@@ -389,6 +389,14 @@ FOREIGN_DATUM_KEYS = {
 BAD_CONFIGS.update({f"initial_data-{name}": (command, cfg, None)
                     for name, (command, cfg, _, _) in FOREIGN_DATUM_KEYS.items()})
 
+# the other type's parameter per nonlinearity type, and the key that type takes
+FOREIGN_NONLINEARITY_KEYS = {
+    "POWER-M": ({"type": "POWER", "m": 2, "M": 6}, "M", "m"),
+    "EXPONENTIAL-m": ({"type": "EXPONENTIAL", "M": 6, "m": 3}, "m", "M"),
+}
+BAD_CONFIGS.update({f"nonlinearity-{name}": ("solve", solve_cfg(nonlinearity=nl), None)
+                    for name, (nl, _, _) in FOREIGN_NONLINEARITY_KEYS.items()})
+
 
 class TestStrictConfig:
     @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
@@ -414,6 +422,17 @@ class TestStrictConfig:
         assert cfg["initial_data"]["kind"] in error
         accepted = error.split("accepted: ")[1].split(", ")
         assert sorted(accepted) == sorted(("kind", *takes))
+
+    @pytest.mark.parametrize("name", sorted(FOREIGN_NONLINEARITY_KEYS))
+    def test_foreign_nonlinearity_key_named(self, tmp_path, name):
+        nl, key, own = FOREIGN_NONLINEARITY_KEYS[name]
+        out = tmp_path / "out"
+        cfg = solve_cfg(nonlinearity=nl)
+        assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 2
+        error = manifest(out)["error"]
+        assert error.startswith("config:") and f"'{key}'" in error
+        assert nl["type"] in error
+        assert sorted(error.split("accepted: ")[1].split(", ")) == sorted(("type", own))
 
     @pytest.mark.parametrize("extra", [
         {"width": 3.0}, {"deriv_order": 5, "pair_k": 99}, {"eps0": 7.0},

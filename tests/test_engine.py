@@ -156,6 +156,20 @@ class TestDuhamel:
         assert np.abs(out.values - direct).max() <= 1e-13 * scale
 
 
+class TestNonlinearity:
+    def test_each_kind_defaults_only_its_own_parameter(self):
+        power = Nonlinearity(NonlinearityKind.POWER)
+        exponential = Nonlinearity(NonlinearityKind.EXPONENTIAL)
+        assert (power.m, power.taylor_order) == (2, None)
+        assert (exponential.m, exponential.taylor_order) == (None, 12)
+
+    @pytest.mark.parametrize("kind,other", [("POWER", {"taylor_order": 6}),
+                                            ("EXPONENTIAL", {"m": 3})])
+    def test_rejects_the_other_kinds_parameter(self, kind, other):
+        with pytest.raises(ValueError, match=f"{next(iter(other))} is not a parameter"):
+            Nonlinearity(kind, **other)
+
+
 class TestProblemSpec:
     def test_rejects_unknown_conv_rule(self):
         with pytest.raises(ValueError, match="conv_rule"):
@@ -210,6 +224,19 @@ class TestPicardIterate:
                 a = trace.iterates[j - 1].values[:, band]
                 b = trace.iterates[r].values[:, band]
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_convolutions_per_iterate(self, m, monkeypatch):
+        # m - 1 stages per iterate; the first iterate, from v^0 = 0, has none
+        calls = []
+        kernel = engine.convolve_frames
+        monkeypatch.setattr(engine, "convolve_frames",
+                            lambda *args: calls.append(args) or kernel(*args))
+        g = make_grid(1, 4, 1 / 16)
+        trace = picard_iterate(power_spec(g, m=m, nt=33, jmax=4, tol=0.0),
+                               exp_halfline(g, amp=0.5))
+        assert len(trace.iterates) == 4
+        assert len(calls) == (len(trace.iterates) - 1) * (m - 1)
 
     def test_gate_rejects_low_spectrum(self):
         g = make_grid(1, 4, 0.25)
@@ -318,6 +345,21 @@ class TestTaylor:
         b = trace.final.values[:, band]
         scale = np.abs(b).max()
         assert np.abs(a - b).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_higher_power_taylor_matches_picard_on_band(self, m):
+        # the r-fold coefficients recurse through power_coeff(r - 1, k - i),
+        # which is zero for k - i < r - 1
+        g = make_grid(1, 6, 1 / 16)
+        spec = power_spec(g, m=m, nt=33, delta=0.5)
+        v0 = exp_halfline(g)
+        band_sol = assemble_band_solution(taylor_coefficients(spec, v0, K=5.0),
+                                          0.5, 5.0)
+        trace = picard_iterate(spec, v0)
+        band = g.l1() < 5.0 - 1e-12
+        a = band_sol.values[:, band]
+        b = trace.final.values[:, band]
+        assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
 
     def test_taylor_matches_picard_with_shifted_semigroup(self):
         # both routes must evolve with exp(-t(|xi|^2 - lam^2))
@@ -443,6 +485,19 @@ class TestExponentialFlow:
             for r in range(j, len(trace.iterates)):
                 assert np.array_equal(trace.iterates[j - 1].values[:, band],
                                       trace.iterates[r].values[:, band])
+
+    @pytest.mark.parametrize("M", [2, 4, 6])
+    def test_convolutions_per_iterate(self, M, monkeypatch):
+        # the series takes M - 1 stages per iterate, none from v^0 = 0
+        calls = []
+        kernel = engine.convolve_frames
+        monkeypatch.setattr(engine, "convolve_frames",
+                            lambda *args: calls.append(args) or kernel(*args))
+        spec, u0l = self._setup(M=M)
+        spec = dataclasses.replace(spec, tol=0.0, jmax=4)
+        trace = exp_picard_iterate(spec, u0l, sensitivity_probe=False)
+        assert len(trace.iterates) == 4
+        assert len(calls) == (len(trace.iterates) - 1) * (M - 1)
 
     def test_support_analog_and_sensitivity(self):
         spec, u0l = self._setup(M=6)

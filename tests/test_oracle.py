@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ class TestEtdReference:
     def test_shares_no_duhamel_path(self):
         import octantheat.oracle as oracle_mod
 
-        src = open(oracle_mod.__file__).read()
+        src = Path(oracle_mod.__file__).read_text()
         assert "duhamel" not in src
         # nor the engine's batched transform kernel: direct summation only
         assert "convolve_frames" not in src
