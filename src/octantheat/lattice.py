@@ -7,13 +7,15 @@ unit cube is an integer, so the unit-cube projections form an exact
 partition of every field.  Discrete convolution has a Riemann weight h^d
 per pairwise convolution; an optional run-aware trapezoid weighting raises
 the quadrature order for data that are smooth within their support.
-:func:`convolve` and :func:`convolve_power` sum directly, and
-:func:`convolve_frames` convolves (nt, *grid) frame stacks by zero-padded
-FFTs.  Both kernels take from one plan per pair of nonzero patterns each
-operand's support box (the cells whose products can reach [0, n)) and the
-rule's operand masks.  The FFT kernel keeps the direct sum's exact zeros (a
-count convolution kept with the plan) and its values up to FFT round-off;
-the truncation warning follows the combinatorial support, not the values.
+:func:`convolve` and :func:`convolve_power` sum directly (``np.convolve``
+in 1D, a shift-and-add over nonzero cells above; a trapezoid self-product
+sums half its mirrored terms, twice), and :func:`convolve_frames` convolves
+(nt, *grid) frame stacks by zero-padded FFTs.  Both kernels take from one
+plan per pair of nonzero patterns each operand's support box (the cells
+whose products can reach [0, n)) and the rule's operand masks.  The FFT
+kernel keeps the direct sum's exact zeros (a count convolution kept with
+the plan) and its values up to FFT round-off; the truncation warning
+follows the combinatorial support, not the values.
 
 All operations are pure functions on immutable inputs and use fixed-order
 reductions, so repeated runs are bit-identical.  A field file holds one text
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as _fft
-from scipy.signal import convolve as _sig_convolve
 
 __all__ = [
     "FrequencyGrid",
@@ -290,14 +291,14 @@ class _Plan:
 
 
 @functools.lru_cache(maxsize=16)
-def _plan(f_bits: bytes, g_bits: bytes, grid: FrequencyGrid, rule: str) -> _Plan:
-    """The :class:`_Plan` of two nonzero patterns, each packed by
-    ``np.packbits``; equal patterns share their masks."""
-    f, g = (np.unpackbits(np.frombuffer(bits, np.uint8), count=math.prod(grid.shape))
-            .reshape(grid.shape).astype(bool) for bits in (f_bits, g_bits))
+def _plan(f_bits: bytes, g_bits: bytes, shape: tuple, h: float, rule: str) -> _Plan:
+    """The :class:`_Plan` of two nonzero patterns, each packed by ``np.packbits``,
+    on a grid of ``shape`` and spacing h; equal patterns share their masks."""
+    f, g = (np.unpackbits(np.frombuffer(bits, np.uint8), count=math.prod(shape))
+            .reshape(shape).astype(bool) for bits in (f_bits, g_bits))
     terms, weight = _rule_terms(f, f if g_bits == f_bits else g, rule)
     terms = [(fm, gm) for fm, gm in terms if fm.any() and gm.any()]
-    n = grid.n
+    n = shape[0]
     spills = any(np.any(np.argwhere(fm).max(0) + np.argwhere(gm).max(0) >= n)
                  for fm, gm in terms)
     if not terms:
@@ -313,7 +314,7 @@ def _plan(f_bits: bytes, g_bits: bytes, grid: FrequencyGrid, rule: str) -> _Plan
     out_end = np.minimum(f_end + g_end - 1, n)
     pad = tuple(map(_fft.next_fast_len, (f_end - a + g_end - b - 1).tolist()))
     return _Plan(spills, terms, fbox, gbox, _box(a + b, out_end),
-                 _box(np.zeros_like(a), out_end - a - b), pad, grid.h**grid.d * weight)
+                 _box(np.zeros_like(a), out_end - a - b), pad, h**len(shape) * weight)
 
 
 def _box(lo: np.ndarray, hi: np.ndarray) -> tuple[slice, ...]:
@@ -325,20 +326,33 @@ def _direct(f: np.ndarray, g: np.ndarray, grid: FrequencyGrid, rule: str):
     """The direct convolution sum of two value arrays under ``rule``,
     truncated at xi_max, and whether it spills past xi_max.
 
-    Only the products inside the plan's boxes are formed.  For d = 1 this
-    is the ``np.convolve`` call ``scipy.signal.convolve(method="direct")``
-    makes for one-dimensional inputs.
+    Only the products inside the plan's boxes are formed, by ``np.convolve``
+    for d = 1 and :func:`_shift_add` above.  Under the trapezoid rule equal
+    operands' term N - 1 - i is term i swapped: the first half counts twice.
     """
-    bits = np.packbits(f != 0).tobytes()
-    p = _plan(bits, bits if g is f else np.packbits(g != 0).tobytes(), grid, rule)
+    f_bits = np.packbits(f != 0).tobytes()
+    g_bits = f_bits if g is f else np.packbits(g != 0).tobytes()
+    p = _plan(f_bits, g_bits, grid.shape, grid.h, rule)
+    terms, scale = p.terms, p.scale
+    if rule == "trapezoid" and g_bits == f_bits and (g is f or np.array_equal(f, g)):
+        terms, scale = terms[:len(terms) // 2], 2.0 * scale
     out = np.zeros(grid.shape, dtype=np.complex128)
     fb, gb = f[p.fbox], g[p.gbox]
-    for fm, gm in p.terms:
-        full = (np.convolve(fb * fm, gb * gm) if grid.d == 1
-                else _sig_convolve(fb * fm, gb * gm, mode="full", method="direct"))
-        out[p.cells] += full[p.crop]
-    out *= p.scale
+    conv = np.convolve if grid.d == 1 else _shift_add
+    for fm, gm in terms:
+        out[p.cells] += conv(fb * fm, gb * gm)[p.crop]
+    out *= scale
     return out, p.spills
+
+
+def _shift_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two arrays of one rank: ``y`` shifted to
+    every nonzero cell of ``x`` in index order, times that cell's value."""
+    full = np.zeros([a + b - 1 for a, b in zip(x.shape, y.shape)], dtype=np.complex128)
+    for i, v in zip(np.argwhere(x).tolist(), x[x != 0].tolist()):
+        view = full[tuple(slice(k, k + n) for k, n in zip(i, y.shape))]
+        view += v * y
+    return full
 
 
 def _direct_power(v: np.ndarray, m: int, grid: FrequencyGrid, rule: str):
@@ -414,7 +428,7 @@ def convolve_frames(
     for t, pair in enumerate(zip(bits[0], bits[-1])):
         groups.setdefault(pair, []).append(t)
     for pair, frames in groups.items():
-        p = _plan(*pair, grid, rule)
+        p = _plan(*pair, grid.shape, grid.h, rule)
         if not p.terms:
             continue
         block = max(1, 2**16 // math.prod(p.pad))

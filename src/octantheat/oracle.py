@@ -6,10 +6,11 @@ Two deliberately different routes:
   v' = -(|xi|^2 - lam^2) v + v^{*m} with an integrating-factor classical
   Runge-Kutta scheme (exact for the linear part, fourth order in the
   nonlinear part).  Each stage convolves one frame by direct summation,
-  through the lattice's support-planned direct kernel on plain arrays,
-  where the engine transforms whole frame stacks at once; it shares no
-  Duhamel code path with the engine, so band agreement between the two is
-  evidence rather than tautology.
+  through the lattice's support-planned direct kernel on plain arrays (for
+  the self-product half the mirrored trapezoid terms, twice), where the
+  engine transforms whole frame stacks at once; it shares no Duhamel code
+  path with the engine, so band agreement between the two is evidence
+  rather than tautology.
 
 * :func:`exp_halfline_reference` evaluates the closed-form amplitude
   derivatives of the quadratic flow with datum e^xi H(xi - 1) by nested
@@ -38,7 +39,8 @@ __all__ = [
 @dataclass(frozen=True)
 class OracleConfig:
     """Reference-integrator resolution.  nt_fine should be at least four
-    times the engine's node count for the comparisons to be one-sided."""
+    times the engine's node count for the comparisons to be one-sided.
+    compare_band bounds |xi|_1, an l1 band in d >= 2 as the Picard band."""
 
     nt_fine: int = 1025
     compare_band: float = 3.0
@@ -65,13 +67,17 @@ def etd_reference_solve(
 ) -> SpaceTimeField:
     """Integrating-factor RK4 solve of the band-truncated spectral ODE.
 
-    Raises :class:`DivergenceError` when a step leaves the certified range
-    (step-size instability or genuine blow-up on the band).
+    Raises ValueError unless m >= 2 is an integer, nt_fine >= 2 and T finite
+    and positive, and :class:`DivergenceError` when a step leaves the
+    certified range (step-size instability or genuine blow-up on the band).
     """
-    if m < 2:
-        raise ValueError("power must be at least 2")
-    grid = v0.grid
-    nt = cfg.nt_fine
+    if not float(m).is_integer() or m < 2:
+        raise ValueError(f"power must be an integer of at least 2, got {m}")
+    if cfg.nt_fine < 2:
+        raise ValueError(f"nt_fine must be at least 2, got {cfg.nt_fine}")
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"T must be finite and positive, got {T}")
+    grid, m, nt = v0.grid, int(m), cfg.nt_fine
     tgrid = np.linspace(0.0, T, nt)
     dt = float(tgrid[1] - tgrid[0])
     w = heat_symbol(grid, lambda_shift)

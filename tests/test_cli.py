@@ -266,6 +266,22 @@ class TestTaylorAndOracle:
         header = (out / "oracle_compare.csv").read_text().splitlines()[0]
         assert header == "xi0,t,engine,oracle,rel_err"
 
+    def test_oracle_compare_2d(self, tmp_path):
+        # compare_band is an l1 band in d >= 2: |xi|_1 < 6 on the 32^2 grid
+        cfg = solve_cfg(
+            d=2, grid={"xi_max": 4, "h": 1 / 8}, time={"T": 0.5, "nt": 33},
+            initial_data={"kind": "OCTANT_BUMP", "eps0": 1.0, "width": 0.5},
+            oracle={"compare_band": 6},
+        )
+        out = tmp_path / "out"
+        assert run("oracle-compare", write_cfg(tmp_path, cfg), str(out)) == 0
+        assert manifest(out)["checks"]["band_agreement"] is True
+        with open(out / "oracle_compare.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        l1 = [float(row["xi0"]) + float(row["xi1"]) for row in rows]
+        # every cell i + j < 48 of the 32^2 grid, and no other
+        assert len(rows) == 32 * 32 - 15 * 16 // 2 and max(l1) == 5.875
+
     def test_oracle_compare_engine_cells_parse_back(self, tmp_path):
         cfg = solve_cfg(
             grid={"xi_max": 4, "h": 1 / 32},

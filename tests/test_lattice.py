@@ -401,6 +401,74 @@ class TestPlannedKernel:
                               sig_convolve(a, b, mode="full", method="direct"))
 
 
+class TestSelfProductFold:
+    """Under the trapezoid rule the direct kernel sums half the terms of a
+    self-product, twice; the shift-and-add convolves for d >= 2."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rule", RULES)
+    def test_equal_operands_bitwise(self, d, rule):
+        g = FRAME_GRIDS[d]
+        rng = np.random.default_rng(40 + d)
+        for kind in ("sparse", "far-corner", "one-cell"):
+            f = operand(g, kind, rng)
+            got, spills = lattice._direct(f, f, g, rule)
+            copied, copy_spills = lattice._direct(f, f.copy(), g, rule)
+            assert np.array_equal(got, copied) and spills == copy_spills
+            ref, ref_spills = unboxed_direct(f, f, g, rule)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.array_equal(got != 0, ref != 0) and spills == ref_spills
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rule", RULES)
+    def test_equal_patterns_other_values_not_folded(self, d, rule):
+        g = FRAME_GRIDS[d]
+        rng = np.random.default_rng(50 + d)
+        for kind in ("sparse", "sparse", "far-corner"):
+            f = operand(g, kind, rng)
+            h = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)) * (
+                f != 0)
+            got, _ = lattice._direct(f, h, g, rule)
+            ref, _ = unboxed_direct(f, h, g, rule)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.array_equal(got != 0, ref != 0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rule", RULES)
+    def test_kernel_calls(self, monkeypatch, d, rule):
+        # every cell nonzero, so every sign pattern's masks keep cells
+        g = FRAME_GRIDS[d]
+        rng = np.random.default_rng(60 + d)
+        f, h = (rng.standard_normal(g.shape) + 1j for _ in range(2))
+        calls = []
+        name, kernel = (("convolve", np.convolve) if d == 1
+                        else ("_shift_add", lattice._shift_add))
+
+        def counting(x, y):
+            calls.append(x.shape)
+            return kernel(x, y)
+
+        monkeypatch.setattr(np if d == 1 else lattice, name, counting)
+        folded, terms = (2 ** (d - 1), 2**d) if rule == "trapezoid" else (1, 1)
+        for other, expect in ((f, folded), (f.copy(), folded), (h, terms)):
+            calls.clear()
+            lattice._direct(f, other, g, rule)
+            assert len(calls) == expect
+
+    @pytest.mark.parametrize("xs,ys", [((1, 1), (1, 1)), ((3, 5), (4, 2)),
+                                       ((2, 3, 4), (4, 3, 2)), ((6, 1), (1, 6))])
+    def test_shift_add_is_scipy_direct(self, xs, ys):
+        rng = np.random.default_rng(sum(xs) * 10 + sum(ys))
+        x = (rng.standard_normal(xs) + 1j * rng.standard_normal(xs)) * (
+            rng.random(xs) < 0.6)
+        x.flat[-1] = 1.0  # at least one shift
+        y = rng.standard_normal(ys) + 1j * rng.standard_normal(ys)
+        ref = sig_convolve(x, y, mode="full", method="direct")
+        got = lattice._shift_add(x, y)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 class TestConvolveFrames:
     @settings(max_examples=80, deadline=None)
     @given(frame_grids, st.integers(1, 4), st.sampled_from([0.0, 0.15, 0.5, 1.0]),
@@ -508,7 +576,8 @@ class TestConvolveFrames:
             # per term, one when equal patterns share their masks
             pairs = {tuple(np.packbits(x != 0).tobytes() for x in frames)
                      for frames in zip(a, other)}
-            terms = [len(lattice._plan(*pair, g, rule).terms) for pair in pairs]
+            terms = [len(lattice._plan(*pair, g.shape, g.h, rule).terms)
+                     for pair in pairs]
             assert len(pairs) == 2 and sum(terms) > 0
             assert len(counted) == (1 if other is a else 2) * sum(terms)
             # a repeat call finds the counts with the plans

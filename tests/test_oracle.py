@@ -115,6 +115,21 @@ class TestEtdReference:
         with pytest.raises(DivergenceError):
             etd_reference_solve(f, 2, 4.0, OracleConfig(nt_fine=5))
 
+    @pytest.mark.parametrize("m,T,nt_fine,match", [
+        (2.5, 1.0, 9, "power"), (1, 1.0, 9, "power"), (2, 1.0, 1, "nt_fine"),
+        (2, 0.0, 9, "T must"), (2, -1.0, 9, "T must"), (2, math.nan, 9, "T must"),
+        (2, math.inf, 9, "T must")])
+    def test_rejects_bad_input(self, m, T, nt_fine, match):
+        g = make_grid(1, 4, 1 / 8)
+        with pytest.raises(ValueError, match=match):
+            etd_reference_solve(exp_halfline(g), m, T, OracleConfig(nt_fine=nt_fine))
+
+    def test_integral_float_power_accepted(self):
+        g = make_grid(1, 4, 1 / 8)
+        v0, cfg = exp_halfline(g), OracleConfig(nt_fine=9)
+        got = etd_reference_solve(v0, 2.0, 0.5, cfg).values
+        assert np.array_equal(got, etd_reference_solve(v0, 2, 0.5, cfg).values)
+
     def test_shares_no_duhamel_path(self):
         import octantheat.oracle as oracle_mod
 

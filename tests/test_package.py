@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import octantheat
 
@@ -39,3 +43,16 @@ def test_each_name_is_its_modules_object():
                 f"{name}.{attr} is defined in {obj.__module__}"
             seen.add(attr)
     assert seen == set(octantheat.__all__)
+
+
+def test_no_scipy_signal_on_import():
+    # the package convolves with numpy and scipy.fft only; scipy.signal alone
+    # took more than half of the import time
+    env = dict(os.environ)
+    path = [str(Path(octantheat.__file__).parents[1]), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    code = ("import sys, octantheat, octantheat.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
