@@ -24,7 +24,6 @@ import typing
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .data import DATA_KINDS, InitialDataKind, InitialDataSpec, make_initial_data
@@ -431,8 +430,7 @@ def run(command: str, config_path: str, out_dir: str, seed: int = 0,
         "command": command,
         "seed": seed,
         "refine": refine,
-        "versions": {"octantheat": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"octantheat": __version__, "numpy": np.__version__},
     }
     try:
         if command not in COMMANDS:

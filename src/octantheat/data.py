@@ -329,7 +329,6 @@ def rescale_solution(
     lam: float,
     a: float,
     out_grid: FrequencyGrid | None = None,
-    t_limit: float | None = None,
 ):
     """Undo a dilation on a trajectory: frames pick up lam^{d-a} v(lam xi)
     and the time axis dilates to [0, lam^2 T].
@@ -350,9 +349,5 @@ def rescale_solution(
     if out_grid.d != grid.d:
         raise ValueError("target grid dimension mismatch")
     tgrid_out = lam**2 * u.tgrid
-    if t_limit is not None and tgrid_out[-1] > t_limit * (1 + 1e-12):
-        raise ValueError(
-            f"rescaled horizon {tgrid_out[-1]} exceeds the configured limit {t_limit}"
-        )
     frames = lam ** (grid.d - a) * _resample(u.values, grid, out_grid.axis * lam)
     return SpaceTimeField(out_grid, tgrid_out, frames)

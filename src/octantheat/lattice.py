@@ -30,7 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
+from numpy import fft as _fft
 
 __all__ = [
     "FrequencyGrid",
@@ -264,9 +264,9 @@ class _Plan:
     have products that land in [0, n).  ``terms`` holds the rule's operand
     masks, computed on the whole patterns and cut to those boxes; ``cells``
     is the output from a + b up and ``crop`` the part of the boxes' full
-    convolution that lands there; ``pad`` is ``scipy.fft.next_fast_len`` of
-    that convolution's length per axis, so that a cyclic convolution of
-    that length is the linear one.  ``scale`` is h^d times the rule's
+    convolution that lands there; ``pad`` is :func:`_next_fast_len` of that
+    convolution's length per axis, so that a cyclic convolution of that
+    length is the linear one.  ``scale`` is h^d times the rule's
     weight, and ``spills`` whether some product of a term lands at or beyond
     n on an axis.  There are no terms when a pattern is empty or a + b >= n
     on an axis.
@@ -285,9 +285,11 @@ class _Plan:
     def support(self) -> np.ndarray:
         """Which ``crop`` cells some product reaches (the count convolution
         of the masks), where the direct sum may be nonzero."""
+        axes = tuple(range(len(self.pad)))
         # one object for both operands, so that equal masks share a transform
-        spec = _spectrum(self.terms, True, True, self.pad, _fft.rfftn)
-        return _fft.irfftn(spec, self.pad)[self.crop] > 0.5
+        spec = _spectrum(self.terms, True, True,
+                         lambda x, m: _fft.rfftn(x * m, self.pad, axes))
+        return _fft.irfftn(spec, self.pad, axes)[self.crop] > 0.5
 
 
 @functools.lru_cache(maxsize=16)
@@ -312,9 +314,21 @@ def _plan(f_bits: bytes, g_bits: bytes, shape: tuple, h: float, rule: str) -> _P
     terms = tuple((cut.setdefault(id(fm), fm[fbox]), cut.setdefault(id(gm), gm[gbox]))
                   for fm, gm in terms)
     out_end = np.minimum(f_end + g_end - 1, n)
-    pad = tuple(map(_fft.next_fast_len, (f_end - a + g_end - b - 1).tolist()))
+    pad = tuple(map(_next_fast_len, (f_end - a + g_end - b - 1).tolist()))
     return _Plan(spills, terms, fbox, gbox, _box(a + b, out_end),
                  _box(np.zeros_like(a), out_end - a - b), pad, h**len(shape) * weight)
+
+
+def _next_fast_len(n: int) -> int:
+    """The least k >= n (n >= 1) with no prime factor above 11, a length
+    pocketfft transforms fast: ``scipy.fft.next_fast_len`` for complex data."""
+    for k in itertools.count(n):
+        rest = k
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return k
 
 
 def _box(lo: np.ndarray, hi: np.ndarray) -> tuple[slice, ...]:
@@ -406,9 +420,9 @@ def convolve_frames(
     Frames are grouped by their pair of nonzero patterns, and each group
     runs through the plan :func:`convolve` uses for that pair: each operand
     is cut to its support box (the cells whose products can reach [0, n))
-    and masked by the rule, each axis is padded to ``scipy.fft.next_fast_len``
-    of the boxes' full convolution length, the rule's terms are summed in
-    the frequency domain and inverted once, and only cells from a + b up
+    and masked by the rule, each axis is padded to :func:`_next_fast_len` of
+    the boxes' full convolution length, the rule's terms are summed in the
+    frequency domain and inverted once, and only cells from a + b up
     are written (a, b the patterns' first nonzero cells).  Cells outside
     the combinatorial support, a count convolution of the masks kept with
     the plan, are exact zeros as in the direct sum; inside it the values
@@ -432,23 +446,37 @@ def convolve_frames(
         if not p.terms:
             continue
         block = max(1, 2**16 // math.prod(p.pad))
+        axes = tuple(range(1, 1 + grid.d))
         for lo in range(0, len(frames), block):
             t = frames[lo:lo + block]
             f = a[(t, *p.fbox)]
             g = f if b is a else b[(t, *p.gbox)]  # b is a shares the transforms
-            spec = _spectrum(p.terms, f, g, p.pad, _fft.fftn)
+            spec = _spectrum(p.terms, f, g, lambda x, m: _padded_fft(x, m, p.pad))
             spec *= p.scale
-            vals = _fft.ifftn(spec, p.pad, overwrite_x=True)[(..., *p.crop)]
+            vals = _fft.ifftn(spec, axes=axes, out=spec)[(..., *p.crop)]
             out[(t, *p.cells)] = np.where(p.support, vals, 0.0)
     return out
 
 
-def _spectrum(terms, f, g, pad: tuple[int, ...], transform):
-    """Sum over the mask pairs (fm, gm) of the transforms' products of
-    f * fm and g * gm over the last len(pad) axes, padded to ``pad``; each
-    distinct operand is transformed once."""
+def _padded_fft(x: np.ndarray, m: np.ndarray, pad: tuple[int, ...]) -> np.ndarray:
+    """FFT over the last len(pad) axes of x * m zero-padded to ``pad``, formed
+    in place in one buffer.  Axes are transformed last first, as by ``fftn``,
+    and each only on the rows whose earlier indices lie inside m's box: the
+    other rows are zero, and so are their transforms, so the result is
+    ``fftn``'s bit for bit."""
+    buf = np.zeros((len(x), *pad), dtype=np.complex128)
+    np.multiply(x, m, out=buf[(..., *map(slice, m.shape))])
+    for k in reversed(range(len(pad))):
+        rows = buf[(slice(None), *map(slice, m.shape[:k]))]
+        _fft.fftn(rows, axes=(k + 1,), out=rows)
+    return buf
+
+
+def _spectrum(terms, f, g, transform):
+    """Sum over the mask pairs (fm, gm) of the products transform(f, fm) *
+    transform(g, gm); each distinct operand is transformed once."""
     ops = {(id(x), id(m)): (x, m) for pair in terms for x, m in zip((f, g), pair)}
-    hat = {key: transform(x * m, pad) for key, (x, m) in ops.items()}
+    hat = {key: transform(x, m) for key, (x, m) in ops.items()}
     return sum(hat[id(f), id(fm)] * hat[id(g), id(gm)] for fm, gm in terms)
 
 

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import octantheat
 from octantheat.cli import _fmt, run
+from octantheat.lattice import make_grid
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -281,6 +286,54 @@ class TestTaylorAndOracle:
         l1 = [float(row["xi0"]) + float(row["xi1"]) for row in rows]
         # every cell i + j < 48 of the 32^2 grid, and no other
         assert len(rows) == 32 * 32 - 15 * 16 // 2 and max(l1) == 5.875
+
+    def test_oracle_compare_3d(self, tmp_path):
+        # the bump on [1, 1.5)^3 starts at |xi|_1 = 3 and its square at 6: a
+        # band of 7.5 takes in the second order, not only the free evolution.
+        # The second order is about 1e-4 of the band's norm, so the default
+        # tol of 1e-3 would pass without it
+        cfg = solve_cfg(
+            d=3, grid={"xi_max": 4, "h": 1 / 4}, time={"T": 0.5, "nt": 17},
+            initial_data={"kind": "OCTANT_BUMP", "eps0": 1.0, "width": 0.5},
+            oracle={"compare_band": 7.5, "tol": 1e-5},
+        )
+        out = tmp_path / "out"
+        assert run("oracle-compare", write_cfg(tmp_path, cfg), str(out)) == 0
+        assert manifest(out)["checks"]["band_agreement"] is True
+        with open(out / "oracle_compare.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        xi = np.array([[float(row[f"xi{a}"]) for a in range(3)] for row in rows])
+        g = make_grid(3, 4, 1 / 4)
+        band = np.argwhere(g.l1() < 7.5) * g.h
+        assert len(rows) == len(band) and set(map(tuple, xi)) == set(map(tuple, band))
+        # on the cells the second order reaches, the two solves agree to 1 %
+        second = xi.sum(axis=1) >= 6
+        engine, oracle = (np.array([complex(row[col]) for row in rows])[second]
+                          for col in ("engine", "oracle"))
+        assert np.linalg.norm(engine - oracle) <= 1e-2 * np.linalg.norm(oracle)
+
+    def test_solve_and_taylor_without_scipy(self, tmp_path):
+        # the package runs on numpy alone: with scipy unimportable, a 2D solve
+        # and a 1D Taylor run still exit 0
+        solve = write_cfg(tmp_path, solve_cfg(
+            d=2, grid={"xi_max": 4, "h": 1 / 8}, time={"T": 0.5, "nt": 17},
+            initial_data={"kind": "OCTANT_BUMP", "eps0": 1.0, "width": 0.5}),
+            "solve.json")
+        taylor = write_cfg(tmp_path, solve_cfg(band_K=3.0), "taylor.json")
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "from octantheat.cli import main; "
+                f"sys.exit(main(['solve', '--config', {solve!r}, "
+                f"'--out', {str(tmp_path / 's')!r}]) "
+                f"or main(['taylor', '--config', {taylor!r}, "
+                f"'--out', {str(tmp_path / 't')!r}]))")
+        env = dict(os.environ)
+        path = [str(Path(octantheat.__file__).parents[1]), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert manifest(tmp_path / "s")["exit_status"] == 0
+        assert manifest(tmp_path / "t")["exit_status"] == 0
 
     def test_oracle_compare_engine_cells_parse_back(self, tmp_path):
         cfg = solve_cfg(

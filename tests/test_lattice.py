@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import next_fast_len
 from scipy.signal import convolve as sig_convolve
 
 from octantheat import (
@@ -483,6 +484,23 @@ class TestConvolveFrames:
         scale = np.abs(ref).max()
         assert np.abs(got - ref).max() <= 1e-12 * scale
         assert np.array_equal(got != 0, ref != 0)
+
+    def test_next_fast_len_is_scipys(self):
+        # scipy's complex-transform lengths are the reference for the pads
+        assert [lattice._next_fast_len(n) for n in range(1, 5000)] == \
+            [next_fast_len(n) for n in range(1, 5000)]
+
+    @pytest.mark.parametrize("box, pad", [((7,), (16,)), ((5, 3), (9, 8)),
+                                          ((4, 6, 2), (10, 11, 5))])
+    def test_padded_fft_is_fftn(self, box, pad):
+        # transforming only the rows inside the box changes no bit of fftn
+        rng = np.random.default_rng(len(box))
+        x = rng.standard_normal((3, *box)) + 1j * rng.standard_normal((3, *box))
+        m = rng.random(box) < 0.7
+        buf = np.zeros((3, *pad), dtype=complex)
+        buf[(..., *map(slice, box))] = x * m
+        ref = np.fft.fftn(buf, axes=tuple(range(1, 1 + len(box))))
+        assert lattice._padded_fft(x, m, pad).tobytes() == ref.tobytes()
 
     def test_all_zero_stack(self):
         g = make_grid(2, 2, 0.25)
