@@ -143,7 +143,11 @@ class IterationTrace:
 @dataclass(eq=False)
 class TaylorStack:
     """Unnormalized derivative trajectories of the solution in the data
-    amplitude, valid for assembling the exact solution on |xi|_1 < K."""
+    amplitude, valid for assembling the exact solution on |xi|_1 < K.
+
+    Order 1 is the free evolution on the whole grid; orders 2 and up are
+    computed only below K on every axis and are zero at or above K on any
+    axis."""
 
     coeffs: list[SpaceTimeField]  # entry k-1 holds d^k v / d delta^k at 0
     K: float
@@ -222,7 +226,9 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace
     v^{j+1} - v^j vanishes on |xi|_1 < (j band_step + 1) eps, eps the
     datum's l1 offset and band_step = M - 1 (1 for e^u), so v^{j+1} takes
     that band from v^j.  Counting it in cell indices keeps it exact, so the
-    run ends once the band covers the grid."""
+    run ends once the band covers the grid.  The last stage is computed only
+    from the band up (the kernel's ``lo``); an earlier stage's products below
+    it still reach the last stage's cells above it."""
     exponential = spec.nonlinearity.kind is NonlinearityKind.EXPONENTIAL
     band_step = 1 if exponential else M - 1
     lam = spec.lambda_shift
@@ -238,14 +244,15 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace
     inc_norms: list[float] = []
     converged = False
     for j in range(spec.jmax):
+        need = (j * band_step + 1) * eps_cells
         acc, G = v, np.zeros_like(v) if exponential else None
         for r in range(2, M + 1) if v.any() else ():  # N(v^0) = N(0) = 0
-            acc = convolve_frames(acc, v, grid, rule)
+            acc = convolve_frames(acc, v, grid, rule, need if r == M else 0)
             if exponential:
                 G += acc / math.factorial(r)
         G = lam**2 * G if exponential else acc
         v_next = free_vals + duhamel(SpaceTimeField(grid, tgrid, G), lam).values
-        settled = index_l1 < (j * band_step + 1) * eps_cells
+        settled = index_l1 < need
         v_next[:, settled] = v[:, settled]
         if not np.all(np.isfinite(v_next.view(np.float64))):
             raise DivergenceError("iterates left the floating-point range")
@@ -340,7 +347,9 @@ def taylor_coefficients(
     Order 1 is the free evolution of v0; order k is the Duhamel integral
     of the multinomial sum of convolutions of lower orders.  Each order k
     has l1 support offset at least k times the datum's, so finitely many
-    orders assemble the exact solution on |xi|_1 < K.
+    orders assemble the exact solution on |xi|_1 < K.  Supports only move
+    up on every axis, so the convolutions are computed only below K on
+    every axis (the kernel's ``hi``), a box that holds the band.
     """
     if spec.nonlinearity.kind is not NonlinearityKind.POWER:
         raise ValueError("the amplitude expansion is built for power flows")
@@ -366,6 +375,7 @@ def taylor_coefficients(
         math.ceil(K / ((m - 1) * eps) - 1e-9),
     )
 
+    hi = math.ceil(K / grid.h - 1e-9)  # the first cell index at or above K
     lam = spec.lambda_shift
     a: dict[int, np.ndarray] = {1: free_trajectory(v0, tgrid, lam).values}
     zero = np.zeros_like(a[1])
@@ -391,7 +401,7 @@ def taylor_coefficients(
                 if not rest.any():
                     continue
                 pair = 2.0 if r == 2 and 2 * i < k else 1.0
-                acc += pair * convolve_frames(ai, rest, grid, rule)
+                acc += pair * convolve_frames(ai, rest, grid, rule, 0, hi)
             P[key] = acc
         return P[key]
 

@@ -10,9 +10,10 @@ the quadrature order for data that are smooth within their support.
 :func:`convolve` and :func:`convolve_power` sum directly (``np.convolve``
 in 1D, a shift-and-add over nonzero cells above; a trapezoid self-product
 sums half its mirrored terms, twice), and :func:`convolve_frames` convolves
-(nt, *grid) frame stacks by zero-padded FFTs.  Both kernels take from one
-plan per pair of nonzero patterns each operand's support box (the cells
-whose products can reach [0, n)) and the rule's operand masks.  The FFT
+(nt, *grid) frame stacks by zero-padded FFTs on a window of output cells
+the caller keeps.  Both kernels take from one plan per pair of nonzero
+patterns each operand's support box (the cells whose products can reach
+[0, n)) and the rule's operand masks.  The FFT
 kernel keeps the direct sum's exact zeros (a count convolution kept with
 the plan) and its values up to FFT round-off; the truncation warning
 follows the combinatorial support, not the values.
@@ -269,7 +270,8 @@ class _Plan:
     length is the linear one.  ``scale`` is h^d times the rule's
     weight, and ``spills`` whether some product of a term lands at or beyond
     n on an axis.  There are no terms when a pattern is empty or a + b >= n
-    on an axis.
+    on an axis.  A window of the FFT kernel is a cut of this plan, so that
+    windowed and whole calls share it.
     """
 
     spills: bool
@@ -290,6 +292,45 @@ class _Plan:
         spec = _spectrum(self.terms, True, True,
                          lambda x, m: _fft.rfftn(x * m, self.pad, axes))
         return _fft.irfftn(spec, self.pad, axes)[self.crop] > 0.5
+
+    def window(self, lo: int, hi: int):
+        """The plan cut to the output cells below hi on every axis whose index
+        sum is at least lo: ``(terms, fbox, gbox, cells, crop, pad, keep)``,
+        ``keep`` the :attr:`support` on the crop, or None when no product
+        lands there.
+
+        Only f on [a, min(A + 1, hi - b)) and g on [b, min(B + 1, hi - a))
+        reach cells below hi; masks and support are cut from the plan's, and
+        the whole window gives the plan's own boxes and pads.  In 1D a cyclic
+        convolution of length P equals the linear one, of length L, at every
+        index >= L - P (the aliasing argument of overlap-save), so the pad
+        need only reach L - skip, skip the distance of lo above a + b.  In
+        d >= 2 lo gives no per-axis bound and only zeroes the cells below it.
+        """
+        if not self.terms:
+            return None
+        a, b = ([s.start for s in box] for box in (self.fbox, self.gbox))
+        ab = [x + y for x, y in zip(a, b)]
+        f_end = [min(s.stop, hi - y) for s, y in zip(self.fbox, b)]
+        g_end = [min(s.stop, hi - x) for s, x in zip(self.gbox, a)]
+        lf = [e - s for e, s in zip(f_end, a)]
+        lg = [e - s for e, s in zip(g_end, b)]
+        out = [min(x + y - 1, hi - s) for x, y, s in zip(lf, lg, ab)]  # crop ends
+        skip = lo - sum(ab)
+        if min(out) <= 0 or skip > sum(out) - len(out):  # a + b >= hi, or lo above
+            return None  # the output box's largest index sum
+        alias = max(skip, 0) if len(out) == 1 else 0
+        pad = tuple(_next_fast_len(max(x, y, c, x + y - 1 - alias))
+                    for x, y, c in zip(lf, lg, out))
+        fcut, gcut, crop = (tuple(map(slice, ends)) for ends in (lf, lg, out))
+        cut = {}  # each mask cut once, so that shared masks stay shared
+        terms = tuple((cut.setdefault(id(fm), fm[fcut]), cut.setdefault(id(gm), gm[gcut]))
+                      for fm, gm in self.terms)
+        keep = self.support[crop]
+        if skip > 0:
+            keep = keep & (np.indices(keep.shape).sum(axis=0) >= skip)
+        return (terms, tuple(map(slice, a, f_end)), tuple(map(slice, b, g_end)),
+                tuple(slice(s, s + c) for s, c in zip(ab, out)), crop, pad, keep)
 
 
 @functools.lru_cache(maxsize=16)
@@ -412,23 +453,29 @@ def convolve(
 
 
 def convolve_frames(
-    a: np.ndarray, b: np.ndarray, grid: FrequencyGrid, rule: str = "riemann"
+    a: np.ndarray, b: np.ndarray, grid: FrequencyGrid, rule: str = "riemann",
+    lo: int = 0, hi: int | None = None,
 ) -> np.ndarray:
     """Frame-by-frame :func:`convolve` of two (nt, *grid.shape) stacks,
-    truncated at xi_max, by zero-padded FFTs over the grid axes.
+    truncated at xi_max, by zero-padded FFTs over the grid axes, computed
+    only on the caller's window: the cells below ``hi`` (default n) on
+    every axis whose index sum is at least ``lo``.  Cells outside the
+    window are zero.
 
     Frames are grouped by their pair of nonzero patterns, and each group
-    runs through the plan :func:`convolve` uses for that pair: each operand
-    is cut to its support box (the cells whose products can reach [0, n))
-    and masked by the rule, each axis is padded to :func:`_next_fast_len` of
-    the boxes' full convolution length, the rule's terms are summed in the
-    frequency domain and inverted once, and only cells from a + b up
-    are written (a, b the patterns' first nonzero cells).  Cells outside
-    the combinatorial support, a count convolution of the masks kept with
-    the plan, are exact zeros as in the direct sum; inside it the values
-    agree with the direct sum to FFT round-off.  An empty operand, or
-    a + b >= n on an axis, gives zeros without a transform.  Blocks of
-    about 2^16 padded cells bound the working memory.
+    runs through the plan :func:`convolve` uses for that pair, cut to the
+    window (:meth:`_Plan.window`): each operand is cut to its support box
+    (the cells whose products can reach the cells below hi) and masked by
+    the rule, each axis is padded to :func:`_next_fast_len` of the boxes'
+    full convolution length (in 1D only of the part from lo up, by the
+    overlap-save argument), the rule's terms are summed in the frequency
+    domain and inverted once, and only cells from a + b up are written (a, b
+    the patterns' first nonzero cells).  Cells outside the combinatorial
+    support, a count convolution of the masks kept with the plan, are exact
+    zeros as in the direct sum; inside it the values agree with the direct
+    sum to FFT round-off.  An empty operand, a + b >= hi on an axis, or lo
+    above every index sum the products reach gives zeros without a
+    transform.  Blocks of about 2^16 padded cells bound the working memory.
     """
     if a.shape != b.shape or a.shape[1:] != grid.shape:
         raise ValueError(f"frame stacks must both have shape (nt, *{grid.shape}), "
@@ -441,20 +488,23 @@ def convolve_frames(
     groups: dict[tuple[bytes, bytes], list[int]] = {}
     for t, pair in enumerate(zip(bits[0], bits[-1])):
         groups.setdefault(pair, []).append(t)
+    hi = grid.n if hi is None else min(hi, grid.n)
+    axes = tuple(range(1, 1 + grid.d))
     for pair, frames in groups.items():
         p = _plan(*pair, grid.shape, grid.h, rule)
-        if not p.terms:
+        window = p.window(lo, hi)
+        if window is None:
             continue
-        block = max(1, 2**16 // math.prod(p.pad))
-        axes = tuple(range(1, 1 + grid.d))
-        for lo in range(0, len(frames), block):
-            t = frames[lo:lo + block]
-            f = a[(t, *p.fbox)]
-            g = f if b is a else b[(t, *p.gbox)]  # b is a shares the transforms
-            spec = _spectrum(p.terms, f, g, lambda x, m: _padded_fft(x, m, p.pad))
+        terms, fbox, gbox, cells, crop, pad, keep = window
+        block = max(1, 2**16 // math.prod(pad))
+        for start in range(0, len(frames), block):
+            t = frames[start:start + block]
+            f = a[(t, *fbox)]
+            g = f if b is a else b[(t, *gbox)]  # b is a shares the transforms
+            spec = _spectrum(terms, f, g, lambda x, m: _padded_fft(x, m, pad))
             spec *= p.scale
-            vals = _fft.ifftn(spec, axes=axes, out=spec)[(..., *p.crop)]
-            out[(t, *p.cells)] = np.where(p.support, vals, 0.0)
+            vals = _fft.ifftn(spec, axes=axes, out=spec)[(..., *crop)]
+            out[(t, *cells)] = np.where(keep, vals, 0.0)
     return out
 
 

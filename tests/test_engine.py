@@ -28,7 +28,7 @@ from octantheat import (
     support_stats,
     taylor_coefficients,
 )
-from octantheat import engine
+from octantheat import engine, lattice
 from octantheat.oracle import exp_halfline_reference
 
 
@@ -508,3 +508,69 @@ class TestExponentialFlow:
         assert trace.converged
         assert trace.truncation_sensitivity is not None
         assert trace.truncation_sensitivity < 1e-8
+
+
+class TestBandWindows:
+    """The callers' windows: Picard's last stage from the settled band up,
+    Taylor's products below K on every axis."""
+
+    @staticmethod
+    def band_1d(nt=9):
+        # the band-1d benchmark configuration on fewer time nodes
+        g = make_grid(1, 8, 1 / 64)
+        return power_spec(g, nt=nt, jmax=8, tol=1e-12), exp_halfline(g, amp=0.7)
+
+    def test_windows_change_no_result(self, monkeypatch):
+        # against the window-less kernel: the same nonzero patterns and
+        # supports, values to 1e-12 * max; for u^3 and e^u a window on an
+        # earlier stage would drop products the last one needs
+        g = make_grid(1, 8, 1 / 16)
+        lam = 0.5
+        u0 = FrequencyField(g, exp_halfline(g).values * (g.axis >= 2 * lam))
+        exp_spec = dataclasses.replace(
+            power_spec(g, nt=33), lambda_shift=lam,
+            nonlinearity=Nonlinearity(NonlinearityKind.EXPONENTIAL, taylor_order=4))
+        band = g.l1() < 6.0 - 1e-12
+
+        def results():
+            traces = [picard_iterate(power_spec(g, m=m, nt=33), exp_halfline(g, 0.5))
+                      for m in (2, 3)]
+            traces.append(exp_picard_iterate(exp_spec, u0, sensitivity_probe=False))
+            stack = taylor_coefficients(power_spec(g, nt=33), exp_halfline(g), 6.0)
+            values = [tr.final.values for tr in traces]
+            values.append(assemble_band_solution(stack, 1.0, 6.0).values[:, band])
+            return [tr.support_min_l1 for tr in traces], values
+
+        supports, values = results()
+        kernel = engine.convolve_frames
+        monkeypatch.setattr(engine, "convolve_frames", lambda *args: kernel(*args[:4]))
+        ref_supports, ref_values = results()
+        assert supports == ref_supports
+        for got, ref in zip(values, ref_values):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.array_equal(got != 0, ref != 0)
+
+    def test_picard_pads_shrink(self, monkeypatch):
+        # the cyclic convolution need only be linear from the settled band
+        # up: one datum offset (64 cells) less per iterate, and the last
+        # iterate, settled everywhere, transforms nothing
+        pads = []
+        padded_fft = lattice._padded_fft
+        monkeypatch.setattr(lattice, "_padded_fft",
+                            lambda x, m, pad: pads.append(pad) or padded_fft(x, m, pad))
+        spec, v0 = self.band_1d()
+        assert len(picard_iterate(spec, v0).iterates) == 8
+        # the trapezoid rule transforms two masked copies of each operand
+        assert pads == [pad for n in (768, 704, 640, 576, 512, 448) for pad in [(n,)] * 2]
+
+    def test_second_run_misses_no_plan(self):
+        # solve and taylor on band-1d use 11 plans, within the cache's 16;
+        # a window is a cut of its pair's plan, so a second run plans nothing
+        spec, v0 = self.band_1d()
+        lattice._plan.cache_clear()
+        misses = []
+        for _ in range(2):
+            picard_iterate(spec, v0)
+            taylor_coefficients(spec, v0, 6.0)
+            misses.append(lattice._plan.cache_info().misses)
+        assert misses == [11, 11]

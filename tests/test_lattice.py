@@ -611,6 +611,8 @@ class TestConvolveFrames:
         lattice._plan.cache_clear()
         convolve(f, h, rule, warn_on_truncation=False)
         convolve_frames(f.values[None], h.values[None], g, rule)
+        # a window is a cut of the pair's plan, not a plan of its own
+        convolve_frames(f.values[None], h.values[None], g, rule, 3, g.n - 2)
         assert lattice._plan.cache_info().misses == 1
 
     def test_rejects_bad_input(self):
@@ -622,6 +624,70 @@ class TestConvolveFrames:
             convolve_frames(a, a, make_grid(1, 4, 0.5))
         with pytest.raises(ValueError):
             convolve_frames(a, a, g, rule="simpson")
+
+
+def window_mask(grid, lo, hi):
+    """The cells of a (lo, hi) window: every index below hi, index sum >= lo."""
+    idx = np.indices(grid.shape)
+    return (idx.sum(axis=0) >= lo) & (idx.max(axis=0) < hi)
+
+
+class TestWindows:
+    @settings(max_examples=150, deadline=None)
+    @given(frame_grids, st.sampled_from(OPERANDS), st.sampled_from(OPERANDS),
+           st.booleans(), st.sampled_from(RULES), st.integers(0, 2**31 - 1), st.data())
+    def test_matches_whole_kernel(self, g, kind_a, kind_b, self_conv, rule, seed, data):
+        # on the window the whole kernel's values to 1e-12 * max and its
+        # nonzero pattern; outside it exact zeros.  lo runs past the largest
+        # index sum d (n - 1) and hi past n, so empty windows are drawn too;
+        # "sparse" draws a support per frame, so that patterns differ
+        rng = np.random.default_rng(seed)
+        a = sparse_stack(g, 4, rng, 0.5, False) if kind_a == "sparse" \
+            else kind_stack(g, kind_a, rng, nt=4)
+        b = a if self_conv else kind_stack(g, kind_b, rng, nt=4)
+        lo = data.draw(st.integers(0, g.d * g.n), label="lo")
+        hi = data.draw(st.integers(0, g.n + 1), label="hi")
+        whole = convolve_frames(a, b, g, rule)
+        got = convolve_frames(a, b, g, rule, lo, hi)
+        win = window_mask(g, lo, hi)
+        assert not got[:, ~win].any()
+        assert np.abs(got - whole)[:, win].max(initial=0.0) <= 1e-12 * np.abs(whole).max()
+        assert np.array_equal(got[:, win] != 0, whole[:, win] != 0)
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_every_lo_in_1d(self, rule):
+        # the pad is cut to the overlap-save bound for each lo: dense
+        # operands make the first cell past it wrap onto the cell at lo
+        g = make_grid(1, 4, 1 / 8)
+        rng = np.random.default_rng(50)
+        a, b = (rng.standard_normal((2, g.n)) + 1j for _ in range(2))
+        whole = convolve_frames(a, b, g, rule)
+        for lo in range(g.d * g.n + 1):
+            for hi in (g.n, g.n - 5):
+                win = window_mask(g, lo, hi)
+                got = convolve_frames(a, b, g, rule, lo, hi)
+                assert not got[:, ~win].any()
+                assert np.abs(got - whole)[:, win].max(initial=0.0) \
+                    <= 1e-12 * np.abs(whole).max()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rule", RULES)
+    def test_empty_window_transforms_nothing(self, monkeypatch, d, rule):
+        # f from cell 1 and g from cell 2 up on every axis: each product lands
+        # at 3 or above on every axis, so a cap of 3 leaves nothing to compute
+        g = FRAME_GRIDS[d]
+        rng = np.random.default_rng(40 + d)
+        a, b = ((rng.standard_normal((3, *g.shape)) + 1j)
+                * (np.indices(g.shape).min(axis=0) >= first) for first in (1, 2))
+        counted = []
+        for name in ("fftn", "rfftn"):
+            transform = getattr(lattice._fft, name)
+            monkeypatch.setattr(lattice._fft, name, lambda x, *args, _t=transform,
+                                **kw: counted.append(x.shape) or _t(x, *args, **kw))
+        for lo, hi in ((0, 0), (0, 3), (d * (g.n - 1) + 1, None)):
+            assert not convolve_frames(a, b, g, rule, lo, hi).any()
+        assert counted == []
+        assert convolve_frames(a, b, g, rule).any() and counted != []
 
 
 class TestSupportStats:

@@ -22,6 +22,7 @@ from octantheat import (
     picard_iterate,
     taylor_coefficients,
 )
+from octantheat.oracle import OracleConfig, etd_reference_solve
 
 
 def separable(grid, a_vals, b_vals):
@@ -81,6 +82,27 @@ class TestThreeDimensionalSmoke:
         integ = static_norm(f, NormSpec(NormFlavor.ES_INTEGRAL, -1.0, 0.0))
         C = 2.0**3  # equivalence constant at sigma = 0
         assert lat <= C * integ and integ <= C * lat
+
+
+class TestOracleTimeRefinement:
+    def test_gap_shrinks_at_second_order_in_dt(self):
+        # the RK4 oracle shares the grid and the convolution rule but no
+        # Duhamel code; with 257 steps its time error is far below the
+        # trapezoid Duhamel's, so the gap on |xi|_1 < 6 falls 4x per halving
+        grid = make_grid(2, 4, 1 / 8)
+        v0 = make_initial_data(
+            InitialDataSpec(InitialDataKind.OCTANT_BUMP, eps0=1.0, width=0.5), grid)
+        ref = etd_reference_solve(v0, 2, 0.5, OracleConfig(nt_fine=257)).values[-1]
+        band = grid.l1() < 6.0
+        gaps = []
+        for nt in (5, 9, 17, 33):
+            spec = ProblemSpec(
+                grid=grid, nonlinearity=Nonlinearity(NonlinearityKind.POWER, m=2),
+                eps0=1.0, T=0.5, nt=nt)
+            final = picard_iterate(spec, v0).final.values[-1]
+            gaps.append(np.linalg.norm(final[band] - ref[band]))
+        for a, b in zip(gaps, gaps[1:]):
+            assert 3.5 <= a / b <= 4.5
 
 
 class TestContractionDilation:
