@@ -47,7 +47,7 @@ diff = np.abs(trace.final.values[:, band] - sol.values[:, band]).max()
 print(f"  converged={trace.converged}, max band deviation {diff:.2e}")
 
 print("Independent integrating-factor RK4 run")
-oracle = etd_reference_solve(v0, 2, 1.0, OracleConfig(nt_fine=1025))
+oracle = etd_reference_solve(spec, v0, OracleConfig(nt_fine=1025))
 err2 = np.linalg.norm(oracle.values[-1][band] - ref) / np.linalg.norm(ref)
 print(f"  band-L2 error vs closed forms at t=1: {err2:.2e}")
 

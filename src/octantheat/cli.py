@@ -28,8 +28,8 @@ import numpy as np
 from . import __version__
 from .data import DATA_KINDS, InitialDataKind, InitialDataSpec, make_initial_data
 from .engine import DivergenceError, GateError, Nonlinearity, NonlinearityKind, \
-    ProblemSpec, assemble_band_solution, exp_picard_iterate, free_trajectory, \
-    picard_iterate, taylor_coefficients
+    ProblemSpec, assemble_band_solution, free_trajectory, picard_iterate, \
+    taylor_coefficients
 from .lattice import FrequencyField, FrequencyGrid, load_field, make_grid, save_field, \
     support_stats
 from .norms import NormSpec, SpaceTimeField, TimeSpaceNormSpec, static_norm, \
@@ -89,10 +89,14 @@ def _check_keys(section, where: str, accepted) -> dict:
 def _coerce(hint, value, where: str, inf_ok: bool = False):
     """Convert a config value to an annotated type: by calling the type
     (float, int, complex, str, dict), an enum by upper-cased name, and a
-    ``tuple[T, ...]`` item by item.  NaN and -inf fail, +inf unless ``inf_ok``."""
+    ``tuple[T, ...]`` item by item.  NaN and -inf fail, +inf unless ``inf_ok``;
+    an int takes no bool and no float with a fraction."""
     if typing.get_origin(hint) is types.UnionType:  # ``X | None``
         hint = typing.get_args(hint)[0]
     kind = typing.get_origin(hint) or hint
+    if kind is int and (isinstance(value, bool) or isinstance(value, float)
+                        and not value.is_integer()):
+        raise ConfigError(f"{where}: {value!r} is not an integer")
     try:
         if kind is tuple:
             return tuple(_coerce(typing.get_args(hint)[0], v, where) for v in value)
@@ -237,12 +241,10 @@ def _fmt(x) -> str:
 def _cmd_solve(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dict]:
     spec, v0 = _build_problem(cfg, refine)
     stride = _frame_stride(cfg, spec.nt)
-    if spec.nonlinearity.kind is NonlinearityKind.POWER:
-        trace = picard_iterate(spec, v0)
-        step = (spec.nonlinearity.m - 1) * spec.eps0  # support gained per iterate
-    else:
-        trace = exp_picard_iterate(spec, v0)
-        step = support_stats(v0).min_l1
+    trace = picard_iterate(spec, v0)
+    # support gained per iterate: (m - 1) eps0 for u^m, the datum's offset for e^u
+    step = (spec.nonlinearity.m - 1) * spec.eps0 \
+        if spec.nonlinearity.kind is NonlinearityKind.POWER else support_stats(v0).min_l1
     support_ok = all(
         s >= j * step - 1e-12 for j, s in enumerate(trace.support_min_l1[1:], start=1)
     )
@@ -366,9 +368,7 @@ def _cmd_oracle_compare(cfg: dict, out: Path, seed: int, refine: bool) \
         raise ConfigError("oracle nt_fine must be at least four times the engine's")
     tol = _coerce(float, ocfg.get("tol", 1e-3), "oracle.tol")
     trace = picard_iterate(spec, v0)
-    ref = _call(etd_reference_solve, v0, spec.nonlinearity.m, spec.T, cfg_o,
-                delta=spec.delta, lambda_shift=spec.lambda_shift,
-                conv_rule=spec.conv_rule)
+    ref = _call(etd_reference_solve, spec, v0, cfg_o)
     grid = spec.grid
     band = grid.l1() < cfg_o.compare_band - 1e-12
     eng = trace.final.values[-1]

@@ -45,7 +45,6 @@ __all__ = [
     "picard_iterate",
     "taylor_coefficients",
     "assemble_band_solution",
-    "exp_picard_iterate",
 ]
 
 
@@ -65,7 +64,8 @@ class NonlinearityKind(str, enum.Enum):
 @dataclass(frozen=True)
 class Nonlinearity:
     """u^m (POWER: ``m``, default 2) or e^u - 1 truncated at order M
-    (EXPONENTIAL: ``taylor_order``, default 12); each kind takes only its own."""
+    (EXPONENTIAL: ``taylor_order``, default 12); each kind takes only its own,
+    an integer of at least 2 (an integral float is stored as int)."""
 
     kind: NonlinearityKind
     m: int | None = None
@@ -78,10 +78,12 @@ class Nonlinearity:
         if getattr(self, other) is not None:
             raise ValueError(f"{other} is not a parameter of the {kind.value} "
                              "nonlinearity")
-        if getattr(self, own) is None:
-            object.__setattr__(self, own, 2 if power else 12)
-        if getattr(self, own) < 2:
-            raise ValueError(f"{kind.value.lower()} nonlinearity needs {own} >= 2")
+        value = getattr(self, own)
+        value = (2 if power else 12) if value is None else value
+        if not float(value).is_integer() or value < 2:
+            raise ValueError(f"{kind.value.lower()} nonlinearity needs an integer "
+                             f"{own} >= 2, got {value!r}")
+        object.__setattr__(self, own, int(value))
         object.__setattr__(self, "kind", kind)
 
 
@@ -104,8 +106,10 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if self.eps0 <= 0:
             raise ValueError("eps0 must be positive")
-        if not 0 < self.T < math.inf or self.nt < 2 or not math.isfinite(self.delta):
-            raise ValueError("need 0 < T < inf, nt >= 2 and a finite delta")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"T must be finite and positive, got {self.T}")
+        if self.nt < 2 or not math.isfinite(self.delta):
+            raise ValueError("need nt >= 2 and a finite delta")
         if self.jmax < 1:
             raise ValueError("jmax must be positive")
         if self.conv_rule not in RULES:
@@ -291,51 +295,34 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace
 
 
 def picard_iterate(spec: ProblemSpec, v0: FrequencyField) -> IterationTrace:
-    """Iterate v^{j+1} = delta e^{-t w} v0 + Duhamel((v^j)^{*m}), v^0 = 0.
+    """Iterate v^{j+1} = delta e^{-t w} v0 + Duhamel(N(v^j)), v^0 = 0, for
+    the spec's nonlinearity, until the weighted increment norm drops below
+    tol or jmax is reached; raises :class:`DivergenceError` when increments
+    grow three times in a row.
 
-    The datum must be octant-supported with |xi|_inf >= eps0.  Stops when
-    the weighted increment norm drops below tol or jmax is reached; raises
-    :class:`DivergenceError` when increments grow three times in a row.
+    u^m: the datum must be octant-supported with |xi|_inf >= eps0.  e^u - 1
+    (u_t - (lam^2 + Delta) u = lam^2 (e^u - u - 1), the series truncated at
+    M = ``taylor_order``): lam > 0, and the datum, dilated onto this grid,
+    starts at |xi|_inf >= 2 lam; the weighted distance to a run with M + 2
+    terms is recorded as ``truncation_sensitivity``, with a RuntimeWarning
+    above tol.
     """
-    if spec.nonlinearity.kind is not NonlinearityKind.POWER:
-        raise ValueError("picard_iterate drives the power nonlinearity; "
-                         "use exp_picard_iterate for the exponential flow")
-    _gate(spec, v0, spec.eps0)
-    return _run_picard(spec, v0, spec.nonlinearity.m)
-
-
-def exp_picard_iterate(
-    spec: ProblemSpec,
-    u0: FrequencyField,
-    sensitivity_probe: bool = True,
-) -> IterationTrace:
-    """Picard iteration for u_t - (lam^2 + Delta) u = lam^2 (e^u - u - 1)
-    with the exponential series truncated at ``taylor_order``.
-
-    The datum (already dilated onto this grid) must have its spectrum in
-    the octant with |xi|_inf >= 2 * lambda_shift.  When
-    ``sensitivity_probe`` is set, the run is repeated with two more series
-    terms and the weighted distance between the final iterates is recorded
-    as ``truncation_sensitivity`` (a warning is raised above tol).
-    """
-    if spec.nonlinearity.kind is not NonlinearityKind.EXPONENTIAL:
-        raise ValueError("exp_picard_iterate needs an EXPONENTIAL nonlinearity")
+    nl = spec.nonlinearity
+    if nl.kind is NonlinearityKind.POWER:
+        _gate(spec, v0, spec.eps0)
+        return _run_picard(spec, v0, nl.m)
     if spec.lambda_shift <= 0:
         raise GateError("the exponential flow needs a positive semigroup shift")
-    _gate(spec, u0, 2.0 * spec.lambda_shift)
-    M = spec.nonlinearity.taylor_order
-    trace = _run_picard(spec, u0, M)
-    if sensitivity_probe:
-        hi = _run_picard(spec, u0, M + 2)
-        sens = weighted_l1_seq_norm(trace.final - hi.final, spec.s)
-        trace.truncation_sensitivity = sens
-        if sens > spec.tol:
-            warnings.warn(
-                f"exponential-series truncation sensitivity {sens:.3e} exceeds "
-                f"tol {spec.tol:.3e}; the series order M = {M} is too low for that tol",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    _gate(spec, v0, 2.0 * spec.lambda_shift)
+    M = nl.taylor_order
+    trace = _run_picard(spec, v0, M)
+    sens = weighted_l1_seq_norm(trace.final - _run_picard(spec, v0, M + 2).final,
+                                spec.s)
+    trace.truncation_sensitivity = sens
+    if sens > spec.tol:
+        warnings.warn(f"exponential-series truncation sensitivity {sens:.3e} exceeds "
+                      f"tol {spec.tol:.3e}; the series order M = {M} is too low for "
+                      "that tol", RuntimeWarning, stacklevel=2)
     return trace
 
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .engine import DivergenceError, heat_symbol
+from .engine import DivergenceError, NonlinearityKind, ProblemSpec, heat_symbol
 from .lattice import FrequencyField, _direct_power
 from .norms import SpaceTimeField
 
@@ -57,37 +57,31 @@ def _gl(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def etd_reference_solve(
-    v0: FrequencyField,
-    m: int,
-    T: float,
-    cfg: OracleConfig,
-    delta: float = 1.0,
-    lambda_shift: float = 0.0,
-    conv_rule: str = "trapezoid",
+    spec: ProblemSpec, v0: FrequencyField, cfg: OracleConfig
 ) -> SpaceTimeField:
-    """Integrating-factor RK4 solve of the band-truncated spectral ODE.
+    """Integrating-factor RK4 solve of the band-truncated spectral ODE for
+    the spec's u^m, horizon, amplitude, shift and convolution rule, in
+    ``cfg.nt_fine`` time nodes.
 
-    Raises ValueError unless m >= 2 is an integer, nt_fine >= 2 and T finite
-    and positive, and :class:`DivergenceError` when a step leaves the
-    certified range (step-size instability or genuine blow-up on the band).
+    Raises ValueError for a non-POWER spec or nt_fine < 2, and
+    :class:`DivergenceError` when a step leaves the certified range
+    (step-size instability or genuine blow-up on the band).
     """
-    if not float(m).is_integer() or m < 2:
-        raise ValueError(f"power must be an integer of at least 2, got {m}")
+    if spec.nonlinearity.kind is not NonlinearityKind.POWER:
+        raise ValueError("the reference integrator drives the power nonlinearity")
     if cfg.nt_fine < 2:
         raise ValueError(f"nt_fine must be at least 2, got {cfg.nt_fine}")
-    if not 0.0 < T < np.inf:
-        raise ValueError(f"T must be finite and positive, got {T}")
-    grid, m, nt = v0.grid, int(m), cfg.nt_fine
-    tgrid = np.linspace(0.0, T, nt)
+    grid, m, nt = spec.grid, spec.nonlinearity.m, cfg.nt_fine
+    tgrid = np.linspace(0.0, spec.T, nt)
     dt = float(tgrid[1] - tgrid[0])
-    w = heat_symbol(grid, lambda_shift)
+    w = heat_symbol(grid, spec.lambda_shift)
     E = np.exp(-dt * w)
     E2 = np.exp(-0.5 * dt * w)
 
     def N(v: np.ndarray) -> np.ndarray:
-        return _direct_power(v, m, grid, conv_rule)[0]
+        return _direct_power(v, m, grid, spec.conv_rule)[0]
 
-    v = delta * v0.values.copy()
+    v = spec.delta * v0.values
     frames = np.empty((nt, *grid.shape), dtype=np.complex128)
     frames[0] = v
     guard = 1e6 * max(1.0, float(np.abs(v).max()))

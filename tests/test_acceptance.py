@@ -22,7 +22,6 @@ from octantheat import (
     error_decay_fit,
     etd_reference_solve,
     exp_halfline_band,
-    exp_picard_iterate,
     illposed_probe_E,
     illposed_probe_H,
     inequality_probe,
@@ -141,13 +140,13 @@ class TestCriterion4:
         eng = trace.final.values[-1]
         band = grid.l1() < 4.0
 
-        fine = etd_reference_solve(v0, 2, 1.0, OracleConfig(nt_fine=2049))
+        fine = etd_reference_solve(spec, v0, OracleConfig(nt_fine=2049))
         num = np.linalg.norm(fine.values[-1][band] - eng[band])
         den = np.linalg.norm(fine.values[-1][band])
         agree = float(num / den)
 
         def defect(nt_fine):
-            out = etd_reference_solve(v0, 2, 1.0, OracleConfig(nt_fine=nt_fine))
+            out = etd_reference_solve(spec, v0, OracleConfig(nt_fine=nt_fine))
             return float(np.linalg.norm(out.values[-1][band] - eng[band]))
 
         # steps coarse enough that the integrator error dominates the
@@ -277,7 +276,7 @@ class TestCriterion9:
             eps0=2.0, s=-1.0, lambda_shift=float(lam),
             T=0.25, nt=65, jmax=10, tol=1e-13,
         )
-        trace = exp_picard_iterate(spec, u0l)
+        trace = picard_iterate(spec, u0l)
         sens = trace.truncation_sensitivity
         ok_support = all(
             s_ >= j * gate

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -30,6 +31,23 @@ def solve_cfg(**over):
         "time": {"T": 1.0, "nt": 33},
         "iterate": {"jmax": 8, "tol": 1e-12},
         "initial_data": {"kind": "EXP_HALFLINE"},
+    }
+    cfg.update(over)
+    return cfg
+
+
+def exp_cfg(**over):
+    cfg = {
+        "d": 1,
+        "nonlinearity": {"type": "EXPONENTIAL", "M": 6},
+        "epsilon0": 2.0,
+        "s": -1.0,
+        "lambda_shift": 2.0,
+        "grid": {"xi_max": 32, "h": 0.25},
+        "time": {"T": 0.25, "nt": 33},
+        "iterate": {"jmax": 8, "tol": 1e-13},
+        "initial_data": {"kind": "OCTANT_BUMP", "eps0": 4.0, "width": 0.5,
+                         "amplitude": 0.01},
     }
     cfg.update(over)
     return cfg
@@ -106,20 +124,8 @@ class TestSolve:
                    str(tmp_path / "out")) == 2
 
     def test_exponential_solve(self, tmp_path):
-        cfg = {
-            "d": 1,
-            "nonlinearity": {"type": "EXPONENTIAL", "M": 6},
-            "epsilon0": 2.0,
-            "s": -1.0,
-            "lambda_shift": 2.0,
-            "grid": {"xi_max": 32, "h": 0.25},
-            "time": {"T": 0.25, "nt": 33},
-            "iterate": {"jmax": 8, "tol": 1e-13},
-            "initial_data": {"kind": "OCTANT_BUMP", "eps0": 4.0, "width": 0.5,
-                             "amplitude": 0.01},
-        }
         out = tmp_path / "out"
-        status = run("solve", write_cfg(tmp_path, cfg), str(out))
+        status = run("solve", write_cfg(tmp_path, exp_cfg()), str(out))
         assert status == 0
         man = manifest(out)
         assert man["checks"]["converged"] is True
@@ -370,6 +376,13 @@ class TestTaylorAndOracle:
         assert run("oracle-compare", write_cfg(tmp_path, cfg), str(out)) == 0
         assert manifest(out)["details"]["band_rel_err"] < 1e-3
 
+    def test_oracle_compare_rejects_the_exponential_flow(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = exp_cfg(oracle={"tol": 1e-3})
+        assert run("oracle-compare", write_cfg(tmp_path, cfg), str(out)) == 2
+        assert "power nonlinearity" in manifest(out)["error"]
+        assert not (out / "oracle_compare.csv").exists()
+
     def test_oracle_nt_fine_floor(self, tmp_path):
         cfg = solve_cfg(oracle={"nt_fine": 33})
         assert run("oracle-compare", write_cfg(tmp_path, cfg),
@@ -467,6 +480,19 @@ BAD_CONFIGS.update({f"nonlinearity-{name}": ("solve", solve_cfg(nonlinearity=nl)
                     for name, (nl, _, _) in FOREIGN_NONLINEARITY_KEYS.items()})
 
 
+# a config with one integer key set to the given value, per key
+INTEGER_KEYS = {
+    "time.nt": lambda v: ("solve", solve_cfg(time={"T": 1.0, "nt": v})),
+    "nonlinearity.m": lambda v: ("solve", solve_cfg(nonlinearity={"type": "POWER",
+                                                                  "m": v})),
+    "iterate.jmax": lambda v: ("solve", solve_cfg(iterate={"jmax": v, "tol": 1e-12})),
+    "grid.xi_max": lambda v: ("solve", solve_cfg(grid={"xi_max": v, "h": 1 / 16})),
+    "output.frame_stride": lambda v: ("solve", solve_cfg(output={"frame_stride": v})),
+    "probe.params.N_list": lambda v: ("probe", {"probe": {
+        "kind": "illposed_H", "params": {"sigma": -2.0, "N_list": [8, v]}}}),
+}
+
+
 class TestStrictConfig:
     @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
     def test_bad_config_exit_2(self, tmp_path, name):
@@ -513,6 +539,30 @@ class TestStrictConfig:
         error = manifest(out)["error"]
         assert error.startswith("config:")
         assert all(f"'{key}'" in error for key in extra)
+
+    @pytest.mark.parametrize("value", [6.5, True, math.inf, math.nan], ids=repr)
+    @pytest.mark.parametrize("key", sorted(INTEGER_KEYS))
+    def test_integer_key_takes_no_fraction_bool_or_infinity(self, tmp_path, key, value):
+        command, cfg = INTEGER_KEYS[key](value)
+        out = tmp_path / "out"
+        assert run(command, write_cfg(tmp_path, cfg), str(out)) == 2
+        error = manifest(out)["error"]
+        assert error.startswith(f"config: {key}:") and "not an integer" in error
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        def cfg(n):  # the integer keys as n(value)
+            return solve_cfg(grid={"xi_max": n(4), "h": 1 / 16},
+                             time={"T": 1.0, "nt": n(33)},
+                             nonlinearity={"type": "POWER", "m": n(2)},
+                             iterate={"jmax": n(8), "tol": 1e-12},
+                             output={"frame_stride": n(16)})
+
+        for n in (int, float):
+            out = tmp_path / n.__name__
+            assert run("solve", write_cfg(tmp_path, cfg(n)), str(out)) == 0
+        for name in manifest(tmp_path / "int")["outputs"]:
+            assert (tmp_path / "int" / name).read_bytes() == \
+                (tmp_path / "float" / name).read_bytes()
 
     def test_unknown_key_named_in_error(self, tmp_path):
         out = tmp_path / "out"

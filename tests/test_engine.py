@@ -17,7 +17,6 @@ from octantheat import (
     assemble_band_solution,
     convolve,
     duhamel,
-    exp_picard_iterate,
     free_trajectory,
     make_grid,
     make_initial_data,
@@ -27,6 +26,7 @@ from octantheat import (
     scaled_grid,
     support_stats,
     taylor_coefficients,
+    weighted_l1_seq_norm,
 )
 from octantheat import engine, lattice
 from octantheat.oracle import exp_halfline_reference
@@ -168,6 +168,28 @@ class TestNonlinearity:
     def test_rejects_the_other_kinds_parameter(self, kind, other):
         with pytest.raises(ValueError, match=f"{next(iter(other))} is not a parameter"):
             Nonlinearity(kind, **other)
+
+    @pytest.mark.parametrize("kind,own", [("POWER", "m"),
+                                          ("EXPONENTIAL", "taylor_order")])
+    @pytest.mark.parametrize("value", [2.5, 1.0, math.inf])
+    def test_rejects_a_non_integral_or_low_parameter(self, kind, own, value):
+        with pytest.raises(ValueError, match=f"needs an integer {own} >= 2"):
+            Nonlinearity(kind, **{own: value})
+
+    def test_integral_float_stored_as_int(self):
+        power = Nonlinearity(NonlinearityKind.POWER, m=3.0)
+        exponential = Nonlinearity(NonlinearityKind.EXPONENTIAL, taylor_order=6.0)
+        assert type(power.m) is int and power == Nonlinearity("POWER", m=3)
+        assert type(exponential.taylor_order) is int and exponential.taylor_order == 6
+
+    def test_integral_float_power_runs_as_int(self):
+        g = make_grid(1, 4, 1 / 16)
+        v0 = exp_halfline(g)
+        got, ref = (power_spec(g, m=m, nt=17) for m in (2.0, 2))
+        assert np.array_equal(picard_iterate(got, v0).final.values,
+                              picard_iterate(ref, v0).final.values)
+        assert np.array_equal(taylor_coefficients(got, v0, 3.0).coeffs[-1].values,
+                              taylor_coefficients(ref, v0, 3.0).coeffs[-1].values)
 
 
 class TestProblemSpec:
@@ -440,23 +462,33 @@ class TestExponentialFlow:
         )
         return spec, u0l
 
+    @staticmethod
+    def run_M(spec, u0l, M=None):
+        """The Picard loop alone, at order M (default: the spec's)."""
+        return engine._run_picard(spec, u0l, M or spec.nonlinearity.taylor_order)
+
     def test_zero_datum(self):
         spec, u0l = self._setup()
         zero = FrequencyField(spec.grid, np.zeros(spec.grid.shape))
-        trace = exp_picard_iterate(spec, zero, sensitivity_probe=False)
+        trace = self.run_M(spec, zero)
         assert not trace.final.values.any()
 
     def test_gate_requires_shifted_spectrum(self):
         spec, _ = self._setup()
         low = bump(spec.grid, 1.0, width=0.5)  # below 2 lam = 4
         with pytest.raises(GateError):
-            exp_picard_iterate(spec, low)
+            picard_iterate(spec, low)
+
+    def test_gate_requires_a_positive_shift(self):
+        spec, u0l = self._setup()
+        with pytest.raises(GateError, match="positive semigroup shift"):
+            picard_iterate(dataclasses.replace(spec, lambda_shift=0.0), u0l)
 
     def test_two_term_series_matches_quadratic_flow(self):
         # with the series truncated at M = 2 the dynamics is the quadratic
         # flow with coefficient lam^2 / 2
         spec, u0l = self._setup(M=2)
-        trace = exp_picard_iterate(spec, u0l, sensitivity_probe=False)
+        trace = self.run_M(spec, u0l)
         lam2 = spec.lambda_shift**2
         free = free_trajectory(u0l, spec.tgrid, spec.lambda_shift)
         v = np.zeros_like(free.values)
@@ -476,7 +508,7 @@ class TestExponentialFlow:
         # convolution values, not only the free evolution
         spec, u0l = self._setup(M=4)
         spec = dataclasses.replace(spec, tol=0.0, jmax=5)
-        trace = exp_picard_iterate(spec, u0l, sensitivity_probe=False)
+        trace = self.run_M(spec, u0l)
         eps = support_stats(u0l).min_l1
         l1 = spec.grid.l1()
         assert len(trace.iterates) == 5
@@ -495,19 +527,36 @@ class TestExponentialFlow:
                             lambda *args: calls.append(args) or kernel(*args))
         spec, u0l = self._setup(M=M)
         spec = dataclasses.replace(spec, tol=0.0, jmax=4)
-        trace = exp_picard_iterate(spec, u0l, sensitivity_probe=False)
+        trace = self.run_M(spec, u0l)
         assert len(trace.iterates) == 4
         assert len(calls) == (len(trace.iterates) - 1) * (M - 1)
 
     def test_support_analog_and_sensitivity(self):
         spec, u0l = self._setup(M=6)
-        trace = exp_picard_iterate(spec, u0l)
+        trace = picard_iterate(spec, u0l)
         gate = support_stats(u0l).min_l1
         for j, s in enumerate(trace.support_min_l1[1:], start=1):
             assert s >= j * gate - 1e-12
         assert trace.converged
         assert trace.truncation_sensitivity is not None
         assert trace.truncation_sensitivity < 1e-8
+
+    def test_sensitivity_is_the_distance_to_two_more_terms(self):
+        # picard_iterate runs order M and records its distance to order M + 2
+        spec, u0l = self._setup(M=6)
+        trace = picard_iterate(spec, u0l)
+        lo, hi = self.run_M(spec, u0l), self.run_M(spec, u0l, 8)
+        assert np.array_equal(trace.final.values, lo.final.values)
+        assert trace.truncation_sensitivity == weighted_l1_seq_norm(
+            lo.final - hi.final, spec.s)
+
+    def test_sensitivity_above_tol_warns(self):
+        # two series terms on a larger datum: the third order is not negligible
+        spec, u0l = self._setup(amp=0.5, M=2)
+        spec = dataclasses.replace(spec, tol=1e-10)
+        with pytest.warns(RuntimeWarning, match="truncation sensitivity"):
+            trace = picard_iterate(spec, u0l)
+        assert trace.truncation_sensitivity > spec.tol
 
 
 class TestBandWindows:
@@ -535,7 +584,7 @@ class TestBandWindows:
         def results():
             traces = [picard_iterate(power_spec(g, m=m, nt=33), exp_halfline(g, 0.5))
                       for m in (2, 3)]
-            traces.append(exp_picard_iterate(exp_spec, u0, sensitivity_probe=False))
+            traces.append(engine._run_picard(exp_spec, u0, 4))
             stack = taylor_coefficients(power_spec(g, nt=33), exp_halfline(g), 6.0)
             values = [tr.final.values for tr in traces]
             values.append(assemble_band_solution(stack, 1.0, 6.0).values[:, band])

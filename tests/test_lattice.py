@@ -327,13 +327,17 @@ def kind_stack(grid, kind, rng, nt=3):
 
 def picard_like_stack(grid, rng, nt=6):
     """Frames on one sparse support but frame 0, which keeps only the cells of
-    l1 index below d n / 2 (and differs from the others)."""
-    while True:
+    l1 index below d n / 2 (and differs from the others).  The grid needs
+    cells on both sides of that cut; the draw is retried at most 100 times."""
+    cut = grid.d * grid.n // 2
+    assert 0 < cut <= grid.d * (grid.n - 1), f"no l1 cut at {cut} on {grid}"
+    for _ in range(100):
         a = kind_stack(grid, "sparse", rng, nt)
-        low = a[0] * (np.indices(grid.shape).sum(axis=0) < grid.d * grid.n // 2)
+        low = a[0] * (np.indices(grid.shape).sum(axis=0) < cut)
         if low.any() and (low != 0).sum() < (a[0] != 0).sum():
             a[0] = low
             return a
+    raise AssertionError(f"no sparse draw on {grid} spans the l1 cut at {cut}")
 
 
 def check_frames(a, b, grid, rule):
@@ -556,6 +560,12 @@ class TestConvolveFrames:
         for rule in RULES:
             assert not convolve_frames(a, b, g, rule).any()
             assert not convolve_frames(b, a, g, rule).any()
+
+    def test_picard_like_stack_rejects_a_grid_without_the_cut(self):
+        # one cell per axis: every cell lies below d n / 2, so no draw can
+        # split frame 0
+        with pytest.raises(AssertionError, match="no l1 cut"):
+            picard_like_stack(make_grid(3, 1, 1.0), np.random.default_rng(0))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("rule", RULES)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -24,6 +25,12 @@ from octantheat import (
 
 def exp_halfline(grid):
     return make_initial_data(InitialDataSpec(InitialDataKind.EXP_HALFLINE), grid)
+
+
+def power_spec(grid, m=2, T=1.0, **kw):
+    """The reference integrator's run: its time nodes come from OracleConfig."""
+    return ProblemSpec(grid=grid, nonlinearity=Nonlinearity(NonlinearityKind.POWER, m=m),
+                       eps0=1.0, T=T, **kw)
 
 
 class TestClosedFormReference:
@@ -71,7 +78,7 @@ class TestEtdReference:
         g = make_grid(1, 4, 1 / 16)
         xi = g.axis
         f = FrequencyField(g, np.exp(xi) * (xi >= 2.5))
-        out = etd_reference_solve(f, 2, 1.0, OracleConfig(nt_fine=33))
+        out = etd_reference_solve(power_spec(g), f, OracleConfig(nt_fine=33))
         expect = np.exp(-1.0 * xi**2) * f.values
         err = np.abs(out.values[-1] - expect)
         assert err.max() <= 1e-12 * np.abs(expect).max()
@@ -79,13 +86,10 @@ class TestEtdReference:
     def test_agrees_with_band_solution(self):
         g = make_grid(1, 4, 1 / 64)
         v0 = exp_halfline(g)
-        spec = ProblemSpec(
-            grid=g, nonlinearity=Nonlinearity(NonlinearityKind.POWER, m=2),
-            eps0=1.0, T=1.0, nt=257,
-        )
+        spec = power_spec(g, nt=257)
         stack = taylor_coefficients(spec, v0, K=3.0)
         band_sol = assemble_band_solution(stack, 1.0, 3.0)
-        ref = etd_reference_solve(v0, 2, 1.0, OracleConfig(nt_fine=1025))
+        ref = etd_reference_solve(spec, v0, OracleConfig(nt_fine=1025))
         band = (g.axis >= 1.0) & (g.axis < 3.0)
         num = np.linalg.norm(band_sol.values[-1][band] - ref.values[-1][band])
         den = np.linalg.norm(ref.values[-1][band])
@@ -96,11 +100,11 @@ class TestEtdReference:
         # halving (integrating-factor RK4)
         g = make_grid(1, 4, 1 / 32)
         v0 = exp_halfline(g)
-        ref = etd_reference_solve(v0, 2, 1.0, OracleConfig(nt_fine=513))
+        ref = etd_reference_solve(power_spec(g), v0, OracleConfig(nt_fine=513))
         band = g.axis < 3.0
 
         def defect(nt):
-            out = etd_reference_solve(v0, 2, 1.0, OracleConfig(nt_fine=nt))
+            out = etd_reference_solve(power_spec(g), v0, OracleConfig(nt_fine=nt))
             return np.linalg.norm(out.values[-1][band] - ref.values[-1][band])
 
         d_coarse, d_half = defect(9), defect(17)
@@ -113,22 +117,34 @@ class TestEtdReference:
         xi = g.axis
         f = FrequencyField(g, 1e5 * (xi >= 0.5) * (xi < 1.0))
         with pytest.raises(DivergenceError):
-            etd_reference_solve(f, 2, 4.0, OracleConfig(nt_fine=5))
+            etd_reference_solve(power_spec(g, T=4.0), f, OracleConfig(nt_fine=5))
 
     @pytest.mark.parametrize("m,T,nt_fine,match", [
         (2.5, 1.0, 9, "power"), (1, 1.0, 9, "power"), (2, 1.0, 1, "nt_fine"),
         (2, 0.0, 9, "T must"), (2, -1.0, 9, "T must"), (2, math.nan, 9, "T must"),
         (2, math.inf, 9, "T must")])
     def test_rejects_bad_input(self, m, T, nt_fine, match):
+        # the spec rejects a bad m (Nonlinearity) or T (ProblemSpec) before
+        # the integrator runs; nt_fine is the integrator's own
         g = make_grid(1, 4, 1 / 8)
         with pytest.raises(ValueError, match=match):
-            etd_reference_solve(exp_halfline(g), m, T, OracleConfig(nt_fine=nt_fine))
+            etd_reference_solve(power_spec(g, m=m, T=T), exp_halfline(g),
+                                OracleConfig(nt_fine=nt_fine))
+
+    def test_rejects_the_exponential_flow(self):
+        g = make_grid(1, 4, 1 / 8)
+        spec = dataclasses.replace(
+            power_spec(g), lambda_shift=0.5,
+            nonlinearity=Nonlinearity(NonlinearityKind.EXPONENTIAL))
+        with pytest.raises(ValueError, match="power nonlinearity"):
+            etd_reference_solve(spec, exp_halfline(g), OracleConfig(nt_fine=9))
 
     def test_integral_float_power_accepted(self):
         g = make_grid(1, 4, 1 / 8)
         v0, cfg = exp_halfline(g), OracleConfig(nt_fine=9)
-        got = etd_reference_solve(v0, 2.0, 0.5, cfg).values
-        assert np.array_equal(got, etd_reference_solve(v0, 2, 0.5, cfg).values)
+        got = etd_reference_solve(power_spec(g, m=2.0, T=0.5), v0, cfg).values
+        assert np.array_equal(got, etd_reference_solve(power_spec(g, T=0.5), v0,
+                                                       cfg).values)
 
     def test_shares_no_duhamel_path(self):
         import octantheat.oracle as oracle_mod
@@ -150,8 +166,9 @@ class TestEtdReference:
         v0 = make_initial_data(InitialDataSpec(InitialDataKind.OCTANT_BUMP, eps0=0.5,
                                                width=0.5), g)
         cfg = OracleConfig(nt_fine=17)
-        got = etd_reference_solve(v0, m, 0.5, cfg).values
+        spec = power_spec(g, m=m, T=0.5)
+        got = etd_reference_solve(spec, v0, cfg).values
         monkeypatch.setattr(lattice_mod, "_direct", unboxed_direct)
-        ref = etd_reference_solve(v0, m, 0.5, cfg).values
+        ref = etd_reference_solve(spec, v0, cfg).values
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(got != 0, ref != 0)

@@ -18,7 +18,7 @@ PUBLIC = [
     "TaylorStack", "TimeSpaceNormSpec", "__version__", "assemble_band_solution",
     "box_project", "choose_lambda", "convolve", "convolve_frames", "convolve_power",
     "duhamel", "error_decay_fit", "etd_reference_solve", "exp_halfline_band",
-    "exp_halfline_reference", "exp_picard_iterate", "free_trajectory",
+    "exp_halfline_reference", "free_trajectory",
     "illposed_probe_E", "illposed_probe_H", "inequality_probe", "inflation_exponent",
     "load_field", "make_grid", "make_initial_data", "picard_iterate", "propagate",
     "random_field", "rescale_solution", "save_field", "scale_data", "scaled_grid",
