@@ -13,7 +13,9 @@ adds at least (m-1) copies of the datum's support offset (one for e^u),
 every iterate is exact on a growing low-frequency band.  The Picard loop
 copies that band from the previous iterate, so it stays bitwise fixed
 under FFT round-off, and on a finite grid the iteration terminates exactly
-once the band covers the grid.
+once the band covers the grid.  Duhamel runs only on the box of cells
+outside the band (in Taylor: on each integrand's nonzero box), and gives
+the whole grid's bytes there.
 
 Iterations are sequential in j; per-node work uses fixed-order
 reductions, so runs are bit-identical.
@@ -80,16 +82,23 @@ class Nonlinearity:
                              "nonlinearity")
         value = getattr(self, own)
         value = (2 if power else 12) if value is None else value
-        if not float(value).is_integer() or value < 2:
-            raise ValueError(f"{kind.value.lower()} nonlinearity needs an integer "
-                             f"{own} >= 2, got {value!r}")
-        object.__setattr__(self, own, int(value))
+        object.__setattr__(self, own, _integer(
+            value, 2, f"{kind.value.lower()} nonlinearity needs an integer {own}"))
         object.__setattr__(self, "kind", kind)
+
+
+def _integer(value, least: int, what: str) -> int:
+    """``value`` as an int, an integral float included; a bool, a fraction, a
+    non-finite value or one below ``least`` raises ValueError(what >= least)."""
+    if isinstance(value, bool) or not float(value).is_integer() or value < least:
+        raise ValueError(f"{what} >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One solver run: grid, horizon, nonlinearity and iteration controls."""
+    """One solver run: grid, horizon, nonlinearity and iteration controls.
+    ``nt`` and ``jmax`` are integers (an integral float is stored as int)."""
 
     grid: FrequencyGrid
     nonlinearity: Nonlinearity
@@ -108,10 +117,11 @@ class ProblemSpec:
             raise ValueError("eps0 must be positive")
         if not 0 < self.T < math.inf:
             raise ValueError(f"T must be finite and positive, got {self.T}")
-        if self.nt < 2 or not math.isfinite(self.delta):
-            raise ValueError("need nt >= 2 and a finite delta")
-        if self.jmax < 1:
-            raise ValueError("jmax must be positive")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
+        for key, least in (("nt", 2), ("jmax", 1)):
+            object.__setattr__(self, key, _integer(getattr(self, key), least,
+                                                   f"{key} must be an integer"))
         if self.conv_rule not in RULES:
             raise ValueError(f"conv_rule must be in {RULES}, got {self.conv_rule!r}")
 
@@ -190,17 +200,25 @@ def duhamel(G: SpaceTimeField, lambda_shift: float = 0.0) -> SpaceTimeField:
     The one-step recurrence I_{n+1} = e^{-dt w} (I_n + dt/2 G_n) + dt/2 G_{n+1}
     reproduces the composite trapezoid rule of the full integrand exactly.
     """
-    w = heat_symbol(G.grid, lambda_shift)
     dt = float(G.tgrid[1] - G.tgrid[0])
+    return SpaceTimeField(G.grid, G.tgrid,
+                          _duhamel(G.values, heat_symbol(G.grid, lambda_shift), dt))
+
+
+def _duhamel(G: np.ndarray, w: np.ndarray, dt: float,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`duhamel`'s recurrence, cell by cell, on a stack G of frames of
+    w's shape (w the heat symbol on their cells) into ``out`` (zeros by
+    default; its first frame must be zero)."""
     decay = np.exp(-dt * w).astype(np.complex128)  # as the product would cast it
-    out = np.zeros_like(G.values)
-    hG = (0.5 * dt) * G.values
+    out = np.zeros_like(G) if out is None else out
+    hG = (0.5 * dt) * G
     # in place, frame by frame, in the recurrence's operation order
     for prev, cur, h0, h1 in zip(out[:-1], out[1:], hG[:-1], hG[1:]):
         np.add(prev, h0, out=cur)
         cur *= decay
         cur += h1
-    return SpaceTimeField(G.grid, G.tgrid, out)
+    return out
 
 
 def _gate(spec: ProblemSpec, v0: FrequencyField, min_linf: float) -> None:
@@ -238,6 +256,7 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace
     lam = spec.lambda_shift
     tgrid, grid, rule = spec.tgrid, spec.grid, spec.conv_rule
     free_vals = spec.delta * free_trajectory(v0, tgrid, lam).values
+    w, dt = heat_symbol(grid, lam), float(tgrid[1] - tgrid[0])
     index_l1 = np.indices(grid.shape).sum(axis=0)
     occupied = index_l1[v0.values != 0]
     eps_cells = int(occupied.min()) if occupied.size else 0
@@ -249,15 +268,21 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace
     converged = False
     for j in range(spec.jmax):
         need = (j * band_step + 1) * eps_cells
+        live = v.any()  # N(v^0) = N(0) = 0
         acc, G = v, np.zeros_like(v) if exponential else None
-        for r in range(2, M + 1) if v.any() else ():  # N(v^0) = N(0) = 0
+        for r in range(2, M + 1) if live else ():
             acc = convolve_frames(acc, v, grid, rule, need if r == M else 0)
             if exponential:
                 G += acc / math.factorial(r)
         G = lam**2 * G if exponential else acc
-        v_next = free_vals + duhamel(SpaceTimeField(grid, tgrid, G), lam).values
-        settled = index_l1 < need
-        v_next[:, settled] = v[:, settled]
+        # a cell below ``start`` on some axis has l1 index below need: settled
+        start = max(0, need - (grid.d - 1) * (grid.n - 1))
+        box = (slice(start, None),) * grid.d
+        sub, v_next = (slice(None), *box), np.zeros_like(v)
+        if live and start < grid.n:
+            _duhamel(G[sub], w[box], dt, out=v_next[sub])
+        v_next[sub] += free_vals[sub]  # +0.0 + free: bitwise free + Duhamel(0)
+        np.copyto(v_next, v, where=index_l1 < need)
         if not np.all(np.isfinite(v_next.view(np.float64))):
             raise DivergenceError("iterates left the floating-point range")
         diff = v_next - v
@@ -364,6 +389,7 @@ def taylor_coefficients(
 
     hi = math.ceil(K / grid.h - 1e-9)  # the first cell index at or above K
     lam = spec.lambda_shift
+    w, dt = heat_symbol(grid, lam), float(tgrid[1] - tgrid[0])
     a: dict[int, np.ndarray] = {1: free_trajectory(v0, tgrid, lam).values}
     zero = np.zeros_like(a[1])
 
@@ -394,8 +420,12 @@ def taylor_coefficients(
 
     for k in range(2, k_top + 1):
         Gk = power_coeff(m, k)
-        a[k] = (duhamel(SpaceTimeField(grid, tgrid, Gk), lam).values if Gk.any()
-                else zero)
+        live = np.argwhere(Gk.any(axis=0))
+        a[k] = np.zeros_like(zero) if live.size else zero
+        if live.size:  # Duhamel only on the box of the cells Gk reaches
+            box = tuple(map(slice, live.min(0), live.max(0) + 1))
+            sub = (slice(None), *box)
+            _duhamel(Gk[sub], w[box], dt, out=a[k][sub])
 
     coeffs = [
         SpaceTimeField(grid, tgrid, math.factorial(k) * a[k])

@@ -462,20 +462,21 @@ def convolve_frames(
     every axis whose index sum is at least ``lo``.  Cells outside the
     window are zero.
 
-    Frames are grouped by their pair of nonzero patterns, and each group
-    runs through the plan :func:`convolve` uses for that pair, cut to the
-    window (:meth:`_Plan.window`): each operand is cut to its support box
-    (the cells whose products can reach the cells below hi) and masked by
-    the rule, each axis is padded to :func:`_next_fast_len` of the boxes'
-    full convolution length (in 1D only of the part from lo up, by the
-    overlap-save argument), the rule's terms are summed in the frequency
-    domain and inverted once, and only cells from a + b up are written (a, b
-    the patterns' first nonzero cells).  Cells outside the combinatorial
-    support, a count convolution of the masks kept with the plan, are exact
-    zeros as in the direct sum; inside it the values agree with the direct
-    sum to FFT round-off.  An empty operand, a + b >= hi on an axis, or lo
-    above every index sum the products reach gives zeros without a
-    transform.  Blocks of about 2^16 padded cells bound the working memory.
+    Each run of consecutive frames with one pair of nonzero patterns goes,
+    in blocks sliced as views, through the plan :func:`convolve` uses for
+    that pair, cut to the window (:meth:`_Plan.window`): each operand is cut
+    to its support box (the cells whose products can reach the cells below
+    hi) and masked by the rule, each axis is padded to
+    :func:`_next_fast_len` of the boxes' full convolution length (in 1D only
+    of the part from lo up, by the overlap-save argument), the rule's terms
+    are summed in the frequency domain and inverted once, and only the kept
+    cells from a + b up are written (a, b the patterns' first nonzero
+    cells).  Cells outside the combinatorial support, a count convolution of
+    the masks kept with the plan, are exact zeros as in the direct sum;
+    inside it the values agree with the direct sum to FFT round-off.  An
+    empty operand, a + b >= hi on an axis, or lo above every index sum the
+    products reach gives zeros without a transform.  Blocks of about 2^16
+    padded cells bound the working memory.
     """
     if a.shape != b.shape or a.shape[1:] != grid.shape:
         raise ValueError(f"frame stacks must both have shape (nt, *{grid.shape}), "
@@ -485,26 +486,25 @@ def convolve_frames(
     out = np.zeros(a.shape, dtype=np.complex128)
     bits = [[row.tobytes() for row in np.packbits(x.reshape(len(x), -1) != 0, axis=1)]
             for x in ((a,) if b is a else (a, b))]
-    groups: dict[tuple[bytes, bytes], list[int]] = {}
-    for t, pair in enumerate(zip(bits[0], bits[-1])):
-        groups.setdefault(pair, []).append(t)
     hi = grid.n if hi is None else min(hi, grid.n)
     axes = tuple(range(1, 1 + grid.d))
-    for pair, frames in groups.items():
+    stop = 0
+    for pair, run in itertools.groupby(zip(bits[0], bits[-1])):
+        first, stop = stop, stop + sum(1 for _ in run)
         p = _plan(*pair, grid.shape, grid.h, rule)
         window = p.window(lo, hi)
         if window is None:
             continue
         terms, fbox, gbox, cells, crop, pad, keep = window
         block = max(1, 2**16 // math.prod(pad))
-        for start in range(0, len(frames), block):
-            t = frames[start:start + block]
+        for start in range(first, stop, block):
+            t = slice(start, min(start + block, stop))
             f = a[(t, *fbox)]
             g = f if b is a else b[(t, *gbox)]  # b is a shares the transforms
             spec = _spectrum(terms, f, g, lambda x, m: _padded_fft(x, m, pad))
             spec *= p.scale
             vals = _fft.ifftn(spec, axes=axes, out=spec)[(..., *crop)]
-            out[(t, *cells)] = np.where(keep, vals, 0.0)
+            np.copyto(out[(t, *cells)], vals, where=keep)
     return out
 
 
@@ -524,10 +524,16 @@ def _padded_fft(x: np.ndarray, m: np.ndarray, pad: tuple[int, ...]) -> np.ndarra
 
 def _spectrum(terms, f, g, transform):
     """Sum over the mask pairs (fm, gm) of the products transform(f, fm) *
-    transform(g, gm); each distinct operand is transformed once."""
+    transform(g, gm), in place in term order; each distinct operand is
+    transformed once.  Mirrored terms are multiplied anew: numpy's complex
+    product is not bitwise commutative."""
     ops = {(id(x), id(m)): (x, m) for pair in terms for x, m in zip((f, g), pair)}
     hat = {key: transform(x, m) for key, (x, m) in ops.items()}
-    return sum(hat[id(f), id(fm)] * hat[id(g), id(gm)] for fm, gm in terms)
+    (fm, gm), *rest = terms
+    out = hat[id(f), id(fm)] * hat[id(g), id(gm)]
+    for fm, gm in rest:
+        out += hat[id(f), id(fm)] * hat[id(g), id(gm)]
+    return out
 
 
 def convolve_power(

@@ -197,6 +197,25 @@ class TestProblemSpec:
         with pytest.raises(ValueError, match="conv_rule"):
             power_spec(make_grid(1, 4, 0.25), conv_rule="trapezoidal")
 
+    @pytest.mark.parametrize("key,value", [("nt", 33.5), ("nt", math.inf),
+                                           ("nt", math.nan), ("nt", True),
+                                           ("nt", 1), ("jmax", 2.5), ("jmax", False),
+                                           ("jmax", 0), ("jmax", -math.inf)])
+    def test_rejects_a_non_integral_or_low_count(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            power_spec(make_grid(1, 4, 0.25), **{key: value})
+
+    def test_integral_float_counts_run_as_int(self):
+        # nt = 33.0 and jmax = 8.0 used to pass the spec and fail in
+        # np.linspace and range with a TypeError
+        g = make_grid(1, 4, 1 / 16)
+        v0 = exp_halfline(g)
+        got, ref = (power_spec(g, nt=nt, jmax=jmax)
+                    for nt, jmax in ((33.0, 8.0), (33, 8)))
+        assert (type(got.nt), type(got.jmax)) == (int, int) and got == ref
+        assert np.array_equal(picard_iterate(got, v0).final.values,
+                              picard_iterate(ref, v0).final.values)
+
 
 class TestPicardIterate:
     def test_zero_datum_zero_iterates(self):
@@ -623,3 +642,109 @@ class TestBandWindows:
             taylor_coefficients(spec, v0, 6.0)
             misses.append(lattice._plan.cache_info().misses)
         assert misses == [11, 11]
+
+
+def plain_picard(spec, v0, M):
+    """The Picard loop with no shortcut past the kernel's windows: every
+    integrand through the full-grid duhamel, the settled band copied by a
+    boolean index.  Returns the iterates, support_min_l1, increment_norms and
+    errors of the run."""
+    exponential = spec.nonlinearity.kind is NonlinearityKind.EXPONENTIAL
+    g, lam, tgrid, rule = spec.grid, spec.lambda_shift, spec.tgrid, spec.conv_rule
+    free = spec.delta * free_trajectory(v0, tgrid, lam).values
+    index_l1 = np.indices(g.shape).sum(axis=0)
+    eps = int(index_l1[v0.values != 0].min())
+    v, iterates, supports, incs = np.zeros_like(free), [], [], []
+    for j in range(spec.jmax):
+        need = (j * (1 if exponential else M - 1) + 1) * eps
+        acc, G = v, np.zeros_like(v)
+        for r in range(2, M + 1) if v.any() else ():
+            acc = engine.convolve_frames(acc, v, g, rule, need if r == M else 0)
+            if exponential:
+                G += acc / math.factorial(r)
+        G = lam**2 * G if exponential else acc
+        v_next = free + duhamel(SpaceTimeField(g, tgrid, G), lam).values
+        settled = index_l1 < need
+        v_next[:, settled] = v[:, settled]
+        diff = v_next - v
+        changed = np.any(diff != 0, axis=0)
+        supports.append(float(g.l1()[changed].min()) if changed.any() else math.inf)
+        incs.append(weighted_l1_seq_norm(SpaceTimeField(g, tgrid, diff), spec.s))
+        iterates.append(v_next)
+        v = v_next
+        if incs[-1] < spec.tol:
+            break
+    errors = [weighted_l1_seq_norm(SpaceTimeField(g, tgrid, x - v), spec.s)
+              for x in iterates]
+    return iterates, supports, incs, errors
+
+
+def plain_taylor(spec, v0, K, orders):
+    """taylor_coefficients' recursion with every order integrated by the
+    full-grid duhamel: the same products, in the same order, below K."""
+    g, rule, tgrid, lam = spec.grid, spec.conv_rule, spec.tgrid, spec.lambda_shift
+    hi = math.ceil(K / g.h - 1e-9)
+    a = {1: free_trajectory(v0, tgrid, lam).values}
+    zero = np.zeros_like(a[1])
+    P = {}
+
+    def power_coeff(r, k):
+        if r == 1:
+            return a.get(k, zero)
+        if k < r:
+            return zero
+        if (r, k) not in P:
+            acc = np.zeros_like(zero)
+            for i in range(1, (k // 2 if r == 2 else k - r + 1) + 1):
+                ai, rest = a.get(i), power_coeff(r - 1, k - i)
+                if ai is not None and ai.any() and rest.any():
+                    pair = 2.0 if r == 2 and 2 * i < k else 1.0
+                    acc += pair * engine.convolve_frames(ai, rest, g, rule, 0, hi)
+            P[r, k] = acc
+        return P[r, k]
+
+    for k in range(2, orders + 1):
+        a[k] = duhamel(SpaceTimeField(g, tgrid, power_coeff(spec.nonlinearity.m, k)),
+                       lam).values
+    return [math.factorial(k) * a[k] for k in range(1, orders + 1)]
+
+
+class TestLiveCells:
+    """Picard integrates only the box of unsettled cells and Taylor only each
+    integrand's nonzero box, bitwise as the whole grid does."""
+
+    GRIDS = {1: (make_grid(1, 8, 1 / 16), 33), 2: (make_grid(2, 4, 1 / 8), 9),
+             3: (make_grid(3, 4, 1 / 4), 5)}
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rule", lattice.RULES)
+    @pytest.mark.parametrize("flow", ["m=2", "m=3", "e^u"])
+    def test_picard_bitwise_equal_to_plain_loop(self, d, rule, flow):
+        g, nt = self.GRIDS[d]
+        spec = power_spec(g, m=3 if flow == "m=3" else 2, nt=nt, tol=0.0,
+                          conv_rule=rule)
+        if flow == "e^u":  # the bump starts at |xi|_inf = 1 = 2 lam
+            spec = dataclasses.replace(
+                spec, lambda_shift=0.5, T=0.5, tol=1e-12,
+                nonlinearity=Nonlinearity(NonlinearityKind.EXPONENTIAL, taylor_order=6))
+        v0 = bump(g, 1.0, amp=0.7)
+        trace = picard_iterate(spec, v0)
+        M = spec.nonlinearity.m or spec.nonlinearity.taylor_order
+        iterates, supports, incs, errors = plain_picard(spec, v0, M)
+        assert len(trace.iterates) == len(iterates) > 2
+        for got, ref in zip(trace.iterates, iterates):
+            assert got.values.tobytes() == ref.tobytes()
+        for got, ref in ((trace.support_min_l1, supports),
+                         (trace.increment_norms, incs), (trace.errors, errors)):
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rule", lattice.RULES)
+    def test_taylor_bitwise_equal_to_full_grid_duhamel(self, d, rule):
+        g, nt = self.GRIDS[d]
+        spec = power_spec(g, eps0=0.5, nt=nt, conv_rule=rule)
+        v0 = bump(g, 0.5, amp=0.7)
+        stack = taylor_coefficients(spec, v0, 4.0)
+        assert stack.orders >= 3
+        for got, ref in zip(stack.coeffs, plain_taylor(spec, v0, 4.0, stack.orders)):
+            assert got.values.tobytes() == ref.tobytes()

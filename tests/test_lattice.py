@@ -532,6 +532,24 @@ class TestConvolveFrames:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
             assert np.array_equal(got != 0, ref != 0)
 
+    @pytest.mark.parametrize("rule", RULES)
+    def test_runs_of_pattern_pairs(self, rule):
+        # the kernel takes runs of consecutive frames with one pattern pair:
+        # here pairs alternate (A, B, A, B, ...) and then one pair holds for
+        # 100 frames; the supports span the 512-cell grid, so each pads to
+        # 1024 cells, a block holds 64 frames and the long run spans two
+        g = make_grid(1, 8, 1 / 64)
+        rng = np.random.default_rng(40)
+        order = [0, 1] * 4 + [0] * 100
+        a, b = ((rng.standard_normal((len(order), g.n))
+                 + 1j * rng.standard_normal((len(order), g.n)))
+                * (rng.random((2, g.n)) < 0.5)[order] for _ in range(2))
+        for x, y in ((a, b), (a, a)):
+            per_frame = np.concatenate([convolve_frames(s[None], t[None], g, rule)
+                                        for s, t in zip(x, y)])
+            assert convolve_frames(x, y, g, rule).tobytes() == per_frame.tobytes()
+            check_frames(x, y, g, rule)
+
     KIND_PAIRS = [("far-corner", "sparse"), ("far-corner", "far-corner"),
                   ("one-cell", "one-cell"), ("one-cell", "sparse"),
                   ("escaping", "escaping")]

@@ -119,6 +119,20 @@ class TestEtdReference:
         with pytest.raises(DivergenceError):
             etd_reference_solve(power_spec(g, T=4.0), f, OracleConfig(nt_fine=5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_state_detected(self, bad, monkeypatch):
+        # one reduction guards the state: max |v| is NaN for a NaN and inf
+        # for an inf (|inf + NaN j| = inf), and neither is <= the guard
+        from octantheat import DivergenceError, oracle
+
+        monkeypatch.setattr(oracle, "_direct_power",
+                            lambda v, m, grid, rule: (np.full_like(v, bad), False))
+        g = make_grid(1, 4, 1 / 8)
+        # inf * 0 in the stages makes the NaN part; numpy's warning is not the guard
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(DivergenceError, match="unstable at step 1 "):
+            etd_reference_solve(power_spec(g), exp_halfline(g), OracleConfig(nt_fine=5))
+
     @pytest.mark.parametrize("m,T,nt_fine,match", [
         (2.5, 1.0, 9, "power"), (1, 1.0, 9, "power"), (2, 1.0, 1, "nt_fine"),
         (2, 0.0, 9, "T must"), (2, -1.0, 9, "T must"), (2, math.nan, 9, "T must"),
