@@ -5,8 +5,10 @@ run manifest.
 Each config section is read against the spec or entry point it builds
 (its parameters, types and defaults); any other key is rejected.
 
-Exit codes: 0 all requested checks passed, 2 configuration or schema
-violation, 3 support-gate violation, 4 numerical divergence.  Re-running
+Exit codes: 0 all requested checks passed, 1 a check failed, 2
+configuration or schema violation, 3 support-gate violation, 4 an iterate
+left the floating-point range (a Picard iterate or its norm overflowed, or
+an oracle step went unstable; large data alone do not cause it).  Re-running
 with the same configuration and seed is byte-identical in all numerical
 outputs (manifest timings excluded).
 """
@@ -422,7 +424,8 @@ def _write_json(path: Path, obj) -> None:
 def run(command: str, config_path: str, out_dir: str, seed: int = 0,
         refine: bool = False) -> int:
     """Execute one pipeline; writes outputs and a manifest, returns the
-    exit status (0 ok, 2 config, 3 gate, 4 divergence)."""
+    exit status (0 ok, 1 a check failed, 2 config, 3 gate, 4 an iterate left
+    the floating-point range)."""
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -36,6 +36,15 @@ def solve_cfg(**over):
     return cfg
 
 
+def big_bump_cfg(amplitude):
+    return solve_cfg(
+        grid={"xi_max": 8, "h": 1 / 8},
+        initial_data={"kind": "OCTANT_BUMP", "eps0": 1.0, "width": 1.0,
+                      "amplitude": amplitude},
+        time={"T": 1.0, "nt": 17},
+    )
+
+
 def exp_cfg(**over):
     cfg = {
         "d": 1,
@@ -89,16 +98,27 @@ class TestSolve:
         assert "gate" in manifest(out)["error"]
 
     def test_divergence_exit_4(self, tmp_path):
-        cfg = solve_cfg(
-            grid={"xi_max": 8, "h": 1 / 8},
-            initial_data={"kind": "OCTANT_BUMP", "eps0": 1.0, "width": 1.0,
-                          "amplitude": 200.0},
-            time={"T": 1.0, "nt": 17},
-        )
+        # amplitude 1e30 overflows the iterates: exit 4 with a manifest, and
+        # no RuntimeWarning before it under warnings as errors
         out = tmp_path / "out"
-        status = run("solve", write_cfg(tmp_path, cfg), str(out))
+        status = run("solve", write_cfg(tmp_path, big_bump_cfg(1e30)), str(out))
         assert status == 4
-        assert "divergence" in manifest(out)["error"]
+        assert manifest(out)["error"].startswith("divergence: ")
+
+    def test_large_amplitude_converges(self, tmp_path):
+        # amplitude 200 needs no dilation: the run ends at J* = 8 iterates
+        out = tmp_path / "out"
+        assert run("solve", write_cfg(tmp_path, big_bump_cfg(200.0)), str(out)) == 0
+        man = manifest(out)
+        assert all(man["checks"].values()) and man["checks"]["converged"]
+        assert len(man["details"]["increment_norms"]) == 8
+        assert man["details"]["increment_norms"][-1] == 0.0
+
+    def test_negative_tol_exit_2(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = solve_cfg(iterate={"jmax": 8, "tol": -1e-12})
+        assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 2
+        assert "tol must be nonnegative" in manifest(out)["error"]
 
     def test_schema_violation_exit_2(self, tmp_path):
         cfg = solve_cfg()

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from octantheat import (
     DivergenceError,
@@ -22,6 +24,7 @@ from octantheat import (
     make_initial_data,
     picard_iterate,
     propagate,
+    rescale_solution,
     scale_data,
     scaled_grid,
     support_stats,
@@ -205,6 +208,18 @@ class TestProblemSpec:
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             power_spec(make_grid(1, 4, 0.25), **{key: value})
 
+    @pytest.mark.parametrize("key,value", [
+        ("eps0", math.nan), ("eps0", math.inf), ("s", math.nan), ("s", -math.inf),
+        ("lambda_shift", math.nan), ("lambda_shift", math.inf), ("delta", math.nan)])
+    def test_rejects_a_non_finite_float(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            power_spec(make_grid(1, 4, 0.25), **{key: value})
+
+    @pytest.mark.parametrize("value", [math.nan, -1e-12, -math.inf])
+    def test_rejects_a_negative_or_nan_tol(self, value):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            power_spec(make_grid(1, 4, 0.25), tol=value)
+
     def test_integral_float_counts_run_as_int(self):
         # nt = 33.0 and jmax = 8.0 used to pass the spec and fail in
         # np.linspace and range with a TypeError
@@ -268,16 +283,20 @@ class TestPicardIterate:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_convolutions_per_iterate(self, m, monkeypatch):
-        # m - 1 stages per iterate; the first iterate, from v^0 = 0, has none
+        # m - 1 stages on each iterate that is neither the first (from
+        # v^0 = 0) nor fully settled (its band, (j (m-1) + 1) eps cells,
+        # covers the grid)
         calls = []
         kernel = engine.convolve_frames
         monkeypatch.setattr(engine, "convolve_frames",
                             lambda *args: calls.append(args) or kernel(*args))
-        g = make_grid(1, 4, 1 / 16)
+        g = make_grid(1, 4, 1 / 16)  # the datum starts at cell 16
         trace = picard_iterate(power_spec(g, m=m, nt=33, jmax=4, tol=0.0),
                                exp_halfline(g, amp=0.5))
         assert len(trace.iterates) == 4
-        assert len(calls) == (len(trace.iterates) - 1) * (m - 1)
+        live = [j for j in range(1, 4) if (j * (m - 1) + 1) * 16 < g.n]
+        assert 0 < len(live) < 3
+        assert len(calls) == len(live) * (m - 1)
 
     def test_gate_rejects_low_spectrum(self):
         g = make_grid(1, 4, 0.25)
@@ -295,10 +314,26 @@ class TestPicardIterate:
             picard_iterate(spec, pair)
 
     def test_divergence_detector(self):
+        # amplitude 1e30: the iterates overflow, which raises DivergenceError
+        # and, with warnings as errors, no RuntimeWarning first
         g = make_grid(1, 8, 1 / 8)
         spec = power_spec(g, eps0=1.0, nt=17, jmax=8, T=1.0)
-        with pytest.raises(DivergenceError):
-            picard_iterate(spec, bump(g, 1.0, width=1.0, amp=2e2))
+        with pytest.raises(DivergenceError, match="left the floating-point range"):
+            picard_iterate(spec, bump(g, 1.0, width=1.0, amp=1e30))
+
+    def test_large_amplitude_ends_at_band_cover(self):
+        # no smallness: amplitude 200 ends when the band (j + 1) eps covers
+        # the grid, after J* = 8 iterates, the last increment exactly 0
+        g = make_grid(1, 8, 1 / 8)
+        spec = power_spec(g, eps0=1.0, nt=17, jmax=20, T=1.0, tol=1e-10)
+        trace = picard_iterate(spec, bump(g, 1.0, width=1.0, amp=2e2))
+        assert trace.converged and len(trace.iterates) == 8
+        assert trace.increment_norms[-1] == 0.0
+        assert max(trace.increment_norms) > 1e5
+        for j in range(1, 8):
+            band = g.l1() < j
+            assert np.array_equal(trace.iterates[j - 1].values[:, band],
+                                  trace.final.values[:, band])
 
 
 class TestTaylor:
@@ -373,6 +408,19 @@ class TestTaylor:
         a = assemble_band_solution(stack, 1.0, 6.0).values[:, band]
         b = picard_iterate(spec, exp_halfline(g)).final.values[:, band]
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_leaves_no_reference_cycle(self):
+        # the coefficient stacks are freed by reference counting alone
+        g = make_grid(1, 8, 1 / 16)
+        spec = power_spec(g, m=3, eps0=0.5, nt=33)
+        v0 = bump(g, 0.5, amp=0.7)
+        gc.collect()
+        gc.disable()
+        try:
+            taylor_coefficients(spec, v0, 4.0)
+        finally:
+            gc.enable()
+        assert gc.collect() == 0
 
     def test_taylor_matches_picard_on_band(self):
         g = make_grid(1, 4, 1 / 16)
@@ -462,6 +510,41 @@ class TestSemigroupDecayRates:
         assert max(ratios) < 4.0  # finite, order-one constant
 
 
+class TestNoSmallness:
+    """Octant data need no smallness: a dilation that makes the datum small
+    in the weighted norm is the same computation on an index-preserving
+    grid, and every run ends once its band covers the grid."""
+
+    # bump from eps0 to 3 eps0 per axis: amplitudes of 1e4 and up grow the
+    # increment norms three times in a row in each case but d = 3, m = 3
+    # under the trapezoid rule
+    GRIDS = {1: (make_grid(1, 8, 1 / 8), 9, 1.0), 2: (make_grid(2, 4, 1 / 8), 5, 0.5),
+             3: (make_grid(3, 4, 1 / 4), 3, 0.5)}
+
+    @settings(max_examples=24, deadline=None)
+    @given(d=st.integers(1, 3), rule=st.sampled_from(lattice.RULES),
+           m=st.sampled_from([2, 3]), lam=st.sampled_from([2, 4]),
+           amp=st.floats(1e4, 1e5))
+    def test_dilate_solve_undo_is_the_direct_run(self, d, rule, m, lam, amp):
+        base, nt, eps0 = self.GRIDS[d]
+        v0 = bump(base, eps0, width=2 * eps0, amp=amp)
+        a = 2.0 / (m - 1)  # the scaling exponent of u^m
+
+        def solve(g, v, T, eps):
+            spec = power_spec(g, m=m, eps0=eps, nt=nt, T=T, jmax=20, tol=1e-300,
+                              conv_rule=rule)
+            return picard_iterate(spec, v)
+
+        direct = solve(base, v0, 1.0, eps0)
+        assert direct.converged and direct.increment_norms[-1] == 0.0
+        lam_grid = scaled_grid(base, lam)
+        small = solve(lam_grid, scale_data(v0, lam, a, out_grid=lam_grid),
+                      1.0 / lam**2, lam * eps0)
+        assert len(small.iterates) == len(direct.iterates)
+        back = rescale_solution(small.final, lam, a, out_grid=base)
+        assert back.values.tobytes() == direct.final.values.tobytes()
+
+
 class TestExponentialFlow:
     def _setup(self, amp=1e-2, lam=2, M=6, xi_max=8, h=1 / 8, nt=33):
         base = make_grid(1, xi_max, h)
@@ -539,7 +622,9 @@ class TestExponentialFlow:
 
     @pytest.mark.parametrize("M", [2, 4, 6])
     def test_convolutions_per_iterate(self, M, monkeypatch):
-        # the series takes M - 1 stages per iterate, none from v^0 = 0
+        # the series takes M - 1 stages on each iterate that is neither the
+        # first (from v^0 = 0) nor fully settled (its band, (j + 1) eps
+        # cells, covers the grid)
         calls = []
         kernel = engine.convolve_frames
         monkeypatch.setattr(engine, "convolve_frames",
@@ -547,8 +632,11 @@ class TestExponentialFlow:
         spec, u0l = self._setup(M=M)
         spec = dataclasses.replace(spec, tol=0.0, jmax=4)
         trace = self.run_M(spec, u0l)
+        eps = int(np.indices(spec.grid.shape).sum(axis=0)[u0l.values != 0].min())
         assert len(trace.iterates) == 4
-        assert len(calls) == (len(trace.iterates) - 1) * (M - 1)
+        live = [j for j in range(1, 4) if (j + 1) * eps < spec.grid.n]
+        assert 0 < len(live) < 3
+        assert len(calls) == len(live) * (M - 1)
 
     def test_support_analog_and_sensitivity(self):
         spec, u0l = self._setup(M=6)

@@ -17,8 +17,10 @@ from octantheat import (
     etd_reference_solve,
     exp_halfline_band,
     exp_halfline_reference,
+    free_trajectory,
     make_grid,
     make_initial_data,
+    picard_iterate,
     taylor_coefficients,
 )
 
@@ -186,3 +188,33 @@ class TestEtdReference:
         ref = etd_reference_solve(spec, v0, cfg).values
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(got != 0, ref != 0)
+
+
+class TestLargeData:
+    """Data far from small in the weighted norm: Picard ends at J*, the
+    iterate whose band covers the grid, and its nonlinear part converges to
+    the oracle's at the trapezoid rule's second order in the time step."""
+
+    @pytest.mark.parametrize("d,xi_max,h,width,amp,nts,nt_fine,j_star", [
+        (1, 8, 1 / 16, 1.0, 200.0, (33, 65, 129), 513, 8),
+        (2, 6, 1 / 8, 0.5, 3000.0, (17, 33), 129, 6)])
+    def test_nonlinear_gap_quarters_per_halving(self, d, xi_max, h, width, amp, nts,
+                                                nt_fine, j_star):
+        g = make_grid(d, xi_max, h)
+        v0 = make_initial_data(InitialDataSpec(InitialDataKind.OCTANT_BUMP, eps0=1.0,
+                                               width=width, amplitude=amp), g)
+        spec = power_spec(g, T=0.5, s=-1.0, jmax=20, tol=1e-12)
+        # the free part is computed alike by both solvers and would hide the
+        # nonlinear error: the gap (v - free) - (ref - free) at T is taken
+        # relative to the nonlinear part ref - free
+        free = free_trajectory(v0, np.array([0.0, spec.T])).values[-1]
+        ref = etd_reference_solve(spec, v0, OracleConfig(nt_fine=nt_fine)).values[-1]
+        gaps = []
+        for nt in nts:
+            trace = picard_iterate(dataclasses.replace(spec, nt=nt), v0)
+            assert trace.converged and len(trace.iterates) == j_star
+            assert trace.increment_norms[-1] == 0.0
+            gaps.append(np.linalg.norm(trace.final.values[-1] - ref)
+                        / np.linalg.norm(ref - free))
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
