@@ -217,8 +217,9 @@ def _resample(values: np.ndarray, grid: FrequencyGrid, at: np.ndarray) -> np.nda
     A point belongs to the half-open cell containing it; points whose cell
     carries a zero sample map to zero, so dilated supports stay exact.
     Within a support run, values are interpolated linearly, with one-sided
-    extrapolation inside the top edge cell.  Rows share their source cells and
-    are gathered in blocks of about 2^13 cells, which bounds the working memory.
+    extrapolation inside the top edge cell; an exact index map (as between
+    ``scaled_grid`` pairs) only gathers.  Rows share their source cells and are
+    gathered in blocks of about 2^13 cells, which bounds the working memory.
     """
     n = grid.n
     cell = np.floor(at / grid.h + 1e-9).astype(int)
@@ -228,6 +229,7 @@ def _resample(values: np.ndarray, grid: FrequencyGrid, at: np.ndarray) -> np.nda
     base = np.where(inside, cid, 0)
     nxt = np.clip(base + 1, 0, n - 1)
     prv = np.clip(base - 1, 0, n - 1)
+    exact = not frac.any()
     block = max(1, 2**13 // max(n, at.size))
 
     def last_axis(v: np.ndarray) -> np.ndarray:  # frees its copy of v on return
@@ -235,7 +237,11 @@ def _resample(values: np.ndarray, grid: FrequencyGrid, at: np.ndarray) -> np.nda
         out = np.empty((flat.shape[0], at.size), dtype=v.dtype)
         for lo in range(0, flat.shape[0], block):
             rows = flat[lo:lo + block]
-            low, up, down = rows[:, base], rows[:, nxt], rows[:, prv]
+            low = rows[:, base]
+            if exact:  # frac = 0: each point takes its sample
+                out[lo:lo + block] = np.where((low != 0) & inside, low, 0.0)
+                continue
+            up, down = rows[:, nxt], rows[:, prv]
             slope = np.where((up != 0) & (base + 1 < n), up - low,
                              np.where((down != 0) & (base > 0), low - down, 0.0))
             out[lo:lo + block] = np.where((low != 0) & inside, low + frac * slope, 0.0)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (RULES, FrequencyField, FrequencyGrid, convolve_frames,
-                      support_stats)
+                      cube_l2_table, support_stats)
 from .norms import SpaceTimeField, weighted_l1_seq_norm
 
 __all__ = [
@@ -267,8 +267,10 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace
     occupied = index_l1[v0.values != 0]
     eps_cells = int(occupied.min()) if occupied.size else 0
 
+    weights = 2.0 ** (spec.s * grid.lattice_l1())  # weighted_l1_seq_norm's
     v = np.zeros_like(free_vals)
     iterates: list[np.ndarray] = []
+    starts: list[int] = []
     supports: list[float] = []
     inc_norms: list[float] = []
     converged = False
@@ -287,26 +289,30 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace
         sub, v_next = (slice(None), *box), np.zeros_like(v)
         if live:
             _duhamel(G[sub], w[box], dt, out=v_next[sub])
+        del acc, G
         v_next[sub] += free_vals[sub]  # +0.0 + free: bitwise free + Duhamel(0)
         np.copyto(v_next, v, where=index_l1 < need)
-        diff = v_next - v
-        changed = np.any(diff != 0, axis=0)
+        table, changed = _sup_cube_diff(v_next, v, grid, start)
         supports.append(float(grid.l1()[changed].min()) if changed.any() else math.inf)
-        inc = weighted_l1_seq_norm(SpaceTimeField(grid, tgrid, diff), spec.s)
+        inc = float(np.sum(weights * table))
         if not math.isfinite(inc):  # a NaN or inf anywhere in v_next makes it so
             raise DivergenceError(f"iterate {j + 1} or its increment norm left the "
                                   "floating-point range")
         inc_norms.append(inc)
         iterates.append(v_next)
+        starts.append(start)
         v = v_next
         if inc < spec.tol:
             converged = True
             break
 
+    del free_vals
+    # the final equals v^{j+1} wherever v^{j+2} copied it: outside v^{j+2}'s
+    # box (the final's own error reads no cell)
     final = iterates[-1]
     errors = [
-        weighted_l1_seq_norm(SpaceTimeField(grid, tgrid, vj - final), spec.s)
-        for vj in iterates
+        float(np.sum(weights * _sup_cube_diff(vj, final, grid, start)[0]))
+        for vj, start in zip(iterates, starts[1:] + [grid.n])
     ]
     return IterationTrace(
         iterates=[SpaceTimeField(grid, tgrid, vj) for vj in iterates],
@@ -315,6 +321,24 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace
         errors=errors,
         converged=converged,
     )
+
+
+def _sup_cube_diff(a: np.ndarray, b: np.ndarray, grid: FrequencyGrid,
+                   start: int) -> tuple[np.ndarray, np.ndarray]:
+    """For two (nt, *grid.shape) stacks equal below ``start`` on some axis:
+    the sup over time of the unit-cube L2 table of a - b, and the cells
+    where a - b is nonzero in some frame.  Only the box of cubes from
+    start // n_sub up on every axis is read, in blocks of about 2^16 cells,
+    so no full difference stack is formed; both are the whole stack's bits."""
+    c0 = min(start // grid.n_sub, grid.xi_max)
+    cubes, box = (slice(c0, None),) * grid.d, (slice(c0 * grid.n_sub, None),) * grid.d
+    table, changed = np.zeros((grid.xi_max,) * grid.d), np.zeros(grid.shape, bool)
+    block = max(1, 2**16 // max(1, changed[box].size))
+    for t in range(0, len(a), block):
+        diff = a[(slice(t, t + block), *box)] - b[(slice(t, t + block), *box)]
+        changed[box] |= np.any(diff != 0, axis=0)
+        np.maximum(table[cubes], cube_l2_table(diff, grid).max(0), out=table[cubes])
+    return table, changed
 
 
 def picard_iterate(spec: ProblemSpec, v0: FrequencyField) -> IterationTrace:
@@ -335,7 +359,8 @@ def picard_iterate(spec: ProblemSpec, v0: FrequencyField) -> IterationTrace:
     M = ``taylor_order``): lam > 0, and the datum, dilated onto this grid,
     starts at |xi|_inf >= 2 lam; the weighted distance to a run with M + 2
     terms is recorded as ``truncation_sensitivity``, with a RuntimeWarning
-    above tol.
+    above tol.  The run holds its iterates plus a few working stacks of
+    nt * n^d complex cells (16 bytes each).
     """
     nl = spec.nonlinearity
     if nl.kind is NonlinearityKind.POWER:
@@ -366,7 +391,8 @@ def taylor_coefficients(
     has l1 support offset at least k times the datum's, so finitely many
     orders assemble the exact solution on |xi|_1 < K.  Supports only move
     up on every axis, so the convolutions are computed only below K on
-    every axis (the kernel's ``hi``), a box that holds the band.
+    every axis (the kernel's ``hi``), a box that holds the band.  The run
+    holds its orders plus a few working stacks of nt * n^d complex cells.
     """
     if spec.nonlinearity.kind is not NonlinearityKind.POWER:
         raise ValueError("the amplitude expansion is built for power flows")
@@ -396,17 +422,17 @@ def taylor_coefficients(
     lam = spec.lambda_shift
     w, dt = heat_symbol(grid, lam), float(tgrid[1] - tgrid[0])
     a: dict[int, np.ndarray] = {1: free_trajectory(v0, tgrid, lam).values}
-    zero = np.zeros_like(a[1])
 
     # P[r, k]: degree-k coefficient of the r-fold convolution power of
     # sum_k a_k delta^k (zero for k < r).  It needs only degrees below k, so
     # one pass in increasing k fills it, for the (r, k) that order k_top
     # reads: k <= k_top - (m - r).  Both rules are symmetric, so for r = 2
-    # each unordered pair a_i * a_{k-i} is convolved once.
+    # each unordered pair a_i * a_{k-i} is convolved once.  P[m, k] is read
+    # by order k alone, and each product is dropped once added in.
     P: dict[tuple[int, int], np.ndarray] = {}
     for k in range(2, k_top + 1):
         for r in range(max(2, m - k_top + k), min(k, m) + 1):
-            P[r, k] = acc = np.zeros_like(zero)
+            P[r, k] = acc = np.zeros_like(a[1])
             for i in range(1, (k // 2 if r == 2 else k - r + 1) + 1):
                 rest = a[k - i] if r == 2 else P[r - 1, k - i]
                 if a[i].any() and rest.any():
@@ -414,18 +440,19 @@ def taylor_coefficients(
                     if r == 2 and 2 * i < k:
                         prod *= 2.0
                     acc += prod
-        Gk = P.get((m, k), zero)
-        live = np.argwhere(Gk.any(axis=0))
-        a[k] = np.zeros_like(zero) if live.size else zero
-        if live.size:  # Duhamel only on the box of the cells Gk reaches
+                    del prod
+        a[k] = np.zeros_like(a[1])
+        Gk = P.pop((m, k), None)  # none below order m
+        live = np.argwhere(Gk.any(axis=0)) if Gk is not None else ()
+        if len(live):  # Duhamel only on the box of the cells Gk reaches
             box = tuple(map(slice, live.min(0), live.max(0) + 1))
             sub = (slice(None), *box)
             _duhamel(Gk[sub], w[box], dt, out=a[k][sub])
+        del Gk
 
-    coeffs = [
-        SpaceTimeField(grid, tgrid, math.factorial(k) * a[k])
-        for k in range(1, k_top + 1)
-    ]
+    for k in range(1, k_top + 1):  # c_k = k! a_k, in place
+        np.multiply(math.factorial(k), a[k], out=a[k])
+    coeffs = [SpaceTimeField(grid, tgrid, a[k]) for k in range(1, k_top + 1)]
     return TaylorStack(coeffs=coeffs, K=float(K), eps0=eps)
 
 

@@ -199,11 +199,13 @@ def box_project(f: FrequencyField, k) -> FrequencyField:
 def cube_l2_table(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     """L2 norm of a value array over every unit cube, shape (xi_max,)*d.
 
-    Accepts leading batch axes (e.g. time frames).
+    Accepts leading batch axes (e.g. time frames), and on the last d axes
+    any box of whole cubes of the grid's cells (one entry per cube).
     """
     lead = values.shape[: values.ndim - grid.d]
-    X, ns = grid.xi_max, grid.n_sub
-    blocked = values.reshape(*lead, *((X, ns) * grid.d))
+    ns = grid.n_sub
+    blocked = values.reshape(*lead, *(k for s in values.shape[len(lead):]
+                                      for k in (s // ns, ns)))
     sq = np.abs(blocked) ** 2
     # sum over the sub-cell axes, which sit at odd positions after the lead
     sub_axes = tuple(len(lead) + 1 + 2 * a for a in range(grid.d))

@@ -55,7 +55,9 @@ def exp_cfg(**over):
         "grid": {"xi_max": 32, "h": 0.25},
         "time": {"T": 0.25, "nt": 33},
         "iterate": {"jmax": 8, "tol": 1e-13},
-        "initial_data": {"kind": "OCTANT_BUMP", "eps0": 4.0, "width": 0.5,
+        # four cells: their square and cube reach the grid, so the series
+        # order shows in truncation_sensitivity (two cells gave exactly 0)
+        "initial_data": {"kind": "OCTANT_BUMP", "eps0": 4.0, "width": 1.0,
                          "amplitude": 0.01},
     }
     cfg.update(over)
@@ -151,6 +153,25 @@ class TestSolve:
         assert man["checks"]["converged"] is True
         assert man["checks"]["support_propagation"] is True
         assert man["details"]["truncation_sensitivity"] < 1e-8
+
+    def test_truncation_sensitivity_falls_with_order(self, tmp_path):
+        sens = []
+        for M in (3, 4, 6):
+            out = tmp_path / f"M{M}"
+            cfg = exp_cfg(nonlinearity={"type": "EXPONENTIAL", "M": M})
+            assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 0
+            sens.append(manifest(out)["details"]["truncation_sensitivity"])
+        assert 0.0 < sens[2] < sens[1] < sens[0] < 1e-13
+
+    def test_low_series_order_warns(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = exp_cfg(nonlinearity={"type": "EXPONENTIAL", "M": 2})
+        cfg["initial_data"]["amplitude"] = 1.0
+        with pytest.warns(RuntimeWarning, match="series order M = 2 is too low"):
+            assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 0
+        man = manifest(out)
+        assert man["checks"]["converged"] is True
+        assert man["details"]["truncation_sensitivity"] > 1e-13
 
     def test_refine_doubles_resolution(self, tmp_path):
         out = tmp_path / "out"

@@ -22,7 +22,7 @@ from octantheat import (
     static_norm,
     support_stats,
 )
-from octantheat.data import DATA_KINDS
+from octantheat.data import DATA_KINDS, _resample
 
 
 def exp_halfline(grid, amp=1.0):
@@ -411,6 +411,28 @@ class TestResampleAgainstPerRow:
             assert back.grid == small
         ref = lam ** (d - 2.0) * resample_per_row(u.values, g, back.grid.axis * lam)
         assert same_bits(back.values, ref)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("lam", [2, 4])
+    def test_exact_index_map(self, d, lam):
+        # between scaled_grid pairs every point sits on a sample, and the
+        # gather alone gives the interpolating path's bits: zero and -0.0
+        # samples (inside the support and at its edges) become +0.0
+        small = make_grid(d, 2, 1 / 4)
+        big = scaled_grid(small, lam)
+        rng = np.random.default_rng(10 * d + lam)
+        vals = np.zeros((3, *small.shape), dtype=complex)
+        box = (slice(None), *(slice(1, 6),) * d)  # zero cells on both sides
+        vals[box] = rng.standard_normal(vals[box].shape)  # real, both signs
+        vals[2][box[1:]] += 1j * rng.standard_normal(vals[2][box[1:]].shape)
+        flat = vals.reshape(-1)
+        holes = rng.choice(flat.size, flat.size // 5, replace=False)
+        flat[holes] = rng.choice(np.array([complex(-0.0, 0.0), complex(-0.0, -0.0),
+                                           complex(0.0, -0.0)]), holes.size)
+        assert np.signbit(vals.real).any() and (vals == 0).any()
+        for src, at in ((small, big.axis / lam), (big, small.axis * lam)):
+            assert np.array_equal(at / src.h, np.arange(src.n))  # samples only
+            assert same_bits(_resample(vals, src, at), resample_per_row(vals, src, at))
 
     @pytest.mark.parametrize("d,n_sub,nt", [(1, 64, 300), (2, 16, 41), (3, 4, 70)])
     def test_multi_block_stack(self, d, n_sub, nt):

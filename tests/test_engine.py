@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -836,3 +837,44 @@ class TestLiveCells:
         assert stack.orders >= 3
         for got, ref in zip(stack.coeffs, plain_taylor(spec, v0, 4.0, stack.orders)):
             assert got.values.tobytes() == ref.tobytes()
+
+
+def traced_peak(call):
+    """call() and the peak of the memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """A run holds what it returns plus a few working stacks of nt * n^d
+    complex cells: no full difference, product or scaled copy of a stack."""
+
+    # grid, nt, rule, datum, band K.  The 3D case takes the Riemann rule: the
+    # trapezoid kernel holds a block's 2^d operand transforms at once, a fixed
+    # ~10 MiB that is several stacks this small.
+    CASES = {
+        "band-1d": (make_grid(1, 8, 1 / 64), 257, "trapezoid",
+                    lambda g: exp_halfline(g, amp=1.01 * np.exp(0.03j)), 6.0),
+        "3d": (make_grid(3, 4, 1 / 4), 33, "riemann", lambda g: bump(g, 1.0), 4.0),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_picard_iterates_plus_three_stacks(self, case):
+        g, nt, rule, datum, _ = self.CASES[case]
+        spec, v0 = power_spec(g, nt=nt, tol=1e-12, conv_rule=rule), datum(g)
+        trace, peak = traced_peak(lambda: picard_iterate(spec, v0))
+        stack = trace.final.values.nbytes
+        assert stack == nt * g.n**g.d * 16
+        assert len(trace.iterates) > 2
+        assert peak <= (len(trace.iterates) + 3) * stack
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_taylor_orders_plus_five_stacks(self, case):
+        g, nt, rule, datum, K = self.CASES[case]
+        spec, v0 = power_spec(g, nt=nt, conv_rule=rule), datum(g)
+        coeffs, peak = traced_peak(lambda: taylor_coefficients(spec, v0, K))
+        assert coeffs.orders >= 2
+        assert peak <= (coeffs.orders + 5) * nt * g.n**g.d * 16
