@@ -16,7 +16,6 @@ from octantheat import (
     make_initial_data,
     picard_iterate,
     scale_data,
-    scaled_grid,
     support_stats,
 )
 
@@ -28,13 +27,12 @@ u0 = make_initial_data(
 print(f"datum spectrum starts at |xi|_inf = {support_stats(u0).min_linf}"
       " (entry gate: >= 2)")
 
-lam_grid = scaled_grid(base, lam)
-u0l = scale_data(u0, lam, 0.0, out_grid=lam_grid)
+u0l = scale_data(u0, lam, 0.0)  # on scaled_grid(base, lam)
 print(f"after dilation by lam = {lam}: spectrum above "
       f"{support_stats(u0l).min_linf} = 2 lam")
 
 spec = ProblemSpec(
-    grid=lam_grid,
+    grid=u0l.grid,
     nonlinearity=Nonlinearity(NonlinearityKind.EXPONENTIAL, taylor_order=12),
     eps0=2.0, s=-1.0, lambda_shift=float(lam), T=0.25, nt=65, jmax=10,
     tol=1e-13,

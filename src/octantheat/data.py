@@ -22,8 +22,10 @@ parameters shown with their defaults; any other raises ValueError.
   inflation probe.
 
 Dilations act on the Fourier side: x -> lam^a f(lam x) becomes
-v(xi) -> lam^{a-d} v(xi/lam), resampled axis by axis onto a target grid by
-a blocked linear interpolation that keeps half-open-cell supports exact.
+v(xi) -> lam^{a-d} v(xi/lam).  For an integer lam that divides 1/h, sample
+i of ``scaled_grid(grid, lam)`` sits at lam times sample i of ``grid``, so a
+dilation and its undo relabel the grid and scale the values by one factor;
+nothing is interpolated, and no other lam is accepted.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import _integer
 from .lattice import (
     FrequencyField,
     FrequencyGrid,
@@ -200,9 +203,7 @@ def scaled_grid(grid: FrequencyGrid, lam: int) -> FrequencyGrid:
     Sample i of the output sits at lam times sample i of the input, so
     dilation becomes an exact per-index map.  Requires lam | 1/h.
     """
-    if int(lam) != lam or lam < 1:
-        raise ValueError("scaled_grid needs a positive integer factor")
-    lam = int(lam)
+    lam = _integer(lam, 1, "scaled_grid needs an integer factor")
     if grid.n_sub % lam != 0:
         raise ValueError(
             f"scale factor {lam} must divide 1/h = {grid.n_sub} for cube alignment"
@@ -210,78 +211,29 @@ def scaled_grid(grid: FrequencyGrid, lam: int) -> FrequencyGrid:
     return make_grid(grid.d, grid.xi_max * lam, grid.h * lam)
 
 
-def _resample(values: np.ndarray, grid: FrequencyGrid, at: np.ndarray) -> np.ndarray:
-    """Support-aware linear interpolation of the last ``grid.d`` axes of
-    ``values``, sampled on ``grid``, onto the coordinates ``at`` along each.
-
-    A point belongs to the half-open cell containing it; points whose cell
-    carries a zero sample map to zero, so dilated supports stay exact.
-    Within a support run, values are interpolated linearly, with one-sided
-    extrapolation inside the top edge cell; an exact index map (as between
-    ``scaled_grid`` pairs) only gathers.  Rows share their source cells and are
-    gathered in blocks of about 2^13 cells, which bounds the working memory.
-    """
-    n = grid.n
-    cell = np.floor(at / grid.h + 1e-9).astype(int)
-    inside = (cell >= 0) & (cell < n)
-    cid = np.clip(cell, 0, n - 1)
-    frac = at / grid.h - cid
-    base = np.where(inside, cid, 0)
-    nxt = np.clip(base + 1, 0, n - 1)
-    prv = np.clip(base - 1, 0, n - 1)
-    exact = not frac.any()
-    block = max(1, 2**13 // max(n, at.size))
-
-    def last_axis(v: np.ndarray) -> np.ndarray:  # frees its copy of v on return
-        flat = v.reshape(-1, n)
-        out = np.empty((flat.shape[0], at.size), dtype=v.dtype)
-        for lo in range(0, flat.shape[0], block):
-            rows = flat[lo:lo + block]
-            low = rows[:, base]
-            if exact:  # frac = 0: each point takes its sample
-                out[lo:lo + block] = np.where((low != 0) & inside, low, 0.0)
-                continue
-            up, down = rows[:, nxt], rows[:, prv]
-            slope = np.where((up != 0) & (base + 1 < n), up - low,
-                             np.where((down != 0) & (base > 0), low - down, 0.0))
-            out[lo:lo + block] = np.where((low != 0) & inside, low + frac * slope, 0.0)
-        return out.reshape(v.shape[:-1] + at.shape)
-
-    for axis in range(values.ndim - grid.d, values.ndim):
-        values = np.moveaxis(last_axis(np.moveaxis(values, axis, -1)), -1, axis)
-    return values
+def _target(grid: FrequencyGrid, out_grid: FrequencyGrid | None) -> FrequencyGrid:
+    """``grid``, which ``out_grid`` must equal when given."""
+    if out_grid is not None and out_grid != grid:
+        raise ValueError(f"out_grid {out_grid} is not the index-preserving grid {grid}")
+    return grid
 
 
 def scale_data(
     f: FrequencyField,
-    lam: float,
+    lam: int,
     a: float,
     out_grid: FrequencyGrid | None = None,
 ) -> FrequencyField:
     """Fourier side of x -> lam^a f(lam x): v(xi) -> lam^{a-d} v(xi/lam).
 
-    The default target keeps the spacing and extends the axis to cover the
-    dilated support; pass ``scaled_grid(grid, lam)`` for the exact
-    index-preserving map.  Raises if the dilated support overflows the
-    target grid.
+    On ``scaled_grid(f.grid, lam)`` sample i sits at lam times sample i of
+    ``f``, so the dilation relabels the grid and scales every value by
+    lam^{a-d}, with no interpolation.  lam must be a positive integer that
+    divides 1/h; ``out_grid``, if given, must be that grid.
     """
-    if lam <= 0:
-        raise ValueError("scale factor must be positive")
-    grid = f.grid
-    if out_grid is None:
-        out_grid = make_grid(grid.d, max(1, math.ceil(lam * grid.xi_max)), grid.h)
-    if out_grid.d != grid.d:
-        raise ValueError("target grid dimension mismatch")
-    nz = f.values != 0
-    if nz.any():
-        top = float(grid.linf()[nz].max()) + grid.h
-        if lam * top > out_grid.xi_max + 1e-9:
-            raise ValueError(
-                f"dilated support reaches {lam * top}, beyond target extent "
-                f"{out_grid.xi_max}"
-            )
-    vals = lam ** (a - grid.d) * _resample(f.values, grid, out_grid.axis / lam)
-    return FrequencyField(out_grid, vals, f.mirrored)
+    lam = _integer(lam, 1, "scale_data needs an integer factor")
+    grid = _target(scaled_grid(f.grid, lam), out_grid)
+    return FrequencyField(grid, lam ** (a - grid.d) * f.values, f.mirrored)
 
 
 _LAM_CAP = 10**6  # choose_lambda's search bound
@@ -301,8 +253,14 @@ def choose_lambda(
     2^{s (lam-1) eps0} ||f||)^{m-1} <= 1/100, with d read from the field
     and ||f|| its ES_INTEGRAL norm at (s, sigma) (d = 1 when a bare norm
     value is passed).  Such a lam exists for every s < 0; a safety cap
-    guards against misconfiguration.
+    guards against misconfiguration.  This lam is the proof's criterion: a
+    grid can hold the dilation only if 1/h is a multiple of lam (see
+    :func:`scaled_grid`).  An m that is not an integer >= 2, or a
+    non-finite parameter or norm, raises ValueError.
     """
+    m = _integer(m, 2, "choose_lambda needs an integer m")
+    if not all(math.isfinite(x) for x in (s, sigma, eps0, C_fix)):
+        raise ValueError("s, sigma, eps0 and C_fix must be finite")
     if s >= 0:
         raise ValueError("scale selection requires s < 0")
     if eps0 <= 0 or C_fix <= 0:
@@ -313,6 +271,8 @@ def choose_lambda(
     else:
         d = 1
         norm = float(f)
+    if not 0 <= norm < math.inf:  # NaN fails it too
+        raise ValueError(f"the datum's norm must be finite and nonnegative, got {norm}")
 
     expo = 2.0 / (m - 1) - d / 2.0 + max(sigma, 0.0)
     lam = math.floor(max(2.0, 1.0 / eps0)) + 1
@@ -322,7 +282,7 @@ def choose_lambda(
     def crit(lam_: int) -> float:
         return C_fix * (lam_**expo * 2.0 ** (s * (lam_ - 1) * eps0) * norm) ** (m - 1)
 
-    while crit(lam) > 0.01:
+    while not crit(lam) <= 0.01:  # a NaN criterion searches on to the cap
         lam += 1
         if lam > _LAM_CAP:
             raise RuntimeError("scale-factor search exceeded the safety cap")
@@ -332,28 +292,21 @@ def choose_lambda(
 
 def rescale_solution(
     u,
-    lam: float,
+    lam: int,
     a: float,
     out_grid: FrequencyGrid | None = None,
 ):
-    """Undo a dilation on a trajectory: frames pick up lam^{d-a} v(lam xi)
-    and the time axis dilates to [0, lam^2 T].
+    """Undo :func:`scale_data` on a trajectory: frames pick up
+    lam^{d-a} v(lam xi) and the time axis dilates to [0, lam^2 T].
 
-    With ``out_grid`` the inverse of :func:`scaled_grid` the per-index map
-    is exact; otherwise values are resampled like :func:`scale_data`.
+    The output grid G = (xi_max / lam, h / lam) is the one with
+    ``scaled_grid(G, lam) == u.grid``, so the map relabels the grid and
+    scales every value, with no interpolation.  lam must be a positive
+    integer that divides xi_max; ``out_grid``, if given, must be G.
     """
-    if lam <= 0:
-        raise ValueError("scale factor must be positive")
     grid = u.grid
-    if out_grid is None:
-        xi_out = grid.xi_max / lam
-        if abs(xi_out - round(xi_out)) > 1e-9 or round(xi_out) < 1:
-            raise ValueError(
-                "cannot infer an aligned output grid; pass out_grid explicitly"
-            )
-        out_grid = make_grid(grid.d, int(round(xi_out)), grid.h / lam)
-    if out_grid.d != grid.d:
-        raise ValueError("target grid dimension mismatch")
-    tgrid_out = lam**2 * u.tgrid
-    frames = lam ** (grid.d - a) * _resample(u.values, grid, out_grid.axis * lam)
-    return SpaceTimeField(out_grid, tgrid_out, frames)
+    lam = _integer(lam, 1, "rescale_solution needs an integer factor")
+    if grid.xi_max % lam != 0:
+        raise ValueError(f"scale factor {lam} must divide xi_max = {grid.xi_max}")
+    out = _target(make_grid(grid.d, grid.xi_max // lam, grid.h / lam), out_grid)
+    return SpaceTimeField(out, lam**2 * u.tgrid, lam ** (grid.d - a) * u.values)

@@ -370,9 +370,9 @@ def picard_iterate(spec: ProblemSpec, v0: FrequencyField) -> IterationTrace:
         raise GateError("the exponential flow needs a positive semigroup shift")
     _gate(spec, v0, 2.0 * spec.lambda_shift)
     M = nl.taylor_order
+    longer = _run_picard(spec, v0, M + 2).final  # its iterates are freed here
     trace = _run_picard(spec, v0, M)
-    sens = weighted_l1_seq_norm(trace.final - _run_picard(spec, v0, M + 2).final,
-                                spec.s)
+    sens = weighted_l1_seq_norm(trace.final - longer, spec.s)
     trace.truncation_sensitivity = sens
     if sens > spec.tol:
         warnings.warn(f"exponential-series truncation sensitivity {sens:.3e} exceeds "

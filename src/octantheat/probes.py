@@ -23,13 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .data import (
-    InitialDataKind,
-    InitialDataSpec,
-    make_initial_data,
-    scale_data,
-    scaled_grid,
-)
+from .data import InitialDataKind, InitialDataSpec, make_initial_data, scale_data
 from .engine import IterationTrace, duhamel, free_trajectory
 from .lattice import (
     FrequencyField,
@@ -476,7 +470,7 @@ def scaling_vanishing_curve(
     """Norms of lam^{d/2 - sigma} f(lam x) along a dilation ladder.
 
     Requires s < 0 and sigma >= 0 (the amplitude exponent is tied to
-    sigma by a = d/2 - sigma).  Passes when the curve is strictly
+    sigma by a = d/2 - sigma), and each lam an integer dividing 1/h.  Passes when the curve is strictly
     decreasing and ends below a tenth of its starting value.
     """
     if s >= 0:
@@ -488,9 +482,7 @@ def scaling_vanishing_curve(
     grid = f.grid
     a = grid.d / 2.0 - sigma
     spec = NormSpec(NormFlavor.ES_INTEGRAL, s, sigma)
-    values = [static_norm(f if lam == 1 else
-                          scale_data(f, lam, a, out_grid=scaled_grid(grid, lam)), spec)
-              for lam in lam_list]
+    values = [static_norm(scale_data(f, lam, a), spec) for lam in lam_list]
     curve = [{"lam": int(lam), "norm": v} for lam, v in zip(lam_list, values)]
     if values[0] == 0.0:
         passed = all(v == 0.0 for v in values)

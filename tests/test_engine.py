@@ -878,3 +878,14 @@ class TestWorkingSet:
         coeffs, peak = traced_peak(lambda: taylor_coefficients(spec, v0, K))
         assert coeffs.orders >= 2
         assert peak <= (coeffs.orders + 5) * nt * g.n**g.d * 16
+
+    def test_exponential_picard_iterates_plus_eight_stacks(self):
+        # the M + 2 comparison run that gives truncation_sensitivity keeps
+        # only its final alive while the returned run iterates
+        g = make_grid(1, 8, 1 / 64)
+        spec = dataclasses.replace(
+            power_spec(g, nt=257, tol=1e-10), lambda_shift=0.5,
+            nonlinearity=Nonlinearity(NonlinearityKind.EXPONENTIAL, taylor_order=6))
+        trace, peak = traced_peak(lambda: picard_iterate(spec, bump(g, 1.0)))
+        assert trace.truncation_sensitivity > 0 and len(trace.iterates) > 2
+        assert peak <= (len(trace.iterates) + 8) * trace.final.values.nbytes

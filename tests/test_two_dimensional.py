@@ -108,16 +108,20 @@ class TestOracleTimeRefinement:
 
 class TestContractionDilation:
     def test_shrinks_support_toward_origin(self):
-        from octantheat import scale_data
+        # x -> f(x / 2) is the undo of a dilation by 2: scale_data takes only
+        # integer factors, and rescale_solution contracts onto h / 2
+        from octantheat import SpaceTimeField, rescale_solution, scale_data
 
         g = make_grid(1, 4, 1 / 8)
         vals = np.where((g.axis >= 1.0) & (g.axis < 2.0), 1.0 + 0j, 0.0)
-        f = FrequencyField(g, vals)
-        out = scale_data(f, 0.5, 0.0, out_grid=g)
-        nz = np.nonzero(out.values)[0] * g.h
+        with pytest.raises(ValueError):
+            scale_data(FrequencyField(g, vals), 0.5, 0.0)
+        out = rescale_solution(SpaceTimeField(g, [0.0, 1.0], np.stack([vals] * 2)), 2, 0.0)
+        assert out.grid == make_grid(1, 2, 1 / 16)
+        nz = np.nonzero(out.values[0])[0] * out.grid.h
         assert nz.min() == pytest.approx(0.5)
-        assert nz.max() == pytest.approx(1.0 - g.h)
-        # amplitude factor lam^{a-d} = 2 in d = 1
+        assert nz.max() == pytest.approx(1.0 - out.grid.h)
+        # amplitude factor lam^{d-a} = 2 in d = 1
         assert np.abs(out.values[np.nonzero(out.values)]).max() == \
             pytest.approx(2.0, rel=1e-12)
 
