@@ -351,6 +351,103 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def sample_per_row(values, grid, coords):
+    """Reference: ``values`` read at ``coords`` on each of its last ``grid.d``
+    axes, one row at a time; every point must sit on a sample of ``grid``."""
+    at = coords / grid.h
+    cell = np.rint(at).astype(int)
+    assert np.allclose(at, cell, rtol=0, atol=1e-9)
+    assert cell.min() >= 0 and cell.max() < grid.n
+    for axis in range(values.ndim - grid.d, values.ndim):
+        v = np.moveaxis(values, axis, -1)
+        rows = v.reshape(-1, v.shape[-1])
+        out = np.empty((rows.shape[0], cell.size), dtype=values.dtype)
+        for r in range(rows.shape[0]):
+            out[r] = rows[r][cell]
+        values = np.moveaxis(out.reshape(v.shape[:-1] + (cell.size,)), -1, axis)
+    return values
+
+
+LAMBDAS = (0.5, 1, 1.5, 2, 3, 4)
+
+
+class TestResampleAgainstPerRow:
+    """``scale_data`` and ``rescale_solution`` equal the dilated field read
+    at its sample points row by row, bitwise (signed zeros included), and
+    reject every factor that is not index-preserving."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(1, 3), xi_max=st.integers(1, 3), n_sub=st.sampled_from((2, 4, 6, 8)),
+           lam=st.sampled_from(LAMBDAS), density=st.sampled_from((0.0, 0.2, 0.6, 1.0)),
+           exact=st.booleans(), seed=st.integers(0, 2**16))
+    def test_scale_data(self, d, xi_max, n_sub, lam, density, exact, seed):
+        g = make_grid(d, xi_max, 1.0 / n_sub)
+        f = FrequencyField(g, sparse_values(g.shape, seed, density))
+        if lam != int(lam) or n_sub % lam != 0:
+            with pytest.raises(ValueError):
+                scale_data(f, lam, 2.0)
+            return
+        out = scale_data(f, lam, 2.0, out_grid=scaled_grid(g, lam) if exact else None)
+        assert out.grid == scaled_grid(g, lam)
+        ref = lam ** (2.0 - d) * sample_per_row(f.values, g, out.grid.axis / lam)
+        assert same_bits(out.values, ref)
+
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(1, 3), xi_max=st.integers(1, 3), n_sub=st.sampled_from((2, 4, 6, 8)),
+           lam=st.sampled_from(LAMBDAS), density=st.sampled_from((0.0, 0.2, 0.6, 1.0)),
+           nt=st.integers(2, 3), exact=st.booleans(), seed=st.integers(0, 2**16))
+    def test_rescale_solution(self, d, xi_max, n_sub, lam, density, nt, exact, seed):
+        # exact: the trajectory lives on the scaled grid of a smaller one;
+        # otherwise on that smaller grid, which lam may still divide
+        small = make_grid(d, xi_max, 1.0 / n_sub)
+        g = scaled_grid(small, lam) if exact and lam == int(lam) and n_sub % lam == 0 \
+            else small
+        tg = np.linspace(0.0, 0.1, nt)
+        u = SpaceTimeField(g, tg, sparse_values((nt, *g.shape), seed, density))
+        if lam != int(lam) or g.xi_max % lam != 0:
+            with pytest.raises(ValueError):
+                rescale_solution(u, lam, 2.0)
+            return
+        back = rescale_solution(u, lam, 2.0, out_grid=small if g != small else None)
+        assert scaled_grid(back.grid, lam) == g
+        if g != small:
+            assert back.grid == small
+        assert same_bits(back.tgrid, lam**2 * tg)
+        ref = lam ** (d - 2.0) * sample_per_row(u.values, g, back.grid.axis * lam)
+        assert same_bits(back.values, ref)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("lam", [2, 4])
+    def test_exact_index_map(self, d, lam):
+        # between scaled_grid pairs every point sits on a sample, so both
+        # directions are the per-row gather times one factor, on real data of
+        # both signs, complex data, and zero and -0.0 samples inside the
+        # support and at its edges
+        small = make_grid(d, 2, 1 / 4)
+        big = scaled_grid(small, lam)
+        rng = np.random.default_rng(10 * d + lam)
+        vals = np.zeros((3, *small.shape), dtype=complex)
+        box = (slice(None), *(slice(1, 6),) * d)  # zero cells on both sides
+        vals[box] = rng.standard_normal(vals[box].shape)  # real, both signs
+        vals[2][box[1:]] += 1j * rng.standard_normal(vals[2][box[1:]].shape)
+        flat = vals.reshape(-1)
+        holes = rng.choice(flat.size, flat.size // 5, replace=False)
+        flat[holes] = rng.choice(np.array([complex(-0.0, 0.0), complex(-0.0, -0.0),
+                                           complex(0.0, -0.0)]), holes.size)
+        assert np.signbit(vals.real).any() and (vals == 0).any()
+        for src, at in ((small, big.axis / lam), (big, small.axis * lam)):
+            assert np.array_equal(at / src.h, np.arange(src.n))  # samples only
+        for frame in vals:
+            out = scale_data(FrequencyField(small, frame), lam, 1.0)
+            assert out.grid == big
+            ref = lam ** (1.0 - d) * sample_per_row(frame, small, big.axis / lam)
+            assert same_bits(out.values, ref)
+        back = rescale_solution(SpaceTimeField(big, [0.0, 0.1, 0.2], vals), lam, 1.0)
+        assert back.grid == small
+        ref = lam ** (d - 1.0) * sample_per_row(vals, big, small.axis * lam)
+        assert same_bits(back.values, ref)
+
+
 class TestDilationRelabels:
     """Between ``scaled_grid`` pairs a dilation and its undo relabel the grid
     and scale the values by one factor, bitwise: a -0.0 cell stays -0.0."""
