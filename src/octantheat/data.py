@@ -233,7 +233,8 @@ def scale_data(
     """
     lam = _integer(lam, 1, "scale_data needs an integer factor")
     grid = _target(scaled_grid(f.grid, lam), out_grid)
-    return FrequencyField(grid, lam ** (a - grid.d) * f.values, f.mirrored)
+    vals = lam ** (a - grid.d) * f.values.view(np.float64)  # by parts: -0.0 stays
+    return FrequencyField(grid, vals.view(np.complex128), f.mirrored)
 
 
 _LAM_CAP = 10**6  # choose_lambda's search bound
@@ -309,4 +310,5 @@ def rescale_solution(
     if grid.xi_max % lam != 0:
         raise ValueError(f"scale factor {lam} must divide xi_max = {grid.xi_max}")
     out = _target(make_grid(grid.d, grid.xi_max // lam, grid.h / lam), out_grid)
-    return SpaceTimeField(out, lam**2 * u.tgrid, lam ** (grid.d - a) * u.values)
+    vals = lam ** (grid.d - a) * u.values.view(np.float64)  # by parts: -0.0 stays
+    return SpaceTimeField(out, lam**2 * u.tgrid, vals.view(np.complex128))

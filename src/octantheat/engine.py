@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (RULES, FrequencyField, FrequencyGrid, convolve_frames,
-                      cube_l2_table, support_stats)
+from .lattice import (BLOCK_CELLS, RULES, FrequencyField, FrequencyGrid,
+                      convolve_frames, cube_l2_table, support_stats)
 from .norms import SpaceTimeField, weighted_l1_seq_norm
 
 __all__ = [
@@ -194,7 +194,8 @@ def free_trajectory(
 ) -> SpaceTimeField:
     """Semigroup evolution of v0 sampled on the whole time grid."""
     w = heat_symbol(v0.grid, lambda_shift)
-    mult = np.exp(-np.multiply.outer(np.asarray(tgrid, float), w))
+    mult = np.multiply.outer(np.asarray(tgrid, float), w)
+    np.exp(np.negative(mult, out=mult), out=mult)  # exp(-t w), in one stack
     return SpaceTimeField(v0.grid, tgrid, mult * v0.values[None, ...])
 
 
@@ -216,12 +217,16 @@ def _duhamel(G: np.ndarray, w: np.ndarray, dt: float,
     default; its first frame must be zero)."""
     decay = np.exp(-dt * w).astype(np.complex128)  # as the product would cast it
     out = np.zeros_like(G) if out is None else out
-    hG = (0.5 * dt) * G
-    # in place, frame by frame, in the recurrence's operation order
-    for prev, cur, h0, h1 in zip(out[:-1], out[1:], hG[:-1], hG[1:]):
+    half = 0.5 * dt
+    # in place, frame by frame, in the recurrence's operation order, with
+    # dt/2 G formed a frame at a time in two buffers swapped each step
+    h0, h1 = np.multiply(half, G[0]), np.empty_like(G[0])
+    for prev, cur, g1 in zip(out[:-1], out[1:], G[1:]):
+        np.multiply(half, g1, out=h1)
         np.add(prev, h0, out=cur)
         cur *= decay
         cur += h1
+        h0, h1 = h1, h0
     return out
 
 
@@ -328,12 +333,13 @@ def _sup_cube_diff(a: np.ndarray, b: np.ndarray, grid: FrequencyGrid,
     """For two (nt, *grid.shape) stacks equal below ``start`` on some axis:
     the sup over time of the unit-cube L2 table of a - b, and the cells
     where a - b is nonzero in some frame.  Only the box of cubes from
-    start // n_sub up on every axis is read, in blocks of about 2^16 cells,
-    so no full difference stack is formed; both are the whole stack's bits."""
+    start // n_sub up on every axis is read, in blocks of about
+    ``BLOCK_CELLS`` cells that stay in L2 and are reused, not re-faulted, so
+    no full difference stack is formed; both are the whole stack's bits."""
     c0 = min(start // grid.n_sub, grid.xi_max)
     cubes, box = (slice(c0, None),) * grid.d, (slice(c0 * grid.n_sub, None),) * grid.d
     table, changed = np.zeros((grid.xi_max,) * grid.d), np.zeros(grid.shape, bool)
-    block = max(1, 2**16 // max(1, changed[box].size))
+    block = max(1, BLOCK_CELLS // max(1, changed[box].size))
     for t in range(0, len(a), block):
         diff = a[(slice(t, t + block), *box)] - b[(slice(t, t + block), *box)]
         changed[box] |= np.any(diff != 0, axis=0)

@@ -351,6 +351,15 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def scaled_parts(values, c):
+    """c times the real and the imaginary part of each value, one part at a
+    time, so that signed zeros keep their signs (a complex product by c
+    adds 0 * the other part)."""
+    out = np.empty_like(values)
+    out.real, out.imag = c * values.real, c * values.imag
+    return out
+
+
 def sample_per_row(values, grid, coords):
     """Reference: ``values`` read at ``coords`` on each of its last ``grid.d``
     axes, one row at a time; every point must sit on a sample of ``grid``."""
@@ -389,7 +398,7 @@ class TestResampleAgainstPerRow:
             return
         out = scale_data(f, lam, 2.0, out_grid=scaled_grid(g, lam) if exact else None)
         assert out.grid == scaled_grid(g, lam)
-        ref = lam ** (2.0 - d) * sample_per_row(f.values, g, out.grid.axis / lam)
+        ref = scaled_parts(sample_per_row(f.values, g, out.grid.axis / lam), lam ** (2.0 - d))
         assert same_bits(out.values, ref)
 
     @settings(max_examples=80, deadline=None)
@@ -413,7 +422,7 @@ class TestResampleAgainstPerRow:
         if g != small:
             assert back.grid == small
         assert same_bits(back.tgrid, lam**2 * tg)
-        ref = lam ** (d - 2.0) * sample_per_row(u.values, g, back.grid.axis * lam)
+        ref = scaled_parts(sample_per_row(u.values, g, back.grid.axis * lam), lam ** (d - 2.0))
         assert same_bits(back.values, ref)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -440,11 +449,11 @@ class TestResampleAgainstPerRow:
         for frame in vals:
             out = scale_data(FrequencyField(small, frame), lam, 1.0)
             assert out.grid == big
-            ref = lam ** (1.0 - d) * sample_per_row(frame, small, big.axis / lam)
+            ref = scaled_parts(sample_per_row(frame, small, big.axis / lam), lam ** (1.0 - d))
             assert same_bits(out.values, ref)
         back = rescale_solution(SpaceTimeField(big, [0.0, 0.1, 0.2], vals), lam, 1.0)
         assert back.grid == small
-        ref = lam ** (d - 1.0) * sample_per_row(vals, big, small.axis * lam)
+        ref = scaled_parts(sample_per_row(vals, big, small.axis * lam), lam ** (d - 1.0))
         assert same_bits(back.values, ref)
 
 
@@ -462,7 +471,7 @@ class TestDilationRelabels:
         f = FrequencyField(g, sparse_values(g.shape, seed, density))
         out = scale_data(f, lam, a)
         assert out.grid == scaled_grid(g, lam)
-        assert same_bits(out.values, lam ** (a - d) * f.values)
+        assert same_bits(out.values, scaled_parts(f.values, lam ** (a - d)))
         tg = np.linspace(0.0, 0.1, nt)
         u = SpaceTimeField(out.grid, tg, np.stack([out.values] * nt))
         back = rescale_solution(u, lam, a)
@@ -470,6 +479,22 @@ class TestDilationRelabels:
         assert same_bits(back.tgrid, lam**2 * tg)
         # lam^{a-d} is a power of two here, so the round trip is exact
         assert all(same_bits(frame, f.values) for frame in back.values)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_signed_zeros_survive_a_round_trip(self, d):
+        # a complex product by lam^{a-d} would write +0.0 into the first two
+        g = make_grid(d, 2, 1 / 4)
+        vals = np.zeros(g.shape, dtype=complex)
+        vals.flat[:4] = [complex(-0.0, -0.0), complex(1.5, -0.0), complex(-2.0, -0.0),
+                         complex(-0.0, 3.0)]
+        f = FrequencyField(g, vals)
+        for lam, a in ((2, 1.0), (4, 3.0)):  # lam^{a-d} a power of two
+            out = scale_data(f, lam, a)
+            assert np.array_equal(np.signbit(out.values.view(np.float64)),
+                                  np.signbit(vals.view(np.float64)))
+            u = SpaceTimeField(out.grid, [0.0, 0.1], np.stack([out.values] * 2))
+            for frame in rescale_solution(u, lam, a).values:
+                assert np.array_equal(frame.view(np.uint64), vals.view(np.uint64))
 
     @pytest.mark.parametrize("lam", [0.5, 1.5, 3, True, math.nan])
     def test_rejects_a_non_index_preserving_factor(self, lam):

@@ -88,6 +88,18 @@ class TestPropagate:
         out = propagate(FrequencyField(g, vals), 1.0, lambda_shift=2.0)
         assert out.values[i] == pytest.approx(math.exp(3.0), rel=1e-13)
 
+    @pytest.mark.parametrize("d,xi_max,h", [(1, 8, 1 / 64), (2, 4, 1 / 16), (3, 2, 1 / 4)])
+    @pytest.mark.parametrize("lam", [0.0, 1.5])
+    def test_free_trajectory_bitwise_equal_to_outer_product(self, d, xi_max, h, lam):
+        g = make_grid(d, xi_max, h)
+        rng = np.random.default_rng(d)
+        v0 = FrequencyField(g, rng.standard_normal(g.shape)
+                            + 1j * rng.standard_normal(g.shape))
+        tg = np.linspace(0.0, 0.5, 17)
+        w = g.euclid_sq() - lam**2
+        ref = np.exp(-np.multiply.outer(tg, w)) * v0.values
+        assert free_trajectory(v0, tg, lam).values.tobytes() == ref.tobytes()
+
 
 class TestDuhamel:
     def test_constant_integrand_analytic(self):
@@ -141,6 +153,32 @@ class TestDuhamel:
         G = SpaceTimeField(g, np.linspace(0.0, 1.0, 257),
                            rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         assert duhamel(G, lam).values.tobytes() == loop(G, lam).tobytes()
+
+    @pytest.mark.parametrize("d,xi_max,h", [(1, 8, 1 / 64), (2, 2, 1 / 8), (3, 2, 1 / 4)])
+    def test_bitwise_equal_to_full_stack_recurrence(self, d, xi_max, h):
+        def full_stack(G, w, dt):  # dt/2 G formed for the whole stack first
+            decay = np.exp(-dt * w).astype(np.complex128)
+            out = np.zeros_like(G)
+            hG = (0.5 * dt) * G
+            for n in range(len(G) - 1):
+                np.add(out[n], hG[n], out=out[n + 1])
+                out[n + 1] *= decay
+                out[n + 1] += hG[n + 1]
+            return out
+
+        g = make_grid(d, xi_max, h)
+        rng = np.random.default_rng(12)
+        shape = (33, *g.shape)
+        G = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        w, dt = engine.heat_symbol(g, 0.5), 1.0 / 32
+        assert engine._duhamel(G, w, dt).tobytes() == full_stack(G, w, dt).tobytes()
+        # on a box of live cells, written into a view as the solvers do
+        box = (slice(3, None),) * d
+        out = np.zeros_like(G)
+        engine._duhamel(G[(slice(None), *box)], w[box], dt, out=out[(slice(None), *box)])
+        ref = np.zeros_like(G)
+        ref[(slice(None), *box)] = full_stack(G[(slice(None), *box)], w[box], dt)
+        assert out.tobytes() == ref.tobytes()
 
     def test_recurrence_equals_composite_trapezoid(self):
         # the one-step recurrence is algebraically the composite trapezoid
@@ -852,13 +890,13 @@ class TestWorkingSet:
     """A run holds what it returns plus a few working stacks of nt * n^d
     complex cells: no full difference, product or scaled copy of a stack."""
 
-    # grid, nt, rule, datum, band K.  The 3D case takes the Riemann rule: the
-    # trapezoid kernel holds a block's 2^d operand transforms at once, a fixed
-    # ~10 MiB that is several stacks this small.
+    # grid, nt, rule, datum, band K
     CASES = {
         "band-1d": (make_grid(1, 8, 1 / 64), 257, "trapezoid",
                     lambda g: exp_halfline(g, amp=1.01 * np.exp(0.03j)), 6.0),
         "3d": (make_grid(3, 4, 1 / 4), 33, "riemann", lambda g: bump(g, 1.0), 4.0),
+        "3d-trapezoid": (make_grid(3, 4, 1 / 4), 33, "trapezoid",
+                         lambda g: bump(g, 1.0), 4.0),
     }
 
     @pytest.mark.parametrize("case", CASES)

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from octantheat import (
     support_stats,
 )
 from octantheat import lattice
-from octantheat.lattice import RULES, _rule_terms
+from octantheat.lattice import BLOCK_CELLS, RULES, _rule_terms
 
 
 def indicator(grid, lo, hi, amp=1.0):
@@ -514,30 +515,30 @@ class TestConvolveFrames:
             assert out.shape == b.shape and not out.any()
 
     def test_frames_in_several_blocks(self):
-        # both supports span the 64^2 grid, so each axis pads to
-        # next_fast_len(127) = 128 and the kernel takes four frames per
-        # block: five frames with different supports span two blocks
-        g = make_grid(2, 2, 1 / 32)
+        # both supports span the 32^2 grid, so each axis pads to
+        # next_fast_len(63) = 64 and a block of BLOCK_CELLS = 2^14 padded
+        # cells holds four frames: one pattern pair over ten frames spans
+        # three blocks (4, 4, 2)
+        g = make_grid(2, 2, 1 / 16)
+        assert BLOCK_CELLS // 64**2 == 4
         rng = np.random.default_rng(3)
-        a = sparse_stack(g, 5, rng, 0.05, False)
-        a[:, 0, 0] = 1.0  # no empty frames
-        b = sparse_stack(g, 5, rng, 0.05, False)
-        b[:, 0, 0] = 1.0
-        for rule in ("riemann", "trapezoid"):
-            # one-frame stacks are one block each; the direct comparison is
-            # test_matches_direct's
-            ref = np.concatenate([convolve_frames(x[None], y[None], g, rule)
-                                  for x, y in zip(a, b)])
-            got = convolve_frames(a, b, g, rule)
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-            assert np.array_equal(got != 0, ref != 0)
+        keep = rng.random((2, *g.shape)) < 0.3
+        keep[:, 0, 0] = keep[:, -1, -1] = True
+        a, b = ((rng.standard_normal((10, *g.shape))
+                 + 1j * rng.standard_normal((10, *g.shape))) * m for m in keep)
+        for rule in RULES:
+            for x, y in ((a, b), (a, a)):
+                per_frame = np.concatenate([convolve_frames(s[None], t[None], g, rule)
+                                            for s, t in zip(x, y)])
+                assert convolve_frames(x, y, g, rule).tobytes() == per_frame.tobytes()
+                check_frames(x, y, g, rule)
 
     @pytest.mark.parametrize("rule", RULES)
     def test_runs_of_pattern_pairs(self, rule):
         # the kernel takes runs of consecutive frames with one pattern pair:
         # here pairs alternate (A, B, A, B, ...) and then one pair holds for
         # 100 frames; the supports span the 512-cell grid, so each pads to
-        # 1024 cells, a block holds 64 frames and the long run spans two
+        # 1024 cells, a block holds 16 frames and the long run spans seven
         g = make_grid(1, 8, 1 / 64)
         rng = np.random.default_rng(40)
         order = [0, 1] * 4 + [0] * 100
@@ -791,6 +792,26 @@ class TestFieldIO:
             "0,1,1,3.0,-3.0\n1,0,0,4.0,-4.0\n1,0,1,5.0,-5.0\n1,1,0,6.0,-6.0\n"
             "1,1,1,-0.0,1e+300\n"),
     }
+
+    @pytest.mark.parametrize("d,xi_max,h", [(1, 8, 1 / 64), (2, 4, 1 / 16), (3, 2, 1 / 8)])
+    def test_bytes_equal_to_formatted_rows(self, tmp_path, d, xi_max, h):
+        # the body as rows of "{}{!r},{!r}\n".format, one cell at a time, on
+        # random values of all magnitudes with signed zeros and subnormals
+        g = make_grid(d, xi_max, h)
+        rng = np.random.default_rng(30 + d)
+        shape = (2, *g.shape)
+        parts = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+        parts[rng.random(shape) < 0.1] = -0.0
+        parts[rng.random(shape) < 0.1] = 0.0
+        vals = np.empty(g.shape, dtype=complex)
+        vals.real, vals.imag = parts  # re + 1j * im would turn -0.0 parts to +0.0
+        f = FrequencyField(g, vals)
+        rows = ["{}{!r},{!r}\n".format("".join(f"{i}," for i in idx),
+                                        float(vals[idx].real), float(vals[idx].imag))
+                for idx in itertools.product(range(g.n), repeat=d)]
+        p = tmp_path / "f.field"
+        save_field(f, p)
+        assert p.read_bytes() == (f"{d} {g.h!r} {xi_max}\n" + "".join(rows)).encode()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_golden_bytes(self, tmp_path, d):
