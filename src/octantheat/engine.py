@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +135,27 @@ class ProblemSpec:
         return np.linspace(0.0, self.T, self.nt)
 
 
+@dataclass(frozen=True, eq=False)
+class _Iterates(Sequence):
+    """v^1..v^J, read-only: the final whole, and each earlier iterate rebuilt
+    on read as the final with its values on its unsettled cells put back."""
+
+    grid: FrequencyGrid
+    tgrid: np.ndarray
+    parts: list[tuple[np.ndarray, np.ndarray]]  # (cells, values) of v^1..v^{J-1}
+    final: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.parts) + 1
+
+    def __getitem__(self, i: int) -> SpaceTimeField:
+        i, values = range(len(self))[i], self.final
+        if i < len(self.parts):
+            (cells, part), values = self.parts[i], values.copy()
+            values[:, cells] = part
+        return SpaceTimeField(self.grid, self.tgrid, values)
+
+
 @dataclass(eq=False)
 class IterationTrace:
     """Iterates v^1..v^J with support statistics and error sequences.
@@ -143,15 +165,19 @@ class IterationTrace:
     bound on the exact one: FFT round-off can make it read the edge of the
     band copied from v^i;
     ``increment_norms[i]`` is its weighted l1-over-cubes size; ``errors[i]``
-    measures v^{i+1} against the final iterate.
+    measures v^{i+1} against the final iterate: sum_k 2^{s|k|} times
+    ``error_tables[i]``, the sup over time of its cube L2 norms.  A Picard
+    trace keeps the final whole and each earlier iterate only on the cells
+    it had not settled, the only ones where it can differ from the final.
     """
 
-    iterates: list[SpaceTimeField]
+    iterates: Sequence[SpaceTimeField]
     support_min_l1: list[float]
     increment_norms: list[float]
     errors: list[float]
     converged: bool
     truncation_sensitivity: float | None = None
+    error_tables: list[np.ndarray] | None = None
 
     @property
     def final(self) -> SpaceTimeField:
@@ -274,7 +300,7 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace
 
     weights = 2.0 ** (spec.s * grid.lattice_l1())  # weighted_l1_seq_norm's
     v = np.zeros_like(free_vals)
-    iterates: list[np.ndarray] = []
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
     starts: list[int] = []
     supports: list[float] = []
     inc_norms: list[float] = []
@@ -296,7 +322,8 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace
             _duhamel(G[sub], w[box], dt, out=v_next[sub])
         del acc, G
         v_next[sub] += free_vals[sub]  # +0.0 + free: bitwise free + Duhamel(0)
-        np.copyto(v_next, v, where=index_l1 < need)
+        settled = index_l1 < need
+        np.copyto(v_next, v, where=settled)
         table, changed = _sup_cube_diff(v_next, v, grid, start)
         supports.append(float(grid.l1()[changed].min()) if changed.any() else math.inf)
         inc = float(np.sum(weights * table))
@@ -304,27 +331,28 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace
             raise DivergenceError(f"iterate {j + 1} or its increment norm left the "
                                   "floating-point range")
         inc_norms.append(inc)
-        iterates.append(v_next)
+        if j:  # every later iterate copies v^j's settled band: keep the rest
+            parts.append((~settled, v[:, ~settled]))
         starts.append(start)
         v = v_next
-        if inc < spec.tol:
+        if inc < spec.tol or not changed.any():  # v^{j+1} = v^j: a fixed point
             converged = True
             break
 
     del free_vals
+    v.flags.writeable = False
+    iterates = _Iterates(grid, tgrid, parts, v)
     # the final equals v^{j+1} wherever v^{j+2} copied it: outside v^{j+2}'s
     # box (the final's own error reads no cell)
-    final = iterates[-1]
-    errors = [
-        float(np.sum(weights * _sup_cube_diff(vj, final, grid, start)[0]))
-        for vj, start in zip(iterates, starts[1:] + [grid.n])
-    ]
+    tables = [_sup_cube_diff(vj.values, v, grid, start)[0]
+              for vj, start in zip(iterates, starts[1:] + [grid.n])]
     return IterationTrace(
-        iterates=[SpaceTimeField(grid, tgrid, vj) for vj in iterates],
+        iterates=iterates,
         support_min_l1=supports,
         increment_norms=inc_norms,
-        errors=errors,
+        errors=[float(np.sum(weights * table)) for table in tables],
         converged=converged,
+        error_tables=tables,
     )
 
 
@@ -365,8 +393,10 @@ def picard_iterate(spec: ProblemSpec, v0: FrequencyField) -> IterationTrace:
     M = ``taylor_order``): lam > 0, and the datum, dilated onto this grid,
     starts at |xi|_inf >= 2 lam; the weighted distance to a run with M + 2
     terms is recorded as ``truncation_sensitivity``, with a RuntimeWarning
-    above tol.  The run holds its iterates plus a few working stacks of
-    nt * n^d complex cells (16 bytes each).
+    above tol.  A run ends at an exactly zero increment whatever tol is.
+    The trace holds the final stack of nt * n^d complex cells (16 bytes
+    each) and each earlier iterate's cells outside the band it settled;
+    while it runs, the run also holds about four working stacks.
     """
     nl = spec.nonlinearity
     if nl.kind is NonlinearityKind.POWER:
@@ -472,8 +502,12 @@ def assemble_band_solution(
     if K > stack.K + 1e-12:
         raise ValueError(f"stack covers |xi| < {stack.K}, cannot assemble K = {K}")
     first = stack.coeffs[0]
-    total = np.zeros_like(first.values)
-    for k, ck in enumerate(stack.coeffs, start=1):
-        total += (delta**k / math.factorial(k)) * ck.values
     mask = first.grid.l1() < K - 1e-12
-    return SpaceTimeField(first.grid, first.tgrid, total * mask[None, ...])
+    total = np.zeros_like(first.values)
+    block = max(1, BLOCK_CELLS // mask.size)  # frames summed in place at a time
+    for t in range(0, len(total), block):
+        acc = total[t:t + block]
+        for k, ck in enumerate(stack.coeffs, start=1):
+            acc += (delta**k / math.factorial(k)) * ck.values[t:t + block]
+        acc *= mask
+    return SpaceTimeField(first.grid, first.tgrid, total)

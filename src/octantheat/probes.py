@@ -689,7 +689,8 @@ def error_decay_fit(
     """Fit the smallest single C satisfying both halves of the decay law,
     e_j <= C^j / (j!)^2 and e_{j+1} (j+1)^2 / e_j <= C, over the recorded
     iterates from ``J_LO`` on, with e_j measured against the reference
-    (final iterate when not given).
+    (final iterate when not given: then read from the trace's
+    ``error_tables`` when it has them, without rebuilding an iterate).
 
     Vanishing errors satisfy any C and are skipped.  A sequence whose
     implied constant keeps escalating through the end of the window (the
@@ -699,11 +700,19 @@ def error_decay_fit(
     increments escape the band.
     """
     iterates = trace.iterates
-    if len(iterates) < 4:
-        raise ValueError("need at least four iterates to fit the decay law")
-    ref = reference if reference is not None else trace.final
-    e = {j: weighted_l1_seq_norm(vj - ref, s_tilde)
-         for j, vj in enumerate(iterates, start=1)}
+    # against the final, a run that ends at a fixed point (an increment
+    # vanishing on the grid) has every later error 0: it needs no four
+    fixed = reference is None and trace.support_min_l1[-1:] == [math.inf]
+    if len(iterates) < 4 and not fixed:
+        raise ValueError("need at least four iterates, or a run that ends at "
+                         "a fixed point, to fit the decay law")
+    if reference is None and trace.error_tables is not None:  # as weighted_l1_seq_norm
+        w = 2.0 ** (s_tilde * trace.final.grid.lattice_l1())
+        e = {j: float(np.sum(w * t)) for j, t in enumerate(trace.error_tables, start=1)}
+    else:
+        ref = reference if reference is not None else trace.final
+        e = {j: weighted_l1_seq_norm(vj - ref, s_tilde)
+             for j, vj in enumerate(iterates, start=1)}
     j_hi = len(iterates) if reference is not None else len(iterates) - 1
     fit_js = [j for j in range(J_LO, j_hi + 1) if e.get(j, 0.0) > 0.0]
     if not fit_js:

@@ -13,6 +13,7 @@ from octantheat import (
     GateError,
     InitialDataKind,
     InitialDataSpec,
+    IterationTrace,
     Nonlinearity,
     NonlinearityKind,
     ProblemSpec,
@@ -20,6 +21,7 @@ from octantheat import (
     assemble_band_solution,
     convolve,
     duhamel,
+    error_decay_fit,
     free_trajectory,
     make_grid,
     make_initial_data,
@@ -332,10 +334,31 @@ class TestPicardIterate:
         g = make_grid(1, 4, 1 / 16)  # the datum starts at cell 16
         trace = picard_iterate(power_spec(g, m=m, nt=33, jmax=4, tol=0.0),
                                exp_halfline(g, amp=0.5))
-        assert len(trace.iterates) == 4
         live = [j for j in range(1, 4) if (j * (m - 1) + 1) * 16 < g.n]
         assert 0 < len(live) < 3
         assert len(calls) == len(live) * (m - 1)
+        # the first settled iterate's increment is exactly 0: a fixed point
+        # ends the run there even at tol = 0 (m = 3: iterate 3 of jmax 4)
+        assert trace.converged and len(trace.iterates) == len(live) + 2
+        assert trace.support_min_l1[-1] == math.inf
+
+    def test_iterates_rebuilt_on_read(self):
+        # the trace keeps the final whole and read-only; every earlier
+        # iterate is a fresh stack, bitwise the same on each read
+        g = make_grid(1, 4, 1 / 16)
+        trace = picard_iterate(power_spec(g, nt=33, jmax=5), exp_halfline(g))
+        its = trace.iterates
+        J = len(its)
+        assert J >= 3 and len(list(its)) == J
+        assert trace.final.values is its[-1].values is its[J - 1].values
+        assert not trace.final.values.flags.writeable
+        with pytest.raises(IndexError):
+            its[J]
+        first = its[0].values
+        assert first.flags.writeable and first.tobytes() == its[0].values.tobytes()
+        first[:] = 0.0
+        assert its[0].values.any()
+        assert its[-2].values.tobytes() == its[J - 2].values.tobytes()
 
     def test_gate_rejects_low_spectrum(self):
         g = make_grid(1, 4, 0.25)
@@ -652,7 +675,9 @@ class TestExponentialFlow:
         trace = self.run_M(spec, u0l)
         eps = support_stats(u0l).min_l1
         l1 = spec.grid.l1()
-        assert len(trace.iterates) == 5
+        # iterate 4's band, 4 eps, covers the grid: its increment is exactly
+        # 0, and that fixed point ends the run before jmax = 5 at tol = 0
+        assert trace.converged and len(trace.iterates) == 4
         for j in range(1, len(trace.iterates)):
             band = l1 < j * eps
             for r in range(j, len(trace.iterates)):
@@ -799,7 +824,7 @@ def plain_picard(spec, v0, M):
         incs.append(weighted_l1_seq_norm(SpaceTimeField(g, tgrid, diff), spec.s))
         iterates.append(v_next)
         v = v_next
-        if incs[-1] < spec.tol:
+        if incs[-1] < spec.tol or not changed.any():  # or at a fixed point
             break
     errors = [weighted_l1_seq_norm(SpaceTimeField(g, tgrid, x - v), spec.s)
               for x in iterates]
@@ -858,12 +883,25 @@ class TestLiveCells:
         trace = picard_iterate(spec, v0)
         M = spec.nonlinearity.m or spec.nonlinearity.taylor_order
         iterates, supports, incs, errors = plain_picard(spec, v0, M)
-        assert len(trace.iterates) == len(iterates) > 2
-        for got, ref in zip(trace.iterates, iterates):
+        # m = 3 under the trapezoid rule in 3D ends at a fixed point, iterate 2
+        assert len(trace.iterates) == len(iterates) >= 2
+        for got, ref in zip(trace.iterates, iterates):  # rebuilt from the trace
             assert got.values.tobytes() == ref.tobytes()
         for got, ref in ((trace.support_min_l1, supports),
                          (trace.increment_norms, incs), (trace.errors, errors)):
             assert np.array(got).tobytes() == np.array(ref).tobytes()
+        # the decay fit reads the trace's error tables; the reference forms
+        # every v^j - final as a full stack
+        s_tilde, tgrid = spec.s - 1.0, spec.tgrid
+        full = [weighted_l1_seq_norm(SpaceTimeField(g, tgrid, x - iterates[-1]), s_tilde)
+                for x in iterates]
+        plain = IterationTrace([SpaceTimeField(g, tgrid, x) for x in iterates],
+                               supports, incs, errors, trace.converged)
+        got = error_decay_fit(trace, s_tilde=s_tilde).measured
+        ref = error_decay_fit(plain, s_tilde=s_tilde).measured
+        assert np.array(got["errors"]).tobytes() == np.array(full).tobytes()
+        for key in ("C", "C_bound", "ratios", "errors"):
+            assert np.array(got[key]).tobytes() == np.array(ref[key]).tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("rule", lattice.RULES)
@@ -877,11 +915,12 @@ class TestLiveCells:
             assert got.values.tobytes() == ref.tobytes()
 
 
-def traced_peak(call):
-    """call() and the peak of the memory it allocated, by tracemalloc."""
+def traced(call):
+    """call(), the memory it left allocated and the peak of the memory it
+    allocated, by tracemalloc."""
     tracemalloc.start()
     try:
-        return call(), tracemalloc.get_traced_memory()[1]
+        return call(), *tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
@@ -898,24 +937,39 @@ class TestWorkingSet:
         "3d-trapezoid": (make_grid(3, 4, 1 / 4), 33, "trapezoid",
                          lambda g: bump(g, 1.0), 4.0),
     }
+    # MiB a Picard trace retains and the run's traced peak; one stack is
+    # 2.0 MiB (band-1d) or 2.1 MiB (3d): the final is the only whole stack
+    PICARD_MIB = {"band-1d": (8.0, 14.0), "3d": (3.5, 10.0),
+                  "3d-trapezoid": (3.5, 10.5)}
 
     @pytest.mark.parametrize("case", CASES)
-    def test_picard_iterates_plus_three_stacks(self, case):
+    def test_picard_trace_and_peak(self, case):
         g, nt, rule, datum, _ = self.CASES[case]
         spec, v0 = power_spec(g, nt=nt, tol=1e-12, conv_rule=rule), datum(g)
-        trace, peak = traced_peak(lambda: picard_iterate(spec, v0))
-        stack = trace.final.values.nbytes
-        assert stack == nt * g.n**g.d * 16
+        trace, retained, peak = traced(lambda: picard_iterate(spec, v0))
+        assert trace.final.values.nbytes == nt * g.n**g.d * 16
         assert len(trace.iterates) > 2
-        assert peak <= (len(trace.iterates) + 3) * stack
+        assert retained <= self.PICARD_MIB[case][0] * 2**20
+        assert peak <= self.PICARD_MIB[case][1] * 2**20
 
     @pytest.mark.parametrize("case", CASES)
     def test_taylor_orders_plus_five_stacks(self, case):
         g, nt, rule, datum, K = self.CASES[case]
         spec, v0 = power_spec(g, nt=nt, conv_rule=rule), datum(g)
-        coeffs, peak = traced_peak(lambda: taylor_coefficients(spec, v0, K))
+        coeffs, _, peak = traced(lambda: taylor_coefficients(spec, v0, K))
         assert coeffs.orders >= 2
         assert peak <= (coeffs.orders + 5) * nt * g.n**g.d * 16
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_assembly_adds_one_stack_and_a_block(self, case):
+        # the sum builds in place a block of frames at a time; the second
+        # block allows for the cast buffer of the mask's ufunc
+        g, nt, rule, datum, K = self.CASES[case]
+        stack = taylor_coefficients(power_spec(g, nt=nt, conv_rule=rule), datum(g), K)
+        band, _, peak = traced(lambda: assemble_band_solution(stack, 1.0, K))
+        cells = g.n**g.d
+        block = max(1, lattice.BLOCK_CELLS // cells) * cells * 16
+        assert peak <= band.values.nbytes + 2 * block
 
     def test_exponential_picard_iterates_plus_eight_stacks(self):
         # the M + 2 comparison run that gives truncation_sensitivity keeps
@@ -924,6 +978,6 @@ class TestWorkingSet:
         spec = dataclasses.replace(
             power_spec(g, nt=257, tol=1e-10), lambda_shift=0.5,
             nonlinearity=Nonlinearity(NonlinearityKind.EXPONENTIAL, taylor_order=6))
-        trace, peak = traced_peak(lambda: picard_iterate(spec, bump(g, 1.0)))
+        trace, _, peak = traced(lambda: picard_iterate(spec, bump(g, 1.0)))
         assert trace.truncation_sensitivity > 0 and len(trace.iterates) > 2
         assert peak <= (len(trace.iterates) + 8) * trace.final.values.nbytes
