@@ -341,13 +341,12 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace
 
     del free_vals
     v.flags.writeable = False
-    iterates = _Iterates(grid, tgrid, parts, v)
-    # the final equals v^{j+1} wherever v^{j+2} copied it: outside v^{j+2}'s
+    # v^{j+1} equals the final off its kept part, which lies in v^{j+2}'s
     # box (the final's own error reads no cell)
-    tables = [_sup_cube_diff(vj.values, v, grid, start)[0]
-              for vj, start in zip(iterates, starts[1:] + [grid.n])]
+    tables = [_sup_cube_diff(part, v, grid, start, cells)[0] for (cells, part), start
+              in zip([*parts, (None, v)], starts[1:] + [grid.n])]
     return IterationTrace(
-        iterates=iterates,
+        iterates=_Iterates(grid, tgrid, parts, v),
         support_min_l1=supports,
         increment_norms=inc_norms,
         errors=[float(np.sum(weights * table)) for table in tables],
@@ -356,21 +355,29 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace
     )
 
 
-def _sup_cube_diff(a: np.ndarray, b: np.ndarray, grid: FrequencyGrid,
-                   start: int) -> tuple[np.ndarray, np.ndarray]:
+def _sup_cube_diff(a: np.ndarray, b: np.ndarray, grid: FrequencyGrid, start: int,
+                   cells: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """For two (nt, *grid.shape) stacks equal below ``start`` on some axis:
     the sup over time of the unit-cube L2 table of a - b, and the cells
     where a - b is nonzero in some frame.  Only the box of cubes from
     start // n_sub up on every axis is read, in blocks of about
     ``BLOCK_CELLS`` cells that stay in L2 and are reused, not re-faulted, so
-    no full difference stack is formed; both are the whole stack's bits."""
+    no full difference stack is formed; both are the whole stack's bits.
+    With ``cells`` (in that box; a = b off them), ``a`` is a on the cells."""
     c0 = min(start // grid.n_sub, grid.xi_max)
     cubes, box = (slice(c0, None),) * grid.d, (slice(c0 * grid.n_sub, None),) * grid.d
     table, changed = np.zeros((grid.xi_max,) * grid.d), np.zeros(grid.shape, bool)
     block = max(1, BLOCK_CELLS // max(1, changed[box].size))
-    for t in range(0, len(a), block):
-        diff = a[(slice(t, t + block), *box)] - b[(slice(t, t + block), *box)]
-        changed[box] |= np.any(diff != 0, axis=0)
+    if cells is not None:  # off the cells a - b is b - b: +0.0, as b is finite
+        a, at = a - b[:, cells], np.flatnonzero(cells[box])
+    for t in range(0, len(b), block):
+        rows = slice(t, t + block)
+        if cells is None:
+            diff = a[(rows, *box)] - b[(rows, *box)]
+            changed[box] |= np.any(diff != 0, axis=0)
+        else:  # the table only: ``changed`` stays empty
+            diff = np.zeros_like(b[(rows, *box)])
+            diff.reshape(len(diff), -1)[:, at] = a[rows]
         np.maximum(table[cubes], cube_l2_table(diff, grid).max(0), out=table[cubes])
     return table, changed
 

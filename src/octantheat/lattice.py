@@ -395,11 +395,13 @@ def _direct(f: np.ndarray, g: np.ndarray, grid: FrequencyGrid, rule: str):
     if rule == "trapezoid" and g_bits == f_bits and (g is f or np.array_equal(f, g)):
         terms, scale = terms[:len(terms) // 2], 2.0 * scale
     out = np.zeros(grid.shape, dtype=np.complex128)
-    fb, gb = f[p.fbox], g[p.gbox]
+    if not terms:
+        return out, p.spills
+    cells, fb, gb = out[p.cells], f[p.fbox], g[p.gbox]
     conv = np.convolve if grid.d == 1 else _shift_add
     for fm, gm in terms:
-        out[p.cells] += conv(fb * fm, gb * gm)[p.crop]
-    out *= scale
+        cells += conv(fb * fm, gb * gm)[p.crop]
+    cells *= scale
     return out, p.spills
 
 

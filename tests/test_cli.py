@@ -359,6 +359,37 @@ class TestTaylorAndOracle:
                           for col in ("engine", "oracle"))
         assert np.linalg.norm(engine - oracle) <= 1e-2 * np.linalg.norm(oracle)
 
+    def test_oracle_compare_on_the_band_box(self, tmp_path):
+        # compare_band 2.5 < xi_max 4: the reference runs on [0, 3)^2 only,
+        # and its band values are the whole-grid reference's bits
+        cfg = solve_cfg(
+            d=2, grid={"xi_max": 4, "h": 1 / 4}, time={"T": 0.5, "nt": 17},
+            initial_data={"kind": "OCTANT_BUMP", "eps0": 0.5, "width": 1.0},
+            epsilon0=0.5, oracle={"compare_band": 2.5})
+        out = tmp_path / "out"
+        assert run("oracle-compare", write_cfg(tmp_path, cfg), str(out)) == 0
+        assert manifest(out)["checks"]["band_agreement"] is True
+        with open(out / "oracle_compare.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        g = make_grid(2, 4, 1 / 4)
+        v0 = octantheat.make_initial_data(octantheat.InitialDataSpec(
+            octantheat.InitialDataKind.OCTANT_BUMP, eps0=0.5, width=1.0), g)
+        spec = octantheat.ProblemSpec(
+            grid=g, nonlinearity=octantheat.Nonlinearity(octantheat.NonlinearityKind.POWER),
+            eps0=0.5, T=0.5, nt=17)
+        whole = octantheat.etd_reference_solve(
+            spec, v0, octantheat.OracleConfig(nt_fine=65)).values[-1]
+        cells = np.argwhere(g.l1() < 2.5)
+        assert [(float(r["xi0"]), float(r["xi1"])) for r in rows] == \
+            [tuple(c) for c in (cells * g.h).tolist()]
+        got = np.array([complex(r["oracle"]) for r in rows])
+        assert got.tobytes() == whole[tuple(cells.T)].tobytes()
+        # the square of the bump on [0.5, 1.5)^2 reaches the band's cells with
+        # both coordinates at least 1: not the free evolution only
+        free = octantheat.free_trajectory(v0, spec.tgrid).values[-1][tuple(cells.T)]
+        square = (cells * g.h >= 1.0).all(axis=1)
+        assert square.any() and np.all(got[square] != free[square])
+
     def test_solve_and_taylor_without_scipy(self, tmp_path):
         # the package runs on numpy alone: with scipy unimportable, a 2D solve
         # and a 1D Taylor run still exit 0
@@ -471,6 +502,11 @@ BAD_CONFIGS = {
                                                "gamma": 0.5}]), None),
     "oracle.quad_order": ("oracle-compare", solve_cfg(oracle={"quad_order": 32}),
                           None),
+    # an empty band compares nothing
+    "oracle.compare_band-0": ("oracle-compare", solve_cfg(oracle={"compare_band": 0}),
+                              None),
+    "oracle.compare_band-negative": ("oracle-compare",
+                                     solve_cfg(oracle={"compare_band": -1}), None),
     "params-nan": ("probe", {"probe": {"kind": "illposed_H",
                                        "params": {"sigma": -2.0, "c_t": float("nan")}}},
                    None),

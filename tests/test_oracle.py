@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from octantheat import (
     FrequencyField,
@@ -21,6 +22,7 @@ from octantheat import (
     make_grid,
     make_initial_data,
     picard_iterate,
+    random_field,
     taylor_coefficients,
 )
 
@@ -188,6 +190,38 @@ class TestEtdReference:
         ref = etd_reference_solve(spec, v0, cfg).values
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(got != 0, ref != 0)
+
+
+class TestBandBox:
+    """Every product that lands on |xi|_1 < B comes from two cells inside
+    that band, so the reference solve on the box [0, ceil(B))^d is the
+    whole-grid solve there, bit for bit: the box that CLI oracle-compare
+    integrates."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 3), rule=st.sampled_from(("riemann", "trapezoid")),
+           m=st.integers(2, 3), n_sub=st.sampled_from((2, 4)), xi_max=st.integers(2, 3),
+           frac=st.floats(0.05, 1.0), keep=st.sampled_from((1.0, 0.5)),
+           floor=st.sampled_from((1.0, 0.0)), seed=st.integers(0, 2**31 - 1))
+    def test_box_run_is_the_whole_run_on_the_band(self, d, rule, m, n_sub, xi_max,
+                                                    frac, keep, floor, seed):
+        g = make_grid(d, xi_max, 1 / (2 if d == 3 else n_sub))  # 3D: at most 6^3 cells
+        rng = np.random.default_rng(seed)
+        # gated data have cells at index 0 on an axis but none at the origin;
+        # floor 0 puts one there too.  ``keep`` thins the support so that the
+        # operand boxes differ from the grid's
+        values = random_field(g, 1.0, rng, linf_floor=floor).values
+        values = values * (rng.random(g.shape) < keep)
+        band = (math.floor(frac * d * g.n) + 0.5) * g.h  # between two cell sums
+        spec = power_spec(g, m=m, T=0.1, conv_rule=rule)
+        cfg = OracleConfig(nt_fine=5, compare_band=band)
+        whole = etd_reference_solve(spec, FrequencyField(g, values), cfg).values
+        bg = make_grid(d, min(xi_max, math.ceil(band)), g.h)
+        box = (slice(bg.n),) * d
+        got = etd_reference_solve(dataclasses.replace(spec, grid=bg),
+                                  FrequencyField(bg, values[box]), cfg).values
+        cells = bg.l1() < band - 1e-12
+        assert got[:, cells].tobytes() == whole[(slice(None), *box)][:, cells].tobytes()
 
 
 class TestLargeData:
