@@ -251,8 +251,9 @@ def _cmd_solve(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dic
     support_ok = all(
         s >= j * step - 1e-12 for j, s in enumerate(trace.support_min_l1[1:], start=1)
     )
+    # the fit's own precondition: four iterates, or a run ending at a fixed point
     fit = error_decay_fit(trace, s_tilde=spec.s - 1.0) \
-        if len(trace.iterates) >= 4 else None
+        if len(trace.iterates) >= 4 or trace.support_min_l1[-1] == math.inf else None
     files = _write_frames(trace.final, out, "solution", stride)
     _csv(out / "iteration.csv",
          ["j", "support_min_l1", "increment_norm", "error_vs_final"],
@@ -382,6 +383,10 @@ def _cmd_oracle_compare(cfg: dict, out: Path, seed: int, refine: bool) \
     band = grid.l1() < cfg_o.compare_band - 1e-12
     eng = trace.final.values[-1][box]
     orc = ref.values[-1]
+    den = np.sqrt(np.sum(np.abs(orc[band]) ** 2))
+    if not den > 0:
+        raise ConfigError("oracle compare_band holds no nonzero cell: "
+                          "the comparison is empty")
     rows = []
     for idx in zip(*np.nonzero(band)):
         e, o = eng[idx], orc[idx]
@@ -391,8 +396,7 @@ def _cmd_oracle_compare(cfg: dict, out: Path, seed: int, refine: bool) \
          [*(f"xi{i}" for i in range(grid.d)), "t", "engine", "oracle", "rel_err"],
          rows)
     num = np.sqrt(np.sum(np.abs(eng[band] - orc[band]) ** 2))
-    den = np.sqrt(np.sum(np.abs(orc[band]) ** 2))
-    band_err = float(num / den) if den > 0 else 0.0
+    band_err = float(num / den)
     checks = {"band_agreement": band_err <= tol}
     return checks, {"outputs": ["oracle_compare.csv"], "band_rel_err": band_err,
                     "tolerance": tol}

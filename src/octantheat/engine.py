@@ -42,7 +42,6 @@ __all__ = [
     "ProblemSpec",
     "IterationTrace",
     "TaylorStack",
-    "propagate",
     "free_trajectory",
     "duhamel",
     "picard_iterate",
@@ -205,14 +204,6 @@ class TaylorStack:
 def heat_symbol(grid: FrequencyGrid, lambda_shift: float = 0.0) -> np.ndarray:
     """|xi|_2^2 - lambda_shift^2 per cell."""
     return grid.euclid_sq() - lambda_shift**2
-
-
-def propagate(f: FrequencyField, t: float, lambda_shift: float = 0.0) -> FrequencyField:
-    """Apply the (shifted) heat semigroup multiplier exp(-t w) at time t >= 0."""
-    if t < 0:
-        raise ValueError("the semigroup runs forward in time only")
-    w = heat_symbol(f.grid, lambda_shift)
-    return FrequencyField(f.grid, f.values * np.exp(-t * w), f.mirrored)
 
 
 def free_trajectory(

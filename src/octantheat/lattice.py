@@ -1,15 +1,15 @@
-"""Frequency-octant lattices: uniform grids, unit-cube projections,
+"""Frequency-octant lattices: uniform grids, unit-cube L2 tables,
 m-fold discrete convolution, support bookkeeping, and field files.
 
 A field lives on a uniform grid over the frequency octant [0, xi_max)^d.
 Cells are half-open, samples sit at left edges, and the cell count per
-unit cube is an integer, so the unit-cube projections form an exact
-partition of every field.  Discrete convolution has a Riemann weight h^d
+unit cube is an integer, so the unit cubes partition every field's cells
+exactly.  Discrete convolution has a Riemann weight h^d
 per pairwise convolution; an optional run-aware trapezoid weighting raises
 the quadrature order for data that are smooth within their support.
-:func:`convolve` and :func:`convolve_power` sum directly (``np.convolve``
-in 1D, a shift-and-add over nonzero cells above; a trapezoid self-product
-sums half its mirrored terms, twice), and :func:`convolve_frames` convolves
+:func:`convolve` sums directly (``np.convolve`` in 1D, a shift-and-add
+over nonzero cells above; a trapezoid self-product sums half its mirrored
+terms, twice), and :func:`convolve_frames` convolves
 (nt, *grid) frame stacks by zero-padded FFTs on a window of output cells
 the caller keeps.  Both kernels take from one plan per pair of nonzero
 patterns each operand's support box (the cells whose products can reach
@@ -38,10 +38,8 @@ __all__ = [
     "FrequencyField",
     "SupportStats",
     "make_grid",
-    "box_project",
     "convolve",
     "convolve_frames",
-    "convolve_power",
     "support_stats",
     "save_field",
     "load_field",
@@ -159,9 +157,6 @@ class FrequencyField:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", v)
 
-    def copy(self) -> "FrequencyField":
-        return FrequencyField(self.grid, self.values.copy(), self.mirrored)
-
 
 @dataclass(frozen=True)
 class SupportStats:
@@ -177,24 +172,6 @@ class SupportStats:
 def make_grid(d: int, xi_max: int, h: float) -> FrequencyGrid:
     """Build a frequency grid; rejects spacings that break cube alignment."""
     return FrequencyGrid(d, xi_max, h)
-
-
-def box_project(f: FrequencyField, k) -> FrequencyField:
-    """Restrict ``f`` to the unit cube k + [0,1)^d, zero elsewhere.
-
-    Out-of-range lattice points give the zero field.  Summing over all k
-    reconstructs ``f`` bitwise.
-    """
-    k = np.atleast_1d(np.asarray(k, dtype=int))
-    if k.size != f.grid.d:
-        raise ValueError(f"lattice point must have {f.grid.d} components")
-    out = np.zeros_like(f.values)
-    if np.any(k < 0) or np.any(k >= f.grid.xi_max):
-        return FrequencyField(f.grid, out, f.mirrored)
-    ns = f.grid.n_sub
-    sl = tuple(slice(ki * ns, (ki + 1) * ns) for ki in k)
-    out[sl] = f.values[sl]
-    return FrequencyField(f.grid, out, f.mirrored)
 
 
 def cube_l2_table(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
@@ -541,26 +518,6 @@ def _spectrum(terms, f, g, transform):
     for fm, gm in rest:
         out += hat[id(f), id(fm)] * hat[id(g), id(gm)]
     return out
-
-
-def convolve_power(
-    f: FrequencyField,
-    m: int,
-    rule: str = "riemann",
-    warn_on_truncation: bool = True,
-) -> FrequencyField:
-    """m-fold self-convolution by repeated pairwise convolution (m >= 1;
-    ``f`` itself for m = 1)."""
-    if m < 1 or int(m) != m:
-        raise ValueError(f"power must be a positive integer, got {m}")
-    if m == 1:
-        return f
-    if f.mirrored:
-        raise ValueError("convolve is defined for octant-stored fields only")
-    values, spills = _direct_power(f.values, int(m), f.grid, rule)
-    if warn_on_truncation and spills:
-        warnings.warn(_SPILL, RuntimeWarning, stacklevel=2)
-    return FrequencyField(f.grid, values)
 
 
 def support_stats(f: FrequencyField, tol: float | None = None) -> SupportStats:

@@ -116,6 +116,21 @@ class TestSolve:
         assert len(man["details"]["increment_norms"]) == 8
         assert man["details"]["increment_norms"][-1] == 0.0
 
+    def test_short_fixed_point_run_fits_decay(self, tmp_path):
+        # d = 3, m = 3: the second iterate's increment lies past the grid, so
+        # the run ends at a fixed point after 2 iterates, which the fit accepts
+        cfg = solve_cfg(d=3, nonlinearity={"type": "POWER", "m": 3},
+                        grid={"xi_max": 2, "h": 0.5}, time={"T": 0.5, "nt": 9},
+                        iterate={"jmax": 8, "tol": 0},
+                        initial_data={"kind": "OCTANT_BUMP", "eps0": 1.0,
+                                      "width": 0.5})
+        out = tmp_path / "out"
+        assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 0
+        man = manifest(out)
+        assert man["details"]["support_min_l1"] == [3.0, "inf"]
+        assert man["checks"]["error_decay"] is True
+        assert man["details"]["fitted_C"] == 0.0
+
     def test_negative_tol_exit_2(self, tmp_path):
         out = tmp_path / "out"
         cfg = solve_cfg(iterate={"jmax": 8, "tol": -1e-12})
@@ -507,6 +522,9 @@ BAD_CONFIGS = {
                               None),
     "oracle.compare_band-negative": ("oracle-compare",
                                      solve_cfg(oracle={"compare_band": -1}), None),
+    # the half-line datum starts at xi = 1: the band xi < 1 holds only zeros
+    "oracle.compare_band-no-cell": ("oracle-compare",
+                                    solve_cfg(oracle={"compare_band": 1.0}), None),
     "params-nan": ("probe", {"probe": {"kind": "illposed_H",
                                        "params": {"sigma": -2.0, "c_t": float("nan")}}},
                    None),

@@ -26,7 +26,6 @@ from octantheat import (
     make_grid,
     make_initial_data,
     picard_iterate,
-    propagate,
     rescale_solution,
     scale_data,
     scaled_grid,
@@ -59,36 +58,40 @@ def bump(grid, eps0, width=0.5, amp=1.0):
 
 
 class TestPropagate:
+    """The heat semigroup through the frames of :func:`free_trajectory`."""
+
     def test_time_zero_identity(self):
         g = make_grid(1, 4, 0.25)
         f = exp_halfline(g)
-        out = propagate(f, 0.0)
-        assert np.array_equal(out.values, f.values)
+        out = free_trajectory(f, np.array([0.0, 0.5]))
+        assert np.array_equal(out.values[0], f.values)
 
     def test_pointwise_multiplier(self):
         g = make_grid(1, 4, 0.25)
         vals = np.zeros(g.shape, dtype=complex)
         i = int(round(2.0 / g.h))
         vals[i] = 1.0
-        out = propagate(FrequencyField(g, vals), 0.25)
-        assert out.values[i] == pytest.approx(math.exp(-1.0), rel=1e-14)
+        out = free_trajectory(FrequencyField(g, vals), np.array([0.0, 0.25]))
+        assert out.values[1, i] == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_semigroup_law_machine_precision(self):
         g = make_grid(2, 2, 0.5)
         rng = np.random.default_rng(4)
         f = FrequencyField(g, rng.standard_normal(g.shape)
                            + 1j * rng.standard_normal(g.shape))
-        a = propagate(propagate(f, 0.3), 0.45)
-        b = propagate(f, 0.75)
-        assert np.abs(a.values - b.values).max() <= 1e-14 * np.abs(b.values).max()
+        mid = free_trajectory(f, np.array([0.0, 0.3])).values[1]
+        a = free_trajectory(FrequencyField(g, mid), np.array([0.0, 0.45])).values[1]
+        b = free_trajectory(f, np.array([0.0, 0.75])).values[1]
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
 
     def test_shifted_symbol(self):
         g = make_grid(1, 4, 0.25)
         vals = np.zeros(g.shape, dtype=complex)
         i = int(round(1.0 / g.h))
         vals[i] = 1.0
-        out = propagate(FrequencyField(g, vals), 1.0, lambda_shift=2.0)
-        assert out.values[i] == pytest.approx(math.exp(3.0), rel=1e-13)
+        out = free_trajectory(FrequencyField(g, vals), np.array([0.0, 1.0]),
+                              lambda_shift=2.0)
+        assert out.values[1, i] == pytest.approx(math.exp(3.0), rel=1e-13)
 
     @pytest.mark.parametrize("d,xi_max,h", [(1, 8, 1 / 64), (2, 4, 1 / 16), (3, 2, 1 / 4)])
     @pytest.mark.parametrize("lam", [0.0, 1.5])

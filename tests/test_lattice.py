@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -9,17 +10,15 @@ from scipy.signal import convolve as sig_convolve
 
 from octantheat import (
     FrequencyField,
-    box_project,
     convolve,
     convolve_frames,
-    convolve_power,
     load_field,
     make_grid,
     save_field,
     support_stats,
 )
 from octantheat import lattice
-from octantheat.lattice import BLOCK_CELLS, RULES, _rule_terms
+from octantheat.lattice import BLOCK_CELLS, RULES, _rule_terms, cube_l2_table
 
 
 def indicator(grid, lo, hi, amp=1.0):
@@ -27,6 +26,16 @@ def indicator(grid, lo, hi, amp=1.0):
     for c in grid.coords():
         vals = vals * ((c >= lo - 1e-12) & (c < hi - 1e-12))
     return FrequencyField(grid, vals)
+
+
+def self_power(f, m, rule="riemann", warn_on_truncation=True):
+    """m-fold self-convolution by repeated :func:`convolve`; every product
+    takes ``f`` itself, so the first one shares its operands (and, under the
+    trapezoid rule, sums half its mirrored terms) as the oracle's kernel does."""
+    out = f
+    for _ in range(m - 1):
+        out = convolve(out, f, rule, warn_on_truncation)
+    return out
 
 
 def rng_field(grid, seed, sparse=False):
@@ -69,47 +78,22 @@ class TestMakeGrid:
 
 
 class TestBoxProject:
+    """The unit-cube projections, through their L2 table."""
+
     def test_support_inside_cube_unchanged(self):
         g = make_grid(1, 4, 0.25)
         f = indicator(g, 0.0, 1.0)
-        p = box_project(f, 0)
-        assert np.array_equal(p.values, f.values)
+        table = cube_l2_table(f.values, g)
+        assert table[0] == math.sqrt(np.sum(np.abs(f.values) ** 2) * g.h)
+        assert not table[1:].any()
 
     def test_disjoint_cube_zero(self):
         g = make_grid(1, 8, 0.25)
         f = indicator(g, 0.0, 1.0)
-        assert not box_project(f, 5).values.any()
-
-    def test_half_open_cube_convention(self):
-        g = make_grid(1, 4, 0.25)
-        f = indicator(g, 0.5, 1.5)
-        p = box_project(f, 0)
-        expect = indicator(g, 0.5, 1.0)
-        assert np.array_equal(p.values, expect.values)
-
-    def test_out_of_range_is_zero(self):
-        g = make_grid(1, 2, 0.5)
-        f = indicator(g, 0.0, 2.0)
-        assert not box_project(f, 7).values.any()
-        assert not box_project(f, -1).values.any()
-
-    @settings(max_examples=25, deadline=None)
-    @given(grids, st.integers(0, 2**31 - 1))
-    def test_partition_of_unity_bitwise(self, g, seed):
-        f = rng_field(g, seed)
-        total = np.zeros(g.shape, dtype=complex)
-        for idx in np.ndindex((g.xi_max,) * g.d):
-            total = total + box_project(f, idx).values
-        assert np.array_equal(total, f.values)
+        assert cube_l2_table(f.values, g)[5] == 0.0
 
 
 class TestConvolve:
-    def test_power_one_is_identity(self):
-        g = make_grid(1, 4, 0.125)
-        f = rng_field(g, 3)
-        out = convolve_power(f, 1)
-        assert np.array_equal(out.values, f.values)
-
     def test_triangle_profile_analytic_overlap(self):
         # (chi_[1,1.5) * chi_[1,1.5))(xi) equals the overlap length:
         # a hat on [2, 3] with peak 0.5 at 2.5.  The left-edge Riemann sum
@@ -118,7 +102,7 @@ class TestConvolve:
         for h in (1 / 32, 1 / 64):
             g = make_grid(1, 4, h)
             f = indicator(g, 1.0, 1.5)
-            c = convolve_power(f, 2, warn_on_truncation=False)
+            c = self_power(f, 2, warn_on_truncation=False)
             xi = g.axis
             hat = np.clip(np.minimum(xi - 2.0, 3.0 - xi), 0.0, 0.5)
             errs[h] = np.abs(c.values.real - hat).max()
@@ -130,7 +114,7 @@ class TestConvolve:
         g = make_grid(1, 8, 0.125)
         f = indicator(g, 0.5, 1.0)
         for m in (2, 3, 4):
-            c = convolve_power(f, m, warn_on_truncation=False)
+            c = self_power(f, m, warn_on_truncation=False)
             nz = np.nonzero(c.values)[0] * g.h
             assert nz.min() == pytest.approx(m * 0.5, abs=1e-12)
             assert nz.max() == pytest.approx(m * 1.0 - m * g.h, abs=1e-12)
@@ -140,16 +124,16 @@ class TestConvolve:
     def test_power_matches_repeated_pairwise(self, rule, d, xi_max, h):
         g = make_grid(d, xi_max, h)
         f = rng_field(g, 11, sparse=rule == "trapezoid")
-        p3 = convolve_power(f, 3, rule, warn_on_truncation=False)
+        p3, _ = lattice._direct_power(f.values, 3, g, rule)
         two = convolve(f, f, rule, warn_on_truncation=False)
         three = convolve(two, f, rule, warn_on_truncation=False)
-        assert np.array_equal(p3.values, three.values)
+        assert np.array_equal(p3, three.values)
 
     def test_truncation_warning(self):
         g = make_grid(1, 2, 0.25)
         f = indicator(g, 1.0, 2.0)
         with pytest.warns(RuntimeWarning, match="xi_max"):
-            convolve_power(f, 2)
+            self_power(f, 2)
 
     @settings(max_examples=20, deadline=None)
     @given(grids, st.integers(0, 2**31 - 1))
@@ -174,11 +158,11 @@ class TestConvolve:
         f1 = indicator(g, 1.0, 2.0)
         f2 = indicator(g, 2.0, 3.0)
         c = convolve(f1, f2, warn_on_truncation=False)
+        ns = g.n_sub
         for k in range(8):
-            proj = box_project(c, k)
             if abs(k - 3) > 3:  # m = 2
-                assert not proj.values.any()
-        assert box_project(c, 3).values.any()
+                assert not c.values[k * ns:(k + 1) * ns].any()
+        assert c.values[3 * ns:4 * ns].any()
 
     def test_fft_path_matches_direct(self):
         g = make_grid(2, 2, 0.25)
@@ -376,7 +360,7 @@ class TestPlannedKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for rule in ("riemann", "trapezoid"):
-                convolve_power(f, 2, rule)
+                self_power(f, 2, rule)
                 convolve(f, f, rule)
 
     def test_plans_never_mix(self):

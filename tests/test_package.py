@@ -16,11 +16,10 @@ PUBLIC = [
     "Nonlinearity", "NonlinearityKind", "NormFlavor", "NormSpec", "OracleConfig",
     "ProbeReport", "ProblemSpec", "ScalingPlan", "SpaceTimeField", "SupportStats",
     "TaylorStack", "TimeSpaceNormSpec", "__version__", "assemble_band_solution",
-    "box_project", "choose_lambda", "convolve", "convolve_frames", "convolve_power",
-    "duhamel", "error_decay_fit", "etd_reference_solve", "exp_halfline_band",
+    "choose_lambda", "convolve", "convolve_frames", "duhamel", "error_decay_fit", "etd_reference_solve", "exp_halfline_band",
     "exp_halfline_reference", "free_trajectory",
     "illposed_probe_E", "illposed_probe_H", "inequality_probe", "inflation_exponent",
-    "load_field", "make_grid", "make_initial_data", "picard_iterate", "propagate",
+    "load_field", "make_grid", "make_initial_data", "picard_iterate",
     "random_field", "rescale_solution", "save_field", "scale_data", "scaled_grid",
     "scaling_vanishing_curve", "static_norm", "support_stats", "taylor_coefficients",
     "timespace_norm", "weighted_l1_seq_norm",
