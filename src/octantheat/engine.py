@@ -32,7 +32,7 @@ import numpy as np
 
 from .lattice import (BLOCK_CELLS, RULES, FrequencyField, FrequencyGrid,
                       convolve_frames, cube_l2_table, support_stats)
-from .norms import SpaceTimeField, weighted_l1_seq_norm
+from .norms import SpaceTimeField, _weighted_cube_sum, weighted_l1_seq_norm
 
 __all__ = [
     "GateError",
@@ -175,8 +175,8 @@ class IterationTrace:
     increment_norms: list[float]
     errors: list[float]
     converged: bool
+    error_tables: list[np.ndarray]
     truncation_sensitivity: float | None = None
-    error_tables: list[np.ndarray] | None = None
 
     @property
     def final(self) -> SpaceTimeField:
@@ -289,7 +289,6 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace
     occupied = index_l1[v0.values != 0]
     eps_cells = int(occupied.min()) if occupied.size else 0
 
-    weights = 2.0 ** (spec.s * grid.lattice_l1())  # weighted_l1_seq_norm's
     v = np.zeros_like(free_vals)
     parts: list[tuple[np.ndarray, np.ndarray]] = []
     starts: list[int] = []
@@ -317,7 +316,7 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace
         np.copyto(v_next, v, where=settled)
         table, changed = _sup_cube_diff(v_next, v, grid, start)
         supports.append(float(grid.l1()[changed].min()) if changed.any() else math.inf)
-        inc = float(np.sum(weights * table))
+        inc = _weighted_cube_sum(table, grid, spec.s)
         if not math.isfinite(inc):  # a NaN or inf anywhere in v_next makes it so
             raise DivergenceError(f"iterate {j + 1} or its increment norm left the "
                                   "floating-point range")
@@ -340,7 +339,7 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace
         iterates=_Iterates(grid, tgrid, parts, v),
         support_min_l1=supports,
         increment_norms=inc_norms,
-        errors=[float(np.sum(weights * table)) for table in tables],
+        errors=[_weighted_cube_sum(table, grid, spec.s) for table in tables],
         converged=converged,
         error_tables=tables,
     )

@@ -13,10 +13,12 @@ terms, twice), and :func:`convolve_frames` convolves
 (nt, *grid) frame stacks by zero-padded FFTs on a window of output cells
 the caller keeps.  Both kernels take from one plan per pair of nonzero
 patterns each operand's support box (the cells whose products can reach
-[0, n)) and the rule's operand masks.  The FFT
-kernel keeps the direct sum's exact zeros (a count convolution kept with
-the plan) and its values up to FFT round-off; the truncation warning
-follows the combinatorial support, not the values.
+[0, n)) and the rule's operand masks; the plan's window, the one place
+that derives output cells, crop and FFT pad, cuts them to the cells a call
+computes (the whole grid for the direct sum).  The FFT kernel keeps the
+direct sum's exact zeros (a count convolution kept with the plan) and its
+values up to FFT round-off; the truncation warning follows the
+combinatorial support, not the values.
 
 All operations are pure functions on immutable inputs and use fixed-order
 reductions, so repeated runs are bit-identical.  A field file holds one text
@@ -238,54 +240,57 @@ _SPILL = "convolution support reaches xi_max; band of validity shrinks"
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """How one pair of nonzero patterns f, g convolves under a rule.
+    """How one pair of nonzero patterns f, g convolves under a rule on a
+    grid of n cells per axis.
 
-    Per axis, with a, b the patterns' first and A, B their last nonzero
-    cells, only f on [a, min(A + 1, n - b)) and g on [b, min(B + 1, n - a))
-    have products that land in [0, n).  ``terms`` holds the rule's operand
-    masks, computed on the whole patterns and cut to those boxes; ``cells``
-    is the output from a + b up and ``crop`` the part of the boxes' full
-    convolution that lands there; ``pad`` is :func:`_next_fast_len` of that
-    convolution's length per axis, so that a cyclic convolution of that
-    length is the linear one.  ``scale`` is h^d times the rule's
-    weight, and ``spills`` whether some product of a term lands at or beyond
-    n on an axis.  There are no terms when a pattern is empty or a + b >= n
-    on an axis.  A window of the FFT kernel is a cut of this plan, so that
-    windowed and whole calls share it.
+    ``fbox`` and ``gbox`` are the patterns' bounding boxes [a, A + 1) and
+    [b, B + 1) per axis, a, b their first and A, B their last nonzero cells;
+    ``terms`` holds the rule's operand masks on the whole grid (none when a
+    pattern is empty); ``scale`` is h^d times the rule's weight, and
+    ``spills`` whether some product of a term lands at or beyond n on an
+    axis.  Only :meth:`window` cuts the boxes and masks and derives output
+    cells, crop and pad; the direct kernel and the :attr:`support` read the
+    whole grid's, :attr:`whole`.
     """
 
+    n: int
     spills: bool
     terms: tuple = ()
     fbox: tuple[slice, ...] = ()
     gbox: tuple[slice, ...] = ()
-    cells: tuple[slice, ...] = ()
-    crop: tuple[slice, ...] = ()
-    pad: tuple[int, ...] = ()
     scale: float = 1.0
 
     @functools.cached_property
+    def whole(self):
+        """:meth:`window` over the whole grid, computed once per plan."""
+        return self.window(0, self.n)
+
+    @functools.cached_property
     def support(self) -> np.ndarray:
-        """Which ``crop`` cells some product reaches (the count convolution
-        of the masks), where the direct sum may be nonzero."""
-        axes = tuple(range(len(self.pad)))
+        """Which cells of :attr:`whole`'s crop some product reaches (the count
+        convolution of the masks), where the direct sum may be nonzero."""
+        terms, _, _, _, crop, pad = self.whole
+        axes = tuple(range(len(pad)))
         # one object for both operands, so that equal masks share a transform
-        spec = _spectrum(self.terms, True, True,
-                         lambda x, m: _fft.rfftn(x * m, self.pad, axes))
-        return _fft.irfftn(spec, self.pad, axes)[self.crop] > 0.5
+        spec = _spectrum(terms, True, True, lambda x, m: _fft.rfftn(x * m, pad, axes))
+        return _fft.irfftn(spec, pad, axes)[crop] > 0.5
 
     def window(self, lo: int, hi: int):
         """The plan cut to the output cells below hi on every axis whose index
-        sum is at least lo: ``(terms, fbox, gbox, cells, crop, pad, keep)``,
-        ``keep`` the :attr:`support` on the crop, or None when no product
-        lands there.
+        sum is at least lo: ``(terms, fbox, gbox, cells, crop, pad)``, or None
+        when no product lands there (a + b >= hi on an axis, or lo above the
+        largest index sum).  ``cells`` is the output from a + b up and ``crop``
+        the part of the boxes' full convolution that lands there; ``pad`` is
+        :func:`_next_fast_len` of that convolution's length per axis, so that
+        a cyclic convolution of that length is the linear one.
 
         Only f on [a, min(A + 1, hi - b)) and g on [b, min(B + 1, hi - a))
-        reach cells below hi; masks and support are cut from the plan's, and
-        the whole window gives the plan's own boxes and pads.  In 1D a cyclic
-        convolution of length P equals the linear one, of length L, at every
-        index >= L - P (the aliasing argument of overlap-save), so the pad
-        need only reach L - skip, skip the distance of lo above a + b.  In
-        d >= 2 lo gives no per-axis bound and only zeroes the cells below it.
+        reach cells below hi, and the masks are cut to those boxes.  In 1D a
+        cyclic convolution of length P equals the linear one, of length L, at
+        every index >= L - P (the aliasing argument of overlap-save), so the
+        pad need only reach L - skip, skip the distance of lo above a + b.
+        In d >= 2 lo gives no per-axis bound; the caller zeroes the cells
+        below it.
         """
         if not self.terms:
             return None
@@ -297,20 +302,17 @@ class _Plan:
         lg = [e - s for e, s in zip(g_end, b)]
         out = [min(x + y - 1, hi - s) for x, y, s in zip(lf, lg, ab)]  # crop ends
         skip = lo - sum(ab)
-        if min(out) <= 0 or skip > sum(out) - len(out):  # a + b >= hi, or lo above
-            return None  # the output box's largest index sum
+        if min(out) <= 0 or skip > sum(out) - len(out):
+            return None
         alias = max(skip, 0) if len(out) == 1 else 0
         pad = tuple(_next_fast_len(max(x, y, c, x + y - 1 - alias))
                     for x, y, c in zip(lf, lg, out))
-        fcut, gcut, crop = (tuple(map(slice, ends)) for ends in (lf, lg, out))
-        cut = {}  # each mask cut once, so that shared masks stay shared
-        terms = tuple((cut.setdefault(id(fm), fm[fcut]), cut.setdefault(id(gm), gm[gcut]))
+        fbox, gbox = tuple(map(slice, a, f_end)), tuple(map(slice, b, g_end))
+        cut = {}  # each mask cut once, so that equal patterns keep sharing masks
+        terms = tuple((cut.setdefault(id(fm), fm[fbox]), cut.setdefault(id(gm), gm[gbox]))
                       for fm, gm in self.terms)
-        keep = self.support[crop]
-        if skip > 0:
-            keep = keep & (np.indices(keep.shape).sum(axis=0) >= skip)
-        return (terms, tuple(map(slice, a, f_end)), tuple(map(slice, b, g_end)),
-                tuple(slice(s, s + c) for s, c in zip(ab, out)), crop, pad, keep)
+        return (terms, fbox, gbox, tuple(slice(s, s + c) for s, c in zip(ab, out)),
+                tuple(map(slice, out)), pad)
 
 
 @functools.lru_cache(maxsize=16)
@@ -325,19 +327,10 @@ def _plan(f_bits: bytes, g_bits: bytes, shape: tuple, h: float, rule: str) -> _P
     spills = any(np.any(np.argwhere(fm).max(0) + np.argwhere(gm).max(0) >= n)
                  for fm, gm in terms)
     if not terms:
-        return _Plan(spills)
+        return _Plan(n, spills)
     (a, A), (b, B) = ((nz.min(0), nz.max(0)) for nz in map(np.argwhere, (f, g)))
-    if np.any(a + b >= n):
-        return _Plan(spills)
-    f_end, g_end = np.minimum(A + 1, n - b), np.minimum(B + 1, n - a)
-    fbox, gbox = _box(a, f_end), _box(b, g_end)
-    cut = {}  # each mask cut once, so that equal patterns keep sharing masks
-    terms = tuple((cut.setdefault(id(fm), fm[fbox]), cut.setdefault(id(gm), gm[gbox]))
-                  for fm, gm in terms)
-    out_end = np.minimum(f_end + g_end - 1, n)
-    pad = tuple(map(_next_fast_len, (f_end - a + g_end - b - 1).tolist()))
-    return _Plan(spills, terms, fbox, gbox, _box(a + b, out_end),
-                 _box(np.zeros_like(a), out_end - a - b), pad, h**len(shape) * weight)
+    return _Plan(n, spills, tuple(terms), _box(a, A + 1), _box(b, B + 1),
+                 h**len(shape) * weight)
 
 
 def _next_fast_len(n: int) -> int:
@@ -368,16 +361,16 @@ def _direct(f: np.ndarray, g: np.ndarray, grid: FrequencyGrid, rule: str):
     f_bits = np.packbits(f != 0).tobytes()
     g_bits = f_bits if g is f else np.packbits(g != 0).tobytes()
     p = _plan(f_bits, g_bits, grid.shape, grid.h, rule)
-    terms, scale = p.terms, p.scale
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    if p.whole is None:
+        return out, p.spills
+    (terms, fbox, gbox, cells, crop, _), scale = p.whole, p.scale
     if rule == "trapezoid" and g_bits == f_bits and (g is f or np.array_equal(f, g)):
         terms, scale = terms[:len(terms) // 2], 2.0 * scale
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    if not terms:
-        return out, p.spills
-    cells, fb, gb = out[p.cells], f[p.fbox], g[p.gbox]
+    cells, fb, gb = out[cells], f[fbox], g[gbox]
     conv = np.convolve if grid.d == 1 else _shift_add
     for fm, gm in terms:
-        cells += conv(fb * fm, gb * gm)[p.crop]
+        cells += conv(fb * fm, gb * gm)[crop]
     cells *= scale
     return out, p.spills
 
@@ -479,7 +472,10 @@ def convolve_frames(
         window = p.window(lo, hi)
         if window is None:
             continue
-        terms, fbox, gbox, cells, crop, pad, keep = window
+        terms, fbox, gbox, cells, crop, pad = window
+        keep, skip = p.support[crop], lo - sum(c.start for c in cells)
+        if skip > 0:  # the cells whose index sum is below lo
+            keep = keep & (np.indices(keep.shape).sum(axis=0) >= skip)
         block = max(1, BLOCK_CELLS // math.prod(pad))
         for start in range(first, stop, block):
             t = slice(start, min(start + block, stop))

@@ -131,8 +131,7 @@ def static_norm(f: FrequencyField, spec: NormSpec) -> float:
         w = _lattice_weights(grid, spec.s, spec.sigma)
         return float(np.sqrt(np.sum((w * table) ** 2)))
     if flavor is NormFlavor.E21:
-        w = 2.0 ** (spec.s * grid.lattice_l1())
-        return float(np.sum(w * table))
+        return _weighted_cube_sum(table, grid, spec.s)
     raise ValueError(f"unknown flavor {flavor}")
 
 
@@ -166,5 +165,10 @@ def weighted_l1_seq_norm(u: SpaceTimeField | FrequencyField, s_tilde: float) -> 
     table = cube_l2_table(u.values, u.grid)
     if not isinstance(u, FrequencyField):
         table = table.max(axis=0)
-    w = 2.0 ** (s_tilde * u.grid.lattice_l1())
-    return float(np.sum(w * table))
+    return _weighted_cube_sum(table, u.grid, s_tilde)
+
+
+def _weighted_cube_sum(table: np.ndarray, grid: FrequencyGrid, s: float) -> float:
+    """sum_k 2^{s|k|} table[k] over the unit cubes: E21, :func:`weighted_l1_seq_norm`
+    and the Picard trace's increment and error norms."""
+    return float(np.sum(_lattice_weights(grid, s, 0.0) * table))  # <k>^0 = 1.0

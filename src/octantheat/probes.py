@@ -37,6 +37,7 @@ from .norms import (
     NormSpec,
     SpaceTimeField,
     TimeSpaceNormSpec,
+    _weighted_cube_sum,
     static_norm,
     timespace_norm,
     weighted_l1_seq_norm,
@@ -535,10 +536,14 @@ def illposed_probe_E(
     (the integrand decays on the k^-2 timescale, far below any uniform
     time grid).  The report passes when the weighted low-band size grows
     at least ``GROWTH_FACTOR`` per step in k; with s = 0 there is no
-    exponential amplitude and the sequence does not diverge.
+    exponential amplitude and the sequence does not diverge.  It needs at
+    least two strictly increasing k, so that some step is measured.
     """
     if m not in (2, 3):
         raise ValueError("the sign-pair probe supports m in {2, 3}")
+    if len(k_list) < 2 or any(b <= a for a, b in zip(k_list, k_list[1:])):
+        raise ValueError("the sign-pair probe needs at least two strictly "
+                         f"increasing pair frequencies k_list, got {list(k_list)}")
     d = 1
     values = []
     for k in k_list:
@@ -568,21 +573,16 @@ def illposed_probe_E(
         w = 2.0 ** (s * np.abs(xi)) * (1.0 + xi**2) ** (sigma / 2.0)
         G = float(np.sqrt(h * np.sum((w * I) ** 2)))
         values.append(G)
-    ratios = [
-        values[i + 1] / values[i] if values[i] > 0 else math.inf if values[i + 1] > 0
-        else 0.0
-        for i in range(len(values) - 1)
-    ]
-    diverging = bool(values and values[-1] > 0
-                     and all(r >= GROWTH_FACTOR for r in ratios))
+    ratios = [b / a if a > 0 else math.inf if b > 0 else 0.0
+              for a, b in zip(values, values[1:])]
+    diverging = values[-1] > 0 and all(r >= GROWTH_FACTOR for r in ratios)
     return ProbeReport(
         kind="illposed_E",
         params={"s": s, "sigma": sigma, "m": m, "k_list": list(k_list), "t": t,
                 "growth_factor": GROWTH_FACTOR},
         seed=None,
         resolution={"d": d, "h": h},
-        measured={"C": max(values) if values else 0.0,
-                  "ratios": ratios, "diverging": diverging},
+        measured={"C": max(values), "ratios": ratios, "diverging": diverging},
         passed=diverging,
         stable=True,
         curve=[{"k": int(k), "lowband": G} for k, G in zip(k_list, values)],
@@ -604,7 +604,8 @@ def illposed_probe_H(
 ) -> ProbeReport:
     """Sobolev size of the m-th amplitude derivative at t = c/N^2 for the
     N-scaled indicator datum in d = 1, with a log-log slope fit against the
-    predicted growth exponent; it passes within ``SLOPE_TOL`` of it.
+    predicted growth exponent; it passes within ``SLOPE_TOL`` of it.  The
+    fit needs at least two distinct scales.
 
     Refuses weight indices at or above the scaling index, where the
     exponent is nonpositive and there is nothing to verify.
@@ -612,8 +613,9 @@ def illposed_probe_H(
     d = 1
     if m not in (2, 3):
         raise ValueError("the scaled-datum probe supports m in {2, 3}")
-    if not N_list or min(N_list) < 1:
-        raise ValueError("the scaled-datum probe needs positive scales N_list")
+    if len(set(N_list)) < 2 or min(N_list) < 1:
+        raise ValueError("the scaled-datum probe needs at least two distinct "
+                         f"positive scales N_list, got {list(N_list)}")
     expo = inflation_exponent(m, d, sigma)
     if expo <= 0:
         raise ValueError(
@@ -681,16 +683,11 @@ def illposed_probe_H(
 # error-decay law
 
 
-def error_decay_fit(
-    trace: IterationTrace,
-    reference: SpaceTimeField | None = None,
-    s_tilde: float = -2.0,
-) -> ProbeReport:
+def error_decay_fit(trace: IterationTrace, s_tilde: float = -2.0) -> ProbeReport:
     """Fit the smallest single C satisfying both halves of the decay law,
     e_j <= C^j / (j!)^2 and e_{j+1} (j+1)^2 / e_j <= C, over the recorded
-    iterates from ``J_LO`` on, with e_j measured against the reference
-    (final iterate when not given: then read from the trace's
-    ``error_tables`` when it has them, without rebuilding an iterate).
+    iterates from ``J_LO`` on, with e_j the weighted l1-over-cubes size of
+    v^j minus the final iterate, read from the trace's ``error_tables``.
 
     Vanishing errors satisfy any C and are skipped.  A sequence whose
     implied constant keeps escalating through the end of the window (the
@@ -699,31 +696,21 @@ def error_decay_fit(
     constant) fails; genuine second-kind decay saturates or collapses once
     increments escape the band.
     """
-    iterates = trace.iterates
-    # against the final, a run that ends at a fixed point (an increment
-    # vanishing on the grid) has every later error 0: it needs no four
-    fixed = reference is None and trace.support_min_l1[-1:] == [math.inf]
-    if len(iterates) < 4 and not fixed:
+    # a run that ends at a fixed point (an increment vanishing on the grid)
+    # has every later error 0: it needs no four
+    fixed = trace.support_min_l1[-1:] == [math.inf]
+    if len(trace.error_tables) < 4 and not fixed:
         raise ValueError("need at least four iterates, or a run that ends at "
                          "a fixed point, to fit the decay law")
-    if reference is None and trace.error_tables is not None:  # as weighted_l1_seq_norm
-        w = 2.0 ** (s_tilde * trace.final.grid.lattice_l1())
-        e = {j: float(np.sum(w * t)) for j, t in enumerate(trace.error_tables, start=1)}
-    else:
-        ref = reference if reference is not None else trace.final
-        e = {j: weighted_l1_seq_norm(vj - ref, s_tilde)
-             for j, vj in enumerate(iterates, start=1)}
-    j_hi = len(iterates) if reference is not None else len(iterates) - 1
-    fit_js = [j for j in range(J_LO, j_hi + 1) if e.get(j, 0.0) > 0.0]
+    e = {j: _weighted_cube_sum(t, trace.final.grid, s_tilde)
+         for j, t in enumerate(trace.error_tables, start=1)}
+    j_hi = len(e) - 1
+    fit_js = [j for j in range(J_LO, j_hi + 1) if e[j] > 0.0]
     if not fit_js:
         C_bound, C, ratios, passed = 0.0, 0.0, [], True
     else:
         C_bound = max((e[j] * math.factorial(j) ** 2) ** (1.0 / j) for j in fit_js)
-        ratios = [
-            e[j + 1] * (j + 1) ** 2 / e[j]
-            for j in fit_js
-            if j + 1 in e and e[j] > 0.0 and e[j + 1] > 0.0
-        ]
+        ratios = [e[j + 1] * (j + 1) ** 2 / e[j] for j in fit_js if e[j + 1] > 0.0]
         C = max([C_bound, *ratios])
         escalating = (
             len(ratios) >= 3

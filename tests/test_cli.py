@@ -501,6 +501,15 @@ BAD_CONFIGS = {
     "params-illposed_E": ("probe", {"probe": {"kind": "illposed_E",
                                               "params": {"s": -0.5, "klist": [16]}}},
                           None),
+    # a growth law or a slope needs two distinct scales
+    "params-illposed_E-one-k": ("probe", {"probe": {
+        "kind": "illposed_E", "params": {"s": -0.5, "k_list": [16]}}}, None),
+    "params-illposed_E-no-k": ("probe", {"probe": {
+        "kind": "illposed_E", "params": {"s": -0.5, "k_list": []}}}, None),
+    "params-illposed_H-one-scale": ("probe", {"probe": {
+        "kind": "illposed_H", "params": {"sigma": -2.0, "N_list": [8]}}}, None),
+    "params-illposed_H-repeated-scale": ("probe", {"probe": {
+        "kind": "illposed_H", "params": {"sigma": -2.0, "N_list": [8, 8]}}}, None),
     "params-scaling": ("probe", {**solve_cfg(), "probe": {
         "kind": "scaling_vanishing", "params": {"lamlist": [1, 2]}}}, None),
     # values the specs or the engine reject

@@ -894,12 +894,14 @@ class TestLiveCells:
                          (trace.increment_norms, incs), (trace.errors, errors)):
             assert np.array(got).tobytes() == np.array(ref).tobytes()
         # the decay fit reads the trace's error tables; the reference forms
-        # every v^j - final as a full stack
+        # every v^j - final as a full stack, and fits those stacks' tables
         s_tilde, tgrid = spec.s - 1.0, spec.tgrid
-        full = [weighted_l1_seq_norm(SpaceTimeField(g, tgrid, x - iterates[-1]), s_tilde)
-                for x in iterates]
+        diffs = [SpaceTimeField(g, tgrid, x - iterates[-1]) for x in iterates]
+        full = [weighted_l1_seq_norm(diff, s_tilde) for diff in diffs]
         plain = IterationTrace([SpaceTimeField(g, tgrid, x) for x in iterates],
-                               supports, incs, errors, trace.converged)
+                               supports, incs, errors, trace.converged,
+                               [lattice.cube_l2_table(diff.values, g).max(axis=0)
+                                for diff in diffs])
         got = error_decay_fit(trace, s_tilde=s_tilde).measured
         ref = error_decay_fit(plain, s_tilde=s_tilde).measured
         assert np.array(got["errors"]).tobytes() == np.array(full).tobytes()

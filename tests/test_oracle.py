@@ -191,6 +191,34 @@ class TestEtdReference:
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(got != 0, ref != 0)
 
+    @pytest.mark.parametrize("rule", ["riemann", "trapezoid"])
+    def test_whole_window_once_per_plan(self, rule, monkeypatch):
+        # the direct kernel reads each plan's whole-grid window from the plan:
+        # thousands of small products must not re-derive it per call
+        import octantheat.lattice as lattice_mod
+
+        g = make_grid(1, 4, 1 / 16)
+        v0 = make_initial_data(InitialDataSpec(InitialDataKind.OCTANT_BUMP, eps0=0.5,
+                                               width=0.5), g)
+        windows, direct = {}, [0]
+        window, _direct = lattice_mod._Plan.window, lattice_mod._direct
+
+        def counting_window(plan, lo, hi):
+            windows[plan, lo, hi] = windows.get((plan, lo, hi), 0) + 1
+            return window(plan, lo, hi)
+
+        def counting_direct(*args):
+            direct[0] += 1
+            return _direct(*args)
+
+        monkeypatch.setattr(lattice_mod._Plan, "window", counting_window)
+        monkeypatch.setattr(lattice_mod, "_direct", counting_direct)
+        lattice_mod._plan.cache_clear()
+        etd_reference_solve(power_spec(g, conv_rule=rule), v0, OracleConfig(nt_fine=33))
+        assert {(lo, hi) for _, lo, hi in windows} == {(0, g.n)}
+        assert max(windows.values()) == 1
+        assert direct[0] >= 10 * len(windows)  # so a per-call window would show
+
 
 class TestBandBox:
     """Every product that lands on |xi|_1 < B comes from two cells inside

@@ -1,6 +1,7 @@
 import collections
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -383,6 +384,12 @@ class TestIllposedE:
         rep = illposed_probe_E(s=-0.5, m=3, k_list=(8, 16), t=1.0)
         assert rep.measured["ratios"][0] > 4.0
 
+    @pytest.mark.parametrize("k_list", [(), (16,), (32, 16), (16, 16, 32)])
+    def test_needs_two_increasing_k(self, k_list):
+        # one k measures no growth step, and none measures nothing
+        with pytest.raises(ValueError, match="strictly increasing"):
+            illposed_probe_E(s=-0.5, m=2, k_list=k_list)
+
 
 class TestIllposedH:
     def test_exponent_formula(self):
@@ -402,6 +409,14 @@ class TestIllposedH:
     def test_refuses_above_scaling_index(self):
         with pytest.raises(ValueError):
             illposed_probe_H(sigma=0.0, m=2)
+
+    @pytest.mark.parametrize("N_list", [(), (8,), (8, 8)])
+    def test_needs_two_distinct_scales(self, N_list):
+        # a slope through one abscissa is no fit: refused before numpy warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="two distinct"):
+                illposed_probe_H(sigma=-2.0, m=2, N_list=N_list)
 
 
 class TestErrorDecayFit:
@@ -442,11 +457,11 @@ class TestErrorDecayFit:
         bumpy = np.zeros((5, g.n), dtype=complex)
         bumpy[:, 8] = 1.0
         frames = [SpaceTimeField(g, tg, bumpy.copy()) for _ in range(6)]
-        ref = SpaceTimeField(g, tg, np.zeros_like(bumpy))
+        table = cube_l2_table(bumpy, g).max(axis=0)  # every error the same
         trace = IterationTrace(iterates=frames, support_min_l1=[2.0] * 6,
                                increment_norms=[1.0] * 6, errors=[1.0] * 6,
-                               converged=False)
-        rep = error_decay_fit(trace, reference=ref)
+                               converged=False, error_tables=[table] * 6)
+        rep = error_decay_fit(trace)
         assert not rep.passed
 
     def test_needs_four_iterates(self):
