@@ -55,17 +55,17 @@ PROBLEM_KEYS = {"epsilon0": "eps0", "s": "s", "delta": "delta",
 TOP_KEYS = (*PROBLEM_KEYS, "d", "band_K", "field_file", "grid", "time",
             "iterate", "nonlinearity", "initial_data", "output", "norms", "probe",
             "oracle")
-PROBE_KEYS = ("kind", "params", "n_samples", "T", "nt")
+SAMPLE_KEYS = ("n_samples", "T", "nt")  # how an inequality kind samples fields
+PROBE_KEYS = ("kind", "params", *SAMPLE_KEYS)
 # the parameters to which inf is a legitimate value (gamma = inf: sup in time)
-INF_OK = {(TimeSpaceNormSpec, "gamma")}
-# probe kind -> entry point, its probe.params keys, and the parameter --refine
-# scales by a factor (inequality kinds: params from INEQUALITY_KINDS)
+INF_OK = {(TimeSpaceNormSpec, "gamma"),
+          (INEQUALITY_KINDS["heat_semigroup"][0], "gammas")}
+# probe kind -> entry point, and the parameter --refine scales by a factor
+# (inequality kinds: inequality_probe on the kind's measurement)
 PROBES = {
-    "illposed_H": (illposed_probe_H, ("sigma", "m", "N_list", "c_t", "quad_order"),
-                   ("quad_order", 2)),
-    "illposed_E": (illposed_probe_E, ("s", "sigma", "m", "k_list", "t", "h"),
-                   ("h", 0.5)),
-    "scaling_vanishing": (scaling_vanishing_curve, ("sigma", "lam_list", "s"), None),
+    "illposed_H": (illposed_probe_H, ("quad_order", 2)),
+    "illposed_E": (illposed_probe_E, ("h", 0.5)),
+    "scaling_vanishing": (scaling_vanishing_curve, None),
 }
 
 
@@ -91,18 +91,22 @@ def _check_keys(section, where: str, accepted) -> dict:
 
 def _coerce(hint, value, where: str, inf_ok: bool = False):
     """Convert a config value to an annotated type: by calling the type
-    (float, int, complex, str, dict), an enum by upper-cased name, and a
-    ``tuple[T, ...]`` item by item.  NaN and -inf fail, +inf unless ``inf_ok``;
-    an int takes no bool and no float with a fraction."""
+    (float, int, complex, str), an enum by upper-cased name, and a JSON list
+    to ``tuple[T, ...]`` item by item.  NaN and -inf fail, +inf unless
+    ``inf_ok``; a number takes no bool, an int no float with a fraction."""
     if typing.get_origin(hint) is types.UnionType:  # ``X | None``
         hint = typing.get_args(hint)[0]
     kind = typing.get_origin(hint) or hint
     if kind is int and (isinstance(value, bool) or isinstance(value, float)
                         and not value.is_integer()):
         raise ConfigError(f"{where}: {value!r} is not an integer")
+    if kind in (float, complex) and isinstance(value, bool):
+        raise ConfigError(f"{where}: {value!r} is not a number")
+    if kind is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: {value!r} is not a JSON list")
+        return tuple(_coerce(typing.get_args(hint)[0], v, where, inf_ok) for v in value)
     try:
-        if kind is tuple:
-            return tuple(_coerce(typing.get_args(hint)[0], v, where) for v in value)
         out = kind(str(value).upper()) if issubclass(kind, enum.Enum) else kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
@@ -326,26 +330,31 @@ def _cmd_norms(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dic
 def _cmd_probe(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dict]:
     pcfg = _check_keys(_need(cfg, "probe"), "probe", PROBE_KEYS)
     kind = str(_need(pcfg, "kind", "probe"))
+    if kind in INEQUALITY_KINDS:  # params: the measurement's keyword-only ones
+        target, refined = INEQUALITY_KINDS[kind][0], None
+        keys = tuple(target.__kwdefaults__)
+    elif kind in PROBES:  # params: the entry point's, but the datum f
+        target, refined = PROBES[kind]
+        keys = [name for name in inspect.signature(target).parameters if name != "f"]
+        _check_keys(pcfg, "probe", ("kind", "params"))
+    else:
+        raise ConfigError(f"unknown probe kind {kind!r}")
+    params = _fields(target, pcfg.get("params", {}), "probe.params", keys)
+    if refine and refined:
+        name, factor = refined
+        params[name] = factor * params.get(name, _default(target, name))
     if kind in INEQUALITY_KINDS:
-        args = _fields(inequality_probe, pcfg, "probe", PROBE_KEYS)
+        args = _fields(inequality_probe, _pick(pcfg, SAMPLE_KEYS), "probe", SAMPLE_KEYS)
         args["grid"] = _build_grid(cfg) if "grid" in cfg \
             else _default(inequality_probe, "grid")
         if refine:  # the whole probe, stability pass included, from a finer base
             args["grid"], args["nt"] = _refine(
                 args["grid"], args.get("nt", _default(inequality_probe, "nt")))
-        report = _call(inequality_probe, seed=seed, **args)
-    elif kind in PROBES:
-        entry, keys, refined = PROBES[kind]
-        args = _fields(entry, _check_keys(pcfg, "probe", ("kind", "params"))
-                       .get("params", {}), "probe.params", keys)
-        if refine and refined:
-            name, factor = refined
-            args[name] = factor * args.get(name, _default(entry, name))
-        if kind == "scaling_vanishing":
-            args["f"] = _build_datum(cfg, _build_grid(cfg))
-        report = _call(entry, **args)
+        report = _call(inequality_probe, kind, params, seed=seed, **args)
+    elif kind == "scaling_vanishing":
+        report = _call(target, _build_datum(cfg, _build_grid(cfg)), **params)
     else:
-        raise ConfigError(f"unknown probe kind {kind!r}")
+        report = _call(target, **params)
     _write_json(out / "probe_report.json", report.to_dict())
     outputs = ["probe_report.json"]
     if report.curve:

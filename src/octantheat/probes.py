@@ -19,12 +19,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .data import InitialDataKind, InitialDataSpec, make_initial_data, scale_data
-from .engine import IterationTrace, duhamel, free_trajectory
+from .engine import IterationTrace, _integer, duhamel, free_trajectory
 from .lattice import (
     FrequencyField,
     FrequencyGrid,
@@ -202,9 +203,10 @@ def _max_ratio(pairs) -> float:
     return best
 
 
-def _measure_heat_semigroup(grid, tgrid, samples, factor, p) -> dict:
-    s, sigma = p["s"], p["sigma"]
-    gammas = (1.0, float(p["m"]), math.inf) if p["gammas"] is None else p["gammas"]
+def _measure_heat_semigroup(grid, tgrid, samples, factor, *, s: float = -1.0,
+                            sigma: float = 0.0, m: int = 2,
+                            gammas: tuple[float, ...] | None = None) -> dict:
+    gammas = (1.0, float(m), math.inf) if gammas is None else gammas
     if not gammas:
         raise ValueError("heat_semigroup needs at least one gamma")
     rows = []  # per sample: the trajectory's norm for each gamma, the datum's norm
@@ -219,8 +221,8 @@ def _measure_heat_semigroup(grid, tgrid, samples, factor, p) -> dict:
     return {"C": max(per_gamma.values()), "per_gamma": per_gamma}
 
 
-def _measure_shifted_semigroup(grid, tgrid, samples, factor, p) -> dict:
-    lam, c_rate = p["lam"], p["c_rate"]
+def _measure_shifted_semigroup(grid, tgrid, samples, factor, *, lam: float = 2.0,
+                               c_rate: float = 0.5) -> dict:
     kk = grid.lattice_coords()
     k2 = sum(k * k for k in kk)
     admissible = functools.reduce(np.maximum, kk) >= 2 * lam
@@ -237,8 +239,8 @@ def _measure_shifted_semigroup(grid, tgrid, samples, factor, p) -> dict:
     return {"C": _max_ratio((r, 1.0) for r in ratios), "c_rate": c_rate}
 
 
-def _measure_product_es(grid, tgrid, samples, factor, p) -> dict:
-    s, sigma, m = p["s"], p["sigma"], p["m"]
+def _measure_product_es(grid, tgrid, samples, factor, *, s: float = -1.0,
+                        sigma: float = 0.0, m: int = 2) -> dict:
     if sigma < _sigma_c(grid.d, m) - 1e-12:
         raise ValueError(
             f"product estimate needs sigma >= d/2 - 2/(m-1) = {_sigma_c(grid.d, m)}"
@@ -253,8 +255,8 @@ def _measure_product_es(grid, tgrid, samples, factor, p) -> dict:
     return {"C": _max_ratio(map(ratio, samples))}
 
 
-def _measure_product_no_lowband(grid, tgrid, samples, factor, p) -> dict:
-    s, sigma, m = p["s"], p["sigma"], p["m"]
+def _measure_product_no_lowband(grid, tgrid, samples, factor, *, s: float = -1.0,
+                                sigma: float = 0.0, m: int = 2) -> dict:
     cube0 = np.indices(grid.shape).max(axis=0) < grid.n_sub  # unit cube k = 0
     lhs_spec = TimeSpaceNormSpec(1.0, 2, s, sigma, "EXCLUDE_ZERO")
     high_spec = TimeSpaceNormSpec(1.0, 2, s, sigma + 2.0, "EXCLUDE_ZERO")
@@ -272,8 +274,8 @@ def _measure_product_no_lowband(grid, tgrid, samples, factor, p) -> dict:
     return {"C": _max_ratio(map(ratio, samples))}
 
 
-def _measure_highband_smoothing(grid, tgrid, samples, factor, p) -> dict:
-    s, sigma, A, q = p["s"], p["sigma"], p["A"], p["q"]
+def _measure_highband_smoothing(grid, tgrid, samples, factor, *, s: float = -1.0,
+                                sigma: float = 0.0, A: float = 4.0, q: int = 1) -> dict:
     spec = TimeSpaceNormSpec(math.inf, q, s, sigma)
 
     def ratio(smp):
@@ -282,8 +284,8 @@ def _measure_highband_smoothing(grid, tgrid, samples, factor, p) -> dict:
     return {"C": _max_ratio(map(ratio, samples)), "A": A}
 
 
-def _measure_conv_weighted_l1(grid, tgrid, samples, factor, p) -> dict:
-    s_tilde, m = p["s_tilde"], p["m"]
+def _measure_conv_weighted_l1(grid, tgrid, samples, factor, *,
+                              s_tilde: float = -1.0, m: int = 2) -> dict:
     if s_tilde > 0:
         raise ValueError("the weighted l1 convolution bound needs s_tilde <= 0")
 
@@ -294,8 +296,8 @@ def _measure_conv_weighted_l1(grid, tgrid, samples, factor, p) -> dict:
     return {"C": _max_ratio(map(ratio, samples))}
 
 
-def _measure_product_e21(grid, tgrid, samples, factor, p) -> dict:
-    s, m = p["s"], p["m"]
+def _measure_product_e21(grid, tgrid, samples, factor, *, s: float = -1.0,
+                         m: int = 2) -> dict:
     if s >= 0:
         raise ValueError("the E21 product bound needs s < 0")
     one_spec = TimeSpaceNormSpec(1.0, 1, s, 0.0)
@@ -308,8 +310,8 @@ def _measure_product_e21(grid, tgrid, samples, factor, p) -> dict:
     return {"C": _max_ratio(map(ratio, samples))}
 
 
-def _measure_sobolev_embedding(grid, tgrid, samples, factor, p) -> dict:
-    s, sigma, r = p["s"], p["sigma"], p["r"]
+def _measure_sobolev_embedding(grid, tgrid, samples, factor, *, s: float = -1.0,
+                               sigma: float = 0.0, r: float = 0.0) -> dict:
     if s >= 0:
         raise ValueError("the embedding into the exponential scale needs s < 0")
     weight = (1.0 + grid.euclid_sq()) ** ((sigma - r) / 2.0) * 2.0 ** (s * grid.l1())
@@ -324,8 +326,8 @@ def _measure_sobolev_embedding(grid, tgrid, samples, factor, p) -> dict:
             "holds": bool(best <= C_explicit * (1 + 1e-9))}
 
 
-def _measure_e21_chain(grid, tgrid, samples, factor, p) -> dict:
-    s, sigma_low, sigma_high = p["s"], p["sigma_low"], p["sigma_high"]
+def _measure_e21_chain(grid, tgrid, samples, factor, *, s: float = -1.0,
+                       sigma_low: float = 0.0, sigma_high: float = 1.0) -> dict:
     if sigma_low > 0:
         raise ValueError("the lower embedding needs sigma_low <= 0")
     if sigma_high <= grid.d / 2.0:
@@ -349,27 +351,18 @@ def _measure_e21_chain(grid, tgrid, samples, factor, p) -> dict:
     }
 
 
-_S_SIGMA_M = {"s": -1.0, "sigma": 0.0, "m": 2}
-
-# kind -> (measurement, fields per sample (None: one per power m), every
-# parameter with its default, |xi|_inf below which the drawn fields vanish)
+# kind -> (measurement, whose keyword-only parameters are the kind's; fields
+# per sample (None: one per power m); |xi|_inf below which the fields vanish)
 INEQUALITY_KINDS = {
-    "heat_semigroup": (_measure_heat_semigroup, 1, {**_S_SIGMA_M, "gammas": None},
-                       lambda p: 1.0),
-    "shifted_semigroup": (_measure_shifted_semigroup, 1, {"lam": 2.0, "c_rate": 0.5},
-                          lambda p: 2.0 * p["lam"]),
-    "product_es": (_measure_product_es, None, _S_SIGMA_M, None),
-    "product_no_lowband": (_measure_product_no_lowband, None, _S_SIGMA_M, None),
-    "highband_smoothing": (_measure_highband_smoothing, 1,
-                           {"s": -1.0, "sigma": 0.0, "A": 4.0, "q": 1},
-                           lambda p: p["A"]),
-    "conv_weighted_l1": (_measure_conv_weighted_l1, None, {"s_tilde": -1.0, "m": 2},
-                         None),
-    "product_e21": (_measure_product_e21, 1, {"s": -1.0, "m": 2}, None),
-    "sobolev_embedding": (_measure_sobolev_embedding, 1,
-                          {"s": -1.0, "sigma": 0.0, "r": 0.0}, None),
-    "e21_chain": (_measure_e21_chain, 1,
-                  {"s": -1.0, "sigma_low": 0.0, "sigma_high": 1.0}, None),
+    "heat_semigroup": (_measure_heat_semigroup, 1, lambda p: 1.0),
+    "shifted_semigroup": (_measure_shifted_semigroup, 1, lambda p: 2.0 * p["lam"]),
+    "product_es": (_measure_product_es, None, None),
+    "product_no_lowband": (_measure_product_no_lowband, None, None),
+    "highband_smoothing": (_measure_highband_smoothing, 1, lambda p: p["A"]),
+    "conv_weighted_l1": (_measure_conv_weighted_l1, None, None),
+    "product_e21": (_measure_product_e21, 1, None),
+    "sobolev_embedding": (_measure_sobolev_embedding, 1, None),
+    "e21_chain": (_measure_e21_chain, 1, None),
 }
 
 
@@ -387,33 +380,31 @@ def inequality_probe(
 
     The constant is re-measured once with halved grid spacing and doubled
     time resolution (same functions); a drift above 2x marks the report
-    inconclusive.  Parameters the estimate does not take, and parameter
-    combinations outside its hypotheses, raise ValueError.
+    inconclusive.  ``params`` are the measurement's keyword-only parameters,
+    finite reals but no bools (``gammas`` a list, inf allowed; ``m`` an
+    integer >= 2); others, and values outside the hypotheses, raise ValueError.
     """
     if kind not in INEQUALITY_KINDS:
         raise ValueError(f"unknown probe kind {kind!r}; "
                          f"available: {sorted(INEQUALITY_KINDS)}")
-    measure, n_fields, defaults, linf_floor = INEQUALITY_KINDS[kind]
-    unknown = sorted(set(params or {}) - set(defaults))
-    if unknown:
-        raise ValueError(f"{kind} takes no parameter(s) {', '.join(unknown)}; "
-                         f"it takes {', '.join(sorted(defaults))}")
-    p = dict(defaults)
+    measure, n_fields, linf_floor = INEQUALITY_KINDS[kind]
+    p = dict(measure.__kwdefaults__)  # its keyword-only parameters' defaults
     for key, value in (params or {}).items():
-        try:  # to the default's type; gammas (default None) to floats
-            p[key] = type(p[key])(value) if p[key] is not None \
-                else tuple(map(float, value))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{kind} parameter {key}: {exc}") from exc
-        # NaN and +-inf fail, except gamma = inf (the supremum in time)
-        if not all(math.isfinite(v) or key == "gammas" and v == math.inf
-                   for v in np.atleast_1d(p[key])):
-            raise ValueError(f"{kind} parameter {key}: {value!r} is not finite")
-    if p.get("m", 2) < 2:
-        raise ValueError(f"{kind} needs m >= 2")
+        if key not in p:
+            raise ValueError(f"{kind} takes no parameter {key}; "
+                             f"it takes {', '.join(sorted(p))}")
+        listed = key == "gammas"
+        if listed != isinstance(value, (list, tuple)) or not all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool)
+                and (math.isfinite(v) or listed and v == math.inf)
+                for v in (value if listed else [value])):
+            raise ValueError(f"{kind} parameter {key}: {value!r} is not " + (
+                "a list of real numbers, finite or inf" if listed
+                else "a finite real number"))
+        p[key] = _integer(value, 2, f"{kind} needs m") if key == "m" else value
     if n_samples < 1:
         raise ValueError(f"{kind} needs n_samples >= 1")
-    fields = n_fields if n_fields is not None else int(p["m"])
+    fields = n_fields if n_fields is not None else p["m"]
     rng = np.random.default_rng(seed)
     samples = _draw_samples(grid, rng, n_samples, fields,
                             linf_floor(p) if linf_floor else 0.0)
@@ -426,7 +417,7 @@ def inequality_probe(
         raise ValueError(f"{kind}: T = {T!r} gives no finite positive denominator: "
                          "the time profiles or their norms overflow")
 
-    measured = measure(grid, tgrid, samples, 1, p)
+    measured = measure(grid, tgrid, samples, 1, **p)
     report = ProbeReport(
         kind=kind,
         params=p,
@@ -441,7 +432,7 @@ def inequality_probe(
     if refine:
         fine_grid = make_grid(grid.d, grid.xi_max, grid.h / 2.0)
         fine_t = np.linspace(0.0, T, 2 * nt - 1)
-        refined = measure(fine_grid, fine_t, samples, 2, p)
+        refined = measure(fine_grid, fine_t, samples, 2, **p)
         report.refined = refined
         base_c, fine_c = measured["C"], refined["C"]
         drift = (1.0 if base_c == fine_c else math.inf if 0.0 in (base_c, fine_c)

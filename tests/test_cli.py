@@ -548,6 +548,19 @@ BAD_CONFIGS = {
                         None),
     "params-gammas-empty": ("probe", {"probe": {"kind": "heat_semigroup",
                                                 "params": {"gammas": []}}}, None),
+    # a value that is not of the parameter's type: a fraction for an integer, a
+    # bool for a number, a string for a list, pairs for an object
+    "params-inequality-fraction-m": ("probe", {"probe": {
+        "kind": "product_es", "params": {"m": 2.5}}}, None),
+    "params-inequality-bool": ("probe", {"probe": {
+        "kind": "product_es", "params": {"s": True}}}, None),
+    "params-inequality-list-of-pairs": ("probe", {"probe": {
+        "kind": "product_es", "params": [["m", 3]]}}, None),
+    "params-gammas-string": ("probe", {"probe": {"kind": "heat_semigroup",
+                                                 "params": {"gammas": "12"}}}, None),
+    "params-N_list-string": ("probe", {"probe": {
+        "kind": "illposed_H", "params": {"sigma": -2.0, "N_list": "48"}}}, None),
+    "epsilon0-bool": ("solve", solve_cfg(epsilon0=True), None),
     "iterate.tol-inf": ("solve", solve_cfg(iterate={"jmax": 8, "tol": "inf"}), None),
     "probe.T-overflow": ("probe", {"probe": {"kind": "product_es", "n_samples": 2,
                                              "T": 1e308, "nt": 5}}, None),
@@ -688,6 +701,16 @@ class TestStrictConfig:
         assert run("norms", write_cfg(tmp_path, cfg), str(out)) == 0
         row = (out / "norms.csv").read_text().splitlines()[1].split(",")
         assert row[3] == "inf" and np.isfinite(float(row[5]))
+
+    def test_probe_gamma_inf_is_accepted(self, tmp_path):
+        # the gammas of an inequality probe take inf item by item
+        cfg = {"probe": {"kind": "heat_semigroup", "params": {"gammas": [2, "inf"]},
+                         "n_samples": 2, "nt": 5}}
+        out = tmp_path / "out"
+        assert run("probe", write_cfg(tmp_path, cfg), str(out)) == 0
+        report = json.loads((out / "probe_report.json").read_text())
+        assert report["params"]["gammas"] == [2.0, "inf"]
+        assert list(report["measured"]["per_gamma"]) == ["2.0", "inf"]
 
     def test_top_level_sigma_is_rejected(self, tmp_path):
         # datum parameters are set only in initial_data: a top-level sigma

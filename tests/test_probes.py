@@ -83,6 +83,9 @@ class TestInequalityProbes:
         ("product_es", {"s": None}),               # not a number
         ("product_es", {"m": 1}),
         ("heat_semigroup", {"gammas": []}),        # empty, not the default
+        ("product_es", {"m": 2.5}),                # not an integer
+        ("product_es", {"s": True}),               # a bool is not a number
+        ("heat_semigroup", {"gammas": "12"}),      # not a list
     ])
     def test_rejects_bad_params(self, kind, params):
         with pytest.raises(ValueError):
@@ -163,7 +166,7 @@ class TestInequalityProbes:
         tgrid = np.linspace(0.0, 1.0, 9)
         lam, c_rate = 1.0, 2.0  # a rate above 1 moves the maximum past t = 0
         samples = _draw_samples(grid, np.random.default_rng(5), 4, 1,
-                                INEQUALITY_KINDS["shifted_semigroup"][3]({"lam": lam}))
+                                INEQUALITY_KINDS["shifted_semigroup"][2]({"lam": lam}))
         w = heat_symbol(grid, lam)
         kk = grid.lattice_coords()
         k2 = sum(k * k for k in kk)
@@ -178,7 +181,7 @@ class TestInequalityProbes:
                 ratio[ok] = evolved[ok] * np.exp(c_rate * t * k2[ok]) / base[ok]
                 best = max(best, float(ratio.max()))
         got = _measure_shifted_semigroup(grid, tgrid, samples, 1,
-                                         {"lam": lam, "c_rate": c_rate})
+                                         lam=lam, c_rate=c_rate)
         assert best > 1.0
         assert got["C"] == pytest.approx(best, rel=1e-13, abs=0)
 
