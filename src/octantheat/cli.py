@@ -249,9 +249,10 @@ def _cmd_solve(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dic
     spec, v0 = _build_problem(cfg, refine)
     stride = _frame_stride(cfg, spec.nt)
     trace = picard_iterate(spec, v0)
-    # support gained per iterate: (m - 1) eps0 for u^m, the datum's offset for e^u
+    # support gained per iterate: (m - 1) eps0 for u^m, the datum's exact offset for e^u
     step = (spec.nonlinearity.m - 1) * spec.eps0 \
-        if spec.nonlinearity.kind is NonlinearityKind.POWER else support_stats(v0).min_l1
+        if spec.nonlinearity.kind is NonlinearityKind.POWER \
+        else support_stats(v0, tol=0.0).min_l1
     support_ok = all(
         s >= j * step - 1e-12 for j, s in enumerate(trace.support_min_l1[1:], start=1)
     )

@@ -195,15 +195,9 @@ def cube_l2_table(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
 def _shifted_nonzero(mask: np.ndarray, axis: int, step: int) -> np.ndarray:
     """mask of "neighbor at offset -step along axis is nonzero" (zero fill)."""
     out = np.zeros_like(mask)
-    src = [slice(None)] * mask.ndim
-    dst = [slice(None)] * mask.ndim
-    if step == 1:  # neighbor to the left
-        dst[axis] = slice(1, None)
-        src[axis] = slice(None, -1)
-    else:  # neighbor to the right
-        dst[axis] = slice(None, -1)
-        src[axis] = slice(1, None)
-    out[tuple(dst)] = mask[tuple(src)]
+    lead = (slice(None),) * axis
+    dst, src = (slice(1, None), slice(None, -1))[::step]  # step -1: right neighbor
+    out[(*lead, dst)] = mask[(*lead, src)]
     return out
 
 
@@ -223,13 +217,9 @@ def _rule_terms(f: np.ndarray, g: np.ndarray, rule: str):
 
     def masked(x: np.ndarray) -> list[np.ndarray]:
         nonzero = x != 0
-        out = []
-        for signs in itertools.product((1, -1), repeat=x.ndim):
-            keep = True
-            for axis, s in enumerate(signs):
-                keep = keep & _shifted_nonzero(nonzero, axis, s)
-            out.append(x * keep)
-        return out
+        return [x * functools.reduce(np.logical_and, (_shifted_nonzero(nonzero, axis, s)
+                                                      for axis, s in enumerate(signs)))
+                for signs in itertools.product((1, -1), repeat=x.ndim)]
 
     fm = masked(f)
     return list(zip(fm, reversed(fm if g is f else masked(g)))), 1.0 / 2**f.ndim
@@ -248,9 +238,10 @@ class _Plan:
     ``terms`` holds the rule's operand masks on the whole grid (none when a
     pattern is empty); ``scale`` is h^d times the rule's weight, and
     ``spills`` whether some product of a term lands at or beyond n on an
-    axis.  Only :meth:`window` cuts the boxes and masks and derives output
-    cells, crop and pad; the direct kernel and the :attr:`support` read the
-    whole grid's, :attr:`whole`.
+    axis.  ``twin`` marks equal patterns under the trapezoid rule, whose term
+    N - 1 - i is term i swapped.  Only :meth:`window` cuts the boxes and
+    masks and derives output cells, crop and pad; :meth:`direct` and the
+    :attr:`support` read the whole grid's, :attr:`whole`.
     """
 
     n: int
@@ -259,11 +250,35 @@ class _Plan:
     fbox: tuple[slice, ...] = ()
     gbox: tuple[slice, ...] = ()
     scale: float = 1.0
+    twin: bool = False
 
     @functools.cached_property
     def whole(self):
         """:meth:`window` over the whole grid, computed once per plan."""
         return self.window(0, self.n)
+
+    @functools.cached_property
+    def halves(self):
+        """:attr:`whole`'s first half of the terms, and twice the scale."""
+        return self.whole[0][:len(self.whole[0]) // 2], 2.0 * self.scale
+
+    def direct(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The direct sum of two value arrays with this plan's patterns,
+        truncated at xi_max, over the boxes only: ``np.convolve`` in 1D and
+        :func:`_shift_add` above.  A twin plan sums equal operands (``g is
+        f``, or equal values) by :attr:`halves`: the first half counts twice."""
+        out = np.zeros(f.shape, dtype=np.complex128)
+        if self.whole is None:
+            return out
+        (terms, fbox, gbox, cells, crop, _), scale = self.whole, self.scale
+        if self.twin and (g is f or np.array_equal(f, g)):
+            terms, scale = self.halves
+        cells, fb, gb = out[cells], f[fbox], g[gbox]
+        conv = np.convolve if f.ndim == 1 else _shift_add
+        for fm, gm in terms:
+            cells += conv(fb * fm, gb * gm)[crop]
+        cells *= scale
+        return out
 
     @functools.cached_property
     def support(self) -> np.ndarray:
@@ -330,7 +345,7 @@ def _plan(f_bits: bytes, g_bits: bytes, shape: tuple, h: float, rule: str) -> _P
         return _Plan(n, spills)
     (a, A), (b, B) = ((nz.min(0), nz.max(0)) for nz in map(np.argwhere, (f, g)))
     return _Plan(n, spills, tuple(terms), _box(a, A + 1), _box(b, B + 1),
-                 h**len(shape) * weight)
+                 h**len(shape) * weight, rule == "trapezoid" and g_bits == f_bits)
 
 
 def _next_fast_len(n: int) -> int:
@@ -351,28 +366,11 @@ def _box(lo: np.ndarray, hi: np.ndarray) -> tuple[slice, ...]:
 
 
 def _direct(f: np.ndarray, g: np.ndarray, grid: FrequencyGrid, rule: str):
-    """The direct convolution sum of two value arrays under ``rule``,
-    truncated at xi_max, and whether it spills past xi_max.
-
-    Only the products inside the plan's boxes are formed, by ``np.convolve``
-    for d = 1 and :func:`_shift_add` above.  Under the trapezoid rule equal
-    operands' term N - 1 - i is term i swapped: the first half counts twice.
-    """
-    f_bits = np.packbits(f != 0).tobytes()
-    g_bits = f_bits if g is f else np.packbits(g != 0).tobytes()
+    """:meth:`_Plan.direct` of two value arrays under ``rule``, and whether it spills."""
+    f_bits = np.packbits(f.astype(bool)).tobytes()
+    g_bits = f_bits if g is f else np.packbits(g.astype(bool)).tobytes()
     p = _plan(f_bits, g_bits, grid.shape, grid.h, rule)
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    if p.whole is None:
-        return out, p.spills
-    (terms, fbox, gbox, cells, crop, _), scale = p.whole, p.scale
-    if rule == "trapezoid" and g_bits == f_bits and (g is f or np.array_equal(f, g)):
-        terms, scale = terms[:len(terms) // 2], 2.0 * scale
-    cells, fb, gb = out[cells], f[fbox], g[gbox]
-    conv = np.convolve if grid.d == 1 else _shift_add
-    for fm, gm in terms:
-        cells += conv(fb * fm, gb * gm)[crop]
-    cells *= scale
-    return out, p.spills
+    return p.direct(f, g), p.spills
 
 
 def _shift_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -383,16 +381,6 @@ def _shift_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         view = full[tuple(slice(k, k + n) for k, n in zip(i, y.shape))]
         view += v * y
     return full
-
-
-def _direct_power(v: np.ndarray, m: int, grid: FrequencyGrid, rule: str):
-    """m-fold :func:`_direct` self-convolution of a value array (m >= 2),
-    and whether any of its products spills past xi_max."""
-    out, spills = v, False  # the first product v * v shares its operands
-    for _ in range(m - 1):
-        out, spilled = _direct(out, v, grid, rule)
-        spills |= spilled
-    return out, spills
 
 
 def convolve(

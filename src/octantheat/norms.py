@@ -139,8 +139,6 @@ def _time_norm(table: np.ndarray, tgrid: np.ndarray, gamma: float) -> np.ndarray
     """L^gamma_t of per-node nonnegative tables, trapezoid on the grid."""
     if math.isinf(gamma):
         return table.max(axis=0)
-    if gamma == 1:
-        return np.trapezoid(table, tgrid, axis=0)
     return np.trapezoid(table**gamma, tgrid, axis=0) ** (1.0 / gamma)
 
 

@@ -169,6 +169,25 @@ class TestSolve:
         assert man["checks"]["support_propagation"] is True
         assert man["details"]["truncation_sensitivity"] < 1e-8
 
+    @pytest.mark.parametrize("deriv_order,iterate", [(10, {}), (14, {"tol": 1e-6})])
+    def test_exponential_support_steps_by_the_exact_offset(self, tmp_path, deriv_order,
+                                                           iterate):
+        # the datum (i(xi - 0.5))^k on xi >= 0.5 is tiny at its first cell, so
+        # a relative tolerance reads its offset as 0.875, not the 0.5625 by
+        # which the engine bands the iterates.  Order 14's increments level
+        # off near 1e-9, round-off of values near 1e6, above the default tol
+        cfg = exp_cfg(lambda_shift=0.25, epsilon0=0.5, grid={"xi_max": 8, "h": 1 / 16},
+                      time={"T": 0.5, "nt": 17},
+                      initial_data={"kind": "HALFLINE_DERIVATIVE", "shift": 0.5,
+                                    "amplitude": 1e-6, "deriv_order": deriv_order})
+        cfg["iterate"] = iterate
+        out = tmp_path / "out"
+        assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 0
+        man = manifest(out)
+        assert man["checks"]["support_propagation"] is True
+        # iterate 3 starts below 2 * 0.875
+        assert man["details"]["support_min_l1"][:3] == [0.5625, 1.1875, 1.6875]
+
     def test_truncation_sensitivity_falls_with_order(self, tmp_path):
         sens = []
         for M in (3, 4, 6):

@@ -124,7 +124,8 @@ class TestConvolve:
     def test_power_matches_repeated_pairwise(self, rule, d, xi_max, h):
         g = make_grid(d, xi_max, h)
         f = rng_field(g, 11, sparse=rule == "trapezoid")
-        p3, _ = lattice._direct_power(f.values, 3, g, rule)
+        square, _ = lattice._direct(f.values, f.values, g, rule)
+        p3, _ = lattice._direct(square, f.values, g, rule)
         two = convolve(f, f, rule, warn_on_truncation=False)
         three = convolve(two, f, rule, warn_on_truncation=False)
         assert np.array_equal(p3, three.values)

@@ -127,10 +127,11 @@ class TestEtdReference:
     def test_nonfinite_state_detected(self, bad, monkeypatch):
         # one reduction guards the state: max |v| is NaN for a NaN and inf
         # for an inf (|inf + NaN j| = inf), and neither is <= the guard
-        from octantheat import DivergenceError, oracle
+        import octantheat.lattice as lattice_mod
+        from octantheat import DivergenceError
 
-        monkeypatch.setattr(oracle, "_direct_power",
-                            lambda v, m, grid, rule: (np.full_like(v, bad), False))
+        monkeypatch.setattr(lattice_mod._Plan, "direct",
+                            lambda plan, f, g: np.full_like(f, bad))
         g = make_grid(1, 4, 1 / 8)
         # inf * 0 in the stages makes the NaN part; numpy's warning is not the guard
         with np.errstate(invalid="ignore"), \
@@ -186,10 +187,52 @@ class TestEtdReference:
         cfg = OracleConfig(nt_fine=17)
         spec = power_spec(g, m=m, T=0.5)
         got = etd_reference_solve(spec, v0, cfg).values
-        monkeypatch.setattr(lattice_mod, "_direct", unboxed_direct)
+        calls = [0]
+
+        def unboxed(plan, f, h):
+            calls[0] += 1
+            return unboxed_direct(f, h, g, spec.conv_rule)[0]
+
+        monkeypatch.setattr(lattice_mod._Plan, "direct", unboxed)
         ref = etd_reference_solve(spec, v0, cfg).values
+        assert calls[0] == 4 * (cfg.nt_fine - 1) * (m - 1)  # every stage product
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(got != 0, ref != 0)
+
+    @pytest.mark.parametrize("d,xi_max,h", [(1, 4, 1 / 16), (2, 3, 1 / 4), (3, 2, 1 / 4)])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("rule", ["riemann", "trapezoid"])
+    def test_stage_products_are_the_direct_kernel(self, d, xi_max, h, m, rule,
+                                                  monkeypatch):
+        # the stages reuse each product's plan while its operands' patterns
+        # stay the same; every product must still be the bits of _direct on
+        # its operands.  The bump's support grows over the first steps, so a
+        # product changes plans (the memo misses) before the patterns settle
+        import octantheat.lattice as lattice_mod
+
+        g = make_grid(d, xi_max, h)
+        # four cells or more per axis from the cell at 0.25, so that the
+        # trapezoid cube still lands on the 3D grid
+        v0 = make_initial_data(InitialDataSpec(InitialDataKind.OCTANT_BUMP, eps0=0.25,
+                                               width=0.5 if d == 1 else 1.0), g)
+        seen, direct = [], lattice_mod._Plan.direct
+
+        def recording(plan, f, other):
+            out = direct(plan, f, other)
+            seen.append((plan, f.copy(), other is f, other.copy(), out.copy()))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice_mod._Plan, "direct", recording)
+            etd_reference_solve(power_spec(g, m=m, conv_rule=rule), v0,
+                                OracleConfig(nt_fine=9))
+        assert len(seen) == 4 * 8 * (m - 1)
+        # product k of every stage is entry k of each run of m - 1
+        assert any(len({id(plan) for plan, *_ in seen[k::m - 1]}) > 1
+                   for k in range(m - 1))
+        for _, f, same, other, out in seen:
+            want, _ = lattice_mod._direct(f, f if same else other, g, rule)
+            assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rule", ["riemann", "trapezoid"])
     def test_whole_window_once_per_plan(self, rule, monkeypatch):
@@ -201,7 +244,7 @@ class TestEtdReference:
         v0 = make_initial_data(InitialDataSpec(InitialDataKind.OCTANT_BUMP, eps0=0.5,
                                                width=0.5), g)
         windows, direct = {}, [0]
-        window, _direct = lattice_mod._Plan.window, lattice_mod._direct
+        window, plan_direct = lattice_mod._Plan.window, lattice_mod._Plan.direct
 
         def counting_window(plan, lo, hi):
             windows[plan, lo, hi] = windows.get((plan, lo, hi), 0) + 1
@@ -209,10 +252,10 @@ class TestEtdReference:
 
         def counting_direct(*args):
             direct[0] += 1
-            return _direct(*args)
+            return plan_direct(*args)
 
         monkeypatch.setattr(lattice_mod._Plan, "window", counting_window)
-        monkeypatch.setattr(lattice_mod, "_direct", counting_direct)
+        monkeypatch.setattr(lattice_mod._Plan, "direct", counting_direct)
         lattice_mod._plan.cache_clear()
         etd_reference_solve(power_spec(g, conv_rule=rule), v0, OracleConfig(nt_fine=33))
         assert {(lo, hi) for _, lo, hi in windows} == {(0, g.n)}
