@@ -207,10 +207,7 @@ def _build_problem(cfg: dict, refine: bool) -> tuple[ProblemSpec, FrequencyField
                  grid=grid, nonlinearity=nl, eps0=1.0, **t,
                  **_fields(ProblemSpec, cfg.get("iterate", {}), "iterate",
                            ("jmax", "tol")))
-    datum = _build_datum(cfg, spec.grid)
-    if not isinstance(datum, FrequencyField):
-        raise GateError("sign-pair inflation data are not admissible solver input")
-    return spec, datum
+    return spec, _build_datum(cfg, spec.grid)
 
 
 def _frame_stride(cfg: dict, nt: int) -> int:
@@ -285,8 +282,8 @@ def _cmd_taylor(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, di
     stack = _call(taylor_coefficients, spec, v0, K)
     assembled = _call(assemble_band_solution, stack, spec.delta, K)
     files = _write_frames(assembled, out, "band_solution", stride)
-    stats = [support_stats(ck.frame(ck.nt - 1)) for ck in stack.coeffs]
-    rows = [[k, math.inf if st.empty else st.min_l1] for k, st in enumerate(stats, 1)]
+    rows = [[k, support_stats(ck.frame(ck.nt - 1)).min_l1]
+            for k, ck in enumerate(stack.coeffs, 1)]
     _csv(out / "coefficients.csv", ["order", "support_min_l1"], rows)
     files.append("coefficients.csv")
     # order k starts at k * eps0 (an empty coefficient passes)
@@ -306,8 +303,6 @@ def _cmd_norms(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dic
         grid, t["nt"] = _refine(grid, t["nt"])
     f = _call(load_field, _coerce(str, cfg["field_file"], "field_file")) \
         if grid is None else _build_datum(cfg, grid)
-    if not isinstance(f, FrequencyField):
-        raise ConfigError("norms command needs a plain field datum")
     if any(timed):
         traj = _call(free_trajectory, f, _call(np.linspace, 0.0, t["T"], t["nt"]))
     rows = []
@@ -389,7 +384,7 @@ def _cmd_oracle_compare(cfg: dict, out: Path, seed: int, refine: bool) \
                      spec.grid.h)
     box = (slice(grid.n),) * grid.d
     ref = _call(etd_reference_solve, dataclasses.replace(spec, grid=grid),
-                FrequencyField(grid, v0.values[box], v0.mirrored), cfg_o)
+                FrequencyField(grid, v0.values[box]), cfg_o)
     band = grid.l1() < cfg_o.compare_band - 1e-12
     eng = trace.final.values[-1][box]
     orc = ref.values[-1]

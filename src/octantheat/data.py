@@ -4,7 +4,10 @@ scale-factor selection that turns large data into small data.
 Data kinds
 ----------
 Each kind's sampler in ``DATA_KINDS`` takes the grid and exactly the
-parameters shown with their defaults; any other raises ValueError.
+parameters shown with their defaults; any other raises ValueError.  Every
+kind samples a plain :class:`FrequencyField` supported in the octant (the
++/-k sign pair of the norm-inflation probe is no datum: ``illposed_probe_E``
+builds its two pieces itself).
 
 * ``EXP_HALFLINE(amplitude=1)``: v0(xi) = A e^xi on xi >= 1 (d = 1), the
   golden reference datum with a closed-form band solution.
@@ -13,10 +16,6 @@ parameters shown with their defaults; any other raises ValueError.
 * ``HALFLINE_DERIVATIVE(amplitude=1, deriv_order=1, shift=1)``:
   A (i (xi - shift))^deriv_order on xi >= shift (d = 1), the Fourier side of a
   modulated derivative of delta(x) + 2i/x.
-* ``INFLATION_PAIR(pair_k=16, s=-1, m=2)``: the +/-k indicator pair with
-  amplitude 2^{-s d k / 2} whose cross-convolution piles up near the
-  origin; the negative piece is carried as a separate mirrored field and
-  is rejected by every solver gate.
 * ``INFLATION_BUMP(scale_n=8, sigma=0)``: N^{-sigma - d/2} per-axis
   indicator of [N/2d, N/d), the Sobolev-scaled datum of the H-norm
   inflation probe.
@@ -47,7 +46,6 @@ from .norms import NormFlavor, NormSpec, SpaceTimeField, static_norm
 __all__ = [
     "InitialDataKind",
     "InitialDataSpec",
-    "IllposedPair",
     "ScalingPlan",
     "make_initial_data",
     "scale_data",
@@ -61,18 +59,7 @@ class InitialDataKind(str, enum.Enum):
     EXP_HALFLINE = "EXP_HALFLINE"
     OCTANT_BUMP = "OCTANT_BUMP"
     HALFLINE_DERIVATIVE = "HALFLINE_DERIVATIVE"
-    INFLATION_PAIR = "INFLATION_PAIR"
     INFLATION_BUMP = "INFLATION_BUMP"
-
-
-@dataclass(frozen=True, eq=False)
-class IllposedPair:
-    """Positive piece plus mirrored negative piece of the sign-pair datum."""
-
-    pos: FrequencyField
-    neg: FrequencyField  # mirrored=True: stored values sample v(-xi)
-    amplitude: float
-    pair_k: int
 
 
 @dataclass(frozen=True)
@@ -126,24 +113,6 @@ def _halfline_derivative(grid: FrequencyGrid, /, amplitude: complex = 1.0,
     return FrequencyField(grid, amplitude * (1j * (xi - shift)) ** deriv_order * mask)
 
 
-def _inflation_pair(grid: FrequencyGrid, /, pair_k: int = 16, s: float = -1.0,
-                    m: int = 2) -> IllposedPair:
-    k, d = pair_k, grid.d
-    if m < 2:
-        raise ValueError("INFLATION_PAIR needs m >= 2")
-    amp = 2.0 ** (-s * d * k / 2.0)
-    pos_hi = (m - 1) * k + 0.5
-    neg_w = 1.0 / (2.0 * (m - 1))
-    _check_cover(grid, pos_hi, "INFLATION_PAIR positive piece")
-    _check_cover(grid, k + neg_w, "INFLATION_PAIR negative piece")
-    if neg_w < grid.h - 1e-12:
-        raise ValueError("grid too coarse for the negative piece width")
-    pos = FrequencyField(grid, amp * _indicator_box(grid, (m - 1) * k, pos_hi))
-    # stored as g(xi) = v(-xi): support [k, k + 1/(2(m-1)))
-    neg = FrequencyField(grid, amp * _indicator_box(grid, k, k + neg_w), mirrored=True)
-    return IllposedPair(pos, neg, amp, k)
-
-
 def _inflation_bump(grid: FrequencyGrid, /, scale_n: int = 8,
                     sigma: float = 0.0) -> FrequencyField:
     N, d = scale_n, grid.d
@@ -160,7 +129,6 @@ DATA_KINDS = {
     InitialDataKind.EXP_HALFLINE: _exp_halfline,
     InitialDataKind.OCTANT_BUMP: _octant_bump,
     InitialDataKind.HALFLINE_DERIVATIVE: _halfline_derivative,
-    InitialDataKind.INFLATION_PAIR: _inflation_pair,
     InitialDataKind.INFLATION_BUMP: _inflation_bump,
 }
 
@@ -184,16 +152,10 @@ class InitialDataSpec:
         object.__setattr__(self, "params", params)
 
 
-def make_initial_data(
-    spec: InitialDataSpec, grid: FrequencyGrid
-) -> FrequencyField | IllposedPair:
-    """Sample the requested datum on ``grid``.
-
-    Solver-bound kinds are sampled in the octant, each from its own
-    support threshold (eps0, 1 or the shift) upward; the solvers check
-    their support gates when they run.  ``INFLATION_PAIR`` returns an
-    :class:`IllposedPair`, which no solver accepts.
-    """
+def make_initial_data(spec: InitialDataSpec, grid: FrequencyGrid) -> FrequencyField:
+    """Sample the requested datum on ``grid``, in the octant, from its own
+    support threshold upward; the solvers check their support gates when
+    they run."""
     return DATA_KINDS[spec.kind](grid, **spec.params)
 
 
@@ -234,7 +196,7 @@ def scale_data(
     lam = _integer(lam, 1, "scale_data needs an integer factor")
     grid = _target(scaled_grid(f.grid, lam), out_grid)
     vals = lam ** (a - grid.d) * f.values.view(np.float64)  # by parts: -0.0 stays
-    return FrequencyField(grid, vals.view(np.complex128), f.mirrored)
+    return FrequencyField(grid, vals.view(np.complex128))
 
 
 _LAM_CAP = 10**6  # choose_lambda's search bound

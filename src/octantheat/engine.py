@@ -247,17 +247,8 @@ def _duhamel(G: np.ndarray, w: np.ndarray, dt: float,
     return out
 
 
-def _gate(spec: ProblemSpec, v0: FrequencyField, min_linf: float) -> None:
-    if not isinstance(v0, FrequencyField):
-        raise GateError(
-            "solver input must be a plain octant field "
-            "(sign-pair inflation data are not admissible)"
-        )
-    st = support_stats(v0)
-    if st.empty:
-        return
-    if not st.in_octant or v0.mirrored:
-        raise GateError("solver input must be supported in the frequency octant")
+def _gate(v0: FrequencyField, min_linf: float) -> None:
+    st = support_stats(v0)  # an empty datum has min_linf = inf and passes
     if st.min_linf < min_linf - 1e-12:
         raise GateError(
             f"datum spectrum starts at |xi|_inf = {st.min_linf:.6g}, below the "
@@ -397,11 +388,11 @@ def picard_iterate(spec: ProblemSpec, v0: FrequencyField) -> IterationTrace:
     """
     nl = spec.nonlinearity
     if nl.kind is NonlinearityKind.POWER:
-        _gate(spec, v0, spec.eps0)
+        _gate(v0, spec.eps0)
         return _run_picard(spec, v0, nl.m)
     if spec.lambda_shift <= 0:
         raise GateError("the exponential flow needs a positive semigroup shift")
-    _gate(spec, v0, 2.0 * spec.lambda_shift)
+    _gate(v0, 2.0 * spec.lambda_shift)
     M = nl.taylor_order
     longer = _run_picard(spec, v0, M + 2).final  # its iterates are freed here
     trace = _run_picard(spec, v0, M)
@@ -435,9 +426,9 @@ def taylor_coefficients(
         raise ValueError(
             f"band K = {K} exceeds the grid validity xi_max = {spec.grid.xi_max}"
         )
-    _gate(spec, v0, spec.eps0)
+    _gate(v0, spec.eps0)
     st = support_stats(v0, tol=0.0)
-    eps = spec.eps0 if st.empty else st.min_l1
+    eps = spec.eps0 if st.min_l1 == math.inf else st.min_l1
     m = spec.nonlinearity.m
     grid, rule, tgrid = spec.grid, spec.conv_rule, spec.tgrid
 

@@ -140,16 +140,10 @@ def _axis_views(axis: np.ndarray, d: int) -> list[np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class FrequencyField:
-    """Complex samples of a Fourier-side function on a :class:`FrequencyGrid`.
-
-    ``mirrored=True`` marks a field whose stored values are samples of
-    v(-xi); it is used only to carry the negative-frequency piece of the
-    sign-pair inflation datum and is rejected by every solver gate.
-    """
+    """Complex samples of a Fourier-side function on a :class:`FrequencyGrid`."""
 
     grid: FrequencyGrid
     values: np.ndarray
-    mirrored: bool = False
 
     def __post_init__(self) -> None:
         v = np.ascontiguousarray(np.asarray(self.values, dtype=np.complex128))
@@ -162,13 +156,11 @@ class FrequencyField:
 
 @dataclass(frozen=True)
 class SupportStats:
-    """Distances from the origin to the numerical support of a field."""
+    """Distances from the origin to the numerical support of a field; both
+    are inf when the field has no cell above the tolerance."""
 
     min_l1: float
     min_linf: float
-    in_octant: bool
-    tol: float
-    empty: bool = False
 
 
 def make_grid(d: int, xi_max: int, h: float) -> FrequencyGrid:
@@ -407,8 +399,6 @@ def convolve(
     """
     if f.grid != g.grid:
         raise ValueError("convolve requires a shared grid")
-    if f.mirrored or g.mirrored:
-        raise ValueError("convolve is defined for octant-stored fields only")
     values, spills = _direct(f.values, g.values, f.grid, rule)
     if warn_on_truncation and spills:
         warnings.warn(_SPILL, RuntimeWarning, stacklevel=2)
@@ -449,8 +439,8 @@ def convolve_frames(
     if rule not in RULES:
         raise ValueError(f"unknown convolution rule {rule!r}")
     out = np.zeros(a.shape, dtype=np.complex128)
-    bits = [[row.tobytes() for row in np.packbits(x.reshape(len(x), -1) != 0, axis=1)]
-            for x in ((a,) if b is a else (a, b))]
+    nonzero = (x.reshape(len(x), -1).astype(bool) for x in ((a,) if b is a else (a, b)))
+    bits = [[row.tobytes() for row in np.packbits(x, axis=1)] for x in nonzero]
     hi = grid.n if hi is None else min(hi, grid.n)
     axes = tuple(range(1, 1 + grid.d))
     stop = 0
@@ -516,11 +506,8 @@ def support_stats(f: FrequencyField, tol: float | None = None) -> SupportStats:
         raise ValueError("tol must be nonnegative")
     mask = mags > tol
     if not np.any(mask):
-        return SupportStats(np.inf, np.inf, True, tol, empty=True)
-    l1 = f.grid.l1()[mask]
-    li = f.grid.linf()[mask]
-    in_octant = (not f.mirrored) or float(li.max()) == 0.0
-    return SupportStats(float(l1.min()), float(li.min()), in_octant, tol)
+        return SupportStats(np.inf, np.inf)
+    return SupportStats(float(f.grid.l1()[mask].min()), float(f.grid.linf()[mask].min()))
 
 
 def save_field(f: FrequencyField, path) -> None:

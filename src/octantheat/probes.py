@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .data import InitialDataKind, InitialDataSpec, make_initial_data, scale_data
+from .data import _indicator_box, scale_data
 from .engine import IterationTrace, _integer, duhamel, free_trajectory
 from .lattice import (
     FrequencyField,
@@ -510,6 +510,7 @@ def _exprel(z: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite low band is rejected
 def illposed_probe_E(
     s: float,
     sigma: float = 0.0,
@@ -521,33 +522,39 @@ def illposed_probe_E(
     """Low-band output of the second iteration step for the +/-k sign-pair
     datum, against the pair frequency k.
 
-    For each k the datum's positive and mirrored pieces are sampled on a
-    grid, their cross term is summed over all offsets and cells at once, and
-    the time integral of the semigroup kernel is carried out in closed form
-    (the integrand decays on the k^-2 timescale, far below any uniform
-    time grid).  The report passes when the weighted low-band size grows
-    at least ``GROWTH_FACTOR`` per step in k; with s = 0 there is no
-    exponential amplitude and the sequence does not diverge.  It needs at
-    least two strictly increasing k, so that some step is measured.
+    For each k the datum's two pieces, amplitude 2^{-s k / 2}, are sampled
+    on one grid: the positive piece on [(m-1) k, (m-1) k + 1/2) and the
+    negative one, stored as v(-xi), on [k, k + 1/(2(m-1))).  Their cross
+    term is summed over all offsets and cells at once, and the time integral
+    of the semigroup kernel is carried out in closed form (the integrand
+    decays on the k^-2 timescale, far below any uniform time grid).  The
+    report passes when the weighted low-band size grows at least
+    ``GROWTH_FACTOR`` per step in k; with s = 0 there is no exponential
+    amplitude and the sequence does not diverge.  It needs t > 0 and at least
+    two strictly increasing k, so that some step is measured; a grid too
+    coarse for the negative piece, or a low band that leaves the
+    floating-point range, raises ValueError.
     """
     if m not in (2, 3):
         raise ValueError("the sign-pair probe supports m in {2, 3}")
     if len(k_list) < 2 or any(b <= a for a, b in zip(k_list, k_list[1:])):
         raise ValueError("the sign-pair probe needs at least two strictly "
                          f"increasing pair frequencies k_list, got {list(k_list)}")
+    if not t > 0:
+        raise ValueError(f"the sign-pair probe needs a time t > 0, got {t!r}")
     d = 1
     values = []
     for k in k_list:
         grid = make_grid(d, (m - 1) * k + 1, h)
-        pair = make_initial_data(
-            InitialDataSpec(InitialDataKind.INFLATION_PAIR, s=s, m=m, pair_k=k),
-            grid,
-        )
-        pos = pair.pos.values.real
-        neg = pair.neg.values.real
+        neg_w = 1.0 / (2.0 * (m - 1))
+        if neg_w < grid.h - 1e-12:
+            raise ValueError("grid too coarse for the negative piece width")
+        amp = np.float64(2.0) ** (-s * d * k / 2.0)
+        pos = amp * _indicator_box(grid, (m - 1) * k, (m - 1) * k + 0.5)
+        neg = amp * _indicator_box(grid, k, k + neg_w)
         n_half = int(round(0.5 / h))
         # the low band comes from m phi_+ phi_-^(m-1): axis 0 runs over the
-        # output offsets xi, axes 1..m-1 over the mirrored piece's cells
+        # output offsets xi, axes 1..m-1 over the negative piece's cells
         # eta_n, and the positive factor sits at xi + sum eta_n
         cells = np.ix_(np.arange(-n_half, n_half + 1), *[np.nonzero(neg)[0]] * (m - 1))
         x, etas = cells[0] * h, [c * h for c in cells[1:]]
@@ -563,6 +570,9 @@ def illposed_probe_E(
             amp_p * amp_n * kern, axis=tuple(range(1, m)))
         w = 2.0 ** (s * np.abs(xi)) * (1.0 + xi**2) ** (sigma / 2.0)
         G = float(np.sqrt(h * np.sum((w * I) ** 2)))
+        if not math.isfinite(G):
+            raise ValueError(f"the sign-pair probe's low band at k = {k} leaves the "
+                             f"floating-point range (s = {s!r}, t = {t!r})")
         values.append(G)
     ratios = [b / a if a > 0 else math.inf if b > 0 else 0.0
               for a, b in zip(values, values[1:])]

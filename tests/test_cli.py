@@ -529,6 +529,26 @@ BAD_CONFIGS = {
         "kind": "illposed_H", "params": {"sigma": -2.0, "N_list": [8]}}}, None),
     "params-illposed_H-repeated-scale": ("probe", {"probe": {
         "kind": "illposed_H", "params": {"sigma": -2.0, "N_list": [8, 8]}}}, None),
+    # a sign-pair low band that leaves the float range (the amplitude 2^{-s k / 2}
+    # itself, or its square), or a time that measures no growth
+    "params-illposed_E-amplitude-overflow": ("probe", {"probe": {
+        "kind": "illposed_E", "params": {"s": -100, "k_list": [16, 64]}}}, None),
+    "params-illposed_E-lowband-inf": ("probe", {"probe": {
+        "kind": "illposed_E", "params": {"s": -40, "k_list": [16, 48]}}}, None),
+    "params-illposed_E-lowband-inf-second-k": ("probe", {"probe": {
+        "kind": "illposed_E", "params": {"s": -20, "k_list": [16, 32, 64]}}}, None),
+    "params-illposed_E-t-zero": ("probe", {"probe": {
+        "kind": "illposed_E", "params": {"s": -0.5, "t": 0}}}, None),
+    "params-illposed_E-t-negative": ("probe", {"probe": {
+        "kind": "illposed_E", "params": {"s": -0.5, "t": -1}}}, None),
+    # the sign pair is no datum kind: its probe builds it
+    "initial_data-INFLATION_PAIR-solve": ("solve", solve_cfg(initial_data={
+        "kind": "INFLATION_PAIR", "pair_k": 1}), None),
+    "initial_data-INFLATION_PAIR-norms": ("norms", norms_cfg(initial_data={
+        "kind": "INFLATION_PAIR", "pair_k": 1}), None),
+    "initial_data-INFLATION_PAIR-scaling": ("probe", {**solve_cfg(initial_data={
+        "kind": "INFLATION_PAIR", "pair_k": 1}), "probe": {"kind": "scaling_vanishing"}},
+        None),
     "params-scaling": ("probe", {**solve_cfg(), "probe": {
         "kind": "scaling_vanishing", "params": {"lamlist": [1, 2]}}}, None),
     # values the specs or the engine reject
@@ -598,9 +618,6 @@ FOREIGN_DATUM_KEYS = {
     "HALFLINE_DERIVATIVE-eps0": ("solve", solve_cfg(initial_data={
         "kind": "HALFLINE_DERIVATIVE", "eps0": 7.0}),
         "eps0", ("amplitude", "deriv_order", "shift")),
-    "INFLATION_PAIR-amplitude": ("solve", solve_cfg(initial_data={
-        "kind": "INFLATION_PAIR", "pair_k": 1, "amplitude": 2.0}),
-        "amplitude", ("pair_k", "s", "m")),
     "INFLATION_BUMP-m": ("norms", norms_cfg(initial_data={
         "kind": "INFLATION_BUMP", "scale_n": 2, "m": 3}), "m", ("scale_n", "sigma")),
 }

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from octantheat import (
     FrequencyField,
-    IllposedPair,
     InitialDataKind,
     InitialDataSpec,
     NormFlavor,
@@ -46,7 +45,6 @@ class TestMakeInitialData:
             InitialDataSpec(InitialDataKind.OCTANT_BUMP, eps0=1.0, width=0.5), g
         )
         st = support_stats(f)
-        assert st.in_octant
         assert st.min_linf == 1.0
         assert st.min_l1 == 2.0  # two axes at 1.0 each
 
@@ -60,26 +58,6 @@ class TestMakeInitialData:
         i = int(round(xi / g.h))
         assert f.values[i] == pytest.approx(2.0 * (1j * (xi - 1.0)) ** 3, rel=1e-12)
         assert not f.values[: int(round(1.0 / g.h))].any()
-
-    def test_sign_pair_amplitude_and_supports(self):
-        # d=1, m=2, s=-1/2, k=16: amplitude 2^{-s d k / 2} = 2^4 = 16,
-        # positive piece on [16, 16.5), mirrored piece on [16, 16.5) too
-        g = make_grid(1, 17, 1 / 16)
-        pair = make_initial_data(
-            InitialDataSpec(InitialDataKind.INFLATION_PAIR, s=-0.5, m=2, pair_k=16),
-            g,
-        )
-        assert isinstance(pair, IllposedPair)
-        assert pair.amplitude == pytest.approx(16.0)
-        i = int(round(16.25 / g.h))
-        assert pair.pos.values[i] == pytest.approx(16.0)
-        assert pair.neg.values[i] == pytest.approx(16.0)
-        assert pair.neg.mirrored
-        st = support_stats(pair.neg)
-        assert not st.in_octant  # actual support sits at negative frequencies
-        nzp = np.nonzero(pair.pos.values)[0] * g.h
-        assert nzp.min() == pytest.approx(16.0)
-        assert nzp.max() == pytest.approx(16.5 - g.h)
 
     def test_scaled_bump_amplitude_and_support(self):
         # d=1, sigma=-2, N=8: amplitude N^{-sigma-d/2} = 8^{3/2} on [4, 8)
@@ -114,7 +92,6 @@ KIND_PARAMS = {
     InitialDataKind.OCTANT_BUMP: {"eps0": 1.0, "width": 0.5, "amplitude": 1.0},
     InitialDataKind.HALFLINE_DERIVATIVE: {"amplitude": 1.0, "deriv_order": 1,
                                           "shift": 1.0},
-    InitialDataKind.INFLATION_PAIR: {"pair_k": 16, "s": -1.0, "m": 2},
     InitialDataKind.INFLATION_BUMP: {"scale_n": 8, "sigma": 0.0},
 }
 
@@ -127,8 +104,7 @@ def _ref_box(grid, lo, hi):
 
 
 def reference_initial_data(kind, grid, eps0=1.0, width=0.5, amplitude=1.0,
-                           deriv_order=1, shift=1.0, pair_k=16, scale_n=8, s=-1.0,
-                           sigma=0.0, m=2):
+                           deriv_order=1, shift=1.0, scale_n=8, sigma=0.0):
     """The if-chain sampler the kind table replaced, kept as the reference
     (its coverage and parameter checks left out: only values are compared)."""
     if kind is InitialDataKind.EXP_HALFLINE:
@@ -140,13 +116,6 @@ def reference_initial_data(kind, grid, eps0=1.0, width=0.5, amplitude=1.0,
         xi = grid.axis
         mask = xi >= shift - 1e-12
         return FrequencyField(grid, amplitude * (1j * (xi - shift)) ** deriv_order * mask)
-    if kind is InitialDataKind.INFLATION_PAIR:
-        k, d = pair_k, grid.d
-        amp = 2.0 ** (-s * d * k / 2.0)
-        neg_w = 1.0 / (2.0 * (m - 1))
-        pos = FrequencyField(grid, amp * _ref_box(grid, (m - 1) * k, (m - 1) * k + 0.5))
-        neg = FrequencyField(grid, amp * _ref_box(grid, k, k + neg_w), mirrored=True)
-        return IllposedPair(pos, neg, amp, k)
     N, d = scale_n, grid.d
     amp = float(N) ** (-sigma - d / 2.0)
     return FrequencyField(grid, amp * _ref_box(grid, N / (2.0 * d), N / d))
@@ -161,18 +130,9 @@ SAMPLE_CASES = {
     InitialDataKind.HALFLINE_DERIVATIVE: (
         (1,), lambda d: make_grid(d, 4, 1 / 16),
         {"amplitude": 2.0, "deriv_order": 3, "shift": 1.5}),
-    InitialDataKind.INFLATION_PAIR: ((1, 2, 3), lambda d: make_grid(d, 17, 1 / 4),
-                                     {"pair_k": 3, "s": -0.5, "m": 3}),
     InitialDataKind.INFLATION_BUMP: ((1, 2, 3), lambda d: make_grid(d, 8, 1 / 4),
                                      {"scale_n": 6, "sigma": 1.5}),
 }
-
-
-def _bits(datum):
-    if isinstance(datum, IllposedPair):
-        return (datum.pos.values.tobytes(), datum.neg.values.tobytes(),
-                datum.neg.mirrored, datum.amplitude, datum.pair_k)
-    return datum.values.tobytes(), datum.mirrored
 
 
 class TestKindTable:
@@ -198,7 +158,9 @@ class TestKindTable:
         for d in dims:
             g = make(d)
             got = make_initial_data(InitialDataSpec(kind.value, **params), g)
-            assert _bits(got) == _bits(reference_initial_data(kind, g, **params))
+            assert type(got) is FrequencyField  # every kind is an octant field
+            assert got.values.tobytes() == \
+                reference_initial_data(kind, g, **params).values.tobytes()
 
     def test_kind_string_and_keyword_forms(self):
         g = make_grid(2, 2, 1 / 4)

@@ -369,15 +369,6 @@ class TestPicardIterate:
         with pytest.raises(GateError):
             picard_iterate(spec, exp_halfline(g))
 
-    def test_gate_rejects_sign_pair(self):
-        g = make_grid(1, 18, 1 / 4)
-        pair = make_initial_data(
-            InitialDataSpec(InitialDataKind.INFLATION_PAIR, s=-0.5, pair_k=16), g
-        )
-        spec = power_spec(g, nt=9, eps0=1.0)
-        with pytest.raises(GateError):
-            picard_iterate(spec, pair)
-
     def test_divergence_detector(self):
         # amplitude 1e30: the iterates overflow, which raises DivergenceError
         # and, with warnings as errors, no RuntimeWarning first
@@ -425,9 +416,8 @@ class TestTaylor:
         stack = taylor_coefficients(spec, exp_halfline(g), K=3.0)
         assert stack.orders >= 3
         for k, ck in enumerate(stack.coeffs, start=1):
-            st = support_stats(ck.frame(ck.nt - 1), tol=0.0)
-            if not st.empty:
-                assert st.min_l1 >= k * 1.0 - 1e-12
+            # an empty coefficient has min_l1 = inf and passes
+            assert support_stats(ck.frame(ck.nt - 1), tol=0.0).min_l1 >= k * 1.0 - 1e-12
 
     def test_zero_datum_zero_coefficients(self):
         g = make_grid(1, 4, 0.25)

@@ -710,13 +710,11 @@ class TestSupportStats:
         st_ = support_stats(indicator(g, 1.0, 1.5))
         assert st_.min_l1 == 1.0
         assert st_.min_linf == 1.0
-        assert st_.in_octant
 
     def test_zero_field_empty(self):
         g = make_grid(1, 4, 0.25)
         st_ = support_stats(FrequencyField(g, np.zeros(g.shape)))
-        assert st_.empty
-        assert st_.min_l1 == np.inf
+        assert st_.min_l1 == st_.min_linf == np.inf
 
     def test_l1_vs_linf_2d(self):
         g = make_grid(2, 4, 0.25)
@@ -731,8 +729,7 @@ class TestSupportStats:
         g = make_grid(2, 3, 0.5)
         f = rng_field(g, 9, sparse=True)
         st_ = support_stats(f)
-        if not st_.empty:
-            assert st_.min_l1 >= st_.min_linf >= 0
+        assert st_.min_l1 >= st_.min_linf >= 0  # inf >= inf for an empty field
 
     def test_default_tol_below_quadrature_noise(self):
         g = make_grid(1, 4, 0.25)

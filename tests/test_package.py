@@ -12,7 +12,7 @@ MODULES = ("lattice", "norms", "data", "engine", "oracle", "probes")
 # module's __all__ changes the package namespace and must show up here
 PUBLIC = [
     "DivergenceError", "FrequencyField", "FrequencyGrid", "GateError",
-    "IllposedPair", "InitialDataKind", "InitialDataSpec", "IterationTrace",
+    "InitialDataKind", "InitialDataSpec", "IterationTrace",
     "Nonlinearity", "NonlinearityKind", "NormFlavor", "NormSpec", "OracleConfig",
     "ProbeReport", "ProblemSpec", "ScalingPlan", "SpaceTimeField", "SupportStats",
     "TaylorStack", "TimeSpaceNormSpec", "__version__", "assemble_band_solution",

@@ -258,11 +258,13 @@ def lowband_per_offset(s, sigma, m, k_list, t, h=1.0 / 16):
     m-general broadcast replaced."""
     values = []
     for k in k_list:
-        grid = make_grid(1, (m - 1) * k + 1, h)
-        pair = make_initial_data(
-            InitialDataSpec(InitialDataKind.INFLATION_PAIR, s=s, m=m, pair_k=k), grid)
-        pos = pair.pos.values.real
-        neg = pair.neg.values.real
+        # the pieces, amplitude 2^{-s k / 2}: the positive one on
+        # [(m-1) k, (m-1) k + 1/2), the negative one stored as v(-xi) on
+        # [k, k + 1/(2(m-1)))
+        xi_ = make_grid(1, (m - 1) * k + 1, h).axis
+        amp = 2.0 ** (-s * k / 2.0)
+        pos = amp * ((xi_ >= (m - 1) * k - 1e-12) & (xi_ < (m - 1) * k + 0.5 - 1e-12))
+        neg = amp * ((xi_ >= k - 1e-12) & (xi_ < k + 1 / (2 * (m - 1)) - 1e-12))
         n_half = int(round(0.5 / h))
         xi = np.arange(-n_half, n_half + 1) * h
         jp = np.nonzero(pos)[0]
@@ -379,9 +381,12 @@ class TestIllposedE:
         rep = illposed_probe_E(s=0.0, m=2, k_list=(16, 32, 64), t=1.0)
         assert not rep.measured["diverging"]
 
-    def test_time_zero_vanishes(self):
-        rep = illposed_probe_E(s=-0.5, m=2, k_list=(16, 32), t=0.0)
-        assert all(row["lowband"] == 0.0 for row in rep.curve)
+    def test_nonpositive_time_refused(self):
+        # at t = 0 the low band is zero for every k, and t < 0 reads a nan
+        # ratio: neither measures a growth step
+        for t in (0.0, -1.0):
+            with pytest.raises(ValueError, match="t > 0"):
+                illposed_probe_E(s=-0.5, m=2, k_list=(16, 32), t=t)
 
     def test_cubic_variant_runs(self):
         rep = illposed_probe_E(s=-0.5, m=3, k_list=(8, 16), t=1.0)
