@@ -35,8 +35,8 @@ from .engine import DivergenceError, GateError, Nonlinearity, NonlinearityKind, 
     taylor_coefficients
 from .lattice import FrequencyField, FrequencyGrid, load_field, make_grid, save_field, \
     support_stats
-from .norms import NormSpec, SpaceTimeField, TimeSpaceNormSpec, static_norm, \
-    timespace_norm
+from .norms import NormFlavor, NormSpec, SpaceTimeField, TimeSpaceNormSpec, \
+    static_norm, timespace_norm
 from .oracle import OracleConfig, etd_reference_solve
 from .probes import INEQUALITY_KINDS, error_decay_fit, illposed_probe_E, \
     illposed_probe_H, inequality_probe, scaling_vanishing_curve
@@ -56,6 +56,9 @@ TOP_KEYS = (*PROBLEM_KEYS, "d", "band_K", "field_file", "grid", "time",
             "iterate", "nonlinearity", "initial_data", "output", "norms", "probe",
             "oracle")
 SAMPLE_KEYS = ("n_samples", "T", "nt")  # how an inequality kind samples fields
+# the keys each flavor's value depends on: E21 reads no sigma, HSIGMA no s
+NORM_KEYS = {NormFlavor.ES_INTEGRAL: ("s", "sigma"), NormFlavor.E21: ("s",),
+             NormFlavor.ES_LATTICE: ("s", "sigma"), NormFlavor.HSIGMA: ("sigma",)}
 PROBE_KEYS = ("kind", "params", *SAMPLE_KEYS)
 # the parameters to which inf is a legitimate value (gamma = inf: sup in time)
 INF_OK = {(TimeSpaceNormSpec, "gamma"),
@@ -308,9 +311,13 @@ def _cmd_norms(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dic
     rows = []
     for i, (item, is_timed) in enumerate(zip(items, timed)):
         where = f"norms[{i}]"
-        _check_keys(item, where, ("flavor", "s", "sigma", *(("gamma", "q") if is_timed
-                                                             else ())))
+        _check_keys(item, where, ("flavor", "s", "sigma", "gamma", "q"))
         spec = _read(NormSpec, _pick(item, ("flavor", "s", "sigma")), where)
+        if is_timed and spec.flavor is not NormFlavor.ES_LATTICE:
+            raise ConfigError(f"{where}: a time-space row (one with gamma) has flavor "
+                              f"ES_LATTICE, not {spec.flavor.value}")
+        takes = ("flavor", *NORM_KEYS[spec.flavor], *(("gamma", "q") if is_timed else ()))
+        _check_keys(item, f"{where} of flavor {spec.flavor.value}", takes)
         if is_timed:
             tspec = _read(TimeSpaceNormSpec, _pick(item, ("gamma", "q")), where,
                           ("gamma", "q"), q=2, s=spec.s, sigma=spec.sigma)

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (BLOCK_CELLS, RULES, FrequencyField, FrequencyGrid,
+from .lattice import (BLOCK_CELLS, RULES, FrequencyField, FrequencyGrid, SupportStats,
                       convolve_frames, cube_l2_table, support_stats)
-from .norms import SpaceTimeField, _weighted_cube_sum, weighted_l1_seq_norm
+from .norms import SpaceTimeField, TimeSpaceNormSpec, _weighted_cube_sum, timespace_norm
 
 __all__ = [
     "GateError",
@@ -163,11 +163,14 @@ class IterationTrace:
     increment v^{i+1} - v^i (inf when it vanishes on the grid), a lower
     bound on the exact one: FFT round-off can make it read the edge of the
     band copied from v^i;
-    ``increment_norms[i]`` is its weighted l1-over-cubes size; ``errors[i]``
-    measures v^{i+1} against the final iterate: sum_k 2^{s|k|} times
-    ``error_tables[i]``, the sup over time of its cube L2 norms.  A Picard
-    trace keeps the final whole and each earlier iterate only on the cells
-    it had not settled, the only ones where it can differ from the final.
+    ``increment_norms[i]`` is its sup-in-time l1 norm (``timespace_norm``
+    with ``TimeSpaceNormSpec(inf, 1, s)``); ``errors[i]`` measures v^{i+1}
+    against the final iterate in that norm, sum_k 2^{s|k|} times
+    ``error_tables[i]``, the sup over time of its cube L2 norms; and
+    ``truncation_sensitivity`` (e^u) the final against a run with M + 2
+    terms.  A Picard trace keeps the final whole and each earlier iterate
+    only on the cells it had not settled, the only ones where it can differ
+    from the final.
     """
 
     iterates: Sequence[SpaceTimeField]
@@ -247,13 +250,14 @@ def _duhamel(G: np.ndarray, w: np.ndarray, dt: float,
     return out
 
 
-def _gate(v0: FrequencyField, min_linf: float) -> None:
-    st = support_stats(v0)  # an empty datum has min_linf = inf and passes
+def _gate(v0: FrequencyField, min_linf: float) -> SupportStats:
+    st = support_stats(v0, tol=0.0)  # exact, as the Picard loop bands; empty passes
     if st.min_linf < min_linf - 1e-12:
         raise GateError(
             f"datum spectrum starts at |xi|_inf = {st.min_linf:.6g}, below the "
             f"required gate {min_linf:.6g}"
         )
+    return st
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises DivergenceError
@@ -396,7 +400,7 @@ def picard_iterate(spec: ProblemSpec, v0: FrequencyField) -> IterationTrace:
     M = nl.taylor_order
     longer = _run_picard(spec, v0, M + 2).final  # its iterates are freed here
     trace = _run_picard(spec, v0, M)
-    sens = weighted_l1_seq_norm(trace.final - longer, spec.s)
+    sens = timespace_norm(trace.final - longer, TimeSpaceNormSpec(math.inf, 1, spec.s))
     trace.truncation_sensitivity = sens
     if sens > spec.tol:
         warnings.warn(f"exponential-series truncation sensitivity {sens:.3e} exceeds "
@@ -426,8 +430,7 @@ def taylor_coefficients(
         raise ValueError(
             f"band K = {K} exceeds the grid validity xi_max = {spec.grid.xi_max}"
         )
-    _gate(v0, spec.eps0)
-    st = support_stats(v0, tol=0.0)
+    st = _gate(v0, spec.eps0)
     eps = spec.eps0 if st.min_l1 == math.inf else st.min_l1
     m = spec.nonlinearity.m
     grid, rule, tgrid = spec.grid, spec.conv_rule, spec.tgrid

@@ -10,8 +10,10 @@ Static flavors on a field f̂:
 * ``HSIGMA``       — the Sobolev norm || <xi>^sigma f̂ ||_{L2} (ignores s).
 
 Time-space norms take the L^gamma_t norm per cube first (trapezoid in
-time, supremum for gamma = inf), then the weighted l^q sum over cubes.
-All evaluations are deterministic, fixed-order reductions.
+time, supremum for gamma = inf), then the weighted l^q sum over cubes;
+gamma = inf, q = 1 is the sup-in-time l1 norm sum_k 2^{s|k|} sup_t
+||u||_{L2(Q_k)} of the iteration's error estimate.  All evaluations are
+deterministic, fixed-order reductions.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ __all__ = [
     "SpaceTimeField",
     "static_norm",
     "timespace_norm",
-    "weighted_l1_seq_norm",
 ]
 
 
@@ -61,15 +62,12 @@ class TimeSpaceNormSpec:
     q: int
     s: float = 0.0
     sigma: float = 0.0
-    lattice_subset: str = "ALL"  # ALL | EXCLUDE_ZERO
 
     def __post_init__(self) -> None:
         if not (self.gamma >= 1):
             raise ValueError("gamma must lie in [1, inf]")
         if self.q not in (1, 2):
             raise ValueError("q must be 1 or 2")
-        if self.lattice_subset not in ("ALL", "EXCLUDE_ZERO"):
-            raise ValueError("lattice_subset must be ALL or EXCLUDE_ZERO")
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,38 +133,17 @@ def static_norm(f: FrequencyField, spec: NormSpec) -> float:
     raise ValueError(f"unknown flavor {flavor}")
 
 
-def _time_norm(table: np.ndarray, tgrid: np.ndarray, gamma: float) -> np.ndarray:
-    """L^gamma_t of per-node nonnegative tables, trapezoid on the grid."""
-    if math.isinf(gamma):
-        return table.max(axis=0)
-    return np.trapezoid(table**gamma, tgrid, axis=0) ** (1.0 / gamma)
-
-
 def timespace_norm(u: SpaceTimeField, spec: TimeSpaceNormSpec) -> float:
-    """( sum_k 2^{s|k|q} <k>^{sigma q} ||u||^q_{L^gamma_t L2(Q_k)} )^{1/q}."""
-    grid = u.grid
-    per_cube = _time_norm(cube_l2_table(u.values, grid), u.tgrid, spec.gamma)
-    w = _lattice_weights(grid, spec.s, spec.sigma)
-    terms = (w * per_cube) ** spec.q
-    if spec.lattice_subset == "EXCLUDE_ZERO":
-        terms[(0,) * grid.d] = 0.0
-    total = float(np.sum(terms))
-    return total ** (1.0 / spec.q)
-
-
-def weighted_l1_seq_norm(u: SpaceTimeField | FrequencyField, s_tilde: float) -> float:
-    """sum_l 2^{s_tilde |l|} sup_t ||u||_{L2(l + [0,1)^d)}.
-
-    Accepts a single field, which is treated as a constant-in-time
-    trajectory (the supremum is over one frame).
-    """
-    table = cube_l2_table(u.values, u.grid)
-    if not isinstance(u, FrequencyField):
-        table = table.max(axis=0)
-    return _weighted_cube_sum(table, u.grid, s_tilde)
+    """( sum_k 2^{s|k|q} <k>^{sigma q} ||u||^q_{L^gamma_t L2(Q_k)} )^{1/q},
+    L^gamma_t by the trapezoid rule on u's time grid (the sup for inf)."""
+    table, gamma = cube_l2_table(u.values, u.grid), spec.gamma
+    per_cube = table.max(axis=0) if math.isinf(gamma) else \
+        np.trapezoid(table**gamma, u.tgrid, axis=0) ** (1.0 / gamma)
+    w = _lattice_weights(u.grid, spec.s, spec.sigma)
+    return float(np.sum((w * per_cube) ** spec.q)) ** (1.0 / spec.q)
 
 
 def _weighted_cube_sum(table: np.ndarray, grid: FrequencyGrid, s: float) -> float:
-    """sum_k 2^{s|k|} table[k] over the unit cubes: E21, :func:`weighted_l1_seq_norm`
-    and the Picard trace's increment and error norms."""
+    """sum_k 2^{s|k|} table[k] over the unit cubes: E21 and the Picard
+    trace's increment and error norms."""
     return float(np.sum(_lattice_weights(grid, s, 0.0) * table))  # <k>^0 = 1.0

@@ -126,9 +126,7 @@ def _inner_double(t2, x2, q: int) -> np.ndarray:
     equal-shape arrays t2, x2 (zero where x2 < 2)."""
     t2 = np.asarray(t2, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    u, uw = _leggauss(q)
-    u = 0.5 * (u + 1.0)  # nodes on [0, 1]
-    uw = 0.5 * uw
+    u, uw = _gl(q, 0.0, 1.0)
     # t1 = t2 * p, x1 = 1 + (x2 - 2) * r
     p, pw = u[:, None], uw[:, None]
     r, rw = u[None, :], uw[None, :]

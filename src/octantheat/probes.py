@@ -41,7 +41,6 @@ from .norms import (
     _weighted_cube_sum,
     static_norm,
     timespace_norm,
-    weighted_l1_seq_norm,
 )
 from .oracle import _gl
 
@@ -258,18 +257,23 @@ def _measure_product_es(grid, tgrid, samples, factor, *, s: float = -1.0,
 def _measure_product_no_lowband(grid, tgrid, samples, factor, *, s: float = -1.0,
                                 sigma: float = 0.0, m: int = 2) -> dict:
     cube0 = np.indices(grid.shape).max(axis=0) < grid.n_sub  # unit cube k = 0
-    lhs_spec = TimeSpaceNormSpec(1.0, 2, s, sigma, "EXCLUDE_ZERO")
-    high_spec = TimeSpaceNormSpec(1.0, 2, s, sigma + 2.0, "EXCLUDE_ZERO")
+    lhs_spec = TimeSpaceNormSpec(1.0, 2, s, sigma)
+    high_spec = TimeSpaceNormSpec(1.0, 2, s, sigma + 2.0)
     sup_spec = TimeSpaceNormSpec(math.inf, 2, s, sigma)
 
+    def on(cells, u):  # u zeroed off the cells
+        return SpaceTimeField(grid, tgrid, np.where(cells, u.values, 0))
+
     def ratio(smp):
+        # both sides leave out cube 0: its zeroed cells add a term of exactly 0.0
         trajs = smp.trajectories(grid, tgrid, factor)[:m]
-        low = [SpaceTimeField(grid, tgrid, np.where(cube0, u.values, 0)) for u in trajs]
-        lhs = timespace_norm(_conv_traj(trajs) - _conv_traj(low), lhs_spec)
+        diff = _conv_traj(trajs) - _conv_traj([on(cube0, u) for u in trajs])
+        lhs = timespace_norm(on(~cube0, diff), lhs_spec)
         sup = [timespace_norm(u, sup_spec) for u in trajs]  # once per trajectory
         rhs = 0.0  # sum over i of the high norm of u_i times the sups of the others
         for i, u in enumerate(trajs):
-            rhs += math.prod([timespace_norm(u, high_spec), *sup[:i], *sup[i + 1:]])
+            rhs += math.prod([timespace_norm(on(~cube0, u), high_spec),
+                              *sup[:i], *sup[i + 1:]])
         return lhs, rhs
     return {"C": _max_ratio(map(ratio, samples))}
 
@@ -288,11 +292,12 @@ def _measure_conv_weighted_l1(grid, tgrid, samples, factor, *,
                               s_tilde: float = -1.0, m: int = 2) -> dict:
     if s_tilde > 0:
         raise ValueError("the weighted l1 convolution bound needs s_tilde <= 0")
+    spec = TimeSpaceNormSpec(math.inf, 1, s_tilde)
 
     def ratio(smp):
         trajs = smp.trajectories(grid, tgrid, factor)[:m]
-        return (weighted_l1_seq_norm(_conv_traj(trajs), s_tilde),
-                math.prod(weighted_l1_seq_norm(u, s_tilde) for u in trajs))
+        return (timespace_norm(_conv_traj(trajs), spec),
+                math.prod(timespace_norm(u, spec) for u in trajs))
     return {"C": _max_ratio(map(ratio, samples))}
 
 
@@ -533,7 +538,8 @@ def illposed_probe_E(
     amplitude and the sequence does not diverge.  It needs t > 0 and at least
     two strictly increasing k, so that some step is measured; a grid too
     coarse for the negative piece, or a low band that leaves the
-    floating-point range, raises ValueError.
+    floating-point range, raises ValueError: the positive datum has a low
+    band > 0 at t > 0, so one that reads 0 has underflowed, not been measured.
     """
     if m not in (2, 3):
         raise ValueError("the sign-pair probe supports m in {2, 3}")
@@ -570,13 +576,12 @@ def illposed_probe_E(
             amp_p * amp_n * kern, axis=tuple(range(1, m)))
         w = 2.0 ** (s * np.abs(xi)) * (1.0 + xi**2) ** (sigma / 2.0)
         G = float(np.sqrt(h * np.sum((w * I) ** 2)))
-        if not math.isfinite(G):
+        if not 0 < G < math.inf:
             raise ValueError(f"the sign-pair probe's low band at k = {k} leaves the "
                              f"floating-point range (s = {s!r}, t = {t!r})")
         values.append(G)
-    ratios = [b / a if a > 0 else math.inf if b > 0 else 0.0
-              for a, b in zip(values, values[1:])]
-    diverging = values[-1] > 0 and all(r >= GROWTH_FACTOR for r in ratios)
+    ratios = [b / a for a, b in zip(values, values[1:])]
+    diverging = all(r >= GROWTH_FACTOR for r in ratios)
     return ProbeReport(
         kind="illposed_E",
         params={"s": s, "sigma": sigma, "m": m, "k_list": list(k_list), "t": t,

@@ -99,6 +99,17 @@ class TestSolve:
         assert status == 3
         assert "gate" in manifest(out)["error"]
 
+    def test_gate_reads_the_exact_support(self, tmp_path):
+        # (i(xi - 0.5))^14 is tiny at its first cell, 0.5625 < eps0 = 1: a
+        # relative tolerance would read the support from 1.4375 and let it pass
+        cfg = solve_cfg(grid={"xi_max": 8, "h": 1 / 16}, time={"T": 0.5, "nt": 17},
+                        iterate={"tol": 1e-6},
+                        initial_data={"kind": "HALFLINE_DERIVATIVE", "shift": 0.5,
+                                      "amplitude": 1e-6, "deriv_order": 14})
+        out = tmp_path / "out"
+        assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 3
+        assert manifest(out)["error"].startswith("gate: ")
+
     def test_divergence_exit_4(self, tmp_path):
         # amplitude 1e30 overflows the iterates: exit 4 with a manifest, and
         # no RuntimeWarning before it under warnings as errors
@@ -537,6 +548,11 @@ BAD_CONFIGS = {
         "kind": "illposed_E", "params": {"s": -40, "k_list": [16, 48]}}}, None),
     "params-illposed_E-lowband-inf-second-k": ("probe", {"probe": {
         "kind": "illposed_E", "params": {"s": -20, "k_list": [16, 32, 64]}}}, None),
+    # a low band that underflows to 0 (s > 0): no measured zero
+    "params-illposed_E-lowband-zero": ("probe", {"probe": {
+        "kind": "illposed_E", "params": {"s": 100, "k_list": [16, 64]}}}, None),
+    "params-illposed_E-lowband-zero-second-k": ("probe", {"probe": {
+        "kind": "illposed_E", "params": {"s": 20, "k_list": [16, 32, 64]}}}, None),
     "params-illposed_E-t-zero": ("probe", {"probe": {
         "kind": "illposed_E", "params": {"s": -0.5, "t": 0}}}, None),
     "params-illposed_E-t-negative": ("probe", {"probe": {
@@ -563,6 +579,14 @@ BAD_CONFIGS = {
                                            "q": 3}]), None),
     "norms-gamma": ("norms", norms_cfg(norms=[{"flavor": "ES_LATTICE",
                                                "gamma": 0.5}]), None),
+    # a key or flavor that would not change the row's value
+    "norms-E21-sigma": ("norms", norms_cfg(norms=[{"flavor": "E21", "s": -1.0,
+                                                   "sigma": 5}]), None),
+    "norms-HSIGMA-s": ("norms", norms_cfg(norms=[{"flavor": "HSIGMA", "s": -3}]), None),
+    "norms-timed-HSIGMA": ("norms", norms_cfg(norms=[{"flavor": "HSIGMA", "gamma": 2}]),
+                           None),
+    "norms-timed-ES_INTEGRAL": ("norms", norms_cfg(norms=[{
+        "flavor": "ES_INTEGRAL", "s": -1.0, "gamma": "inf", "q": 1}]), None),
     "oracle.quad_order": ("oracle-compare", solve_cfg(oracle={"quad_order": 32}),
                           None),
     # an empty band compares nothing

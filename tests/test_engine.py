@@ -18,6 +18,7 @@ from octantheat import (
     NonlinearityKind,
     ProblemSpec,
     SpaceTimeField,
+    TimeSpaceNormSpec,
     assemble_band_solution,
     convolve,
     duhamel,
@@ -31,7 +32,7 @@ from octantheat import (
     scaled_grid,
     support_stats,
     taylor_coefficients,
-    weighted_l1_seq_norm,
+    timespace_norm,
 )
 from octantheat import engine, lattice
 from octantheat.oracle import exp_halfline_reference
@@ -711,8 +712,8 @@ class TestExponentialFlow:
         trace = picard_iterate(spec, u0l)
         lo, hi = self.run_M(spec, u0l), self.run_M(spec, u0l, 8)
         assert np.array_equal(trace.final.values, lo.final.values)
-        assert trace.truncation_sensitivity == weighted_l1_seq_norm(
-            lo.final - hi.final, spec.s)
+        assert trace.truncation_sensitivity == timespace_norm(
+            lo.final - hi.final, TimeSpaceNormSpec(math.inf, 1, spec.s))
 
     def test_sensitivity_above_tol_warns(self):
         # two series terms on a larger datum: the third order is not negligible
@@ -797,6 +798,7 @@ def plain_picard(spec, v0, M):
     exponential = spec.nonlinearity.kind is NonlinearityKind.EXPONENTIAL
     g, lam, tgrid, rule = spec.grid, spec.lambda_shift, spec.tgrid, spec.conv_rule
     free = spec.delta * free_trajectory(v0, tgrid, lam).values
+    sup_l1 = TimeSpaceNormSpec(math.inf, 1, spec.s)  # the trace's norm
     index_l1 = np.indices(g.shape).sum(axis=0)
     eps = int(index_l1[v0.values != 0].min())
     v, iterates, supports, incs = np.zeros_like(free), [], [], []
@@ -814,13 +816,12 @@ def plain_picard(spec, v0, M):
         diff = v_next - v
         changed = np.any(diff != 0, axis=0)
         supports.append(float(g.l1()[changed].min()) if changed.any() else math.inf)
-        incs.append(weighted_l1_seq_norm(SpaceTimeField(g, tgrid, diff), spec.s))
+        incs.append(timespace_norm(SpaceTimeField(g, tgrid, diff), sup_l1))
         iterates.append(v_next)
         v = v_next
         if incs[-1] < spec.tol or not changed.any():  # or at a fixed point
             break
-    errors = [weighted_l1_seq_norm(SpaceTimeField(g, tgrid, x - v), spec.s)
-              for x in iterates]
+    errors = [timespace_norm(SpaceTimeField(g, tgrid, x - v), sup_l1) for x in iterates]
     return iterates, supports, incs, errors
 
 
@@ -887,7 +888,8 @@ class TestLiveCells:
         # every v^j - final as a full stack, and fits those stacks' tables
         s_tilde, tgrid = spec.s - 1.0, spec.tgrid
         diffs = [SpaceTimeField(g, tgrid, x - iterates[-1]) for x in iterates]
-        full = [weighted_l1_seq_norm(diff, s_tilde) for diff in diffs]
+        full = [timespace_norm(diff, TimeSpaceNormSpec(math.inf, 1, s_tilde))
+                for diff in diffs]
         plain = IterationTrace([SpaceTimeField(g, tgrid, x) for x in iterates],
                                supports, incs, errors, trace.converged,
                                [lattice.cube_l2_table(diff.values, g).max(axis=0)

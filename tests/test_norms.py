@@ -13,7 +13,6 @@ from octantheat import (
     make_grid,
     static_norm,
     timespace_norm,
-    weighted_l1_seq_norm,
 )
 
 
@@ -177,12 +176,11 @@ class TestTimeSpaceNorm:
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_exclude_zero_subset(self):
+        # leaving out cube 0 is zeroing the trajectory there
         g = make_grid(1, 4, 0.25)
         f = indicator(g, 0.0, 1.0)
-        u = const_traj(f)
-        assert timespace_norm(
-            u, TimeSpaceNormSpec(math.inf, 2, -1.0, 0.0, "EXCLUDE_ZERO")
-        ) == 0.0
+        u = const_traj(FrequencyField(g, np.where(g.axis < 1.0, 0.0, f.values)))
+        assert timespace_norm(u, TimeSpaceNormSpec(math.inf, 2, -1.0, 0.0)) == 0.0
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.sampled_from([2.0, 3.0, 5.0]))
@@ -203,18 +201,23 @@ class TestTimeSpaceNorm:
         assert mid <= one ** (1 / gamma) * sup ** (1 - 1 / gamma) * (1 + 1e-9)
 
 
+def sup_l1(s):
+    """The sup-in-time l1 norm sum_k 2^{s|k|} sup_t ||u||_{L2(Q_k)}."""
+    return TimeSpaceNormSpec(math.inf, 1, s)
+
+
 class TestWeightedL1SeqNorm:
     def test_zero(self):
         g = make_grid(1, 4, 0.25)
         u = const_traj(FrequencyField(g, np.zeros(g.shape)))
-        assert weighted_l1_seq_norm(u, -1.0) == 0.0
+        assert timespace_norm(u, sup_l1(-1.0)) == 0.0
 
     def test_single_cube(self):
         g = make_grid(1, 4, 0.25)
         f = indicator(g, 3.0, 4.0, amp=1.5)
         u = const_traj(f)
         cube_l2 = math.sqrt(np.sum(np.abs(f.values) ** 2) * g.h)
-        assert weighted_l1_seq_norm(u, -1.0) == \
+        assert timespace_norm(u, sup_l1(-1.0)) == \
             pytest.approx(2.0 ** (-3.0) * cube_l2, rel=1e-12)
 
     def test_two_disjoint_cubes_additive(self):
@@ -222,16 +225,17 @@ class TestWeightedL1SeqNorm:
         f1 = indicator(g, 1.0, 2.0)
         f2 = indicator(g, 3.0, 4.0, amp=0.5)
         both = FrequencyField(g, f1.values + f2.values)
-        s0 = -0.75
-        assert weighted_l1_seq_norm(both, s0) == pytest.approx(
-            weighted_l1_seq_norm(f1, s0) + weighted_l1_seq_norm(f2, s0), rel=1e-12
+        e21 = NormSpec(NormFlavor.E21, -0.75)
+        assert static_norm(both, e21) == pytest.approx(
+            static_norm(f1, e21) + static_norm(f2, e21), rel=1e-12
         )
 
     def test_accepts_static_field(self):
+        # a single field's E21 norm is the norm of its constant trajectory
         g = make_grid(1, 2, 0.5)
         f = rng_field(g, 7)
-        assert weighted_l1_seq_norm(f, -1.0) == \
-            pytest.approx(weighted_l1_seq_norm(const_traj(f), -1.0), rel=1e-12)
+        assert static_norm(f, NormSpec(NormFlavor.E21, -1.0)) == \
+            pytest.approx(timespace_norm(const_traj(f), sup_l1(-1.0)), rel=1e-12)
 
 
 class TestSpecValidation:

@@ -22,7 +22,7 @@ PUBLIC = [
     "load_field", "make_grid", "make_initial_data", "picard_iterate",
     "random_field", "rescale_solution", "save_field", "scale_data", "scaled_grid",
     "scaling_vanishing_curve", "static_norm", "support_stats", "taylor_coefficients",
-    "timespace_norm", "weighted_l1_seq_norm",
+    "timespace_norm",
 ]
 
 

@@ -12,6 +12,8 @@ from octantheat import (
     InitialDataSpec,
     Nonlinearity,
     NonlinearityKind,
+    NormFlavor,
+    NormSpec,
     ProblemSpec,
     SpaceTimeField,
     error_decay_fit,
@@ -23,7 +25,7 @@ from octantheat import (
     make_initial_data,
     picard_iterate,
     scaling_vanishing_curve,
-    weighted_l1_seq_norm,
+    static_norm,
 )
 from octantheat import probes
 from octantheat.engine import IterationTrace, heat_symbol
@@ -199,8 +201,9 @@ class TestInequalityProbes:
         from octantheat import convolve
 
         conv = convolve(cube(k1), cube(k2), warn_on_truncation=False)
-        lhs = weighted_l1_seq_norm(conv, s0)
-        rhs = weighted_l1_seq_norm(cube(k1), s0) * weighted_l1_seq_norm(cube(k2), s0)
+        e21 = NormSpec(NormFlavor.E21, s0)
+        lhs = static_norm(conv, e21)
+        rhs = static_norm(cube(k1), e21) * static_norm(cube(k2), e21)
         ratio = lhs / rhs
         predict = (1 + 2.0**s0) / math.sqrt(3.0)
         assert ratio == pytest.approx(predict, rel=0.05)
@@ -397,6 +400,13 @@ class TestIllposedE:
         # one k measures no growth step, and none measures nothing
         with pytest.raises(ValueError, match="strictly increasing"):
             illposed_probe_E(s=-0.5, m=2, k_list=k_list)
+
+    @pytest.mark.parametrize("s,k_list", [(100, (16, 64)), (20, (16, 32, 64)),
+                                          (10, (16, 32, 64))])
+    def test_underflowed_low_band_refused(self, s, k_list):
+        # the positive datum's low band is > 0 at t > 0: a 0 has underflowed
+        with pytest.raises(ValueError, match="floating-point range"):
+            illposed_probe_E(s=s, m=2, k_list=k_list)
 
 
 class TestIllposedH:
