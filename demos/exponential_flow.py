@@ -34,8 +34,7 @@ print(f"after dilation by lam = {lam}: spectrum above "
 spec = ProblemSpec(
     grid=u0l.grid,
     nonlinearity=Nonlinearity(NonlinearityKind.EXPONENTIAL, taylor_order=12),
-    eps0=2.0, s=-1.0, lambda_shift=float(lam), T=0.25, nt=65, jmax=10,
-    tol=1e-13,
+    s=-1.0, lambda_shift=float(lam), T=0.25, nt=65, jmax=10, tol=1e-13,
 )
 trace = picard_iterate(spec, u0l)  # the spec's nonlinearity picks the flow
 print(f"converged: {trace.converged} after {len(trace.iterates)} iterations")

@@ -23,10 +23,13 @@ from octantheat import (
 grid = make_grid(1, 4, 1 / 32)
 f = make_initial_data(InitialDataSpec(InitialDataKind.EXP_HALFLINE), grid)
 
-print("one datum, four norms (s = -1, sigma = 0.5):")
-for flavor in NormFlavor:
-    v = static_norm(f, NormSpec(flavor, s=-1.0, sigma=0.5))
-    print(f"  {flavor.value:12s} {v:.6f}")
+# each flavor takes only the weights it reads: E21 no sigma, HSIGMA no s
+print("one datum, four norms (ES_*: s = -1, sigma = 0.5; E21: s = -1; "
+      "HSIGMA: sigma = 0.5):")
+for spec in (NormSpec(NormFlavor.ES_INTEGRAL, s=-1.0, sigma=0.5),
+             NormSpec(NormFlavor.ES_LATTICE, s=-1.0, sigma=0.5),
+             NormSpec(NormFlavor.E21, s=-1.0), NormSpec(NormFlavor.HSIGMA, sigma=0.5)):
+    print(f"  {spec.flavor.value:12s} {static_norm(f, spec):.6f}")
 
 print("\nexponential weight dominates polynomial growth: for any r the")
 print("Sobolev norm controls the weighted norm with an explicit constant")

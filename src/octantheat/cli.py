@@ -56,9 +56,6 @@ TOP_KEYS = (*PROBLEM_KEYS, "d", "band_K", "field_file", "grid", "time",
             "iterate", "nonlinearity", "initial_data", "output", "norms", "probe",
             "oracle")
 SAMPLE_KEYS = ("n_samples", "T", "nt")  # how an inequality kind samples fields
-# the keys each flavor's value depends on: E21 reads no sigma, HSIGMA no s
-NORM_KEYS = {NormFlavor.ES_INTEGRAL: ("s", "sigma"), NormFlavor.E21: ("s",),
-             NormFlavor.ES_LATTICE: ("s", "sigma"), NormFlavor.HSIGMA: ("sigma",)}
 PROBE_KEYS = ("kind", "params", *SAMPLE_KEYS)
 # the parameters to which inf is a legitimate value (gamma = inf: sup in time)
 INF_OK = {(TimeSpaceNormSpec, "gamma"),
@@ -139,8 +136,12 @@ def _fields(target, section, where: str, keys=None, given=()) -> dict:
 
 def _read(target, section, where: str, keys=None, /, **given):
     """Build ``target`` from one config section on top of the arguments the
-    CLI supplies itself (section values win)."""
-    return _call(target, **{**given, **_fields(target, section, where, keys, given)})
+    CLI supplies itself (section values win); its ValueError names ``where``."""
+    kwargs = {**given, **_fields(target, section, where, keys, given)}
+    try:
+        return target(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _call(target, *args, **kwargs):
@@ -207,7 +208,8 @@ def _build_problem(cfg: dict, refine: bool) -> tuple[ProblemSpec, FrequencyField
         grid, t["nt"] = _refine(grid, t["nt"])
     nl = _build_nonlinearity(cfg)
     spec = _read(ProblemSpec, _pick(cfg, PROBLEM_KEYS), "config", PROBLEM_KEYS,
-                 grid=grid, nonlinearity=nl, eps0=1.0, **t,
+                 grid=grid, nonlinearity=nl, **t,
+                 eps0=1.0 if nl.kind is NonlinearityKind.POWER else None,
                  **_fields(ProblemSpec, cfg.get("iterate", {}), "iterate",
                            ("jmax", "tol")))
     return spec, _build_datum(cfg, spec.grid)
@@ -250,9 +252,8 @@ def _cmd_solve(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dic
     stride = _frame_stride(cfg, spec.nt)
     trace = picard_iterate(spec, v0)
     # support gained per iterate: (m - 1) eps0 for u^m, the datum's exact offset for e^u
-    step = (spec.nonlinearity.m - 1) * spec.eps0 \
-        if spec.nonlinearity.kind is NonlinearityKind.POWER \
-        else support_stats(v0, tol=0.0).min_l1
+    step = support_stats(v0).min_l1 if spec.eps0 is None \
+        else (spec.nonlinearity.m - 1) * spec.eps0
     support_ok = all(
         s >= j * step - 1e-12 for j, s in enumerate(trace.support_min_l1[1:], start=1)
     )
@@ -311,13 +312,12 @@ def _cmd_norms(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dic
     rows = []
     for i, (item, is_timed) in enumerate(zip(items, timed)):
         where = f"norms[{i}]"
-        _check_keys(item, where, ("flavor", "s", "sigma", "gamma", "q"))
+        _check_keys(item, where,
+                    ("flavor", "s", "sigma", *(("gamma", "q") if is_timed else ())))
         spec = _read(NormSpec, _pick(item, ("flavor", "s", "sigma")), where)
         if is_timed and spec.flavor is not NormFlavor.ES_LATTICE:
             raise ConfigError(f"{where}: a time-space row (one with gamma) has flavor "
                               f"ES_LATTICE, not {spec.flavor.value}")
-        takes = ("flavor", *NORM_KEYS[spec.flavor], *(("gamma", "q") if is_timed else ()))
-        _check_keys(item, f"{where} of flavor {spec.flavor.value}", takes)
         if is_timed:
             tspec = _read(TimeSpaceNormSpec, _pick(item, ("gamma", "q")), where,
                           ("gamma", "q"), q=2, s=spec.s, sigma=spec.sigma)
@@ -354,8 +354,9 @@ def _cmd_probe(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dic
             args["grid"], args["nt"] = _refine(
                 args["grid"], args.get("nt", _default(inequality_probe, "nt")))
         report = _call(inequality_probe, kind, params, seed=seed, **args)
-    elif kind == "scaling_vanishing":
-        report = _call(target, _build_datum(cfg, _build_grid(cfg)), **params)
+    elif kind == "scaling_vanishing":  # lam still divides 1/h: refining doubles 1/h
+        grid = _refine(_build_grid(cfg), None)[0] if refine else _build_grid(cfg)
+        report = _call(target, _build_datum(cfg, grid), **params)
     else:
         report = _call(target, **params)
     _write_json(out / "probe_report.json", report.to_dict())

@@ -99,11 +99,12 @@ def _integer(value, least: int, what: str) -> int:
 @dataclass(frozen=True)
 class ProblemSpec:
     """One solver run: grid, horizon, nonlinearity and iteration controls.
+    ``eps0``, the gate of u^m, is required by POWER and refused by EXPONENTIAL.
     ``nt`` and ``jmax`` are integers (an integral float is stored as int)."""
 
     grid: FrequencyGrid
     nonlinearity: Nonlinearity
-    eps0: float
+    eps0: float | None = None
     s: float = -1.0
     delta: float = 1.0
     lambda_shift: float = 0.0
@@ -114,11 +115,14 @@ class ProblemSpec:
     conv_rule: str = "trapezoid"
 
     def __post_init__(self) -> None:
-        for key in ("eps0", "s", "delta", "lambda_shift"):
+        if (self.nonlinearity.kind is NonlinearityKind.POWER) == (self.eps0 is None):
+            raise ValueError("the POWER flow needs eps0" if self.eps0 is None else
+                             "the EXPONENTIAL flow's gate is 2 lambda_shift, not eps0")
+        for key in ("s", "delta", "lambda_shift"):
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
-        if self.eps0 <= 0:
-            raise ValueError("eps0 must be positive")
+        if self.eps0 is not None and not 0 < self.eps0 < math.inf:
+            raise ValueError(f"eps0 must be finite and positive, got {self.eps0}")
         if not 0 < self.T < math.inf:
             raise ValueError(f"T must be finite and positive, got {self.T}")
         if not self.tol >= 0:  # NaN fails it too
@@ -251,7 +255,7 @@ def _duhamel(G: np.ndarray, w: np.ndarray, dt: float,
 
 
 def _gate(v0: FrequencyField, min_linf: float) -> SupportStats:
-    st = support_stats(v0, tol=0.0)  # exact, as the Picard loop bands; empty passes
+    st = support_stats(v0)  # an empty datum passes
     if st.min_linf < min_linf - 1e-12:
         raise GateError(
             f"datum spectrum starts at |xi|_inf = {st.min_linf:.6g}, below the "

@@ -156,8 +156,7 @@ class FrequencyField:
 
 @dataclass(frozen=True)
 class SupportStats:
-    """Distances from the origin to the numerical support of a field; both
-    are inf when the field has no cell above the tolerance."""
+    """Distances from the origin to a field's nonzero cells (inf if it has none)."""
 
     min_l1: float
     min_linf: float
@@ -494,17 +493,9 @@ def _spectrum(terms, f, g, transform):
     return out
 
 
-def support_stats(f: FrequencyField, tol: float | None = None) -> SupportStats:
-    """Scan cells with |value| > tol and report support distances.
-
-    Default tolerance is 1e-13 * max|value| (below quadrature noise).
-    """
-    mags = np.abs(f.values)
-    if tol is None:
-        tol = 1e-13 * (float(mags.max()) if mags.size else 0.0)
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    mask = mags > tol
+def support_stats(f: FrequencyField) -> SupportStats:
+    """Support distances of ``f`` over its exact support: its nonzero cells."""
+    mask = f.values != 0
     if not np.any(mask):
         return SupportStats(np.inf, np.inf)
     return SupportStats(float(f.grid.l1()[mask].min()), float(f.grid.linf()[mask].min()))

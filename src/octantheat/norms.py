@@ -6,8 +6,8 @@ Static flavors on a field f̂:
   norm and <xi> the Euclidean bracket, evaluated as a Riemann sum.
 * ``ES_LATTICE``   — the unit-cube equivalent ( sum_k 2^{2s|k|} <k>^{2 sigma}
   ||f̂||^2_{L2(Q_k)} )^{1/2}.
-* ``E21``          — sum_k 2^{s|k|} ||f̂||_{L2(Q_k)}.
-* ``HSIGMA``       — the Sobolev norm || <xi>^sigma f̂ ||_{L2} (ignores s).
+* ``E21``          — sum_k 2^{s|k|} ||f̂||_{L2(Q_k)} (takes no sigma).
+* ``HSIGMA``       — the Sobolev norm || <xi>^sigma f̂ ||_{L2} (takes no s).
 
 Time-space norms take the L^gamma_t norm per cube first (trapezoid in
 time, supremum for gamma = inf), then the weighted l^q sum over cubes;
@@ -44,14 +44,19 @@ class NormFlavor(str, enum.Enum):
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Which static norm to evaluate.  HSIGMA ignores s; E21 ignores sigma."""
+    """Which static norm: E21 takes no sigma, HSIGMA no s; an absent one is 0.0."""
 
     flavor: NormFlavor
-    s: float = 0.0
-    sigma: float = 0.0
+    s: float | None = None
+    sigma: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "flavor", NormFlavor(self.flavor))
+        flavor = NormFlavor(self.flavor)
+        unread = {NormFlavor.E21: "sigma", NormFlavor.HSIGMA: "s"}.get(flavor)
+        if unread and getattr(self, unread) is not None:
+            raise ValueError(f"{unread} is not a parameter of the {flavor.value} norm")
+        for key, value in (("flavor", flavor), ("s", self.s), ("sigma", self.sigma)):
+            object.__setattr__(self, key, 0.0 if value is None else value)  # -0.0 kept
 
 
 @dataclass(frozen=True)
@@ -120,9 +125,8 @@ def static_norm(f: FrequencyField, spec: NormSpec) -> float:
     grid = f.grid
     hd = grid.h**grid.d
     flavor = spec.flavor
-    if flavor in (NormFlavor.ES_INTEGRAL, NormFlavor.HSIGMA):
-        s = spec.s if flavor is NormFlavor.ES_INTEGRAL else 0.0  # 2.0**0.0 == 1.0
-        w = 2.0 ** (s * grid.l1()) * (1.0 + grid.euclid_sq()) ** (spec.sigma / 2)
+    if flavor in (NormFlavor.ES_INTEGRAL, NormFlavor.HSIGMA):  # HSIGMA's s is 0.0
+        w = 2.0 ** (spec.s * grid.l1()) * (1.0 + grid.euclid_sq()) ** (spec.sigma / 2)
         return float(np.sqrt(np.sum((w * np.abs(f.values)) ** 2) * hd))
     table = cube_l2_table(f.values, grid)
     if flavor is NormFlavor.ES_LATTICE:

@@ -273,8 +273,7 @@ class TestCriterion9:
         spec = ProblemSpec(
             grid=lam_grid,
             nonlinearity=Nonlinearity(NonlinearityKind.EXPONENTIAL, taylor_order=12),
-            eps0=2.0, s=-1.0, lambda_shift=float(lam),
-            T=0.25, nt=65, jmax=10, tol=1e-13,
+            s=-1.0, lambda_shift=float(lam), T=0.25, nt=65, jmax=10, tol=1e-13,
         )
         trace = picard_iterate(spec, u0l)
         sens = trace.truncation_sensitivity

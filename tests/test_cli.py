@@ -49,7 +49,6 @@ def exp_cfg(**over):
     cfg = {
         "d": 1,
         "nonlinearity": {"type": "EXPONENTIAL", "M": 6},
-        "epsilon0": 2.0,
         "s": -1.0,
         "lambda_shift": 2.0,
         "grid": {"xi_max": 32, "h": 0.25},
@@ -187,7 +186,7 @@ class TestSolve:
         # a relative tolerance reads its offset as 0.875, not the 0.5625 by
         # which the engine bands the iterates.  Order 14's increments level
         # off near 1e-9, round-off of values near 1e6, above the default tol
-        cfg = exp_cfg(lambda_shift=0.25, epsilon0=0.5, grid={"xi_max": 8, "h": 1 / 16},
+        cfg = exp_cfg(lambda_shift=0.25, grid={"xi_max": 8, "h": 1 / 16},
                       time={"T": 0.5, "nt": 17},
                       initial_data={"kind": "HALFLINE_DERIVATIVE", "shift": 0.5,
                                     "amplitude": 1e-6, "deriv_order": deriv_order})
@@ -339,6 +338,19 @@ class TestProbeCommand:
         out = tmp_path / "out"
         assert run("probe", write_cfg(tmp_path, cfg), str(out)) == 0
 
+    def test_scaling_probe_refine_halves_h(self, tmp_path):
+        # the datum is sampled on the refined grid; each lam still divides 1/h
+        cfg = {"d": 1, "grid": {"xi_max": 4, "h": 1 / 16},
+               "initial_data": {"kind": "OCTANT_BUMP"},
+               "probe": {"kind": "scaling_vanishing"}}
+        path, reports = write_cfg(tmp_path, cfg), []
+        for refine in (False, True):
+            out = tmp_path / f"refine{refine}"
+            assert run("probe", path, str(out), refine=refine) == 0
+            reports.append(json.loads((out / "probe_report.json").read_text()))
+        assert [r["resolution"]["h"] for r in reports] == [1 / 16, 1 / 32]
+        assert reports[0]["measured"]["C"] != reports[1]["measured"]["C"]
+
 
 class TestTaylorAndOracle:
     def test_taylor_band_solution(self, tmp_path):
@@ -348,6 +360,18 @@ class TestTaylorAndOracle:
         man = manifest(out)
         assert man["checks"]["coefficient_supports"] is True
         assert man["details"]["orders"] >= 3
+
+    def test_taylor_coefficients_read_the_exact_support(self, tmp_path):
+        # (i(xi - 0.5))^14 is tiny at its first cell: order 1 starts at 0.5625,
+        # where a tolerance relative to the frame's max read 0.75
+        cfg = solve_cfg(grid={"xi_max": 8, "h": 1 / 16}, time={"T": 0.5, "nt": 17},
+                        epsilon0=0.5, band_K=4.0,
+                        initial_data={"kind": "HALFLINE_DERIVATIVE", "shift": 0.5,
+                                      "amplitude": 1e-6, "deriv_order": 14})
+        out = tmp_path / "out"
+        assert run("taylor", write_cfg(tmp_path, cfg), str(out)) == 0
+        rows = (out / "coefficients.csv").read_text().splitlines()
+        assert rows[:2] == ["order,support_min_l1", "1,0.5625"]
 
     def test_oracle_compare(self, tmp_path):
         cfg = solve_cfg(
@@ -624,6 +648,8 @@ BAD_CONFIGS = {
     "params-N_list-string": ("probe", {"probe": {
         "kind": "illposed_H", "params": {"sigma": -2.0, "N_list": "48"}}}, None),
     "epsilon0-bool": ("solve", solve_cfg(epsilon0=True), None),
+    # eps0 is the gate of u^m only: e^u's gate is 2 lambda_shift
+    "epsilon0-EXPONENTIAL": ("solve", exp_cfg(epsilon0=2.0), None),
     "iterate.tol-inf": ("solve", solve_cfg(iterate={"jmax": 8, "tol": "inf"}), None),
     "probe.T-overflow": ("probe", {"probe": {"kind": "product_es", "n_samples": 2,
                                              "T": 1e308, "nt": 5}}, None),
@@ -771,6 +797,14 @@ class TestStrictConfig:
         report = json.loads((out / "probe_report.json").read_text())
         assert report["params"]["gammas"] == [2.0, "inf"]
         assert list(report["measured"]["per_gamma"]) == ["2.0", "inf"]
+
+    def test_unread_norm_key_names_the_row(self, tmp_path):
+        cfg = norms_cfg(norms=[{"flavor": "E21", "s": -1.0},
+                               {"flavor": "HSIGMA", "s": -1.0, "sigma": 1.0}])
+        out = tmp_path / "out"
+        assert run("norms", write_cfg(tmp_path, cfg), str(out)) == 2
+        assert manifest(out)["error"] == \
+            "config: norms[1]: s is not a parameter of the HSIGMA norm"
 
     def test_top_level_sigma_is_rejected(self, tmp_path):
         # datum parameters are set only in initial_data: a top-level sigma

@@ -731,13 +731,15 @@ class TestSupportStats:
         st_ = support_stats(f)
         assert st_.min_l1 >= st_.min_linf >= 0  # inf >= inf for an empty field
 
-    def test_default_tol_below_quadrature_noise(self):
+    def test_tiny_cell_counts_as_support(self):
+        # the support is exact, as the gate and the Picard bands read it: a
+        # cell 1e-15 of the peak counts
         g = make_grid(1, 4, 0.25)
         vals = np.zeros(g.shape, dtype=complex)
         vals[8] = 1.0
-        vals[2] = 1e-15  # numerical dust must not count as support
+        vals[2] = 1e-15
         st_ = support_stats(FrequencyField(g, vals))
-        assert st_.min_l1 == 2.0
+        assert st_.min_l1 == 0.5
 
 
 class TestFieldIO:

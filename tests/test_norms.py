@@ -55,29 +55,45 @@ class TestStaticNorm:
         g = make_grid(2, 2, 0.25)
         f = rng_field(g, 1)
         plain = math.sqrt(np.sum(np.abs(f.values) ** 2) * g.h**g.d)
-        for flavor in (NormFlavor.ES_INTEGRAL, NormFlavor.ES_LATTICE,
-                       NormFlavor.HSIGMA):
-            assert static_norm(f, NormSpec(flavor, 0.0, 0.0)) == \
-                pytest.approx(plain, rel=1e-12)
+        for spec in (NormSpec(NormFlavor.ES_INTEGRAL, 0.0, 0.0),
+                     NormSpec(NormFlavor.ES_LATTICE, 0.0, 0.0),
+                     NormSpec(NormFlavor.HSIGMA, sigma=0.0)):
+            assert static_norm(f, spec) == pytest.approx(plain, rel=1e-12)
 
     def test_zero_field_all_flavors(self):
         g = make_grid(1, 2, 0.5)
         z = FrequencyField(g, np.zeros(g.shape))
-        for flavor in NormFlavor:
-            assert static_norm(z, NormSpec(flavor, -1.0, 1.0)) == 0.0
+        for spec in (NormSpec(NormFlavor.ES_INTEGRAL, -1.0, 1.0),
+                     NormSpec(NormFlavor.ES_LATTICE, -1.0, 1.0),
+                     NormSpec(NormFlavor.E21, s=-1.0),
+                     NormSpec(NormFlavor.HSIGMA, sigma=1.0)):
+            assert static_norm(z, spec) == 0.0
 
-    def test_hsigma_ignores_s(self):
+    def test_hsigma_refuses_s(self):
+        # HSIGMA reads no s: a given one is refused, an absent one is 0.0,
+        # and the norm is ES_INTEGRAL's at s = 0 bitwise
+        with pytest.raises(ValueError, match="s is not a parameter of the HSIGMA norm"):
+            NormSpec(NormFlavor.HSIGMA, s=-1.0, sigma=0.5)
         g = make_grid(1, 4, 0.25)
         f = rng_field(g, 2)
-        a = static_norm(f, NormSpec(NormFlavor.HSIGMA, s=-1.0, sigma=0.5))
-        b = static_norm(f, NormSpec(NormFlavor.HSIGMA, s=-9.0, sigma=0.5))
+        a = static_norm(f, NormSpec(NormFlavor.HSIGMA, sigma=0.5))
+        b = static_norm(f, NormSpec(NormFlavor.ES_INTEGRAL, s=0.0, sigma=0.5))
         assert a == b
 
-    def test_e21_ignores_sigma(self):
+    def test_e21_refuses_sigma(self):
+        # E21 reads no sigma: a given one is refused, an absent one is 0.0
+        # (and a given s of -0.0 keeps its sign), and the norm is the plain
+        # weighted cube sum
+        for sigma in (0.0, 3.0):
+            with pytest.raises(ValueError, match="sigma is not a parameter of the E21"):
+                NormSpec(NormFlavor.E21, s=-1.0, sigma=sigma)
+        spec = NormSpec(NormFlavor.E21, s=-0.0)
+        assert spec.sigma == 0.0 and math.copysign(1.0, spec.s) == -1.0
+        from octantheat.lattice import cube_l2_table
         g = make_grid(1, 4, 0.25)
         f = rng_field(g, 3)
-        a = static_norm(f, NormSpec(NormFlavor.E21, s=-1.0, sigma=0.0))
-        b = static_norm(f, NormSpec(NormFlavor.E21, s=-1.0, sigma=3.0))
+        a = static_norm(f, NormSpec(NormFlavor.E21, s=-1.0))
+        b = float(np.sum(2.0 ** -g.lattice_l1() * cube_l2_table(f.values, g)))
         assert a == b
 
 

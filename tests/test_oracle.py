@@ -153,7 +153,7 @@ class TestEtdReference:
     def test_rejects_the_exponential_flow(self):
         g = make_grid(1, 4, 1 / 8)
         spec = dataclasses.replace(
-            power_spec(g), lambda_shift=0.5,
+            power_spec(g), lambda_shift=0.5, eps0=None,
             nonlinearity=Nonlinearity(NonlinearityKind.EXPONENTIAL))
         with pytest.raises(ValueError, match="power nonlinearity"):
             etd_reference_solve(spec, exp_halfline(g), OracleConfig(nt_fine=9))
