@@ -192,12 +192,13 @@ def _build_datum(cfg: dict, grid):
 
 def _build_nonlinearity(cfg: dict) -> Nonlinearity:
     """The nonlinearity: ``type`` picks the kind, which takes only its own
-    parameter, ``m`` for POWER and ``M`` for EXPONENTIAL."""
-    section = _check_keys(_need(cfg, "nonlinearity"), "nonlinearity",
-                          ("type", "m", "M"))
+    parameter, ``m`` for POWER (EXPONENTIAL takes none)."""
+    section = _need(cfg, "nonlinearity")
+    if not isinstance(section, dict):
+        raise ConfigError("nonlinearity must be a JSON object")
     kind = _coerce(NonlinearityKind, _need(section, "type", "nonlinearity"),
                    "nonlinearity.type")
-    own = {"m": "m"} if kind is NonlinearityKind.POWER else {"M": "taylor_order"}
+    own = {"m": "m"} if kind is NonlinearityKind.POWER else {}
     _check_keys(section, f"nonlinearity of type {kind.value}", ("type", *own))
     return _read(Nonlinearity, section, "nonlinearity", {"type": "kind", **own})
 
@@ -275,7 +276,6 @@ def _cmd_solve(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dic
         "increment_norms": trace.increment_norms,
         "errors": trace.errors,
         "fitted_C": fit.measured["C"] if fit is not None else None,
-        "truncation_sensitivity": trace.truncation_sensitivity,
     }
 
 
@@ -303,6 +303,9 @@ def _cmd_norms(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dic
     timed = [isinstance(item, dict) and "gamma" in item for item in items]
     grid = None if "field_file" in cfg else _build_grid(cfg)
     t = _time(cfg) if any(timed) else {"nt": None}
+    if refine and grid is None and not any(timed):
+        raise ConfigError("--refine has no effect: a field_file is read at its own "
+                          "resolution, and no norms row has gamma (time nodes)")
     if refine:
         grid, t["nt"] = _refine(grid, t["nt"])
     f = _call(load_field, _coerce(str, cfg["field_file"], "field_file")) \

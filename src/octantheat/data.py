@@ -16,9 +16,6 @@ builds its two pieces itself).
 * ``HALFLINE_DERIVATIVE(amplitude=1, deriv_order=1, shift=1)``:
   A (i (xi - shift))^deriv_order on xi >= shift (d = 1), the Fourier side of a
   modulated derivative of delta(x) + 2i/x.
-* ``INFLATION_BUMP(scale_n=8, sigma=0)``: N^{-sigma - d/2} per-axis
-  indicator of [N/2d, N/d), the Sobolev-scaled datum of the H-norm
-  inflation probe.
 
 Dilations act on the Fourier side: x -> lam^a f(lam x) becomes
 v(xi) -> lam^{a-d} v(xi/lam).  For an integer lam that divides 1/h, sample
@@ -59,7 +56,6 @@ class InitialDataKind(str, enum.Enum):
     EXP_HALFLINE = "EXP_HALFLINE"
     OCTANT_BUMP = "OCTANT_BUMP"
     HALFLINE_DERIVATIVE = "HALFLINE_DERIVATIVE"
-    INFLATION_BUMP = "INFLATION_BUMP"
 
 
 @dataclass(frozen=True)
@@ -113,23 +109,12 @@ def _halfline_derivative(grid: FrequencyGrid, /, amplitude: complex = 1.0,
     return FrequencyField(grid, amplitude * (1j * (xi - shift)) ** deriv_order * mask)
 
 
-def _inflation_bump(grid: FrequencyGrid, /, scale_n: int = 8,
-                    sigma: float = 0.0) -> FrequencyField:
-    N, d = scale_n, grid.d
-    if N < 1:
-        raise ValueError("INFLATION_BUMP needs a positive scale")
-    _check_cover(grid, N / d, "INFLATION_BUMP")
-    amp = float(N) ** (-sigma - d / 2.0)
-    return FrequencyField(grid, amp * _indicator_box(grid, N / (2.0 * d), N / d))
-
-
 # kind -> sampler(grid, /, **params); its keyword parameters, defaults and
 # type hints are the kind's whole parameter schema
 DATA_KINDS = {
     InitialDataKind.EXP_HALFLINE: _exp_halfline,
     InitialDataKind.OCTANT_BUMP: _octant_bump,
     InitialDataKind.HALFLINE_DERIVATIVE: _halfline_derivative,
-    InitialDataKind.INFLATION_BUMP: _inflation_bump,
 }
 
 

@@ -1,13 +1,13 @@
-"""Fourier-side Duhamel/Picard iteration for u^m and for the truncated
-e^u - 1 (with a shifted semigroup), and the band-exact Taylor-coefficient
-recursion.
+"""Fourier-side Duhamel/Picard iteration for u^m and for e^u - 1 (with a
+shifted semigroup), and the band-exact Taylor-coefficient recursion.
 
 Everything happens on the frequency grid: the heat semigroup is the
 pointwise multiplier exp(-t(|xi|_2^2 - lam^2)), and Duhamel integrals are
 cumulative trapezoid sums evaluated by an exact one-step recurrence.  One
 Picard loop drives both flows.  The nonlinearity gives its integrand from
-the convolution powers v^{*2}, ..., v^{*M} per time node (all nodes in one
-batched FFT kernel): v^{*m} for u^m, lam^2 sum_r v^{*r} / r! for e^u.
+the convolution powers v^{*2}, v^{*3}, ... per time node (all nodes in one
+batched FFT kernel): v^{*m} for u^m, lam^2 sum_r v^{*r} / r! for e^u, summed
+to the grid's top order, above which v^{*r} has no cell.
 Because octant supports only move upward and each nonlinear application
 adds at least (m-1) copies of the datum's support offset (one for e^u),
 every iterate is exact on a growing low-frequency band.  The Picard loop
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from .lattice import (BLOCK_CELLS, RULES, FrequencyField, FrequencyGrid, SupportStats,
                       convolve_frames, cube_l2_table, support_stats)
-from .norms import SpaceTimeField, TimeSpaceNormSpec, _weighted_cube_sum, timespace_norm
+from .norms import SpaceTimeField, _weighted_cube_sum
 
 __all__ = [
     "GateError",
@@ -66,25 +65,21 @@ class NonlinearityKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """u^m (POWER: ``m``, default 2) or e^u - 1 truncated at order M
-    (EXPONENTIAL: ``taylor_order``, default 12); each kind takes only its own,
-    an integer of at least 2 (an integral float is stored as int)."""
+    """u^m (POWER: ``m``, an integer of at least 2, default 2; an integral
+    float is stored as int) or e^u - 1 (EXPONENTIAL, which takes no
+    parameter: its series is summed to the grid's top order)."""
 
     kind: NonlinearityKind
     m: int | None = None
-    taylor_order: int | None = None
 
     def __post_init__(self) -> None:
         kind = NonlinearityKind(self.kind)
-        power = kind is NonlinearityKind.POWER
-        own, other = ("m", "taylor_order") if power else ("taylor_order", "m")
-        if getattr(self, other) is not None:
-            raise ValueError(f"{other} is not a parameter of the {kind.value} "
-                             "nonlinearity")
-        value = getattr(self, own)
-        value = (2 if power else 12) if value is None else value
-        object.__setattr__(self, own, _integer(
-            value, 2, f"{kind.value.lower()} nonlinearity needs an integer {own}"))
+        if kind is NonlinearityKind.POWER:
+            m = _integer(2 if self.m is None else self.m, 2,
+                         "power nonlinearity needs an integer m")
+            object.__setattr__(self, "m", m)
+        elif self.m is not None:
+            raise ValueError("m is not a parameter of the EXPONENTIAL nonlinearity")
         object.__setattr__(self, "kind", kind)
 
 
@@ -170,11 +165,9 @@ class IterationTrace:
     ``increment_norms[i]`` is its sup-in-time l1 norm (``timespace_norm``
     with ``TimeSpaceNormSpec(inf, 1, s)``); ``errors[i]`` measures v^{i+1}
     against the final iterate in that norm, sum_k 2^{s|k|} times
-    ``error_tables[i]``, the sup over time of its cube L2 norms; and
-    ``truncation_sensitivity`` (e^u) the final against a run with M + 2
-    terms.  A Picard trace keeps the final whole and each earlier iterate
-    only on the cells it had not settled, the only ones where it can differ
-    from the final.
+    ``error_tables[i]``, the sup over time of its cube L2 norms.  A Picard
+    trace keeps the final whole and each earlier iterate only on the cells
+    it had not settled, the only ones where it can differ from the final.
     """
 
     iterates: Sequence[SpaceTimeField]
@@ -183,7 +176,6 @@ class IterationTrace:
     errors: list[float]
     converged: bool
     error_tables: list[np.ndarray]
-    truncation_sensitivity: float | None = None
 
     @property
     def final(self) -> SpaceTimeField:
@@ -265,21 +257,24 @@ def _gate(v0: FrequencyField, min_linf: float) -> SupportStats:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises DivergenceError
-def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace:
+def _run_picard(spec: ProblemSpec, v0: FrequencyField) -> IterationTrace:
     """The Picard loop v^{j+1} = delta e^{-t w} v0 + Duhamel(N(v^j)), v^0 = 0.
 
-    The spec's nonlinearity gives N from the stages v^{*2}, ..., v^{*M}
-    (M - 1 batched convolutions per iterate): N(v) = v^{*M} for u^m
-    (M = m), lam^2 sum_{r=2}^M v^{*r} / r! for e^u truncated at order M.
+    The spec's nonlinearity gives N from the stages v^{*2}, ..., v^{*top}
+    (top - 1 batched convolutions per iterate): N(v) = v^{*m} for u^m
+    (top = m), lam^2 sum_{r=2}^top v^{*r} / r! for e^u.  There v^{*r} starts
+    at index sum r eps_cells, eps_cells the datum's least index sum, so no
+    order above top = max(2, d(n - 1) // eps_cells) has a cell and the sum
+    is the whole series on the grid; it stops at an order zero on every
+    cell, and folds r! into acc where it would leave the float range.
     v^{j+1} - v^j vanishes on |xi|_1 < (j band_step + 1) eps, eps the
-    datum's l1 offset and band_step = M - 1 (1 for e^u), so v^{j+1} takes
+    datum's l1 offset and band_step = m - 1 (1 for e^u), so v^{j+1} takes
     that band from v^j.  Counting it in cell indices keeps it exact: the
     iterate whose band covers the grid runs no convolution and its
     increment is exactly 0, which ends the run.  The last stage is computed
     only from the band up (the kernel's ``lo``); an earlier stage's products
     below it still reach the last stage's cells above it."""
     exponential = spec.nonlinearity.kind is NonlinearityKind.EXPONENTIAL
-    band_step = 1 if exponential else M - 1
     lam = spec.lambda_shift
     tgrid, grid, rule = spec.tgrid, spec.grid, spec.conv_rule
     free_vals = spec.delta * free_trajectory(v0, tgrid, lam).values
@@ -287,6 +282,9 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace
     index_l1 = np.indices(grid.shape).sum(axis=0)
     occupied = index_l1[v0.values != 0]
     eps_cells = int(occupied.min()) if occupied.size else 0
+    # e^u has no m: no order above top has a cell (an empty datum is never live)
+    top = spec.nonlinearity.m or max(2, grid.d * (grid.n - 1) // max(eps_cells, 1))
+    band_step = 1 if exponential else top - 1
 
     v = np.zeros_like(free_vals)
     parts: list[tuple[np.ndarray, np.ndarray]] = []
@@ -299,11 +297,16 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField, M: int) -> IterationTrace
         # a cell below ``start`` on some axis has l1 index below need: settled
         start = max(0, need - (grid.d - 1) * (grid.n - 1))
         live = start < grid.n and v.any()  # N(v^0) = N(0) = 0
-        acc, G = v, np.zeros_like(v) if exponential else None
-        for r in range(2, M + 1) if live else ():
-            acc = convolve_frames(acc, v, grid, rule, need if r == M else 0)
+        acc, G, coef = v, np.zeros_like(v) if exponential else None, 1
+        for r in range(2, top + 1) if live else ():
+            acc = convolve_frames(acc, v, grid, rule, need if r == top else 0)
             if exponential:
-                G += acc / math.factorial(r)
+                if not acc.any():  # so is every higher order
+                    break
+                if coef * r >= 2**1023:  # r! would leave the float range (r = 171)
+                    acc, coef = acc / coef, 1
+                coef *= r  # acc / coef is v^{*r} / r!
+                G += acc / coef
         G = lam**2 * G if exponential else acc
         box = (slice(start, None),) * grid.d
         sub, v_next = (slice(None), *box), np.zeros_like(v)
@@ -385,32 +388,26 @@ def picard_iterate(spec: ProblemSpec, v0: FrequencyField) -> IterationTrace:
     range.
 
     u^m: the datum must be octant-supported with |xi|_inf >= eps0.  e^u - 1
-    (u_t - (lam^2 + Delta) u = lam^2 (e^u - u - 1), the series truncated at
-    M = ``taylor_order``): lam > 0, and the datum, dilated onto this grid,
-    starts at |xi|_inf >= 2 lam; the weighted distance to a run with M + 2
-    terms is recorded as ``truncation_sensitivity``, with a RuntimeWarning
-    above tol.  A run ends at an exactly zero increment whatever tol is.
+    (u_t - (lam^2 + Delta) u = lam^2 (e^u - u - 1)): lam > 0, and the datum,
+    dilated onto this grid, starts at |xi|_inf >= 2 lam, off the origin.  Its
+    series is summed to the grid's top order, max(2, d(n - 1) // eps_cells)
+    for the datum's least index sum eps_cells, above which no order has a
+    cell: it is the whole series on the grid, with no truncation.  Each
+    iterate runs up to top - 1 convolution stages, so the cost grows like
+    n^2 / eps_cells: a datum whose offset is a small share of the grid runs
+    many stages.  A run ends at an exactly zero increment whatever tol is.
     The trace holds the final stack of nt * n^d complex cells (16 bytes
     each) and each earlier iterate's cells outside the band it settled;
     while it runs, the run also holds about four working stacks.
     """
-    nl = spec.nonlinearity
-    if nl.kind is NonlinearityKind.POWER:
+    if spec.nonlinearity.kind is NonlinearityKind.POWER:
         _gate(v0, spec.eps0)
-        return _run_picard(spec, v0, nl.m)
-    if spec.lambda_shift <= 0:
+    elif spec.lambda_shift <= 0:
         raise GateError("the exponential flow needs a positive semigroup shift")
-    _gate(v0, 2.0 * spec.lambda_shift)
-    M = nl.taylor_order
-    longer = _run_picard(spec, v0, M + 2).final  # its iterates are freed here
-    trace = _run_picard(spec, v0, M)
-    sens = timespace_norm(trace.final - longer, TimeSpaceNormSpec(math.inf, 1, spec.s))
-    trace.truncation_sensitivity = sens
-    if sens > spec.tol:
-        warnings.warn(f"exponential-series truncation sensitivity {sens:.3e} exceeds "
-                      f"tol {spec.tol:.3e}; the series order M = {M} is too low for "
-                      "that tol", RuntimeWarning, stacklevel=2)
-    return trace
+    elif _gate(v0, 2.0 * spec.lambda_shift).min_linf == 0:
+        raise GateError("the exponential series has no top order on the grid: "
+                        "the datum holds the origin")
+    return _run_picard(spec, v0)
 
 
 def taylor_coefficients(

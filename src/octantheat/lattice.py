@@ -321,7 +321,7 @@ class _Plan:
                 tuple(map(slice, out)), pad)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=64)
 def _plan(f_bits: bytes, g_bits: bytes, shape: tuple, h: float, rule: str) -> _Plan:
     """The :class:`_Plan` of two nonzero patterns, each packed by ``np.packbits``,
     on a grid of ``shape`` and spacing h; equal patterns share their masks."""

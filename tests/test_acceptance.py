@@ -272,11 +272,10 @@ class TestCriterion9:
         gate = support_stats(u0l).min_l1
         spec = ProblemSpec(
             grid=lam_grid,
-            nonlinearity=Nonlinearity(NonlinearityKind.EXPONENTIAL, taylor_order=12),
+            nonlinearity=Nonlinearity(NonlinearityKind.EXPONENTIAL),
             s=-1.0, lambda_shift=float(lam), T=0.25, nt=65, jmax=10, tol=1e-13,
         )
         trace = picard_iterate(spec, u0l)
-        sens = trace.truncation_sensitivity
         ok_support = all(
             s_ >= j * gate
             for j, s_ in enumerate(trace.support_min_l1[1:], start=1)
@@ -292,9 +291,8 @@ class TestCriterion9:
             for r in range(j, len(trace.iterates)):
                 diff = np.abs(trace.iterates[r].values[:, band] - vj).max()
                 ok_band = ok_band and diff <= 1e-12 * scale
-        ok = ok_gate and trace.converged and sens < 1e-8 and ok_support and ok_band
-        report(9, "exponential nonlinearity", ok,
-               f"converged={trace.converged} sensitivity={sens:.2e}")
+        ok = ok_gate and trace.converged and ok_support and ok_band
+        report(9, "exponential nonlinearity", ok, f"converged={trace.converged}")
 
 
 class TestCriterion10:

@@ -48,14 +48,13 @@ def big_bump_cfg(amplitude):
 def exp_cfg(**over):
     cfg = {
         "d": 1,
-        "nonlinearity": {"type": "EXPONENTIAL", "M": 6},
+        "nonlinearity": {"type": "EXPONENTIAL"},
         "s": -1.0,
         "lambda_shift": 2.0,
         "grid": {"xi_max": 32, "h": 0.25},
         "time": {"T": 0.25, "nt": 33},
         "iterate": {"jmax": 8, "tol": 1e-13},
-        # four cells: their square and cube reach the grid, so the series
-        # order shows in truncation_sensitivity (two cells gave exactly 0)
+        # four cells from index 16 of 128: the series runs to order 127 // 16
         "initial_data": {"kind": "OCTANT_BUMP", "eps0": 4.0, "width": 1.0,
                          "amplitude": 0.01},
     }
@@ -177,7 +176,18 @@ class TestSolve:
         man = manifest(out)
         assert man["checks"]["converged"] is True
         assert man["checks"]["support_propagation"] is True
-        assert man["details"]["truncation_sensitivity"] < 1e-8
+
+    def test_exponential_solve_past_order_170(self, tmp_path):
+        # a datum from the first of 192 cells: the series runs to order 191,
+        # past the last r whose r! is a float
+        cfg = exp_cfg(lambda_shift=1 / 64, grid={"xi_max": 6, "h": 1 / 32},
+                      time={"T": 0.25, "nt": 5},
+                      initial_data={"kind": "HALFLINE_DERIVATIVE", "shift": 0.0})
+        out = tmp_path / "out"
+        assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 0
+        man = manifest(out)
+        assert man["checks"]["converged"] is True
+        assert man["details"]["support_min_l1"][0] == 1 / 32
 
     @pytest.mark.parametrize("deriv_order,iterate", [(10, {}), (14, {"tol": 1e-6})])
     def test_exponential_support_steps_by_the_exact_offset(self, tmp_path, deriv_order,
@@ -197,25 +207,6 @@ class TestSolve:
         assert man["checks"]["support_propagation"] is True
         # iterate 3 starts below 2 * 0.875
         assert man["details"]["support_min_l1"][:3] == [0.5625, 1.1875, 1.6875]
-
-    def test_truncation_sensitivity_falls_with_order(self, tmp_path):
-        sens = []
-        for M in (3, 4, 6):
-            out = tmp_path / f"M{M}"
-            cfg = exp_cfg(nonlinearity={"type": "EXPONENTIAL", "M": M})
-            assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 0
-            sens.append(manifest(out)["details"]["truncation_sensitivity"])
-        assert 0.0 < sens[2] < sens[1] < sens[0] < 1e-13
-
-    def test_low_series_order_warns(self, tmp_path):
-        out = tmp_path / "out"
-        cfg = exp_cfg(nonlinearity={"type": "EXPONENTIAL", "M": 2})
-        cfg["initial_data"]["amplitude"] = 1.0
-        with pytest.warns(RuntimeWarning, match="series order M = 2 is too low"):
-            assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 0
-        man = manifest(out)
-        assert man["checks"]["converged"] is True
-        assert man["details"]["truncation_sensitivity"] > 1e-13
 
     def test_refine_doubles_resolution(self, tmp_path):
         out = tmp_path / "out"
@@ -295,6 +286,32 @@ class TestNorms:
         assert run("norms", write_cfg(tmp_path, cfg), str(out)) == 0
         val = float((out / "norms.csv").read_text().splitlines()[1].split(",")[-1])
         assert val == pytest.approx(np.sqrt(np.sum(np.abs(f.values) ** 2) * 0.5))
+
+    def test_refine_on_a_field_file(self, tmp_path):
+        # a field file is read at its own resolution: --refine acts only on
+        # the time nodes of the rows with gamma, and with none it exits 2
+        from octantheat import FrequencyField, make_grid, save_field
+
+        g = make_grid(1, 2, 0.5)
+        path = tmp_path / "f.field"
+        save_field(FrequencyField(g, np.full(g.shape, 2.0 + 0j)), path)
+        static = {"field_file": str(path), "norms": [
+            {"flavor": "HSIGMA", "sigma": 0.0}, {"flavor": "E21", "s": -1.0}]}
+        out = tmp_path / "static"
+        assert run("norms", write_cfg(tmp_path, static), str(out), refine=True) == 2
+        error = manifest(out)["error"]
+        assert error.startswith("config:") and "--refine" in error
+        timed = {**static, "time": {"T": 0.5, "nt": 5}, "norms": [
+            *static["norms"], {"flavor": "ES_LATTICE", "s": -1.0, "gamma": 2}]}
+        values = []
+        for refine in (False, True):
+            out = tmp_path / f"timed{refine}"
+            assert run("norms", write_cfg(tmp_path, timed), str(out),
+                       refine=refine) == 0
+            lines = (out / "norms.csv").read_text().splitlines()[1:]
+            values.append([float(line.split(",")[-1]) for line in lines])
+        assert values[1][:2] == values[0][:2]  # the static rows read the file alone
+        assert values[1][2] != values[0][2]  # the time-space row: nt 5 -> 9
 
     def test_missing_norm_list_exit_2(self, tmp_path):
         cfg = {"d": 1, "grid": {"xi_max": 2, "h": 0.5},
@@ -650,6 +667,11 @@ BAD_CONFIGS = {
     "epsilon0-bool": ("solve", solve_cfg(epsilon0=True), None),
     # eps0 is the gate of u^m only: e^u's gate is 2 lambda_shift
     "epsilon0-EXPONENTIAL": ("solve", exp_cfg(epsilon0=2.0), None),
+    # the e^u series runs to the grid's top order: there is no order to set
+    "nonlinearity.M": ("solve", exp_cfg(nonlinearity={"type": "EXPONENTIAL", "M": 6}),
+                       None),
+    "initial_data.kind-INFLATION_BUMP": ("norms", norms_cfg(initial_data={
+        "kind": "INFLATION_BUMP", "scale_n": 2}), None),
     "iterate.tol-inf": ("solve", solve_cfg(iterate={"jmax": 8, "tol": "inf"}), None),
     "probe.T-overflow": ("probe", {"probe": {"kind": "product_es", "n_samples": 2,
                                              "T": 1e308, "nt": 5}}, None),
@@ -668,16 +690,17 @@ FOREIGN_DATUM_KEYS = {
     "HALFLINE_DERIVATIVE-eps0": ("solve", solve_cfg(initial_data={
         "kind": "HALFLINE_DERIVATIVE", "eps0": 7.0}),
         "eps0", ("amplitude", "deriv_order", "shift")),
-    "INFLATION_BUMP-m": ("norms", norms_cfg(initial_data={
-        "kind": "INFLATION_BUMP", "scale_n": 2, "m": 3}), "m", ("scale_n", "sigma")),
+    "EXP_HALFLINE-scale_n": ("norms", norms_cfg(initial_data={
+        "kind": "EXP_HALFLINE", "scale_n": 2}), "scale_n", ("amplitude",)),
 }
 BAD_CONFIGS.update({f"initial_data-{name}": (command, cfg, None)
                     for name, (command, cfg, _, _) in FOREIGN_DATUM_KEYS.items()})
 
-# the other type's parameter per nonlinearity type, and the key that type takes
+# a key a nonlinearity type does not take, and the keys that type takes
 FOREIGN_NONLINEARITY_KEYS = {
-    "POWER-M": ({"type": "POWER", "m": 2, "M": 6}, "M", "m"),
-    "EXPONENTIAL-m": ({"type": "EXPONENTIAL", "M": 6, "m": 3}, "m", "M"),
+    "POWER-M": ({"type": "POWER", "m": 2, "M": 6}, "M", ("type", "m")),
+    "EXPONENTIAL-M": ({"type": "EXPONENTIAL", "M": 6}, "M", ("type",)),
+    "EXPONENTIAL-m": ({"type": "EXPONENTIAL", "m": 3}, "m", ("type",)),
 }
 BAD_CONFIGS.update({f"nonlinearity-{name}": ("solve", solve_cfg(nonlinearity=nl), None)
                     for name, (nl, _, _) in FOREIGN_NONLINEARITY_KEYS.items()})
@@ -730,7 +753,7 @@ class TestStrictConfig:
         error = manifest(out)["error"]
         assert error.startswith("config:") and f"'{key}'" in error
         assert nl["type"] in error
-        assert sorted(error.split("accepted: ")[1].split(", ")) == sorted(("type", own))
+        assert sorted(error.split("accepted: ")[1].split(", ")) == sorted(own)
 
     @pytest.mark.parametrize("extra", [
         {"width": 3.0}, {"deriv_order": 5, "pair_k": 99}, {"eps0": 7.0},
@@ -810,7 +833,7 @@ class TestStrictConfig:
         # datum parameters are set only in initial_data: a top-level sigma
         # is an unknown key
         cfg = {"d": 1, "grid": {"xi_max": 16, "h": 0.5}, "sigma": 1.0,
-               "initial_data": {"kind": "INFLATION_BUMP", "scale_n": 4},
+               "initial_data": {"kind": "EXP_HALFLINE"},
                "norms": [{"flavor": "HSIGMA"}]}
         out = tmp_path / "out"
         assert run("norms", write_cfg(tmp_path, cfg), str(out)) == 2

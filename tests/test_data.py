@@ -59,28 +59,11 @@ class TestMakeInitialData:
         assert f.values[i] == pytest.approx(2.0 * (1j * (xi - 1.0)) ** 3, rel=1e-12)
         assert not f.values[: int(round(1.0 / g.h))].any()
 
-    def test_scaled_bump_amplitude_and_support(self):
-        # d=1, sigma=-2, N=8: amplitude N^{-sigma-d/2} = 8^{3/2} on [4, 8)
-        g = make_grid(1, 8, 0.25)
-        f = make_initial_data(
-            InitialDataSpec(InitialDataKind.INFLATION_BUMP, sigma=-2.0, scale_n=8),
-            g,
-        )
-        assert np.abs(f.values).max() == pytest.approx(8.0**1.5)
-        assert 8.0**1.5 == pytest.approx(22.627, abs=1e-3)
-        nz = np.nonzero(f.values)[0] * g.h
-        assert nz.min() == pytest.approx(4.0)
-        assert nz.max() == pytest.approx(8.0 - g.h)
-
     def test_support_exceeding_grid_errors(self):
         g = make_grid(1, 2, 0.25)
         with pytest.raises(ValueError):
             make_initial_data(
                 InitialDataSpec(InitialDataKind.OCTANT_BUMP, eps0=1.5, width=1.0), g
-            )
-        with pytest.raises(ValueError):
-            make_initial_data(
-                InitialDataSpec(InitialDataKind.INFLATION_BUMP, scale_n=64), g
             )
 
 
@@ -92,7 +75,6 @@ KIND_PARAMS = {
     InitialDataKind.OCTANT_BUMP: {"eps0": 1.0, "width": 0.5, "amplitude": 1.0},
     InitialDataKind.HALFLINE_DERIVATIVE: {"amplitude": 1.0, "deriv_order": 1,
                                           "shift": 1.0},
-    InitialDataKind.INFLATION_BUMP: {"scale_n": 8, "sigma": 0.0},
 }
 
 
@@ -104,7 +86,7 @@ def _ref_box(grid, lo, hi):
 
 
 def reference_initial_data(kind, grid, eps0=1.0, width=0.5, amplitude=1.0,
-                           deriv_order=1, shift=1.0, scale_n=8, sigma=0.0):
+                           deriv_order=1, shift=1.0):
     """The if-chain sampler the kind table replaced, kept as the reference
     (its coverage and parameter checks left out: only values are compared)."""
     if kind is InitialDataKind.EXP_HALFLINE:
@@ -112,13 +94,9 @@ def reference_initial_data(kind, grid, eps0=1.0, width=0.5, amplitude=1.0,
         return FrequencyField(grid, amplitude * np.exp(xi) * (xi >= 1.0 - 1e-12))
     if kind is InitialDataKind.OCTANT_BUMP:
         return FrequencyField(grid, amplitude * _ref_box(grid, eps0, eps0 + width))
-    if kind is InitialDataKind.HALFLINE_DERIVATIVE:
-        xi = grid.axis
-        mask = xi >= shift - 1e-12
-        return FrequencyField(grid, amplitude * (1j * (xi - shift)) ** deriv_order * mask)
-    N, d = scale_n, grid.d
-    amp = float(N) ** (-sigma - d / 2.0)
-    return FrequencyField(grid, amp * _ref_box(grid, N / (2.0 * d), N / d))
+    xi = grid.axis  # HALFLINE_DERIVATIVE
+    mask = xi >= shift - 1e-12
+    return FrequencyField(grid, amplitude * (1j * (xi - shift)) ** deriv_order * mask)
 
 
 # kind -> (dimensions, grid per d, non-default parameters)
@@ -130,8 +108,6 @@ SAMPLE_CASES = {
     InitialDataKind.HALFLINE_DERIVATIVE: (
         (1,), lambda d: make_grid(d, 4, 1 / 16),
         {"amplitude": 2.0, "deriv_order": 3, "shift": 1.5}),
-    InitialDataKind.INFLATION_BUMP: ((1, 2, 3), lambda d: make_grid(d, 8, 1 / 4),
-                                     {"scale_n": 6, "sigma": 1.5}),
 }
 
 
