@@ -6,7 +6,11 @@ Cells are half-open, samples sit at left edges, and the cell count per
 unit cube is an integer, so the unit cubes partition every field's cells
 exactly.  Discrete convolution has a Riemann weight h^d
 per pairwise convolution; an optional run-aware trapezoid weighting raises
-the quadrature order for data that are smooth within their support.
+the quadrature order to two for data that are smooth within their support
+when each support run has a sample on both its edges.  A half-open box
+such as ``OCTANT_BUMP``'s, whose last sample sits h below its top edge,
+converges at first order: a 1D u^2 run from it errs by 0.44, 0.21 and
+0.105 of its nonlinear part at h = 1/8, 1/16 and 1/32.
 :func:`convolve` sums directly (``np.convolve`` in 1D, a shift-and-add
 over nonzero cells above; a trapezoid self-product sums half its mirrored
 terms, twice), and :func:`convolve_frames` convolves
@@ -387,8 +391,10 @@ def convolve(
     data sampled on whole cells).  ``rule="trapezoid"`` halves the weight
     of the first and last nonzero product of each contiguous run along
     every axis, which is second-order accurate for data smooth within
-    their support.  Octant support only moves upward, so truncation never
-    corrupts values below xi_max.
+    their support when each run has a sample on both its edges; a
+    half-open support, sampled up to h below its top edge, is first order.
+    Octant support only moves upward, so truncation never corrupts values
+    below xi_max.
 
     The sum runs over each operand's support box: the cells that can reach
     [0, n) against the other operand's first nonzero cell.  Boxes are

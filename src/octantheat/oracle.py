@@ -9,14 +9,23 @@ Two deliberately different routes:
   every product of the power calls the direct sum of the lattice's plan for
   its operands' nonzero patterns (for the self-product half the mirrored
   trapezoid terms, twice), and keeps that plan while the patterns stay the
-  same, so the plan cache is asked only when a support changes.  The engine
-  transforms whole frame stacks at once instead; the oracle shares no
-  Duhamel code path with it, so band agreement between the two is evidence
-  rather than tautology.  The band |xi|_1 < B is closed: a product on a
-  band cell comes from two band cells, whose trapezoid masks read
-  neighbours that again sum to that cell.  So for gated data (zero at the
-  origin) CLI ``oracle-compare`` runs only the box [0, ceil(B))^d, whose
-  run is the whole grid's on the band, bit for bit.
+  same, so the plan cache is asked only when a support changes.  A product
+  keeps too its operands' bytes on the plan's boxes, the only cells the
+  direct sum reads, and its result: when those bytes repeat, the product is
+  that result again, bit for bit.  They repeat on the default compare box
+  [0, 3) for data from eps >= 1: a product reads cells below 3 - eps <= 2
+  and lands from 2 eps >= 2 up, so no stage increment touches what it
+  reads.  Stage 3 then repeats stage 2's operands and the next step's
+  stage 1 repeats stage 4's, and half the direct sums are not run again.
+  The divergence guard reads the frames a block of steps at a time and
+  names the first one out of range.  The engine transforms whole frame
+  stacks at once instead; the oracle shares no Duhamel code path with it,
+  so band agreement between the two is evidence rather than tautology.
+  The band |xi|_1 < B is closed: a product on a band cell comes from two
+  band cells, whose trapezoid masks read neighbours that again sum to that
+  cell.  So for gated data (zero at the origin) CLI ``oracle-compare`` runs
+  only the box [0, ceil(B))^d, whose run is the whole grid's on the band,
+  bit for bit.
 
 * :func:`exp_halfline_reference` evaluates the closed-form amplitude
   derivatives of the quadratic flow with datum e^xi H(xi - 1) by nested
@@ -40,6 +49,12 @@ __all__ = [
     "exp_halfline_reference",
     "exp_halfline_band",
 ]
+
+
+# steps per divergence check: one reduction for the block's frames, not one
+# per step, and a diverging run goes on fewer than this past its first bad
+# frame before it raises
+GUARD_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -85,19 +100,31 @@ def etd_reference_solve(
     E2 = np.exp(-0.5 * dt * w)
 
     # product k of the power keeps its operands' last nonzero patterns, a byte
-    # per cell, and their plan: the plan cache is asked only on a change
-    memo = [((), None)] * (m - 1)
+    # per cell, and their plan: the plan cache is asked only on a change.  It
+    # keeps too its operands' last bytes on the plan's boxes, the only cells
+    # the direct sum reads, and its result, read-only: a product whose
+    # operands repeat there is that result again, bit for bit
+    memo = [((), None, None, None)] * (m - 1)
 
     def N(v: np.ndarray) -> np.ndarray:
         out, v_nz = v, v.astype(bool)
-        for k, (keys, p) in enumerate(memo):
+        for k, (keys, p, ops, res) in enumerate(memo):
             f_nz = out.astype(bool) if k else v_nz
             now = f_nz.tobytes(), v_nz.tobytes()
             if now != keys:
-                p = _plan(np.packbits(f_nz).tobytes(), np.packbits(v_nz).tobytes(),
-                          grid.shape, grid.h, spec.conv_rule)
-                memo[k] = now, p
-            out = p.direct(out, v)
+                p, ops = _plan(np.packbits(f_nz).tobytes(), np.packbits(v_nz).tobytes(),
+                               grid.shape, grid.h, spec.conv_rule), None
+            if p.whole is None:  # an empty pattern: the sum is zero
+                seen = ()
+            elif out is v:  # one pattern, so one box; the key's length marks it
+                seen = out[p.whole[1]].tobytes(),
+            else:
+                seen = out[p.whole[1]].tobytes(), v[p.whole[2]].tobytes()
+            if seen != ops:
+                res = p.direct(out, v)
+                res.flags.writeable = False
+            memo[k] = now, p, seen, res
+            out = res
         return out
 
     v = spec.delta * v0.values
@@ -105,19 +132,26 @@ def etd_reference_solve(
     frames[0] = v
     guard = 1e6 * max(1.0, float(np.abs(v).max()))
     half, dtE2, twoE2, sixth = 0.5 * dt, dt * E2, 2.0 * E2, dt / 6.0
-    for n in range(nt - 1):
-        Ev, k1 = E * v, N(v)
-        k2 = N(E2 * (v + half * k1))
-        k3 = N(E2 * v + half * k2)
-        k4 = N(Ev + dtE2 * k3)
-        k2 += k3
-        v = Ev + sixth * (E * k1 + twoE2 * k2 + k4)
-        if not np.abs(v).max() <= guard:  # NaN and inf fail it too
-            raise DivergenceError(
-                f"reference integrator unstable at step {n + 1} "
-                f"(dt = {dt:.3e}); refine the step or shrink the horizon"
-            )
-        frames[n + 1] = v
+    # the guard reads the frames a block of steps at a time and names the
+    # first one out of range; a diverging state may overflow before its
+    # block ends.  No stage is updated in place: N's products are read-only
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, nt):
+            Ev, k1 = E * v, N(v)
+            k2 = N(E2 * (v + half * k1))
+            k3 = N(E2 * v + half * k2)
+            k4 = N(Ev + dtE2 * k3)
+            v = Ev + sixth * (E * k1 + twoE2 * (k2 + k3) + k4)
+            frames[n] = v
+            if n % GUARD_STEPS == 0 or n == nt - 1:
+                lo = (n - 1) // GUARD_STEPS * GUARD_STEPS + 1
+                peaks = np.abs(frames[lo:n + 1]).reshape(n + 1 - lo, -1).max(axis=1)
+                bad = np.flatnonzero(~(peaks <= guard))  # NaN and inf fail it too
+                if bad.size:
+                    raise DivergenceError(
+                        f"reference integrator unstable at step {lo + bad[0]} "
+                        f"(dt = {dt:.3e}); refine the step or shrink the horizon"
+                    )
     return SpaceTimeField(grid, tgrid, frames)
 
 

@@ -37,6 +37,43 @@ def power_spec(grid, m=2, T=1.0, **kw):
                        eps0=1.0, T=T, **kw)
 
 
+def memo_free_solve(spec, v0, nt_fine):
+    """The integrating-factor RK4 loop with one ``lattice._direct`` per
+    product of the power: no plan memo, no reuse of a stage product, and
+    stage 2 updated in place.  Returns the frames and every step whose state
+    leaves the guard, checked step by step."""
+    import octantheat.lattice as lattice_mod
+    from octantheat.engine import heat_symbol
+
+    grid, m = spec.grid, spec.nonlinearity.m
+    dt = float(np.linspace(0.0, spec.T, nt_fine)[1])
+    w = heat_symbol(grid, spec.lambda_shift)
+    E, E2 = np.exp(-dt * w), np.exp(-0.5 * dt * w)
+
+    def N(v):
+        out = v
+        for _ in range(m - 1):
+            out = lattice_mod._direct(out, v, grid, spec.conv_rule)[0]
+        return out
+
+    v = spec.delta * v0.values
+    frames, bad = [v], []
+    guard = 1e6 * max(1.0, float(np.abs(v).max()))
+    half, dtE2, twoE2, sixth = 0.5 * dt, dt * E2, 2.0 * E2, dt / 6.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(nt_fine - 1):
+            Ev, k1 = E * v, N(v)
+            k2 = N(E2 * (v + half * k1))
+            k3 = N(E2 * v + half * k2)
+            k4 = N(Ev + dtE2 * k3)
+            k2 += k3
+            v = Ev + sixth * (E * k1 + twoE2 * k2 + k4)
+            if not np.abs(v).max() <= guard:
+                bad.append(n + 1)
+            frames.append(v)
+    return np.array(frames), bad
+
+
 class TestClosedFormReference:
     def test_order_one_pointwise(self):
         assert exp_halfline_reference(1.0, 2.0, 1) == \
@@ -122,6 +159,35 @@ class TestEtdReference:
         f = FrequencyField(g, 1e5 * (xi >= 0.5) * (xi < 1.0))
         with pytest.raises(DivergenceError):
             etd_reference_solve(power_spec(g, T=4.0), f, OracleConfig(nt_fine=5))
+
+    def test_overflow_is_divergence_not_a_warning(self):
+        # the state overflows within step 1 (inf, then inf * 0 = NaN); the
+        # loop runs on under its errstate, so with warnings as errors the
+        # guard still reports the step
+        from octantheat import DivergenceError
+
+        g = make_grid(1, 4, 1 / 8)
+        xi = g.axis
+        f = FrequencyField(g, 1e60 * (xi >= 0.5) * (xi < 1.0))
+        with pytest.raises(DivergenceError, match="unstable at step 1 "):
+            etd_reference_solve(power_spec(g, T=4.0), f, OracleConfig(nt_fine=5))
+
+    @pytest.mark.parametrize("nt_fine", [33, 129])
+    def test_first_unstable_step_named(self, nt_fine):
+        # the guard reads the frames a block of steps at a time; the state
+        # first leaves it at a later step (step 5, or step 17, the first of
+        # the second block) and stays out for more steps, and the first is
+        # the one named, as a check after every step would name it
+        from octantheat import DivergenceError
+
+        g = make_grid(1, 4, 1 / 8)
+        xi = g.axis
+        f = FrequencyField(g, 200.0 * (xi >= 0.5) * (xi < 1.0))
+        spec = power_spec(g, T=4.0)
+        _, bad = memo_free_solve(spec, f, nt_fine)
+        assert bad[0] >= 2 and len(bad) > 1
+        with pytest.raises(DivergenceError, match=f"unstable at step {bad[0]} "):
+            etd_reference_solve(spec, f, OracleConfig(nt_fine=nt_fine))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_state_detected(self, bad, monkeypatch):
@@ -222,17 +288,59 @@ class TestEtdReference:
             seen.append((plan, f.copy(), other is f, other.copy(), out.copy()))
             return out
 
+        spec, cfg = power_spec(g, m=m, conv_rule=rule), OracleConfig(nt_fine=9)
         with monkeypatch.context() as patch:
             patch.setattr(lattice_mod._Plan, "direct", recording)
-            etd_reference_solve(power_spec(g, m=m, conv_rule=rule), v0,
-                                OracleConfig(nt_fine=9))
-        assert len(seen) == 4 * 8 * (m - 1)
-        # product k of every stage is entry k of each run of m - 1
-        assert any(len({id(plan) for plan, *_ in seen[k::m - 1]}) > 1
-                   for k in range(m - 1))
+            got = etd_reference_solve(spec, v0, cfg).values
+        # a product whose operands repeat on its plan's boxes is not summed
+        # again, so 4 stages of m - 1 products over 8 steps bound the calls
+        assert 0 < len(seen) <= 4 * 8 * (m - 1)
+        # the first product of a stage squares v (other is f), a second one
+        # multiplies by v: one of them changes plans
+        assert any(len({id(plan) for plan, _, same, *_ in seen if same is first}) > 1
+                   for first in (True, False))
         for _, f, same, other, out in seen:
             want, _ = lattice_mod._direct(f, f if same else other, g, rule)
             assert out.tobytes() == want.tobytes()
+        assert got.tobytes() == memo_free_solve(spec, v0, cfg.nt_fine)[0].tobytes()
+
+    @pytest.mark.parametrize("d,xi_max,h,bump,nt_fine", [
+        (1, 3, 1 / 16, False, 65),  # stages repeat
+        (1, 5, 1 / 16, False, 65),  # they do not
+        (2, 3, 1 / 8, True, 33),
+        (3, 3, 1 / 4, True, 9)])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("rule", ["riemann", "trapezoid"])
+    def test_frames_are_the_memo_free_run(self, d, xi_max, h, bump, nt_fine, m, rule):
+        # a repeated stage product is the result kept for it: exact, so every
+        # frame is the bits of a loop that sums each product afresh
+        g = make_grid(d, xi_max, h)
+        v0 = make_initial_data(InitialDataSpec(InitialDataKind.OCTANT_BUMP, eps0=1.0,
+                                               width=0.5), g) if bump else exp_halfline(g)
+        spec = power_spec(g, m=m, conv_rule=rule)
+        got = etd_reference_solve(spec, v0, OracleConfig(nt_fine=nt_fine)).values
+        want, bad = memo_free_solve(spec, v0, nt_fine)
+        assert not bad
+        assert got.tobytes() == want.tobytes()
+
+    def test_repeated_stage_products_are_not_summed_again(self, monkeypatch):
+        # on [0, 3) the products of data from xi = 1 land from 2 up, so no
+        # stage increment touches the cells a product reads: stage 3 repeats
+        # stage 2's operands, and the next step's stage 1 repeats stage 4's
+        import octantheat.lattice as lattice_mod
+
+        g = make_grid(1, 3, 1 / 16)
+        products, direct = [], lattice_mod._Plan.direct
+
+        def recording(plan, f, other):
+            products.append(direct(plan, f, other))
+            return products[-1]
+
+        monkeypatch.setattr(lattice_mod._Plan, "direct", recording)
+        cfg = OracleConfig(nt_fine=65)
+        etd_reference_solve(power_spec(g), exp_halfline(g), cfg)
+        assert len(products) == 2 * (cfg.nt_fine - 1) + 1
+        assert not any(out.flags.writeable for out in products)
 
     @pytest.mark.parametrize("rule", ["riemann", "trapezoid"])
     def test_whole_window_once_per_plan(self, rule, monkeypatch):
