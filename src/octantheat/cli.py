@@ -381,22 +381,23 @@ def _cmd_oracle_compare(cfg: dict, out: Path, seed: int, refine: bool) \
     ocfg = _check_keys(cfg.get("oracle", {}), "oracle",
                        ("nt_fine", "compare_band", "tol"))
     floor = 4 * (spec.nt - 1) + 1
-    cfg_o = _read(OracleConfig, _pick(ocfg, ("nt_fine", "compare_band")),
-                  "oracle", None, nt_fine=floor,
-                  compare_band=min(3.0, spec.grid.xi_max))
+    cfg_o = _read(OracleConfig, _pick(ocfg, ("nt_fine",)), "oracle", None,
+                  nt_fine=floor)
     if cfg_o.nt_fine < floor:
         raise ConfigError("oracle nt_fine must be at least four times the engine's")
-    if not cfg_o.compare_band > 0:
+    compare_band = _coerce(float, ocfg.get("compare_band", min(3.0, spec.grid.xi_max)),
+                           "oracle.compare_band")
+    if not compare_band > 0:
         raise ConfigError("oracle compare_band must be positive: the band is empty")
     tol = _coerce(float, ocfg.get("tol", 1e-3), "oracle.tol")
     trace = picard_iterate(spec, v0)
     # the band is closed (oracle module docstring): integrate only its box
-    grid = make_grid(spec.grid.d, min(spec.grid.xi_max, math.ceil(cfg_o.compare_band)),
+    grid = make_grid(spec.grid.d, min(spec.grid.xi_max, math.ceil(compare_band)),
                      spec.grid.h)
     box = (slice(grid.n),) * grid.d
     ref = _call(etd_reference_solve, dataclasses.replace(spec, grid=grid),
                 FrequencyField(grid, v0.values[box]), cfg_o)
-    band = grid.l1() < cfg_o.compare_band - 1e-12
+    band = grid.l1() < compare_band - 1e-12
     eng = trace.final.values[-1][box]
     orc = ref.values[-1]
     den = np.sqrt(np.sum(np.abs(orc[band]) ** 2))

@@ -25,8 +25,9 @@ values up to FFT round-off; the truncation warning follows the
 combinatorial support, not the values.
 
 All operations are pure functions on immutable inputs and use fixed-order
-reductions, so repeated runs are bit-identical.  A field file holds one text
-row per cell with each value's ``repr``, built and parsed as whole arrays.
+reductions, so repeated runs are bit-identical.  A field file holds its
+header "d h xi_max" and then one text row "re,im" per cell in lexicographic
+index order, each value its ``repr``, built and parsed as whole arrays.
 """
 from __future__ import annotations
 
@@ -231,21 +232,26 @@ class _Plan:
     ``fbox`` and ``gbox`` are the patterns' bounding boxes [a, A + 1) and
     [b, B + 1) per axis, a, b their first and A, B their last nonzero cells;
     ``terms`` holds the rule's operand masks on the whole grid (none when a
-    pattern is empty); ``scale`` is h^d times the rule's weight, and
-    ``spills`` whether some product of a term lands at or beyond n on an
-    axis.  ``twin`` marks equal patterns under the trapezoid rule, whose term
-    N - 1 - i is term i swapped.  Only :meth:`window` cuts the boxes and
-    masks and derives output cells, crop and pad; :meth:`direct` and the
+    pattern is empty); ``scale`` is h^d times the rule's weight.  ``twin``
+    marks equal patterns under the trapezoid rule, whose term N - 1 - i is
+    term i swapped.  Only :meth:`window` cuts the boxes and masks and
+    derives output cells, crop and pad; :meth:`direct` and the
     :attr:`support` read the whole grid's, :attr:`whole`.
     """
 
     n: int
-    spills: bool
     terms: tuple = ()
     fbox: tuple[slice, ...] = ()
     gbox: tuple[slice, ...] = ()
     scale: float = 1.0
     twin: bool = False
+
+    @functools.cached_property
+    def spills(self) -> bool:
+        """Whether some product of a term lands at or beyond n on an axis;
+        only :func:`convolve`'s truncation warning reads it."""
+        return any(np.any(np.argwhere(fm).max(0) + np.argwhere(gm).max(0) >= self.n)
+                   for fm, gm in self.terms)
 
     @functools.cached_property
     def whole(self):
@@ -333,13 +339,10 @@ def _plan(f_bits: bytes, g_bits: bytes, shape: tuple, h: float, rule: str) -> _P
             .reshape(shape).astype(bool) for bits in (f_bits, g_bits))
     terms, weight = _rule_terms(f, f if g_bits == f_bits else g, rule)
     terms = [(fm, gm) for fm, gm in terms if fm.any() and gm.any()]
-    n = shape[0]
-    spills = any(np.any(np.argwhere(fm).max(0) + np.argwhere(gm).max(0) >= n)
-                 for fm, gm in terms)
     if not terms:
-        return _Plan(n, spills)
+        return _Plan(shape[0])
     (a, A), (b, B) = ((nz.min(0), nz.max(0)) for nz in map(np.argwhere, (f, g)))
-    return _Plan(n, spills, tuple(terms), _box(a, A + 1), _box(b, B + 1),
+    return _Plan(shape[0], tuple(terms), _box(a, A + 1), _box(b, B + 1),
                  h**len(shape) * weight, rule == "trapezoid" and g_bits == f_bits)
 
 
@@ -508,29 +511,28 @@ def support_stats(f: FrequencyField) -> SupportStats:
 
 
 def save_field(f: FrequencyField, path) -> None:
-    """Write a field as text: header "d h xi_max", then one row per cell
-    "i0[,i1[,i2]],re,im" in lexicographic index order, values as ``repr``."""
+    """Write a field as text: header "d h xi_max", then one row "re,im" per
+    cell in lexicographic index order, each value its ``repr``."""
     grid = f.grid
-    cells = itertools.product([f"{i}," for i in range(grid.n)], repeat=grid.d)
-    parts = iter(f.values.view(np.float64).ravel().tolist())  # re, im, re, ...
-    body = ("%s%r,%r\n" * f.values.size) % tuple(
-        itertools.chain.from_iterable(zip(map("".join, cells), parts, parts)))
+    body = ("%r,%r\n" * f.values.size) % tuple(f.values.view(np.float64).ravel().tolist())
     with open(path, "w") as fh:
         fh.write(f"{grid.d} {grid.h!r} {grid.xi_max}\n" + body)
 
 
 def load_field(path) -> FrequencyField:
-    """Read a field written by :func:`save_field`.  Every cell needs exactly
-    one row: blank, malformed, out-of-range, repeated or missing rows raise
-    ValueError."""
+    """Read a field written by :func:`save_field`.  A malformed header, and
+    blank, malformed, missing or extra rows, raise ValueError naming the file."""
     with open(path) as fh:
         head, body = fh.readline().split(), fh.read()
-    if len(head) != 3:
-        raise ValueError(f"malformed field header in {path}")
-    grid = make_grid(int(head[0]), int(head[2]), float(head[1]))
+    try:
+        d, h, xi_max = head
+        grid = make_grid(int(d), int(xi_max), float(h))
+    except ValueError as exc:
+        raise ValueError(f"malformed field header in {path}: {exc}") from None
     if body.startswith("\n") or "\n\n" in body:  # loadtxt would skip them
         raise ValueError(f"blank field row in {path}")
-    dtype = [("idx", np.int64, (grid.d,)), ("val", np.float64, (2,))]
+    # one field of two columns: a row with any other column count fails
+    dtype = [("val", np.float64, (2,))]
     parse = functools.partial(np.loadtxt, dtype=dtype, comments=None, delimiter=",",
                               ndmin=1)
     lines = body.split("\n")  # only the last can be empty
@@ -544,16 +546,7 @@ def load_field(path) -> FrequencyField:
                 raise ValueError(f"malformed field row in {path}: line {line}: "
                                  + str(exc).split(" at row")[0]) from None
         raise
-    bad = np.any((rows["idx"] < 0) | (rows["idx"] >= grid.n), axis=1)
-    if bad.any():
-        raise ValueError(f"out-of-range field row in {path}: line {bad.argmax() + 2}")
-    cell = np.ravel_multi_index(tuple(rows["idx"].T), grid.shape)
-    count = np.bincount(cell, minlength=math.prod(grid.shape))
-    if count.max() > 1:
-        raise ValueError(f"repeated field row in {path}: the cell of line "
-                         f"{(count[cell] > 1).argmax() + 2} has {count.max()} rows")
-    if rows.size != count.size:
-        raise ValueError(f"field file {path} has {rows.size} of {count.size} rows")
-    vals = np.zeros(count.size, dtype=np.complex128)
-    vals.real[cell], vals.imag[cell] = rows["val"].T
-    return FrequencyField(grid, vals.reshape(grid.shape))
+    cells = math.prod(grid.shape)
+    if rows.size != cells:
+        raise ValueError(f"field file {path} has {rows.size} of {cells} rows")
+    return FrequencyField(grid, rows["val"].view(np.complex128).reshape(grid.shape))

@@ -60,11 +60,9 @@ GUARD_STEPS = 16
 @dataclass(frozen=True)
 class OracleConfig:
     """Reference-integrator resolution.  nt_fine should be at least four
-    times the engine's node count for the comparisons to be one-sided.
-    compare_band bounds |xi|_1, an l1 band in d >= 2 as the Picard band."""
+    times the engine's node count for the comparisons to be one-sided."""
 
     nt_fine: int = 1025
-    compare_band: float = 3.0
 
 
 @lru_cache(maxsize=64)

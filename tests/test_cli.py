@@ -547,7 +547,9 @@ class TestTaylorAndOracle:
                    str(tmp_path / "o")) == 2
 
 
-FIELD_ROWS = "0,1.0,0.0\n1,1.0,0.0\n2,1.0,0.0\n3,1.0,0.0\n"  # a 4-cell 1D grid
+FIELD_ROWS = "1.0,0.0\n" * 4  # a 4-cell 1D grid
+# the same field with each row led by its cell index, as field files once were
+INDEXED_ROWS = "0,1.0,0.0\n1,1.0,0.0\n2,1.0,0.0\n3,1.0,0.0\n"
 
 # (command, config, field file text or None): every row must exit 2
 BAD_CONFIGS = {
@@ -676,8 +678,26 @@ BAD_CONFIGS = {
     "probe.T-overflow": ("probe", {"probe": {"kind": "product_es", "n_samples": 2,
                                              "T": 1e308, "nt": 5}}, None),
     "field-header": ("norms", None, "1 0.5\n" + FIELD_ROWS),
-    "field-row": ("norms", None, "1 0.5 2\n" + FIELD_ROWS + "7,1.0,0.0\n"),
+    "field-row": ("norms", None, "1 0.5 2\n" + FIELD_ROWS + "1.0,0.0\n"),
 }
+# field files that fail, and the start of the error after "<path>: "
+BAD_FIELDS = {
+    "header-float-xi_max": ("1 0.5 2.5\n" + FIELD_ROWS,
+                            "malformed field header", "invalid literal for int()"),
+    "header-text-h": ("1 abc 2\n" + FIELD_ROWS, "malformed field header",
+                      "could not convert string to float"),
+    "header-misaligned-h": ("1 0.3 2\n" + FIELD_ROWS, "malformed field header",
+                            "1/h must be a positive integer"),
+    "index-columns-1d": ("1 0.5 2\n" + INDEXED_ROWS, "malformed field row", "line 2:"),
+    "index-columns-2d": ("2 0.5 1\n" + "".join(
+        f"{i},{j},1.0,0.0\n" for i in range(2) for j in range(2)),
+        "malformed field row", "line 2:"),
+    "index-columns-3d": ("3 0.5 1\n" + "".join(
+        f"{i},{j},{k},1.0,0.0\n" for i in range(2) for j in range(2) for k in range(2)),
+        "malformed field row", "line 2:"),
+}
+BAD_CONFIGS.update({f"field-{name}": ("norms", None, text)
+                    for name, (text, _, _) in BAD_FIELDS.items()})
 
 
 # one key from another kind per datum kind, and the keys that kind takes
@@ -732,6 +752,16 @@ class TestStrictConfig:
         man = manifest(out)
         assert man["exit_status"] == 2
         assert man["error"].startswith("config:")
+
+    @pytest.mark.parametrize("name", sorted(BAD_FIELDS))
+    def test_bad_field_file_named(self, tmp_path, name):
+        text, what, why = BAD_FIELDS[name]
+        path = tmp_path / "f.field"
+        path.write_text(text)
+        cfg = {"field_file": str(path), "norms": [{"flavor": "E21", "s": -1.0}]}
+        out = tmp_path / "out"
+        assert run("norms", write_cfg(tmp_path, cfg), str(out)) == 2
+        assert manifest(out)["error"].startswith(f"config: {what} in {path}: {why}")
 
     @pytest.mark.parametrize("name", sorted(FOREIGN_DATUM_KEYS))
     def test_foreign_datum_key_named_with_accepted_keys(self, tmp_path, name):

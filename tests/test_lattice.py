@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -765,37 +766,41 @@ class TestFieldIO:
     GOLDEN = {
         1: ([complex(-0.0, 5e-324), complex(1e300, -2.5), complex(3.0, 0.0),
              complex(2.2250738585072014e-308, -0.0)],
-            "1 0.25 1\n0,-0.0,5e-324\n1,1e+300,-2.5\n2,3.0,0.0\n"
-            "3,2.2250738585072014e-308,-0.0\n"),
+            "1 0.25 1\n-0.0,5e-324\n1e+300,-2.5\n3.0,0.0\n"
+            "2.2250738585072014e-308,-0.0\n"),
         2: ([complex(0.0, -0.0), complex(-7.0, 1e-310), complex(0.1, -1e300),
              complex(-5e-324, 42.0)],
-            "2 0.5 1\n0,0,0.0,-0.0\n0,1,-7.0,1e-310\n1,0,0.1,-1e+300\n"
-            "1,1,-5e-324,42.0\n"),
+            "2 0.5 1\n0.0,-0.0\n-7.0,1e-310\n0.1,-1e+300\n-5e-324,42.0\n"),
         3: ([complex(k, -k) for k in range(7)] + [complex(-0.0, 1e300)],
-            "3 0.5 1\n0,0,0,0.0,0.0\n0,0,1,1.0,-1.0\n0,1,0,2.0,-2.0\n"
-            "0,1,1,3.0,-3.0\n1,0,0,4.0,-4.0\n1,0,1,5.0,-5.0\n1,1,0,6.0,-6.0\n"
-            "1,1,1,-0.0,1e+300\n"),
+            "3 0.5 1\n0.0,0.0\n1.0,-1.0\n2.0,-2.0\n3.0,-3.0\n4.0,-4.0\n"
+            "5.0,-5.0\n6.0,-6.0\n-0.0,1e+300\n"),
     }
 
-    @pytest.mark.parametrize("d,xi_max,h", [(1, 8, 1 / 64), (2, 4, 1 / 16), (3, 2, 1 / 8)])
-    def test_bytes_equal_to_formatted_rows(self, tmp_path, d, xi_max, h):
-        # the body as rows of "{}{!r},{!r}\n".format, one cell at a time, on
-        # random values of all magnitudes with signed zeros and subnormals
-        g = make_grid(d, xi_max, h)
-        rng = np.random.default_rng(30 + d)
+    @staticmethod
+    def extreme_field(g, seed):
+        """Random values of all magnitudes with signed zeros and subnormals."""
+        rng = np.random.default_rng(seed)
         shape = (2, *g.shape)
         parts = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
         parts[rng.random(shape) < 0.1] = -0.0
         parts[rng.random(shape) < 0.1] = 0.0
         vals = np.empty(g.shape, dtype=complex)
         vals.real, vals.imag = parts  # re + 1j * im would turn -0.0 parts to +0.0
-        f = FrequencyField(g, vals)
-        rows = ["{}{!r},{!r}\n".format("".join(f"{i}," for i in idx),
-                                        float(vals[idx].real), float(vals[idx].imag))
+        return FrequencyField(g, vals)
+
+    @pytest.mark.parametrize("d,xi_max,h", [(1, 8, 1 / 64), (2, 4, 1 / 16), (3, 2, 1 / 8)])
+    def test_bytes_equal_to_formatted_rows(self, tmp_path, d, xi_max, h):
+        # the body as rows of f"{re!r},{im!r}\n", one cell at a time in
+        # lexicographic index order, and read back bit for bit
+        g = make_grid(d, xi_max, h)
+        f = self.extreme_field(g, 30 + d)
+        rows = [f"{float(f.values[idx].real)!r},{float(f.values[idx].imag)!r}\n"
                 for idx in itertools.product(range(g.n), repeat=d)]
         p = tmp_path / "f.field"
         save_field(f, p)
         assert p.read_bytes() == (f"{d} {g.h!r} {xi_max}\n" + "".join(rows)).encode()
+        back = load_field(p)
+        assert back.grid == g and back.values.tobytes() == f.values.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_golden_bytes(self, tmp_path, d):
@@ -808,30 +813,53 @@ class TestFieldIO:
         back = load_field(p)
         assert back.grid == g and back.values.tobytes() == f.values.tobytes()
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rejects_index_columns(self, tmp_path, d):
+        # a file whose rows start with the cell index "i0[,i1[,i2]]," has 3 to 5
+        # columns; in 1D its rows would parse as three floats under a plain
+        # float dtype, so the two-column field must refuse them
+        g = make_grid(d, 1, 0.5)
+        f = self.extreme_field(g, d)
+        p = tmp_path / "f.field"
+        save_field(f, p)
+        head, *rows = p.read_text().splitlines()
+        cells = itertools.product(range(g.n), repeat=d)
+        p.write_text("".join(f"{line}\n" for line in [head, *(
+            "".join(f"{i}," for i in idx) + row for idx, row in zip(cells, rows))]))
+        where = re.escape(str(p))
+        with pytest.raises(ValueError, match=f"^malformed field row in {where}: line 2: "):
+            load_field(p)
+
+    @pytest.mark.parametrize("head,why", [
+        ("1 0.5 2.5", "invalid literal for int"),
+        ("1 abc 2", "could not convert string to float"),
+        ("1 0.3 2", "1/h must be a positive integer"),
+        ("1 0.5", "not enough values to unpack"),
+        ("4 0.5 2", "dimension must be 1, 2 or 3"),
+    ], ids=["float-xi_max", "text-h", "misaligned-h", "two-fields", "dimension"])
+    def test_rejects_bad_header(self, tmp_path, head, why):
+        p = tmp_path / "f.field"
+        p.write_text(head + "\n" + "1.0,0.0\n" * 4)
+        where = re.escape(str(p))
+        with pytest.raises(ValueError, match=f"^malformed field header in {where}: {why}"):
+            load_field(p)
+
     @pytest.mark.parametrize("rows,why", [
-        (["0,1.0,0.0", "1,1.0,0.0", "2,1.0,0.0", "3,1.0,0.0", "7,1.0,0.0"],
-         "out-of-range"),
-        (["0,1.0,0.0", "1,1.0,0.0", "2,1.0,0.0", "-1,5.0,0.0"], "out-of-range"),
-        (["0,1.0,0.0", "1,1.0,0.0", "1,5.0,0.0", "2,1.0,0.0", "3,1.0,0.0"],
-         "repeated"),
-        (["0,1.0,0.0", "1,1.0,0.0", "3,1.0,0.0"], "3 of 4 rows"),
-        (["0,1.0,0.0", "1,1.0,0.0", "", "2,1.0,0.0", "3,1.0,0.0"], "blank"),
-        (["0,1.0,0.0", "1,1.0,0.0", "2,1.0,0.0", "3,1.0,0.0", ""], "blank"),
+        (["1.0,0.0"] * 3, "3 of 4 rows"),
+        (["1.0,0.0"] * 5, "5 of 4 rows"),
+        (["1.0,0.0", "1.0,0.0", "", "1.0,0.0", "1.0,0.0"], "blank"),
+        (["1.0,0.0"] * 4 + [""], "blank"),
         # a malformed row is named by its line in the file (the header is line 1)
-        (["#", "0,1.0,0.0", "1,1.0,0.0", "2,1.0,0.0", "3,1.0,0.0"],
-         "malformed.*line 2:"),
-        (["0,1.0,0.0", "1.0,1.0,0.0", "2,1.0,0.0", "3,1.0,0.0"], "malformed.*line 3:"),
-        (["0,1.0,0.0", "1,1.0,0.0,0.0", "2,1.0,0.0", "3,1.0,0.0"],
-         "malformed.*line 3:"),
-        (["0,1.0,0.0", "1,1.0", "2,1.0,0.0", "3,1.0,0.0"], "malformed.*line 3:"),
-        (["0,1.0,0.0", "1,x,0.0", "2,1.0,0.0", "3,1.0,0.0"], "malformed.*line 3:"),
-        (["0,1.0,0.0", "1,1.0,0.0", "2,1.0,0.0", "3,1.0"], "malformed.*line 5:"),
-        (["0,1.0,0.0", "1,1.0,0.0", "2,1.0,0.0", "3,x,0.0"], "malformed.*line 5:"),
-        (["0,1.0,0.0", "1,nan,0.0", "2,1.0,0.0", "3,1.0,0.0"], "finite"),
+        (["#", "1.0,0.0", "1.0,0.0", "1.0,0.0", "1.0,0.0"], "malformed.*line 2:"),
+        (["1.0,0.0", "1.0,0.0,0.0", "1.0,0.0", "1.0,0.0"], "malformed.*line 3:"),
+        (["1.0,0.0", "1.0", "1.0,0.0", "1.0,0.0"], "malformed.*line 3:"),
+        (["1.0,0.0", "x,0.0", "1.0,0.0", "1.0,0.0"], "malformed.*line 3:"),
+        (["1.0,0.0", "1.0,0.0", "1.0,0.0", "1.0"], "malformed.*line 5:"),
+        (["1.0,0.0", "1.0,0.0", "1.0,0.0", "x,0.0"], "malformed.*line 5:"),
+        (["1.0,0.0", "nan,0.0", "1.0,0.0", "1.0,0.0"], "finite"),
         ([], "0 of 4 rows"),
-    ], ids=["beyond-grid", "negative", "duplicate", "missing", "blank-line",
-            "trailing-blank-line", "hash-line", "float-index", "extra-column",
-            "missing-column", "bad-value", "missing-column-last-line",
+    ], ids=["missing", "extra-row", "blank-line", "trailing-blank-line", "hash-line",
+            "extra-column", "missing-column", "bad-value", "missing-column-last-line",
             "bad-value-last-line", "nan-value", "header-only"])
     def test_rejects_bad_rows(self, tmp_path, rows, why):
         p = tmp_path / "f.field"

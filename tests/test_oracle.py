@@ -393,7 +393,7 @@ class TestBandBox:
         values = values * (rng.random(g.shape) < keep)
         band = (math.floor(frac * d * g.n) + 0.5) * g.h  # between two cell sums
         spec = power_spec(g, m=m, T=0.1, conv_rule=rule)
-        cfg = OracleConfig(nt_fine=5, compare_band=band)
+        cfg = OracleConfig(nt_fine=5)
         whole = etd_reference_solve(spec, FrequencyField(g, values), cfg).values
         bg = make_grid(d, min(xi_max, math.ceil(band)), g.h)
         box = (slice(bg.n),) * d
