@@ -390,6 +390,8 @@ def _cmd_oracle_compare(cfg: dict, out: Path, seed: int, refine: bool) \
     if not compare_band > 0:
         raise ConfigError("oracle compare_band must be positive: the band is empty")
     tol = _coerce(float, ocfg.get("tol", 1e-3), "oracle.tol")
+    if not tol > 0:
+        raise ConfigError(f"oracle.tol must be positive, got {tol!r}")
     trace = picard_iterate(spec, v0)
     # the band is closed (oracle module docstring): integrate only its box
     grid = make_grid(spec.grid.d, min(spec.grid.xi_max, math.ceil(compare_band)),

@@ -233,7 +233,7 @@ def _duhamel(G: np.ndarray, w: np.ndarray, dt: float,
     default; its first frame must be zero)."""
     decay = np.exp(-dt * w).astype(np.complex128)  # as the product would cast it
     out = np.zeros_like(G) if out is None else out
-    half = 0.5 * dt
+    half = complex(0.5 * dt)  # so too: every per-frame ufunc has one dtype
     # in place, frame by frame, in the recurrence's operation order, with
     # dt/2 G formed a frame at a time in two buffers swapped each step
     h0, h1 = np.multiply(half, G[0]), np.empty_like(G[0])

@@ -17,6 +17,9 @@ Two deliberately different routes:
   and lands from 2 eps >= 2 up, so no stage increment touches what it
   reads.  Stage 3 then repeats stage 2's operands and the next step's
   stage 1 repeats stage 4's, and half the direct sums are not run again.
+  The stages are written into four buffers allocated once per solve from E,
+  E2 and step constants cast once to complex128, as each product with a
+  complex stage would cast them: the bits are those of float constants.
   The divergence guard reads the frames a block of steps at a time and
   names the first one out of range.  The engine transforms whole frame
   stacks at once instead; the oracle shares no Duhamel code path with it,
@@ -94,8 +97,9 @@ def etd_reference_solve(
     tgrid = np.linspace(0.0, spec.T, nt)
     dt = float(tgrid[1] - tgrid[0])
     w = heat_symbol(grid, spec.lambda_shift)
-    E = np.exp(-dt * w)
-    E2 = np.exp(-0.5 * dt * w)
+    # complex128 once, as each product with a complex stage would cast them
+    E = np.exp(-dt * w).astype(np.complex128)
+    E2 = np.exp(-0.5 * dt * w).astype(np.complex128)
 
     # product k of the power keeps its operands' last nonzero patterns, a byte
     # per cell, and their plan: the plan cache is asked only on a change.  It
@@ -105,13 +109,12 @@ def etd_reference_solve(
     memo = [((), None, None, None)] * (m - 1)
 
     def N(v: np.ndarray) -> np.ndarray:
-        out, v_nz = v, v.astype(bool)
+        out, v_nz = v, v.astype(bool).tobytes()
         for k, (keys, p, ops, res) in enumerate(memo):
-            f_nz = out.astype(bool) if k else v_nz
-            now = f_nz.tobytes(), v_nz.tobytes()
+            now = (out.astype(bool).tobytes() if k else v_nz), v_nz
             if now != keys:
-                p, ops = _plan(np.packbits(f_nz).tobytes(), np.packbits(v_nz).tobytes(),
-                               grid.shape, grid.h, spec.conv_rule), None
+                packed = (np.packbits(np.frombuffer(nz, bool)).tobytes() for nz in now)
+                p, ops = _plan(*packed, grid.shape, grid.h, spec.conv_rule), None
             if p.whole is None:  # an empty pattern: the sum is zero
                 seen = ()
             elif out is v:  # one pattern, so one box; the key's length marks it
@@ -129,18 +132,22 @@ def etd_reference_solve(
     frames = np.empty((nt, *grid.shape), dtype=np.complex128)
     frames[0] = v
     guard = 1e6 * max(1.0, float(np.abs(v).max()))
-    half, dtE2, twoE2, sixth = 0.5 * dt, dt * E2, 2.0 * E2, dt / 6.0
+    half, dtE2, twoE2, sixth = complex(0.5 * dt), dt * E2, 2.0 * E2, complex(dt / 6.0)
+    Ev, a, b, c = np.empty((4, *grid.shape), dtype=np.complex128)
+    mul, add = np.multiply, np.add
     # the guard reads the frames a block of steps at a time and names the
     # first one out of range; a diverging state may overflow before its
-    # block ends.  No stage is updated in place: N's products are read-only
+    # block ends.  A stage's buffer is free again once N returns: N keeps
+    # only its operands' bytes, and its products are read-only
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, nt):
-            Ev, k1 = E * v, N(v)
-            k2 = N(E2 * (v + half * k1))
-            k3 = N(E2 * v + half * k2)
-            k4 = N(Ev + dtE2 * k3)
-            v = Ev + sixth * (E * k1 + twoE2 * (k2 + k3) + k4)
-            frames[n] = v
+            k1 = N(v)
+            k2 = N(mul(E2, add(v, mul(half, k1, out=a), out=a), out=a))
+            k3 = N(add(mul(E2, v, out=b), mul(half, k2, out=c), out=b))
+            k4 = N(add(mul(E, v, out=Ev), mul(dtE2, k3, out=c), out=c))
+            mul(twoE2, add(k2, k3, out=a), out=a)
+            add(add(mul(E, k1, out=b), a, out=b), k4, out=b)
+            v = add(Ev, mul(sixth, b, out=b), out=frames[n])
             if n % GUARD_STEPS == 0 or n == nt - 1:
                 lo = (n - 1) // GUARD_STEPS * GUARD_STEPS + 1
                 peaks = np.abs(frames[lo:n + 1]).reshape(n + 1 - lo, -1).max(axis=1)

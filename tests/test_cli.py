@@ -546,6 +546,22 @@ class TestTaylorAndOracle:
         assert run("oracle-compare", write_cfg(tmp_path, cfg),
                    str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("tol", [-1, 0])
+    def test_oracle_tol_must_be_positive(self, tmp_path, tol, monkeypatch):
+        # the band error is never below 0, so no run could pass such a bound:
+        # the config is refused before either solver runs
+        import octantheat.cli as cli_mod
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        monkeypatch.setattr(cli_mod, "picard_iterate", no_solve)
+        monkeypatch.setattr(cli_mod, "etd_reference_solve", no_solve)
+        out = tmp_path / "out"
+        cfg = solve_cfg(oracle={"tol": tol})
+        assert run("oracle-compare", write_cfg(tmp_path, cfg), str(out)) == 2
+        assert manifest(out)["error"].startswith("config: oracle.tol must be positive")
+
 
 FIELD_ROWS = "1.0,0.0\n" * 4  # a 4-cell 1D grid
 # the same field with each row led by its cell index, as field files once were

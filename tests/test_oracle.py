@@ -313,15 +313,20 @@ class TestEtdReference:
     @pytest.mark.parametrize("rule", ["riemann", "trapezoid"])
     def test_frames_are_the_memo_free_run(self, d, xi_max, h, bump, nt_fine, m, rule):
         # a repeated stage product is the result kept for it: exact, so every
-        # frame is the bits of a loop that sums each product afresh
+        # frame is the bits of a loop that sums each product afresh.  The
+        # integrator's constants are complex128, the memo-free loop's float:
+        # a negative or complex amplitude puts -0.0 on the zero cells, whose
+        # signs the two must still agree on
         g = make_grid(d, xi_max, h)
-        v0 = make_initial_data(InitialDataSpec(InitialDataKind.OCTANT_BUMP, eps0=1.0,
-                                               width=0.5), g) if bump else exp_halfline(g)
+        kind = InitialDataKind.OCTANT_BUMP if bump else InitialDataKind.EXP_HALFLINE
+        shape = {"eps0": 1.0, "width": 0.5} if bump else {}
         spec = power_spec(g, m=m, conv_rule=rule)
-        got = etd_reference_solve(spec, v0, OracleConfig(nt_fine=nt_fine)).values
-        want, bad = memo_free_solve(spec, v0, nt_fine)
-        assert not bad
-        assert got.tobytes() == want.tobytes()
+        for amplitude in (1.0, -1.0, -1.01 + 0.03j):
+            v0 = make_initial_data(InitialDataSpec(kind, amplitude=amplitude, **shape), g)
+            got = etd_reference_solve(spec, v0, OracleConfig(nt_fine=nt_fine)).values
+            want, bad = memo_free_solve(spec, v0, nt_fine)
+            assert not bad
+            assert got.tobytes() == want.tobytes(), amplitude
 
     def test_repeated_stage_products_are_not_summed_again(self, monkeypatch):
         # on [0, 3) the products of data from xi = 1 land from 2 up, so no
