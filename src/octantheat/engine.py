@@ -220,30 +220,29 @@ def duhamel(G: SpaceTimeField, lambda_shift: float = 0.0) -> SpaceTimeField:
 
     The one-step recurrence I_{n+1} = e^{-dt w} (I_n + dt/2 G_n) + dt/2 G_{n+1}
     reproduces the composite trapezoid rule of the full integrand exactly.
+    It runs over a copy of G's values: G is left as it is.
     """
     dt = float(G.tgrid[1] - G.tgrid[0])
     return SpaceTimeField(G.grid, G.tgrid,
-                          _duhamel(G.values, heat_symbol(G.grid, lambda_shift), dt))
+                          _duhamel(G.values.copy(), heat_symbol(G.grid, lambda_shift), dt))
 
 
-def _duhamel(G: np.ndarray, w: np.ndarray, dt: float,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`duhamel`'s recurrence, cell by cell, on a stack G of frames of
-    w's shape (w the heat symbol on their cells) into ``out`` (zeros by
-    default; its first frame must be zero)."""
+def _duhamel(G: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
+    """:func:`duhamel`'s recurrence, cell by cell, in place over a complex stack G
+    of frames of w's shape (w the heat symbol on their cells); returns G."""
     decay = np.exp(-dt * w).astype(np.complex128)  # as the product would cast it
-    out = np.zeros_like(G) if out is None else out
     half = complex(0.5 * dt)  # so too: every per-frame ufunc has one dtype
-    # in place, frame by frame, in the recurrence's operation order, with
-    # dt/2 G formed a frame at a time in two buffers swapped each step
+    # frame by frame in the recurrence's order: dt/2 G_n is formed (in two
+    # buffers swapped each step) before I_n is written over G_n, and I_0 = 0
     h0, h1 = np.multiply(half, G[0]), np.empty_like(G[0])
-    for prev, cur, g1 in zip(out[:-1], out[1:], G[1:]):
-        np.multiply(half, g1, out=h1)
+    G[0] = 0
+    for prev, cur in zip(G[:-1], G[1:]):
+        np.multiply(half, cur, out=h1)
         np.add(prev, h0, out=cur)
         cur *= decay
         cur += h1
         h0, h1 = h1, h0
-    return out
+    return G
 
 
 def _gate(v0: FrequencyField, min_linf: float) -> SupportStats:
@@ -277,7 +276,8 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField) -> IterationTrace:
     exponential = spec.nonlinearity.kind is NonlinearityKind.EXPONENTIAL
     lam = spec.lambda_shift
     tgrid, grid, rule = spec.tgrid, spec.grid, spec.conv_rule
-    free_vals = spec.delta * free_trajectory(v0, tgrid, lam).values
+    free_vals = free_trajectory(v0, tgrid, lam).values
+    np.multiply(spec.delta, free_vals, out=free_vals)
     w, dt = heat_symbol(grid, lam), float(tgrid[1] - tgrid[0])
     index_l1 = np.indices(grid.shape).sum(axis=0)
     occupied = index_l1[v0.values != 0]
@@ -297,7 +297,7 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField) -> IterationTrace:
         # a cell below ``start`` on some axis has l1 index below need: settled
         start = max(0, need - (grid.d - 1) * (grid.n - 1))
         live = start < grid.n and v.any()  # N(v^0) = N(0) = 0
-        acc, G, coef = v, np.zeros_like(v) if exponential else None, 1
+        acc, G, coef = v, np.zeros_like(v) if exponential and live else None, 1
         for r in range(2, top + 1) if live else ():
             acc = convolve_frames(acc, v, grid, rule, need if r == top else 0)
             if exponential:
@@ -307,12 +307,13 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField) -> IterationTrace:
                     acc, coef = acc / coef, 1
                 coef *= r  # acc / coef is v^{*r} / r!
                 G += acc / coef
-        G = lam**2 * G if exponential else acc
         box = (slice(start, None),) * grid.d
-        sub, v_next = (slice(None), *box), np.zeros_like(v)
-        if live:
-            _duhamel(G[sub], w[box], dt, out=v_next[sub])
-        del acc, G
+        sub = (slice(None), *box)
+        v_next = (G if exponential else acc) if live else np.zeros_like(v)
+        if live and exponential:  # v^{j+1} is made in place over the integrand
+            np.multiply(lam**2, v_next[sub], out=v_next[sub])
+        if live:  # off the box every cell is settled, copied from v^j below
+            _duhamel(v_next[sub], w[box], dt)
         v_next[sub] += free_vals[sub]  # +0.0 + free: bitwise free + Duhamel(0)
         settled = index_l1 < need
         np.copyto(v_next, v, where=settled)
@@ -398,7 +399,8 @@ def picard_iterate(spec: ProblemSpec, v0: FrequencyField) -> IterationTrace:
     many stages.  A run ends at an exactly zero increment whatever tol is.
     The trace holds the final stack of nt * n^d complex cells (16 bytes
     each) and each earlier iterate's cells outside the band it settled;
-    while it runs, the run also holds about four working stacks.
+    while it runs, u^m holds three stacks more (v^j, the free evolution and
+    v^{j+1}, integrated in place over its integrand); e^u's stage loop more.
     """
     if spec.nonlinearity.kind is NonlinearityKind.POWER:
         _gate(v0, spec.eps0)
@@ -469,14 +471,12 @@ def taylor_coefficients(
                         prod *= 2.0
                     acc += prod
                     del prod
-        a[k] = np.zeros_like(a[1])
-        Gk = P.pop((m, k), None)  # none below order m
-        live = np.argwhere(Gk.any(axis=0)) if Gk is not None else ()
-        if len(live):  # Duhamel only on the box of the cells Gk reaches
+        # a_k is made in place over P[m, k] (none below order m): +0.0 off the box
+        a[k] = P.pop((m, k)) if k >= m else np.zeros_like(a[1])
+        live = np.argwhere(a[k].any(axis=0))
+        if len(live):  # Duhamel only on the box of the cells the integrand reaches
             box = tuple(map(slice, live.min(0), live.max(0) + 1))
-            sub = (slice(None), *box)
-            _duhamel(Gk[sub], w[box], dt, out=a[k][sub])
-        del Gk
+            _duhamel(a[k][(slice(None), *box)], w[box], dt)
 
     for k in range(1, k_top + 1):  # c_k = k! a_k, in place
         np.multiply(math.factorial(k), a[k], out=a[k])

@@ -177,17 +177,22 @@ class TestSolve:
         assert man["checks"]["converged"] is True
         assert man["checks"]["support_propagation"] is True
 
-    def test_exponential_solve_past_order_170(self, tmp_path):
+    def test_exponential_solve_past_order_170(self, tmp_path, stage_orders):
         # a datum from the first of 192 cells: the series runs to order 191,
-        # past the last r whose r! is a float
+        # past the last r whose r! is a float.  Under the Riemann rule
+        # v^{*r} starts at cell r, so order 171 has cells (the trapezoid
+        # rule drops each product's run-start cell: v^{*r} from 2r - 1).  At
+        # amplitude 1 every order from 165 up underflows to zero
         cfg = exp_cfg(lambda_shift=1 / 64, grid={"xi_max": 6, "h": 1 / 32},
-                      time={"T": 0.25, "nt": 5},
-                      initial_data={"kind": "HALFLINE_DERIVATIVE", "shift": 0.0})
+                      time={"T": 0.25, "nt": 5}, conv_rule="riemann",
+                      initial_data={"kind": "HALFLINE_DERIVATIVE", "shift": 0.0,
+                                    "amplitude": 4.0})
         out = tmp_path / "out"
         assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 0
         man = manifest(out)
         assert man["checks"]["converged"] is True
         assert man["details"]["support_min_l1"][0] == 1 / 32
+        assert max(r for r, nonzero in stage_orders if nonzero) >= 171
 
     @pytest.mark.parametrize("deriv_order,iterate", [(10, {}), (14, {"tol": 1e-6})])
     def test_exponential_support_steps_by_the_exact_offset(self, tmp_path, deriv_order,
@@ -367,6 +372,24 @@ class TestProbeCommand:
             reports.append(json.loads((out / "probe_report.json").read_text()))
         assert [r["resolution"]["h"] for r in reports] == [1 / 16, 1 / 32]
         assert reports[0]["measured"]["C"] != reports[1]["measured"]["C"]
+
+    @pytest.mark.parametrize("probe,resolution", [
+        ({"kind": "illposed_E", "params": {"s": -0.5, "k_list": [16, 32]}},
+         [{"h": 1 / 16}, {"h": 1 / 32}]),
+        ({"kind": "illposed_H", "params": {"sigma": -2.0, "m": 2, "N_list": [8, 16]}},
+         [{"quad_order": 64}, {"quad_order": 128}]),
+        # an inequality kind refines its whole base: grid spacing and time nodes
+        ({"kind": "heat_semigroup", "n_samples": 3},
+         [{"h": 1 / 8, "nt": 33}, {"h": 1 / 16, "nt": 65}]),
+    ], ids=["illposed_E", "illposed_H", "inequality"])
+    def test_refine_scales_the_probe_resolution(self, tmp_path, probe, resolution):
+        path, got = write_cfg(tmp_path, {"probe": probe}), []
+        for refine, want in zip((False, True), resolution):
+            out = tmp_path / f"refine{refine}"
+            assert run("probe", path, str(out), refine=refine) == 0
+            report = json.loads((out / "probe_report.json").read_text())
+            got.append({key: report["resolution"][key] for key in want})
+        assert got == resolution
 
 
 class TestTaylorAndOracle:
