@@ -19,10 +19,15 @@ the caller keeps.  Both kernels take from one plan per pair of nonzero
 patterns each operand's support box (the cells whose products can reach
 [0, n)) and the rule's operand masks; the plan's window, the one place
 that derives output cells, crop and FFT pad, cuts them to the cells a call
-computes (the whole grid for the direct sum).  The FFT kernel keeps the
-direct sum's exact zeros (a count convolution kept with the plan) and its
-values up to FFT round-off; the truncation warning follows the
-combinatorial support, not the values.
+computes (the whole grid for the direct sum).  A mask differs from its
+operand only at run ends, so a 1D trapezoid product whose operands each
+hold one run transforms each distinct operand once, unmasked, and
+subtracts the products the rule drops at the run ends directly (the
+composite trapezoid rule is the rectangle sum less half its end terms);
+other patterns, and every pattern in d >= 2, transform the masked
+operands.  The FFT kernel keeps the direct sum's exact zeros (a count
+convolution kept with the plan) and its values up to FFT round-off; the
+truncation warning follows the combinatorial support, not the values.
 
 All operations are pure functions on immutable inputs and use fixed-order
 reductions, so repeated runs are bit-identical.  A field file holds its
@@ -234,9 +239,12 @@ class _Plan:
     ``terms`` holds the rule's operand masks on the whole grid (none when a
     pattern is empty); ``scale`` is h^d times the rule's weight.  ``twin``
     marks equal patterns under the trapezoid rule, whose term N - 1 - i is
-    term i swapped.  Only :meth:`window` cuts the boxes and masks and
-    derives output cells, crop and pad; :meth:`direct` and the
-    :attr:`support` read the whole grid's, :attr:`whole`.
+    term i swapped.  ``ends`` is set on a 1D trapezoid plan whose operands
+    each hold one run: per term, the one cell it drops from f (the run's
+    first or last) and the one it drops from g.  Only :meth:`window` cuts
+    the boxes and masks and derives output cells, crop and pad; the
+    :attr:`support` reads the whole grid's, and :meth:`direct` reads it
+    with its masks cast to complex128, :attr:`whole`.
     """
 
     n: int
@@ -245,6 +253,7 @@ class _Plan:
     gbox: tuple[slice, ...] = ()
     scale: float = 1.0
     twin: bool = False
+    ends: tuple | None = None
 
     @functools.cached_property
     def spills(self) -> bool:
@@ -255,8 +264,15 @@ class _Plan:
 
     @functools.cached_property
     def whole(self):
-        """:meth:`window` over the whole grid, computed once per plan."""
-        return self.window(0, self.n)
+        """:meth:`window` over the whole grid, computed once per plan, with
+        its masks cast once to complex128, as each product of the direct sum
+        would cast them: the sums keep their bits."""
+        window = self.window(0, self.n)
+        if window is None:
+            return None
+        terms, *rest = window
+        return (tuple((fm.astype(np.complex128), gm.astype(np.complex128))
+                      for fm, gm in terms), *rest)
 
     @functools.cached_property
     def halves(self):
@@ -283,9 +299,9 @@ class _Plan:
 
     @functools.cached_property
     def support(self) -> np.ndarray:
-        """Which cells of :attr:`whole`'s crop some product reaches (the count
+        """Which cells of the whole grid's crop some product reaches (the count
         convolution of the masks), where the direct sum may be nonzero."""
-        terms, _, _, _, crop, pad = self.whole
+        terms, _, _, _, crop, pad = self.window(0, self.n)
         axes = tuple(range(len(pad)))
         # one object for both operands, so that equal masks share a transform
         spec = _spectrum(terms, True, True, lambda x, m: _fft.rfftn(x * m, pad, axes))
@@ -342,8 +358,15 @@ def _plan(f_bits: bytes, g_bits: bytes, shape: tuple, h: float, rule: str) -> _P
     if not terms:
         return _Plan(shape[0])
     (a, A), (b, B) = ((nz.min(0), nz.max(0)) for nz in map(np.argwhere, (f, g)))
-    return _Plan(shape[0], tuple(terms), _box(a, A + 1), _box(b, B + 1),
-                 h**len(shape) * weight, rule == "trapezoid" and g_bits == f_bits)
+    fbox, gbox = _box(a, A + 1), _box(b, B + 1)
+    ends = None
+    if rule == "trapezoid" and len(shape) == 1 and f[fbox].all() and g[gbox].all():
+        # term 0 pairs f from its second cell with g up to its last but one,
+        # term 1 the mirror (_rule_terms)
+        (f_run,), (g_run,) = fbox, gbox
+        ends = ((f_run.start, g_run.stop - 1), (f_run.stop - 1, g_run.start))
+    return _Plan(shape[0], tuple(terms), fbox, gbox, h**len(shape) * weight,
+                 rule == "trapezoid" and g_bits == f_bits, ends)
 
 
 def _next_fast_len(n: int) -> int:
@@ -432,14 +455,18 @@ def convolve_frames(
     of the part from lo up, by the overlap-save argument), the rule's terms
     are summed in the frequency domain and inverted once, and only the kept
     cells from a + b up are written (a, b the patterns' first nonzero
-    cells).  Cells outside the combinatorial support, a count convolution of
-    the masks kept with the plan, are exact zeros as in the direct sum;
-    inside it the values agree with the direct sum to FFT round-off.  An
-    empty operand, a + b >= hi on an axis, or lo above every index sum the
-    products reach gives zeros without a transform.  Blocks of about
-    ``BLOCK_CELLS`` padded cells bound the working memory: their operand
-    transforms and product stay in L2 and are reused from the heap, not
-    re-faulted, from block to block.
+    cells).  In 1D under the trapezoid rule, when each operand's box holds
+    one run, each distinct operand is transformed once, unmasked: the two
+    terms sum to twice the plain product less the products each drops at a
+    run end (:func:`_subtract_ends`), so the cost is one forward transform
+    per distinct operand and one inverse.  Cells outside the combinatorial
+    support, a count convolution of the masks kept with the plan, are exact
+    zeros as in the direct sum; inside it the values agree with the direct
+    sum to FFT round-off.  An empty operand, a + b >= hi on an axis, or lo
+    above every index sum the products reach gives zeros without a
+    transform.  Blocks of about ``BLOCK_CELLS`` padded cells bound the
+    working memory: their operand transforms and product stay in L2 and are
+    reused from the heap, not re-faulted, from block to block.
     """
     if a.shape != b.shape or a.shape[1:] != grid.shape:
         raise ValueError(f"frame stacks must both have shape (nt, *{grid.shape}), "
@@ -462,28 +489,68 @@ def convolve_frames(
         keep, skip = p.support[crop], lo - sum(c.start for c in cells)
         if skip > 0:  # the cells whose index sum is below lo
             keep = keep & (np.indices(keep.shape).sum(axis=0) >= skip)
+        ends = p.ends and tuple(  # in box indices, None where the window cut it off
+            (i - fbox[0].start if i < fbox[0].stop else None,
+             j - gbox[0].start if j < gbox[0].stop else None) for i, j in p.ends)
         block = max(1, BLOCK_CELLS // math.prod(pad))
         for start in range(first, stop, block):
             t = slice(start, min(start + block, stop))
             f = a[(t, *fbox)]
             g = f if b is a else b[(t, *gbox)]  # b is a shares the transforms
-            spec = _spectrum(terms, f, g, lambda x, m: _padded_fft(x, m, pad))
-            spec *= p.scale
+            if ends:  # the terms' sum is len(terms) f * g less the dropped products
+                spec = _padded_fft(f, None, pad)
+                spec *= spec if g is f else _padded_fft(g, None, pad)
+                spec *= len(terms) * p.scale
+            else:
+                spec = _spectrum(terms, f, g, lambda x, m: _padded_fft(x, m, pad))
+                spec *= p.scale
             vals = _fft.ifftn(spec, axes=axes, out=spec)[(..., *crop)]
+            if ends:
+                _subtract_ends(vals, f, g, ends, p.scale, max(skip, 0))
             np.copyto(out[(t, *cells)], vals, where=keep)
     return out
 
 
-def _padded_fft(x: np.ndarray, m: np.ndarray, pad: tuple[int, ...]) -> np.ndarray:
-    """FFT over the last len(pad) axes of x * m zero-padded to ``pad``, formed
-    in place in one buffer.  Axes are transformed last first, as by ``fftn``,
-    and each only on the rows whose earlier indices lie inside m's box: the
-    other rows are zero, and so are their transforms, so the result is
-    ``fftn``'s bit for bit."""
+def _subtract_ends(vals, f, g, ends, scale, first):
+    """Subtract from ``vals``, from cell ``first`` up, the scaled products
+    each trapezoid term drops from the full 1D convolution of blocks f and
+    g: a term that drops f's cell i and g's cell j sums (f - f_i) * (g -
+    g_j), which is f * g less g_j f shifted by j and f_i g shifted by i,
+    plus f_i g_j at i + j (i or j None: the window cut that cell off).
+    Each frame's coefficients are its own, so a block's cells have the
+    bits they have in a block of one frame."""
+    width = vals.shape[-1]
+
+    def axpy(shift, c, x):  # vals -= c x, x from cell shift on
+        lo, hi = max(shift, first), min(shift + x.shape[-1], width)
+        if lo < hi:
+            vals[:, lo:hi] -= c[:, None] * x[:, lo - shift:hi - shift]
+
+    for i, j in ends:
+        if j is not None:
+            axpy(j, scale * g[:, j], f)
+        if i is not None:
+            axpy(i, scale * f[:, i], g)
+        if i is not None and j is not None and first <= i + j < width:
+            vals[:, i + j] += scale * f[:, i] * g[:, j]
+
+
+def _padded_fft(x: np.ndarray, m: np.ndarray | None,
+                pad: tuple[int, ...]) -> np.ndarray:
+    """FFT over the last len(pad) axes of x * m (of x when m is None)
+    zero-padded to ``pad``, formed in place in one buffer.  Axes are
+    transformed last first, as by ``fftn``, and each only on the rows whose
+    earlier indices lie inside x's box: the other rows are zero, and so are
+    their transforms, so the result is ``fftn``'s bit for bit."""
+    box = x.shape[1:]
     buf = np.zeros((len(x), *pad), dtype=np.complex128)
-    np.multiply(x, m, out=buf[(..., *map(slice, m.shape))])
+    cut = buf[(..., *map(slice, box))]
+    if m is None:
+        cut[...] = x
+    else:
+        np.multiply(x, m, out=cut)
     for k in reversed(range(len(pad))):
-        rows = buf[(slice(None), *map(slice, m.shape[:k]))]
+        rows = buf[(slice(None), *map(slice, box[:k]))]
         _fft.fftn(rows, axes=(k + 1,), out=rows)
     return buf
 

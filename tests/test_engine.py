@@ -847,18 +847,34 @@ class TestBandWindows:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
             assert np.array_equal(got != 0, ref != 0)
 
+    @staticmethod
+    def transforms(monkeypatch):
+        """A list that gets, per operand transform of the FFT kernel, its
+        pad and whether the operand was masked."""
+        calls, padded_fft = [], lattice._padded_fft
+        monkeypatch.setattr(lattice, "_padded_fft", lambda x, m, pad: calls.append(
+            (pad, m is not None)) or padded_fft(x, m, pad))
+        return calls
+
     def test_picard_pads_shrink(self, monkeypatch):
         # the cyclic convolution need only be linear from the settled band
         # up: one datum offset (64 cells) less per iterate, and the last
         # iterate, settled everywhere, transforms nothing
-        pads = []
-        padded_fft = lattice._padded_fft
-        monkeypatch.setattr(lattice, "_padded_fft",
-                            lambda x, m, pad: pads.append(pad) or padded_fft(x, m, pad))
+        calls = self.transforms(monkeypatch)
         spec, v0 = self.band_1d()
         assert len(picard_iterate(spec, v0).iterates) == 8
-        # the trapezoid rule transforms two masked copies of each operand
-        assert pads == [pad for n in (768, 704, 640, 576, 512, 448) for pad in [(n,)] * 2]
+        # v * v under the trapezoid rule, each operand one run: one unmasked
+        # transform, the run-end products subtracted directly
+        assert calls == [((n,), False) for n in (768, 704, 640, 576, 512, 448)]
+
+    def test_picard_2d_transforms_each_mask(self, monkeypatch):
+        # in d >= 2 a mask drops a face: the trapezoid rule transforms each
+        # of the 2^d masked copies of v (the stage's operands are one)
+        calls = self.transforms(monkeypatch)
+        g = make_grid(2, 4, 1 / 8)
+        spec = power_spec(g, nt=9, tol=1e-12)
+        assert len(picard_iterate(spec, bump(g, 1.0)).iterates) == 4
+        assert calls == [((n, n), True) for n in (7, 27) for _ in range(2**g.d)]
 
     def test_second_run_misses_no_plan(self):
         # solve and taylor on band-1d use 11 plans, within the cache's 64;

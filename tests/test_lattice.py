@@ -705,6 +705,89 @@ class TestWindows:
         assert convolve_frames(a, b, g, rule).any() and counted != []
 
 
+def runs_pattern(n, runs, to_end):
+    """A 1D nonzero pattern on n cells: the union of the (start, length)
+    runs, its last run stretched to the grid's end when ``to_end``."""
+    keep = np.zeros(n, dtype=bool)
+    for start, length in runs:
+        keep[start % n:start % n + length] = True
+    if to_end:
+        keep[np.flatnonzero(keep).max():] = True
+    return keep
+
+
+# one to three runs, single cells drawn often, up to or short of the grid's end
+RUN_PATTERNS = st.tuples(
+    st.lists(st.tuples(st.integers(0, 31), st.just(1) | st.integers(1, 12)),
+             min_size=1, max_size=3),
+    st.booleans())
+
+
+class TestRunEnds:
+    """Under the trapezoid rule in 1D, a product whose operands each hold one
+    run transforms each distinct operand once, unmasked, and subtracts the
+    products the rule's terms drop at the run ends; other patterns keep the
+    masked transforms.  Both against the direct sum, frame by frame."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([make_grid(1, 4, 1 / 4), make_grid(1, 4, 1 / 8)]),
+           st.lists(st.tuples(RUN_PATTERNS, RUN_PATTERNS), min_size=1, max_size=2),
+           st.lists(st.integers(0, 1), min_size=1, max_size=4),
+           st.sampled_from(["distinct", "same", "copy"]),
+           st.integers(0, 2**31 - 1), st.data())
+    def test_matches_direct(self, g, patterns, order, operands, seed, data):
+        # frame k takes the pattern pair order[k] (mod the pairs drawn), so
+        # that runs of frames change pattern; b is a, an equal copy, or
+        # frames on the pair's other pattern
+        rng = np.random.default_rng(seed)
+        keeps = [[runs_pattern(g.n, *pattern) for pattern in pair] for pair in patterns]
+        frames = [keeps[k % len(keeps)] for k in order]
+
+        def stack(side):
+            vals = rng.standard_normal((len(order), g.n)) \
+                + 1j * rng.standard_normal((len(order), g.n))
+            return vals * np.array([pair[side] for pair in frames])
+
+        a = stack(0)
+        b = {"distinct": lambda: stack(1), "same": lambda: a, "copy": a.copy}[operands]()
+        lo = data.draw(st.just(0) | st.integers(0, 2 * g.n), label="lo")
+        hi = data.draw(st.none() | st.integers(0, g.n + 1), label="hi")
+        rule = "trapezoid"
+        ref = np.stack([lattice._direct(x, y, g, rule)[0] for x, y in zip(a, b)])
+        got = convolve_frames(a, b, g, rule, lo, hi)
+        win = window_mask(g, lo, g.n if hi is None else hi)
+        assert not got[:, ~win].any()
+        assert np.abs(got - ref)[:, win].max(initial=0.0) <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(got[:, win] != 0, ref[:, win] != 0)
+        per_frame = []
+        for k in range(len(order)):
+            x = a[k:k + 1]
+            per_frame.append(convolve_frames(x, x if b is a else b[k:k + 1], g, rule,
+                                             lo, hi))
+        assert np.concatenate(per_frame).tobytes() == got.tobytes()
+        if b is a:
+            assert convolve_frames(a, a.copy(), g, rule, lo, hi).tobytes() == got.tobytes()
+
+    def test_blocks_of_a_long_run(self):
+        # as test_runs_of_pattern_pairs, on one run each: a 511-cell box pads
+        # to 1024 cells, so a block holds 16 frames and 100 frames span seven
+        g = make_grid(1, 8, 1 / 64)
+        rng = np.random.default_rng(41)
+        order = [0, 1] * 4 + [0] * 100
+        keep = np.zeros((2, g.n), dtype=bool)
+        keep[0, 1:] = keep[1, 3:400] = True
+        a, b = ((rng.standard_normal((len(order), g.n))
+                 + 1j * rng.standard_normal((len(order), g.n))) * keep[order]
+                for _ in range(2))
+        assert lattice._plan(*(np.packbits(k).tobytes() for k in keep[[0, 0]]),
+                             g.shape, g.h, "trapezoid").ends is not None
+        for x, y in ((a, b), (a, a)):
+            per_frame = np.concatenate([convolve_frames(s[None], t[None], g, "trapezoid")
+                                        for s, t in zip(x, y)])
+            assert convolve_frames(x, y, g, "trapezoid").tobytes() == per_frame.tobytes()
+            check_frames(x, y, g, "trapezoid")
+
+
 class TestSupportStats:
     def test_interval_indicator(self):
         g = make_grid(1, 4, 0.25)
