@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import functools
 import inspect
 import json
 import math
@@ -115,13 +116,25 @@ def _coerce(hint, value, where: str, inf_ok: bool = False):
     return out
 
 
+@functools.cache
+def _params(target) -> types.MappingProxyType:
+    """``target``'s parameters, read once per target."""
+    return inspect.signature(target).parameters
+
+
+@functools.cache
+def _hints(target) -> dict:
+    """``target``'s resolved type hints, read once per target."""
+    return typing.get_type_hints(target)
+
+
 def _fields(target, section, where: str, keys=None, given=()) -> dict:
     """Coerced keyword arguments for ``target`` from one config section.
     ``keys`` maps each accepted config key to the target parameter it sets
     (a sequence: parameters under their own names; default: all of them).
     Other keys, and missing ones whose parameter has no default and is not
     ``given``, are config errors; absent keys keep the target's default."""
-    params = inspect.signature(target).parameters
+    params = _params(target)
     if not isinstance(keys, dict):
         keys = {k: k for k in (keys or params)}
     _check_keys(section, where, keys)
@@ -129,7 +142,7 @@ def _fields(target, section, where: str, keys=None, given=()) -> dict:
         if key not in section and name not in given \
                 and params[name].default is inspect.Parameter.empty:
             raise ConfigError(f"missing key {key!r} in {where}")
-    hints = typing.get_type_hints(target)
+    hints = _hints(target)
     return {keys[k]: _coerce(hints[keys[k]], v, f"{where}.{k}",
                              (target, keys[k]) in INF_OK) for k, v in section.items()}
 
@@ -155,7 +168,7 @@ def _call(target, *args, **kwargs):
 
 
 def _default(fn, name: str):
-    return inspect.signature(fn).parameters[name].default
+    return _params(fn)[name].default
 
 
 def _refine(grid: FrequencyGrid | None, nt: int | None):
@@ -184,7 +197,7 @@ def _build_datum(cfg: dict, grid):
     kind = _coerce(InitialDataKind, _need(section, "kind", "initial_data"),
                    "initial_data.kind")
     sampler = DATA_KINDS[kind]
-    keys = tuple(inspect.signature(sampler).parameters)[1:]  # all but the grid
+    keys = tuple(_params(sampler))[1:]  # all but the grid
     _check_keys(section, f"initial_data of kind {kind.value}", ("kind", *keys))
     params = _fields(sampler, _pick(section, keys), "initial_data", keys)
     return _call(make_initial_data, InitialDataSpec(kind, **params), grid)
@@ -341,7 +354,7 @@ def _cmd_probe(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dic
         keys = tuple(target.__kwdefaults__)
     elif kind in PROBES:  # params: the entry point's, but the datum f
         target, refined = PROBES[kind]
-        keys = [name for name in inspect.signature(target).parameters if name != "f"]
+        keys = [name for name in _params(target) if name != "f"]
         _check_keys(pcfg, "probe", ("kind", "params"))
     else:
         raise ConfigError(f"unknown probe kind {kind!r}")

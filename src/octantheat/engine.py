@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (BLOCK_CELLS, RULES, FrequencyField, FrequencyGrid, SupportStats,
-                      convolve_frames, cube_l2_table, support_stats)
+                      convolve_frames, convolve_sum, cube_l2_table, support_stats)
 from .norms import SpaceTimeField, _weighted_cube_sum
 
 __all__ = [
@@ -418,12 +418,17 @@ def taylor_coefficients(
     """Derivative trajectories of the solution in the amplitude delta.
 
     Order 1 is the free evolution of v0; order k is the Duhamel integral
-    of the multinomial sum of convolutions of lower orders.  Each order k
-    has l1 support offset at least k times the datum's, so finitely many
-    orders assemble the exact solution on |xi|_1 < K.  Supports only move
-    up on every axis, so the convolutions are computed only below K on
-    every axis (the kernel's ``hi``), a box that holds the band.  The run
-    holds its orders plus a few working stacks of nt * n^d complex cells.
+    of the multinomial sum of convolutions of lower orders, built by one
+    :func:`convolve_sum` call over its products (a mirrored pair is one
+    product of weight 2), which sums the products that share a window in
+    the frequency domain and inverts once.  Each order k has l1 support
+    offset at least k times the datum's, so finitely many orders assemble
+    the exact solution on |xi|_1 < K.  Supports only move up on every
+    axis, so the convolutions are computed only below K on every axis (the
+    kernel's ``hi``), a box that holds the band, and a product whose
+    operands' first nonzero cells sum to hi or more on some axis is dropped
+    before the kernel scans it.  The run holds its orders plus a few
+    working stacks of nt * n^d complex cells.
     """
     if spec.nonlinearity.kind is not NonlinearityKind.POWER:
         raise ValueError("the amplitude expansion is built for power flows")
@@ -456,26 +461,36 @@ def taylor_coefficients(
     # P[r, k]: degree-k coefficient of the r-fold convolution power of
     # sum_k a_k delta^k (zero for k < r).  It needs only degrees below k, so
     # one pass in increasing k fills it, for the (r, k) that order k_top
-    # reads: k <= k_top - (m - r).  Both rules are symmetric, so for r = 2
-    # each unordered pair a_i * a_{k-i} is convolved once.  P[m, k] is read
-    # by order k alone, and each product is dropped once added in.
+    # reads: k <= k_top - (m - r).  Each P[r, k] is one kernel call over its
+    # products a_i * P[r - 1, k - i].  Both rules are symmetric, so for r = 2
+    # each unordered pair a_i * a_{k-i} is one term, of weight 2 when
+    # i != k - i.  ``lead[r, k]`` bounds P[r, k]'s first nonzero cell per
+    # axis from below (r = 1: a_k; None: the stack is zero), so a product
+    # that lands at or above hi on some axis is dropped before the kernel
+    # scans it.  P[m, k] is read by order k alone.
     P: dict[tuple[int, int], np.ndarray] = {}
+    occupied = np.argwhere(v0.values)
+    lead = {(1, 1): occupied.min(0) if len(occupied) else None}
     for k in range(2, k_top + 1):
         for r in range(max(2, m - k_top + k), min(k, m) + 1):
-            P[r, k] = acc = np.zeros_like(a[1])
+            terms, firsts = [], []
             for i in range(1, (k // 2 if r == 2 else k - r + 1) + 1):
-                rest = a[k - i] if r == 2 else P[r - 1, k - i]
-                if a[i].any() and rest.any():
-                    prod = convolve_frames(a[i], rest, grid, rule, 0, hi)
-                    if r == 2 and 2 * i < k:
-                        prod *= 2.0
-                    acc += prod
-                    del prod
+                x, y = lead[1, i], lead[r - 1, k - i]
+                if x is None or y is None or (x + y >= hi).any():
+                    continue
+                weight = 2.0 if r == 2 and 2 * i < k else 1.0
+                terms.append((weight, a[i], a[k - i] if r == 2 else P[r - 1, k - i]))
+                firsts.append(x + y)
+            P[r, k] = (convolve_sum(terms, grid, rule, 0, hi) if terms
+                       else np.zeros_like(a[1]))
+            lead[r, k] = np.min(firsts, axis=0) if firsts else None
         # a_k is made in place over P[m, k] (none below order m): +0.0 off the box
         a[k] = P.pop((m, k)) if k >= m else np.zeros_like(a[1])
         live = np.argwhere(a[k].any(axis=0))
+        # a_k vanishes where its integrand does in every frame
+        lead[1, k] = live.min(0) if len(live) else None
         if len(live):  # Duhamel only on the box of the cells the integrand reaches
-            box = tuple(map(slice, live.min(0), live.max(0) + 1))
+            box = tuple(map(slice, lead[1, k], live.max(0) + 1))
             _duhamel(a[k][(slice(None), *box)], w[box], dt)
 
     for k in range(1, k_top + 1):  # c_k = k! a_k, in place

@@ -13,13 +13,15 @@ converges at first order: a 1D u^2 run from it errs by 0.44, 0.21 and
 0.105 of its nonlinear part at h = 1/8, 1/16 and 1/32.
 :func:`convolve` sums directly (``np.convolve`` in 1D, a shift-and-add
 over nonzero cells above; a trapezoid self-product sums half its mirrored
-terms, twice), and :func:`convolve_frames` convolves
+terms, twice), and :func:`convolve_sum` sums weighted products of
 (nt, *grid) frame stacks by zero-padded FFTs on a window of output cells
-the caller keeps.  Both kernels take from one plan per pair of nonzero
-patterns each operand's support box (the cells whose products can reach
-[0, n)) and the rule's operand masks; the plan's window, the one place
-that derives output cells, crop and FFT pad, cuts them to the cells a call
-computes (the whole grid for the direct sum).  A mask differs from its
+the caller keeps, with one inverse per window its products share
+(:func:`convolve_frames` is its one-product call).  Both kernels take from
+one plan per pair of nonzero patterns each operand's support box (the
+cells whose products can reach [0, n)) and the rule's operand masks; the
+plan's window, the one place that derives output cells, crop and FFT
+pad, cuts them to the cells a call computes (the whole grid for the direct
+sum).  A mask differs from its
 operand only at run ends, so a 1D trapezoid product whose operands each
 hold one run transforms each distinct operand once, unmasked, and
 subtracts the products the rule drops at the run ends directly (the
@@ -52,6 +54,7 @@ __all__ = [
     "make_grid",
     "convolve",
     "convolve_frames",
+    "convolve_sum",
     "support_stats",
     "save_field",
     "load_field",
@@ -444,71 +447,123 @@ def convolve_frames(
     truncated at xi_max, by zero-padded FFTs over the grid axes, computed
     only on the caller's window: the cells below ``hi`` (default n) on
     every axis whose index sum is at least ``lo``.  Cells outside the
-    window are zero.
-
-    Each run of consecutive frames with one pair of nonzero patterns goes,
-    in blocks sliced as views, through the plan :func:`convolve` uses for
-    that pair, cut to the window (:meth:`_Plan.window`): each operand is cut
-    to its support box (the cells whose products can reach the cells below
-    hi) and masked by the rule, each axis is padded to
-    :func:`_next_fast_len` of the boxes' full convolution length (in 1D only
-    of the part from lo up, by the overlap-save argument), the rule's terms
-    are summed in the frequency domain and inverted once, and only the kept
-    cells from a + b up are written (a, b the patterns' first nonzero
-    cells).  In 1D under the trapezoid rule, when each operand's box holds
-    one run, each distinct operand is transformed once, unmasked: the two
-    terms sum to twice the plain product less the products each drops at a
-    run end (:func:`_subtract_ends`), so the cost is one forward transform
-    per distinct operand and one inverse.  Cells outside the combinatorial
-    support, a count convolution of the masks kept with the plan, are exact
-    zeros as in the direct sum; inside it the values agree with the direct
-    sum to FFT round-off.  An empty operand, a + b >= hi on an axis, or lo
-    above every index sum the products reach gives zeros without a
-    transform.  Blocks of about ``BLOCK_CELLS`` padded cells bound the
-    working memory: their operand transforms and product stay in L2 and are
-    reused from the heap, not re-faulted, from block to block.
+    window are zero.  It is the one-term call of :func:`convolve_sum`, whose
+    docstring gives the method.
     """
-    if a.shape != b.shape or a.shape[1:] != grid.shape:
-        raise ValueError(f"frame stacks must both have shape (nt, *{grid.shape}), "
-                         f"got {a.shape} and {b.shape}")
+    return convolve_sum([(1.0, a, b)], grid, rule, lo, hi)
+
+
+def convolve_sum(
+    terms, grid: FrequencyGrid, rule: str = "riemann", lo: int = 0,
+    hi: int | None = None,
+) -> np.ndarray:
+    """Sum over ``terms``, (weight, a, b) triples of (nt, *grid.shape)
+    stacks, of weight times :func:`convolve_frames` of a and b, on the
+    caller's window (cells below ``hi`` on every axis whose index sum is at
+    least ``lo``), in one pass: the terms whose windows match are summed in
+    the frequency domain and inverted once.
+
+    Each distinct operand's nonzero pattern is packed per frame, and one
+    vectorized compare of consecutive packed rows splits the frames into
+    runs on which every operand keeps its pattern.  In each run every term
+    takes the plan :func:`convolve` uses for its pair of patterns, cut to
+    the window (:meth:`_Plan.window`): each operand is cut to its support
+    box (the cells whose products can reach the cells below hi) and masked
+    by the rule, and each axis is padded to :func:`_next_fast_len` of the
+    boxes' full convolution length (in 1D only of the part from lo up, by
+    the overlap-save argument).  Terms whose windows share output cells,
+    crop and pad form a group; a term with no window (an empty operand,
+    a + b >= hi on an axis, or lo above every index sum it reaches) adds
+    nothing and transforms nothing.  Per group, in blocks sliced as views,
+    each term's rule terms are summed in the frequency domain, scaled by
+    the term's weight, added into the group's spectrum and inverted once,
+    and only the kept cells from a + b up are written (a, b the patterns'
+    first nonzero cells); groups with other windows add their own inverse.
+    In 1D under the trapezoid rule, when each operand's box holds one run,
+    each distinct operand is transformed once, unmasked: the two rule terms
+    sum to twice the plain product less the products each drops at a run
+    end, which are subtracted directly per term, scaled by its weight
+    (:func:`_subtract_ends`).  Cells outside the combinatorial supports, a
+    count convolution of the masks kept with each plan, are exact zeros as
+    in the direct sum; inside them the values agree with the direct sum to
+    FFT round-off.  A one-term call with weight 1 is the plain product.
+    Blocks of about ``BLOCK_CELLS`` padded cells bound the working memory:
+    their operand transforms and product stay in L2 and are reused from the
+    heap, not re-faulted, from block to block.
+    """
+    if not terms:
+        raise ValueError("convolve_sum needs at least one term")
+    shape = terms[0][1].shape
+    for _, a, b in terms:
+        if a.shape != shape or b.shape != shape or shape[1:] != grid.shape:
+            raise ValueError(f"frame stacks must all have shape (nt, *{grid.shape}), "
+                             f"got {a.shape} and {b.shape}")
     if rule not in RULES:
         raise ValueError(f"unknown convolution rule {rule!r}")
-    out = np.zeros(a.shape, dtype=np.complex128)
-    nonzero = (x.reshape(len(x), -1).astype(bool) for x in ((a,) if b is a else (a, b)))
-    bits = [[row.tobytes() for row in np.packbits(x, axis=1)] for x in nonzero]
+    out = np.zeros(shape, dtype=np.complex128)
+    operands = {id(x): x for _, a, b in terms for x in (a, b)}
+    # per distinct operand, its nonzero pattern packed per frame
+    packed = {key: np.packbits(x.reshape(len(x), -1).astype(bool), axis=1)
+              for key, x in operands.items()}
+    change = np.zeros(max(len(out) - 1, 0), dtype=bool)
+    for rows in packed.values():
+        change |= np.any(rows[1:] != rows[:-1], axis=1)
+    starts = [0, *(np.flatnonzero(change) + 1).tolist()] if len(out) else []
     hi = grid.n if hi is None else min(hi, grid.n)
     axes = tuple(range(1, 1 + grid.d))
-    stop = 0
-    for pair, run in itertools.groupby(zip(bits[0], bits[-1])):
-        first, stop = stop, stop + sum(1 for _ in run)
-        p = _plan(*pair, grid.shape, grid.h, rule)
-        window = p.window(lo, hi)
-        if window is None:
-            continue
-        terms, fbox, gbox, cells, crop, pad = window
-        keep, skip = p.support[crop], lo - sum(c.start for c in cells)
-        if skip > 0:  # the cells whose index sum is below lo
-            keep = keep & (np.indices(keep.shape).sum(axis=0) >= skip)
-        ends = p.ends and tuple(  # in box indices, None where the window cut it off
-            (i - fbox[0].start if i < fbox[0].stop else None,
-             j - gbox[0].start if j < gbox[0].stop else None) for i, j in p.ends)
-        block = max(1, BLOCK_CELLS // math.prod(pad))
-        for start in range(first, stop, block):
-            t = slice(start, min(start + block, stop))
-            f = a[(t, *fbox)]
-            g = f if b is a else b[(t, *gbox)]  # b is a shares the transforms
-            if ends:  # the terms' sum is len(terms) f * g less the dropped products
-                spec = _padded_fft(f, None, pad)
-                spec *= spec if g is f else _padded_fft(g, None, pad)
-                spec *= len(terms) * p.scale
-            else:
-                spec = _spectrum(terms, f, g, lambda x, m: _padded_fft(x, m, pad))
-                spec *= p.scale
-            vals = _fft.ifftn(spec, axes=axes, out=spec)[(..., *crop)]
-            if ends:
-                _subtract_ends(vals, f, g, ends, p.scale, max(skip, 0))
-            np.copyto(out[(t, *cells)], vals, where=keep)
+    for first, stop in zip(starts, [*starts[1:], len(out)]):
+        bits = {key: rows[first].tobytes() for key, rows in packed.items()}
+        groups: dict[tuple, tuple] = {}  # by output cells, crop and pad
+        for w, a, b in terms:
+            p = _plan(bits[id(a)], bits[id(b)], grid.shape, grid.h, rule)
+            window = p.window(lo, hi)
+            if window is not None:
+                rterms, fbox, gbox, cells, crop, pad = window
+                key = (*(c.start for c in cells), *(c.stop for c in crop), pad)
+                ends = p.ends and _box_ends(p.ends, fbox, gbox)
+                groups.setdefault(key, (cells, crop, pad, []))[-1].append(
+                    (a, b, rterms, fbox, gbox, w * p.scale, ends, p.support))
+        for written, (cells, crop, pad, group) in enumerate(groups.values()):
+            keep = functools.reduce(np.logical_or, (support[crop] for *_, support in group))
+            skip = lo - sum(c.start for c in cells)
+            if skip > 0:  # the cells whose index sum is below lo
+                keep = keep & (np.indices(keep.shape).sum(axis=0) >= skip)
+            block = max(1, BLOCK_CELLS // math.prod(pad))
+            for start in range(first, stop, block):
+                t = slice(start, min(start + block, stop))
+                spec, drops = None, []
+                for a, b, rterms, fbox, gbox, coef, ends, _ in group:
+                    f = a[(t, *fbox)]
+                    g = f if b is a else b[(t, *gbox)]  # b is a shares the transforms
+                    if ends:  # the terms' sum is len(rterms) f * g less the drops
+                        term = _padded_fft(f, None, pad)
+                        term *= term if g is f else _padded_fft(g, None, pad)
+                        term *= len(rterms) * coef
+                        drops.append((f, g, ends, coef))
+                    else:
+                        term = _spectrum(rterms, f, g,
+                                         lambda x, m: _padded_fft(x, m, pad))
+                        term *= coef
+                    if spec is None:
+                        spec = term
+                    else:
+                        spec += term
+                vals = _fft.ifftn(spec, axes=axes, out=spec)[(..., *crop)]
+                for f, g, ends, coef in drops:
+                    _subtract_ends(vals, f, g, ends, coef, max(skip, 0))
+                dst = out[(t, *cells)]
+                if written:  # an earlier group of this run wrote some of these cells
+                    np.add(dst, vals, out=dst, where=keep)
+                else:
+                    np.copyto(dst, vals, where=keep)
     return out
+
+
+def _box_ends(ends, fbox, gbox):
+    """A plan's run-end cells in its window's box indices, None where the
+    window cut that cell off."""
+    return tuple((i - fbox[0].start if i < fbox[0].stop else None,
+                  j - gbox[0].start if j < gbox[0].stop else None) for i, j in ends)
 
 
 def _subtract_ends(vals, f, g, ends, scale, first):

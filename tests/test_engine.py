@@ -478,21 +478,58 @@ class TestTaylor:
 
     def test_pairs_convolved_once(self, monkeypatch):
         # a_i * a_{k-i} equals a_{k-i} * a_i under both rules, so order k of
-        # a quadratic flow takes one kernel call per unordered pair: k // 2.
-        # The Riemann rule is bilinear, so the band matches Picard's.
+        # a quadratic flow sums one term per unordered pair, k // 2, in one
+        # kernel pass.  The datum starts at cell 16 and K = 6 is cell 96:
+        # a_i * a_{k-i} lands from cell 16 k up, so order 6 has no product
+        # below K and runs no pass.  The Riemann rule is bilinear, so the
+        # band matches Picard's.
         calls = []
-        kernel = engine.convolve_frames
-        monkeypatch.setattr(engine, "convolve_frames",
+        kernel = engine.convolve_sum
+        monkeypatch.setattr(engine, "convolve_sum",
                             lambda *args: calls.append(args) or kernel(*args))
         g = make_grid(1, 8, 1 / 16)
         spec = power_spec(g, nt=33, conv_rule="riemann")
         stack = taylor_coefficients(spec, exp_halfline(g), K=6.0)
         assert stack.orders == 6
-        assert len(calls) == sum(k // 2 for k in range(2, 7)) == 9  # 15 ordered
+        assert [len(terms) for terms, *_ in calls] == [k // 2 for k in range(2, 6)]
+        assert [[w for w, *_ in terms] for terms, *_ in calls] == \
+            [[1.0], [2.0], [2.0, 1.0], [2.0, 2.0]]
+        assert not stack.coeffs[5].values.any()
         band = g.l1() < 6.0 - 1e-12
         a = assemble_band_solution(stack, 1.0, 6.0).values[:, band]
         b = picard_iterate(spec, exp_halfline(g)).final.values[:, band]
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_2d_products_skipped_per_axis(self, monkeypatch):
+        # a product is dropped before the kernel only when its operands'
+        # first cells sum to hi or more on some axis (here hi = 8 K cells)
+        calls = []
+        kernel = engine.convolve_sum
+        monkeypatch.setattr(engine, "convolve_sum",
+                            lambda *args: calls.append(args) or kernel(*args))
+        g = make_grid(2, 4, 1 / 8)
+        spec = power_spec(g, nt=9)
+        idx = np.indices(g.shape)
+
+        def box(first, last):  # ones on the cells from first to last on every axis
+            inside = [(i >= f) & (i <= l) for i, f, l in zip(idx, first, last)]
+            return (inside[0] & inside[1]).astype(complex)
+
+        # blobs from cells (8, 0) and (0, 8): the datum's first cells are
+        # (0, 0), and its cross products land on [8, 14]^2, below hi = 16 on
+        # both axes, though each blob lies 8 cells off the origin in linf and
+        # two such offsets sum to hi: order 2 is kept
+        v0 = FrequencyField(g, box((8, 0), (11, 3)) + box((0, 8), (3, 11)))
+        stack = taylor_coefficients(spec, v0, 2.0)
+        assert stack.orders == 2 and len(calls) == 1 and len(calls[0][0]) == 1
+        c2 = stack.coeffs[1].values[-1]
+        assert c2[8:15, 8:15].any() and not c2[16:].any() and not c2[:, 16:].any()
+        # one blob from cell (8, 2), hi = 24: order 3's product lands from
+        # (24, 6), at hi on the first axis only, and is dropped unplanned
+        calls.clear()
+        stack = taylor_coefficients(spec, FrequencyField(g, box((8, 2), (11, 5))), 3.0)
+        assert stack.orders == 3 and len(calls) == 1
+        assert stack.coeffs[1].values.any() and not stack.coeffs[2].values.any()
 
     def test_leaves_no_reference_cycle(self):
         # the coefficient stacks are freed by reference counting alone
@@ -839,8 +876,9 @@ class TestBandWindows:
             return [tr.support_min_l1 for tr in traces], values
 
         supports, values = results()
-        kernel = engine.convolve_frames
+        kernel, sum_kernel = engine.convolve_frames, engine.convolve_sum
         monkeypatch.setattr(engine, "convolve_frames", lambda *args: kernel(*args[:4]))
+        monkeypatch.setattr(engine, "convolve_sum", lambda *args: sum_kernel(*args[:3]))
         ref_supports, ref_values = results()
         assert supports == ref_supports
         for got, ref in zip(values, ref_values):
@@ -877,8 +915,9 @@ class TestBandWindows:
         assert calls == [((n, n), True) for n in (7, 27) for _ in range(2**g.d)]
 
     def test_second_run_misses_no_plan(self):
-        # solve and taylor on band-1d use 11 plans, within the cache's 64;
-        # a window is a cut of its pair's plan, so a second run plans nothing
+        # solve and taylor on band-1d use 8 plans, within the cache's 64 (a
+        # product that lands at or above K plans nothing); a window is a cut
+        # of its pair's plan, so a second run plans nothing
         spec, v0 = self.band_1d()
         lattice._plan.cache_clear()
         misses = []
@@ -886,7 +925,7 @@ class TestBandWindows:
             picard_iterate(spec, v0)
             taylor_coefficients(spec, v0, 6.0)
             misses.append(lattice._plan.cache_info().misses)
-        assert misses == [11, 11]
+        assert misses == [8, 8]
 
 
 def plain_picard(spec, v0, top):
@@ -926,7 +965,9 @@ def plain_picard(spec, v0, top):
 
 def plain_taylor(spec, v0, K, orders):
     """taylor_coefficients' recursion with every order integrated by the
-    full-grid duhamel: the same products, in the same order, below K."""
+    full-grid duhamel: each integrand from one kernel call over its nonzero
+    products, in the same order, below K (a product with no cell below K
+    adds nothing, so it may be passed)."""
     g, rule, tgrid, lam = spec.grid, spec.conv_rule, spec.tgrid, spec.lambda_shift
     hi = math.ceil(K / g.h - 1e-9)
     a = {1: free_trajectory(v0, tgrid, lam).values}
@@ -939,13 +980,12 @@ def plain_taylor(spec, v0, K, orders):
         if k < r:
             return zero
         if (r, k) not in P:
-            acc = np.zeros_like(zero)
+            terms = []
             for i in range(1, (k // 2 if r == 2 else k - r + 1) + 1):
                 ai, rest = a.get(i), power_coeff(r - 1, k - i)
                 if ai is not None and ai.any() and rest.any():
-                    pair = 2.0 if r == 2 and 2 * i < k else 1.0
-                    acc += pair * engine.convolve_frames(ai, rest, g, rule, 0, hi)
-            P[r, k] = acc
+                    terms.append((2.0 if r == 2 and 2 * i < k else 1.0, ai, rest))
+            P[r, k] = engine.convolve_sum(terms, g, rule, 0, hi) if terms else zero
         return P[r, k]
 
     for k in range(2, orders + 1):

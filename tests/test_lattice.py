@@ -788,6 +788,142 @@ class TestRunEnds:
             check_frames(x, y, g, "trapezoid")
 
 
+def groupby_frames(a, b, grid, rule="riemann", lo=0, hi=None):
+    """The frame kernel of one product as it stood before the sum kernel:
+    runs of frames found from per-frame pattern bytes by ``itertools.groupby``
+    and one inverse per block of a run.  A one-term :func:`convolve_sum`
+    must equal it bit for bit."""
+    out = np.zeros(a.shape, dtype=np.complex128)
+    nonzero = (x.reshape(len(x), -1).astype(bool) for x in ((a,) if b is a else (a, b)))
+    bits = [[row.tobytes() for row in np.packbits(x, axis=1)] for x in nonzero]
+    hi = grid.n if hi is None else min(hi, grid.n)
+    axes = tuple(range(1, 1 + grid.d))
+    stop = 0
+    for pair, run in itertools.groupby(zip(bits[0], bits[-1])):
+        first, stop = stop, stop + sum(1 for _ in run)
+        p = lattice._plan(*pair, grid.shape, grid.h, rule)
+        window = p.window(lo, hi)
+        if window is None:
+            continue
+        terms, fbox, gbox, cells, crop, pad = window
+        keep, skip = p.support[crop], lo - sum(c.start for c in cells)
+        if skip > 0:
+            keep = keep & (np.indices(keep.shape).sum(axis=0) >= skip)
+        ends = p.ends and lattice._box_ends(p.ends, fbox, gbox)
+        block = max(1, BLOCK_CELLS // math.prod(pad))
+        for start in range(first, stop, block):
+            t = slice(start, min(start + block, stop))
+            f = a[(t, *fbox)]
+            g = f if b is a else b[(t, *gbox)]
+            if ends:
+                spec = lattice._padded_fft(f, None, pad)
+                spec *= spec if g is f else lattice._padded_fft(g, None, pad)
+                spec *= len(terms) * p.scale
+            else:
+                spec = lattice._spectrum(terms, f, g,
+                                         lambda x, m: lattice._padded_fft(x, m, pad))
+                spec *= p.scale
+            vals = lattice._fft.ifftn(spec, axes=axes, out=spec)[(..., *crop)]
+            if ends:
+                lattice._subtract_ends(vals, f, g, ends, p.scale, max(skip, 0))
+            np.copyto(out[(t, *cells)], vals, where=keep)
+    return out
+
+
+SUM_OPERANDS = ("one-run", "multi-run", "zero", "escaping")
+
+
+def sum_operand(grid, kind, rng, nt):
+    """An operand stack for the sum kernel: ``one-run`` holds the box from a
+    corner drawn in {0, 1, 2}^d to the grid's end (one run per axis, so that
+    products of such boxes often share a window), ``multi-run`` a support
+    drawn per frame (runs of frames change pattern), ``zero`` nothing and
+    ``escaping`` the upper half of the first axis."""
+    if kind == "multi-run":
+        return sparse_stack(grid, nt, rng, 0.5, False)
+    if kind == "one-run":
+        keep = (np.indices(grid.shape)
+                >= rng.integers(0, min(3, grid.n), grid.d).reshape(-1, *[1] * grid.d))
+        keep = keep.all(axis=0)
+    else:
+        keep = operand(grid, kind, rng) != 0
+    shape = (nt, *grid.shape)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * keep
+
+
+# per term: its weight, a's kind, and b's: a kind, "a" (b is a) or "shared"
+# (an operand of an earlier term, or a when there is none)
+SUM_TERMS = st.lists(st.tuples(st.sampled_from([1.0, 2.0]), st.sampled_from(SUM_OPERANDS),
+                               st.sampled_from([*SUM_OPERANDS, "a", "shared"])),
+                     min_size=1, max_size=3)
+
+
+class TestConvolveSum:
+    """The sum kernel against the sum of its terms' one-term calls, and a
+    one-term call against the kernel it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(frame_grids, SUM_TERMS, st.sampled_from(RULES), st.integers(0, 2**31 - 1),
+           st.data())
+    def test_matches_weighted_products(self, g, draws, rule, seed, data):
+        rng = np.random.default_rng(seed)
+        nt = 3
+        terms = []
+        for weight, kind_a, kind_b in draws:
+            a = sum_operand(g, kind_a, rng, nt)
+            if kind_b == "a":
+                b = a
+            elif kind_b == "shared":
+                b = terms[-1][2] if terms else a
+            else:
+                b = sum_operand(g, kind_b, rng, nt)
+            terms.append((weight, a, b))
+        lo = data.draw(st.just(0) | st.integers(0, g.d * g.n), label="lo")
+        hi = data.draw(st.none() | st.integers(0, g.n + 1), label="hi")
+        got = lattice.convolve_sum(terms, g, rule, lo, hi)
+        parts = [w * groupby_frames(a, b, g, rule, lo, hi) for w, a, b in terms]
+        ref = np.sum(parts, axis=0)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(got != 0, ref != 0)
+        for (w, a, b), part in zip(terms, parts):  # one term: the parent's bits
+            one = lattice.convolve_sum([(w, a, b)], g, rule, lo, hi)
+            assert one.tobytes() == part.tobytes()  # w = 2 is exact
+        w, a, b = terms[0]
+        assert convolve_frames(a, b, g, rule, lo, hi).tobytes() == \
+            groupby_frames(a, b, g, rule, lo, hi).tobytes()
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_one_inverse_per_shared_window(self, monkeypatch, rule):
+        # boxes from cells 2 and 3, and 3 and 2, land from cell 5 on one
+        # window: one inverse per block; a box from 4 lands from 6 and
+        # takes an inverse of its own
+        g = make_grid(1, 4, 0.25)
+        rng = np.random.default_rng(60)
+        x2, x3, x4 = (rng.standard_normal((2, g.n)) * (np.arange(g.n) >= first)
+                      for first in (2, 3, 4))
+        inverses = []
+        ifftn = lattice._fft.ifftn
+        monkeypatch.setattr(lattice._fft, "ifftn", lambda x, *args, **kw:
+                            inverses.append(x.shape) or ifftn(x, *args, **kw))
+        for terms, count in (([(2.0, x2, x3), (1.0, x3, x2)], 1),
+                             ([(2.0, x2, x3), (1.0, x4, x2)], 2)):
+            inverses.clear()
+            got = lattice.convolve_sum(terms, g, rule)
+            assert len(inverses) == count
+            ref = sum(w * convolve_frames(a, b, g, rule) for w, a, b in terms)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.array_equal(got != 0, ref != 0)
+
+    def test_rejects_bad_input(self):
+        g = make_grid(1, 2, 0.5)
+        a = np.ones((2, *g.shape), dtype=complex)
+        for terms in ([], [(1.0, a, a), (1.0, a, a[:1])]):
+            with pytest.raises(ValueError):
+                lattice.convolve_sum(terms, g)
+        with pytest.raises(ValueError):
+            lattice.convolve_sum([(1.0, a, a)], g, rule="simpson")
+
+
 class TestSupportStats:
     def test_interval_indicator(self):
         g = make_grid(1, 4, 0.25)

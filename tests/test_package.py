@@ -16,7 +16,7 @@ PUBLIC = [
     "Nonlinearity", "NonlinearityKind", "NormFlavor", "NormSpec", "OracleConfig",
     "ProbeReport", "ProblemSpec", "ScalingPlan", "SpaceTimeField", "SupportStats",
     "TaylorStack", "TimeSpaceNormSpec", "__version__", "assemble_band_solution",
-    "choose_lambda", "convolve", "convolve_frames", "duhamel", "error_decay_fit", "etd_reference_solve", "exp_halfline_band",
+    "choose_lambda", "convolve", "convolve_frames", "convolve_sum", "duhamel", "error_decay_fit", "etd_reference_solve", "exp_halfline_band",
     "exp_halfline_reference", "free_trajectory",
     "illposed_probe_E", "illposed_probe_H", "inequality_probe", "inflation_exponent",
     "load_field", "make_grid", "make_initial_data", "picard_iterate",
