@@ -191,6 +191,11 @@ def _time(cfg: dict) -> dict:
 def _build_datum(cfg: dict, grid):
     """The datum: ``kind`` picks a sampler in ``DATA_KINDS``, whose keyword
     parameters are the section's other keys."""
+    return _call(make_initial_data, _datum_spec(cfg), grid)
+
+
+def _datum_spec(cfg: dict) -> InitialDataSpec:
+    """The ``initial_data`` section read as an :class:`InitialDataSpec`."""
     section = _need(cfg, "initial_data")
     if not isinstance(section, dict):
         raise ConfigError("initial_data must be a JSON object")
@@ -200,7 +205,7 @@ def _build_datum(cfg: dict, grid):
     keys = tuple(_params(sampler))[1:]  # all but the grid
     _check_keys(section, f"initial_data of kind {kind.value}", ("kind", *keys))
     params = _fields(sampler, _pick(section, keys), "initial_data", keys)
-    return _call(make_initial_data, InitialDataSpec(kind, **params), grid)
+    return InitialDataSpec(kind, **params)
 
 
 def _build_nonlinearity(cfg: dict) -> Nonlinearity:
@@ -296,8 +301,9 @@ def _cmd_taylor(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, di
     spec, v0 = _build_problem(cfg, refine)
     K = _coerce(float, cfg.get("band_K", min(3.0, spec.grid.xi_max)), "band_K")
     stride = _frame_stride(cfg, spec.nt)
+    v0, amp = _factor_amplitude(_datum_spec(cfg), v0)
     stack = _call(taylor_coefficients, spec, v0, K)
-    assembled = _call(assemble_band_solution, stack, spec.delta, K)
+    assembled = _call(assemble_band_solution, stack, spec.delta * amp, K)
     files = _write_frames(assembled, out, "band_solution", stride)
     rows = [[k, support_stats(ck.frame(ck.nt - 1)).min_l1]
             for k, ck in enumerate(stack.coeffs, 1)]
@@ -306,6 +312,20 @@ def _cmd_taylor(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, di
     # order k starts at k * eps0 (an empty coefficient passes)
     checks = {"coefficient_supports": all(s >= k * stack.eps0 - 1e-12 for k, s in rows)}
     return checks, {"outputs": files, "orders": stack.orders, "band_K": K}
+
+
+def _factor_amplitude(data: InitialDataSpec, v0: FrequencyField):
+    """v0 = A r as (r, A), r the datum ``data`` samples at amplitude 1, when
+    r is real, nonzero on v0's cells and A != 0; (v0, 1.0) otherwise.  Every
+    kind scales its samples by its amplitude, so the Taylor orders of v0 are
+    A^k times r's, and r's are real: float64 stacks, convolved by real FFTs."""
+    amp = data.params.get("amplitude", _default(DATA_KINDS[data.kind], "amplitude"))
+    unit = make_initial_data(
+        InitialDataSpec(data.kind, **{**data.params, "amplitude": 1.0}), v0.grid)
+    if amp == 0 or unit.values.imag.any() \
+            or not np.array_equal(unit.values != 0, v0.values != 0):
+        return v0, 1.0
+    return unit, amp
 
 
 def _cmd_norms(cfg: dict, out: Path, seed: int, refine: bool) -> tuple[dict, dict]:

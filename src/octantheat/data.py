@@ -257,5 +257,6 @@ def rescale_solution(
     if grid.xi_max % lam != 0:
         raise ValueError(f"scale factor {lam} must divide xi_max = {grid.xi_max}")
     out = _target(make_grid(grid.d, grid.xi_max // lam, grid.h / lam), out_grid)
-    vals = lam ** (grid.d - a) * u.values.view(np.float64)  # by parts: -0.0 stays
-    return SpaceTimeField(out, lam**2 * u.tgrid, vals.view(np.complex128))
+    # a complex stack by parts, so -0.0 stays; a float64 stack is scaled as it is
+    vals = lam ** (grid.d - a) * u.values.view(np.float64)
+    return SpaceTimeField(out, lam**2 * u.tgrid, vals.view(u.values.dtype))

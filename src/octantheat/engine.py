@@ -209,10 +209,19 @@ def free_trajectory(
     v0: FrequencyField, tgrid: np.ndarray, lambda_shift: float = 0.0
 ) -> SpaceTimeField:
     """Semigroup evolution of v0 sampled on the whole time grid."""
-    w = heat_symbol(v0.grid, lambda_shift)
+    return SpaceTimeField(v0.grid, tgrid,
+                          _free(v0.values, tgrid, heat_symbol(v0.grid, lambda_shift)))
+
+
+def _free(values: np.ndarray, tgrid: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """exp(-t w) values per node of tgrid (w the heat symbol), one stack of
+    values' dtype: a float64 datum is scaled in place over the decay stack."""
     mult = np.multiply.outer(np.asarray(tgrid, float), w)
     np.exp(np.negative(mult, out=mult), out=mult)  # exp(-t w), in one stack
-    return SpaceTimeField(v0.grid, tgrid, mult * v0.values[None, ...])
+    if values.dtype == np.float64:
+        mult *= values
+        return mult
+    return mult * values[None, ...]
 
 
 def duhamel(G: SpaceTimeField, lambda_shift: float = 0.0) -> SpaceTimeField:
@@ -228,10 +237,11 @@ def duhamel(G: SpaceTimeField, lambda_shift: float = 0.0) -> SpaceTimeField:
 
 
 def _duhamel(G: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
-    """:func:`duhamel`'s recurrence, cell by cell, in place over a complex stack G
-    of frames of w's shape (w the heat symbol on their cells); returns G."""
-    decay = np.exp(-dt * w).astype(np.complex128)  # as the product would cast it
-    half = complex(0.5 * dt)  # so too: every per-frame ufunc has one dtype
+    """:func:`duhamel`'s recurrence, cell by cell, in place over a complex128
+    or float64 stack G of frames of w's shape (w the heat symbol on their
+    cells); returns G."""
+    decay = np.exp(-dt * w).astype(G.dtype)  # as the product would cast it
+    half = G.dtype.type(0.5 * dt)  # so too: every per-frame ufunc has one dtype
     # frame by frame in the recurrence's order: dt/2 G_n is formed (in two
     # buffers swapped each step) before I_n is written over G_n, and I_0 = 0
     h0, h1 = np.multiply(half, G[0]), np.empty_like(G[0])
@@ -427,8 +437,14 @@ def taylor_coefficients(
     axis, so the convolutions are computed only below K on every axis (the
     kernel's ``hi``), a box that holds the band, and a product whose
     operands' first nonzero cells sum to hi or more on some axis is dropped
-    before the kernel scans it.  The run holds its orders plus a few
-    working stacks of nt * n^d complex cells.
+    before the kernel scans it; an order left with no product stays zero
+    as allocated, neither scanned nor scaled.
+
+    Order k is k-linear in the datum, c_k(A r) = A^k c_k(r), and a real
+    datum (a zero imaginary part on every cell) has real orders: they are
+    float64 stacks, convolved by real FFTs.  Any other datum's are
+    complex128.  The run holds its orders plus a few working stacks of
+    nt * n^d cells of that dtype (8 or 16 bytes each).
     """
     if spec.nonlinearity.kind is not NonlinearityKind.POWER:
         raise ValueError("the amplitude expansion is built for power flows")
@@ -456,7 +472,9 @@ def taylor_coefficients(
     hi = math.ceil(K / grid.h - 1e-9)  # the first cell index at or above K
     lam = spec.lambda_shift
     w, dt = heat_symbol(grid, lam), float(tgrid[1] - tgrid[0])
-    a: dict[int, np.ndarray] = {1: free_trajectory(v0, tgrid, lam).values}
+    # a real datum has real orders: every stack below is float64
+    values = v0.values if v0.values.imag.any() else v0.values.real
+    a: dict[int, np.ndarray] = {1: _free(values, tgrid, w)}
 
     # P[r, k]: degree-k coefficient of the r-fold convolution power of
     # sum_k a_k delta^k (zero for k < r).  It needs only degrees below k, so
@@ -486,31 +504,37 @@ def taylor_coefficients(
             lead[r, k] = np.min(firsts, axis=0) if firsts else None
         # a_k is made in place over P[m, k] (none below order m): +0.0 off the box
         a[k] = P.pop((m, k)) if k >= m else np.zeros_like(a[1])
-        live = np.argwhere(a[k].any(axis=0))
+        # an order with no product keeps its zeros as allocated, unscanned
+        live = np.argwhere(a[k].any(axis=0)) if lead.get((m, k)) is not None else ()
         # a_k vanishes where its integrand does in every frame
         lead[1, k] = live.min(0) if len(live) else None
         if len(live):  # Duhamel only on the box of the cells the integrand reaches
             box = tuple(map(slice, lead[1, k], live.max(0) + 1))
             _duhamel(a[k][(slice(None), *box)], w[box], dt)
 
-    for k in range(1, k_top + 1):  # c_k = k! a_k, in place
-        np.multiply(math.factorial(k), a[k], out=a[k])
+    for k in range(2, k_top + 1):  # c_k = k! a_k, in place; a zero order is left as is
+        if lead[1, k] is not None:
+            np.multiply(math.factorial(k), a[k], out=a[k])
     coeffs = [SpaceTimeField(grid, tgrid, a[k]) for k in range(1, k_top + 1)]
     return TaylorStack(coeffs=coeffs, K=float(K), eps0=eps)
 
 
 def assemble_band_solution(
-    stack: TaylorStack, delta: float, K: float
+    stack: TaylorStack, delta: complex, K: float
 ) -> SpaceTimeField:
     """Finite amplitude series sum_k delta^k / k! c_k masked to |xi|_1 < K.
 
     Exact there up to quadrature error once the stack covers the band.
+    The sum is complex when delta or the coefficients are, float64 when
+    both are real.  A stack of a real datum r assembled with delta = d A is
+    the solution of the datum A r at amplitude d, since c_k(A r) = A^k c_k(r).
     """
     if K > stack.K + 1e-12:
         raise ValueError(f"stack covers |xi| < {stack.K}, cannot assemble K = {K}")
     first = stack.coeffs[0]
     mask = first.grid.l1() < K - 1e-12
-    total = np.zeros_like(first.values)
+    total = np.zeros(first.values.shape,
+                     np.result_type(delta, *(ck.values.dtype for ck in stack.coeffs)))
     block = max(1, BLOCK_CELLS // mask.size)  # frames summed in place at a time
     for t in range(0, len(total), block):
         acc = total[t:t + block]

@@ -30,6 +30,7 @@ other patterns, and every pattern in d >= 2, transform the masked
 operands.  The FFT kernel keeps the direct sum's exact zeros (a count
 convolution kept with the plan) and its values up to FFT round-off; the
 truncation warning follows the combinatorial support, not the values.
+Stacks that are all float64 convolve by real FFTs into a float64 sum.
 
 All operations are pure functions on immutable inputs and use fixed-order
 reductions, so repeated runs are bit-identical.  A field file holds its
@@ -487,9 +488,14 @@ def convolve_sum(
     count convolution of the masks kept with each plan, are exact zeros as
     in the direct sum; inside them the values agree with the direct sum to
     FFT round-off.  A one-term call with weight 1 is the plain product.
-    Blocks of about ``BLOCK_CELLS`` padded cells bound the working memory:
-    their operand transforms and product stay in L2 and are reused from the
-    heap, not re-faulted, from block to block.
+    When every operand stack is float64 and every weight real, the sum is
+    real: each operand takes ``rfft`` on the last grid axis (its half
+    spectrum) and ``fft`` on the others, and ``irfftn`` gives a float64
+    output; windows, plans, exact zeros and run-end corrections are the
+    complex path's.  Any other call is complex128.  Blocks of about
+    ``BLOCK_CELLS`` padded cells bound the working memory: their operand
+    transforms and product stay in L2 and are reused from the heap, not
+    re-faulted, from block to block.
     """
     if not terms:
         raise ValueError("convolve_sum needs at least one term")
@@ -500,8 +506,10 @@ def convolve_sum(
                              f"got {a.shape} and {b.shape}")
     if rule not in RULES:
         raise ValueError(f"unknown convolution rule {rule!r}")
-    out = np.zeros(shape, dtype=np.complex128)
     operands = {id(x): x for _, a, b in terms for x in (a, b)}
+    real = all(x.dtype == np.float64 for x in operands.values()) \
+        and all(np.isrealobj(w) for w, *_ in terms)
+    out = np.zeros(shape, dtype=np.float64 if real else np.complex128)
     # per distinct operand, its nonzero pattern packed per frame
     packed = {key: np.packbits(x.reshape(len(x), -1).astype(bool), axis=1)
               for key, x in operands.items()}
@@ -548,7 +556,8 @@ def convolve_sum(
                         spec = term
                     else:
                         spec += term
-                vals = _fft.ifftn(spec, axes=axes, out=spec)[(..., *crop)]
+                vals = (_fft.irfftn(spec, pad, axes) if real
+                        else _fft.ifftn(spec, axes=axes, out=spec))[(..., *crop)]
                 for f, g, ends, coef in drops:
                     _subtract_ends(vals, f, g, ends, coef, max(skip, 0))
                 dst = out[(t, *cells)]
@@ -596,8 +605,16 @@ def _padded_fft(x: np.ndarray, m: np.ndarray | None,
     zero-padded to ``pad``, formed in place in one buffer.  Axes are
     transformed last first, as by ``fftn``, and each only on the rows whose
     earlier indices lie inside x's box: the other rows are zero, and so are
-    their transforms, so the result is ``fftn``'s bit for bit."""
+    their transforms, so the result is ``fftn``'s bit for bit.  A float64 x
+    takes ``rfft`` on the last axis, its pad[-1] // 2 + 1 cells of the half
+    spectrum that ``irfftn`` inverts, and ``fft`` on the others, each padded
+    by the transform itself while the axes before it still hold the box."""
     box = x.shape[1:]
+    if x.dtype == np.float64:
+        out = _fft.rfft(x if m is None else x * m, pad[-1], axis=-1)
+        for k in reversed(range(len(pad) - 1)):
+            out = _fft.fft(out, pad[k], axis=k + 1)
+        return out
     buf = np.zeros((len(x), *pad), dtype=np.complex128)
     cut = buf[(..., *map(slice, box))]
     if m is None:

@@ -77,7 +77,8 @@ class TimeSpaceNormSpec:
 
 @dataclass(frozen=True, eq=False)
 class SpaceTimeField:
-    """A frequency field per node of a uniform time grid on [0, T]."""
+    """A frequency field per node of a uniform time grid on [0, T]: complex128
+    values, or float64 ones as given (a real datum's Taylor orders)."""
 
     grid: FrequencyGrid
     tgrid: np.ndarray
@@ -90,7 +91,8 @@ class SpaceTimeField:
         steps = np.diff(tg)
         if np.any(steps <= 0) or abs(steps.max() - steps.min()) > 1e-9 * steps.max():
             raise ValueError("tgrid must be uniform and increasing")
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=np.complex128))
+        v = np.asarray(self.values)  # float64 stays real, all else is complex128
+        v = np.ascontiguousarray(v, np.float64 if v.dtype == np.float64 else np.complex128)
         if v.shape != (tg.size, *self.grid.shape):
             raise ValueError(
                 f"values shape {v.shape} != (nt, *grid.shape) "

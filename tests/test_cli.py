@@ -401,6 +401,36 @@ class TestTaylorAndOracle:
         assert man["checks"]["coefficient_supports"] is True
         assert man["details"]["orders"] >= 3
 
+    @pytest.mark.parametrize("datum, factored", [
+        ({"kind": "EXP_HALFLINE", "amplitude": "(0.9+0.3j)"}, True),
+        # (i(xi - 1))^3 is imaginary, and A = 0 zeroes every cell: both run as given
+        ({"kind": "HALFLINE_DERIVATIVE", "amplitude": "(0.9+0.3j)", "deriv_order": 3},
+         False),
+        ({"kind": "EXP_HALFLINE", "amplitude": 0}, False),
+    ])
+    def test_taylor_factors_the_amplitude_out_of_a_real_datum(self, tmp_path, monkeypatch,
+                                                               datum, factored):
+        # taylor runs the unit datum and assembles at delta A when that datum is
+        # real: its band agrees with solve's, which runs A r as given
+        seen, assemble = [], octantheat.cli.assemble_band_solution
+        monkeypatch.setattr(octantheat.cli, "assemble_band_solution",
+                            lambda stack, delta, K: seen.append((stack, delta))
+                            or assemble(stack, delta, K))
+        cfg = write_cfg(tmp_path, solve_cfg(band_K=3.0, initial_data=datum))
+        out = {cmd: tmp_path / cmd for cmd in ("solve", "taylor")}
+        assert all(run(cmd, cfg, str(path)) == 0 for cmd, path in out.items())
+        (stack, delta), = seen
+        assert delta == (complex(datum["amplitude"]) if factored else 1.0)
+        if factored:  # the unit datum's orders are real
+            assert all(c.values.dtype == np.float64 for c in stack.coeffs)
+        last = "t00032.field"
+        picard = octantheat.load_field(out["solve"] / f"solution_{last}")
+        band_sol = octantheat.load_field(out["taylor"] / f"band_solution_{last}")
+        band = picard.grid.l1() < 3.0 - 1e-12
+        a, b = band_sol.values[band], picard.values[band]
+        assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+        assert np.abs(b).max() > 0 or datum["amplitude"] == 0
+
     def test_taylor_coefficients_read_the_exact_support(self, tmp_path):
         # (i(xi - 0.5))^14 is tiny at its first cell: order 1 starts at 0.5625,
         # where a tolerance relative to the frame's max read 0.75

@@ -9,8 +9,11 @@ from octantheat import (
     FrequencyField,
     InitialDataKind,
     InitialDataSpec,
+    Nonlinearity,
+    NonlinearityKind,
     NormFlavor,
     NormSpec,
+    ProblemSpec,
     SpaceTimeField,
     choose_lambda,
     make_grid,
@@ -20,6 +23,7 @@ from octantheat import (
     scaled_grid,
     static_norm,
     support_stats,
+    taylor_coefficients,
 )
 from octantheat.data import DATA_KINDS
 
@@ -264,6 +268,18 @@ class TestRescaleSolution:
         assert back.tgrid[-1] == pytest.approx(lam**2 * 0.25)
         err = np.abs(back.values[0] - f.values).max()
         assert err <= 1e-6 * np.abs(f.values).max()
+
+    @pytest.mark.parametrize("a", [2.0, 1.5])
+    def test_real_taylor_coefficient(self, a):
+        # a real datum's Taylor orders are float64 stacks, scaled as they are
+        g = make_grid(1, 4, 1 / 8)
+        spec = ProblemSpec(g, Nonlinearity(NonlinearityKind.POWER, m=2), eps0=1.0,
+                           T=0.5, nt=9)
+        c2 = taylor_coefficients(spec, exp_halfline(g), 3.0).coeffs[1]
+        assert c2.values.dtype == np.float64 and c2.values.any()
+        back = rescale_solution(c2, 2, a)
+        assert back.values.dtype == np.float64
+        assert same_bits(back.values, 2 ** (g.d - a) * c2.values)
 
     def test_support_scales_down(self):
         g = make_grid(1, 8, 1 / 8)

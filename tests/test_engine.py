@@ -531,6 +531,28 @@ class TestTaylor:
         assert stack.orders == 3 and len(calls) == 1
         assert stack.coeffs[1].values.any() and not stack.coeffs[2].values.any()
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_amplitude_factors_out_of_every_order(self, d, m):
+        # order k is k-linear in the datum: A^k times a real datum's float64
+        # orders against the complex path's orders of A r
+        g, nt = TestLiveCells.GRIDS[d]
+        spec = power_spec(g, m=m, eps0=0.25, nt=nt)
+        r, A = bump(g, 0.25, amp=0.7), 1.3 * np.exp(0.4j)
+        real = taylor_coefficients(spec, r, 4.0)
+        cplx = taylor_coefficients(spec, FrequencyField(g, A * r.values), 4.0)
+        assert real.orders == cplx.orders >= 3 and real.eps0 == cplx.eps0
+        for k, (got, ref) in enumerate(zip(real.coeffs, cplx.coeffs), start=1):
+            assert got.values.dtype == np.float64 and ref.values.dtype == np.complex128
+            scaled = A**k * got.values
+            assert np.abs(scaled - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
+            assert np.array_equal(scaled != 0, ref.values != 0)
+        # so the band of A r at amplitude delta is r's assembled at delta A
+        band = assemble_band_solution(real, 0.8 * A, 4.0).values
+        ref = assemble_band_solution(cplx, 0.8, 4.0).values
+        assert band.dtype == np.complex128
+        assert np.abs(band - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_leaves_no_reference_cycle(self):
         # the coefficient stacks are freed by reference counting alone
         g = make_grid(1, 8, 1 / 16)
@@ -967,10 +989,13 @@ def plain_taylor(spec, v0, K, orders):
     """taylor_coefficients' recursion with every order integrated by the
     full-grid duhamel: each integrand from one kernel call over its nonzero
     products, in the same order, below K (a product with no cell below K
-    adds nothing, so it may be passed)."""
+    adds nothing, so it may be passed).  The stacks follow the datum's
+    dtype: a real datum's free evolution is the real part of the complex
+    one, bit for bit, and its orders are float64."""
     g, rule, tgrid, lam = spec.grid, spec.conv_rule, spec.tgrid, spec.lambda_shift
     hi = math.ceil(K / g.h - 1e-9)
-    a = {1: free_trajectory(v0, tgrid, lam).values}
+    free = free_trajectory(v0, tgrid, lam).values
+    a = {1: free if v0.values.imag.any() else free.real.copy()}
     zero = np.zeros_like(a[1])
     P = {}
 
@@ -1064,12 +1089,16 @@ def traced(call):
 
 class TestWorkingSet:
     """A run holds what it returns plus a few working stacks of nt * n^d
-    complex cells: no full difference, product or scaled copy of a stack."""
+    cells: no full difference, product or scaled copy of a stack.  Picard's
+    cells are complex (16 bytes); Taylor's follow the datum, 8 bytes for a
+    real one."""
 
     # grid, nt, rule, datum, band K
     CASES = {
         "band-1d": (make_grid(1, 8, 1 / 64), 257, "trapezoid",
                     lambda g: exp_halfline(g, amp=1.01 * np.exp(0.03j)), 6.0),
+        "band-1d-real": (make_grid(1, 8, 1 / 64), 257, "trapezoid",
+                         lambda g: exp_halfline(g), 6.0),
         "3d": (make_grid(3, 4, 1 / 4), 33, "riemann", lambda g: bump(g, 1.0), 4.0),
         "3d-trapezoid": (make_grid(3, 4, 1 / 4), 33, "trapezoid",
                          lambda g: bump(g, 1.0), 4.0),
@@ -1079,8 +1108,8 @@ class TestWorkingSet:
     # The peaks (12.3, 7.9 and 10.0 MiB) leave no room for another stack
     # beside the three a u^m iterate holds: Duhamel integrates in place.
     # 3d-trapezoid's is set by the convolution's padded blocks
-    PICARD_MIB = {"band-1d": (8.0, 13.0), "3d": (3.5, 8.5),
-                  "3d-trapezoid": (3.5, 10.5)}
+    PICARD_MIB = {"band-1d": (8.0, 13.0), "band-1d-real": (8.0, 13.0),
+                  "3d": (3.5, 8.5), "3d-trapezoid": (3.5, 10.5)}
 
     @pytest.mark.parametrize("case", CASES)
     def test_picard_trace_and_peak(self, case):
@@ -1098,7 +1127,9 @@ class TestWorkingSet:
         spec, v0 = power_spec(g, nt=nt, conv_rule=rule), datum(g)
         coeffs, _, peak = traced(lambda: taylor_coefficients(spec, v0, K))
         assert coeffs.orders >= 2
-        assert peak <= (coeffs.orders + 5) * nt * g.n**g.d * 16
+        cell = 16 if v0.values.imag.any() else 8  # a real datum's stacks are float64
+        assert all(c.values.itemsize == cell for c in coeffs.coeffs)
+        assert peak <= (coeffs.orders + 5) * nt * g.n**g.d * cell
 
     @pytest.mark.parametrize("case", CASES)
     def test_assembly_adds_one_stack_and_a_block(self, case):

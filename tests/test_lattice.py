@@ -891,28 +891,47 @@ class TestConvolveSum:
         w, a, b = terms[0]
         assert convolve_frames(a, b, g, rule, lo, hi).tobytes() == \
             groupby_frames(a, b, g, rule, lo, hi).tobytes()
+        # the real parts, shared as the operands are, by real FFTs: float64,
+        # and the complex path's values on the same (real) operands
+        real = {id(x): x.real.copy() for _, a, b in terms for x in (a, b)}
+        for cast in (None, complex):
+            on = {key: x if cast is None else x.astype(cast) for key, x in real.items()}
+            out = lattice.convolve_sum([(w, on[id(a)], on[id(b)]) for w, a, b in terms],
+                                       g, rule, lo, hi)
+            if cast is None:
+                got = out
+        assert got.dtype == np.float64 and out.dtype == np.complex128
+        assert np.abs(got - out).max() <= 1e-13 * np.abs(out).max()
+        assert np.array_equal(got != 0, out != 0)
 
     @pytest.mark.parametrize("rule", RULES)
     def test_one_inverse_per_shared_window(self, monkeypatch, rule):
         # boxes from cells 2 and 3, and 3 and 2, land from cell 5 on one
         # window: one inverse per block; a box from 4 lands from 6 and
-        # takes an inverse of its own
+        # takes an inverse of its own.  Float64 operands take irfftn and
+        # complex ones ifftn (a plan's count convolution inverts one frame,
+        # with no frame axis)
         g = make_grid(1, 4, 0.25)
         rng = np.random.default_rng(60)
-        x2, x3, x4 = (rng.standard_normal((2, g.n)) * (np.arange(g.n) >= first)
-                      for first in (2, 3, 4))
+        real = [rng.standard_normal((2, g.n)) * (np.arange(g.n) >= first)
+                for first in (2, 3, 4)]
         inverses = []
-        ifftn = lattice._fft.ifftn
-        monkeypatch.setattr(lattice._fft, "ifftn", lambda x, *args, **kw:
-                            inverses.append(x.shape) or ifftn(x, *args, **kw))
-        for terms, count in (([(2.0, x2, x3), (1.0, x3, x2)], 1),
-                             ([(2.0, x2, x3), (1.0, x4, x2)], 2)):
-            inverses.clear()
-            got = lattice.convolve_sum(terms, g, rule)
-            assert len(inverses) == count
-            ref = sum(w * convolve_frames(a, b, g, rule) for w, a, b in terms)
-            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-            assert np.array_equal(got != 0, ref != 0)
+        for name in ("ifftn", "irfftn"):
+            def counted(x, *args, name=name, inverse=getattr(lattice._fft, name), **kw):
+                if x.ndim > g.d:
+                    inverses.append(name)
+                return inverse(x, *args, **kw)
+            monkeypatch.setattr(lattice._fft, name, counted)
+        for x2, x3, x4 in (real, [x.astype(complex) for x in real]):
+            for terms, count in (([(2.0, x2, x3), (1.0, x3, x2)], 1),
+                                 ([(2.0, x2, x3), (1.0, x4, x2)], 2)):
+                inverses.clear()
+                got = lattice.convolve_sum(terms, g, rule)
+                assert got.dtype == x2.dtype
+                assert inverses == ["irfftn" if x2.dtype == float else "ifftn"] * count
+                ref = sum(w * convolve_frames(a, b, g, rule) for w, a, b in terms)
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+                assert np.array_equal(got != 0, ref != 0)
 
     def test_rejects_bad_input(self):
         g = make_grid(1, 2, 0.5)
