@@ -14,8 +14,8 @@ every iterate is exact on a growing low-frequency band.  The Picard loop
 copies that band from the previous iterate, so it stays bitwise fixed
 under FFT round-off, and on a finite grid the iteration terminates exactly
 once the band covers the grid.  Duhamel runs only on the box of cells
-outside the band (in Taylor: on each integrand's nonzero box), and gives
-the whole grid's bytes there.
+outside the band (in Taylor: on order k's box, from k times the datum's
+first cell up to K), and gives the whole grid's bytes there.
 
 Iterations are sequential in j; per-node work uses fixed-order
 reductions, so runs are bit-identical.
@@ -306,7 +306,7 @@ def _run_picard(spec: ProblemSpec, v0: FrequencyField) -> IterationTrace:
         need = (j * band_step + 1) * eps_cells
         # a cell below ``start`` on some axis has l1 index below need: settled
         start = max(0, need - (grid.d - 1) * (grid.n - 1))
-        live = start < grid.n and v.any()  # N(v^0) = N(0) = 0
+        live = j > 0 and start < grid.n  # N(v^0) = N(0) = 0
         acc, G, coef = v, np.zeros_like(v) if exponential and live else None, 1
         for r in range(2, top + 1) if live else ():
             acc = convolve_frames(acc, v, grid, rule, need if r == top else 0)
@@ -435,10 +435,12 @@ def taylor_coefficients(
     offset at least k times the datum's, so finitely many orders assemble
     the exact solution on |xi|_1 < K.  Supports only move up on every
     axis, so the convolutions are computed only below K on every axis (the
-    kernel's ``hi``), a box that holds the band, and a product whose
-    operands' first nonzero cells sum to hi or more on some axis is dropped
-    before the kernel scans it; an order left with no product stays zero
-    as allocated, neither scanned nor scaled.
+    kernel's ``hi``), a box that holds the band, and order k starts at k
+    times the datum's first nonzero cell or above on every axis: an order
+    for which that reaches hi on some axis runs no kernel and stays zero as
+    allocated, neither scanned nor scaled, and each other order's Duhamel
+    integral runs on its box from there to hi.  More than 170 orders raise
+    ValueError before any kernel work, as k! leaves the float range.
 
     Order k is k-linear in the datum, c_k(A r) = A^k c_k(r), and a real
     datum (a zero imaginary part on every cell) has real orders: they are
@@ -468,6 +470,9 @@ def taylor_coefficients(
         math.ceil(K / eps - 1e-9) - 1,
         math.ceil(K / ((m - 1) * eps) - 1e-9),
     )
+    if k_top > 170:  # 171! is past the float range: neither c_k nor 1 / k! would hold
+        raise ValueError(f"band K = {K} needs {k_top} orders; k! is a finite float "
+                         "only up to k = 170")
 
     hi = math.ceil(K / grid.h - 1e-9)  # the first cell index at or above K
     lam = spec.lambda_shift
@@ -482,40 +487,33 @@ def taylor_coefficients(
     # reads: k <= k_top - (m - r).  Each P[r, k] is one kernel call over its
     # products a_i * P[r - 1, k - i].  Both rules are symmetric, so for r = 2
     # each unordered pair a_i * a_{k-i} is one term, of weight 2 when
-    # i != k - i.  ``lead[r, k]`` bounds P[r, k]'s first nonzero cell per
-    # axis from below (r = 1: a_k; None: the stack is zero), so a product
-    # that lands at or above hi on some axis is dropped before the kernel
-    # scans it.  P[m, k] is read by order k alone.
+    # i != k - i.  Order k starts at k * first or above (``first`` the
+    # datum's first nonzero cell per axis): only the orders with k * first
+    # below hi on every axis are reached, each passing every product to the
+    # kernel, whose windows drop one with no cell below hi.  P[m, k] is read
+    # by order k alone.
     P: dict[tuple[int, int], np.ndarray] = {}
     occupied = np.argwhere(v0.values)
-    lead = {(1, 1): occupied.min(0) if len(occupied) else None}
-    for k in range(2, k_top + 1):
+    # an empty datum reaches no order
+    first = occupied.min(0) if len(occupied) else np.full(grid.d, hi)
+    reached = [k for k in range(2, k_top + 1) if (k * first < hi).all()]
+    for k in reached:
         for r in range(max(2, m - k_top + k), min(k, m) + 1):
-            terms, firsts = [], []
-            for i in range(1, (k // 2 if r == 2 else k - r + 1) + 1):
-                x, y = lead[1, i], lead[r - 1, k - i]
-                if x is None or y is None or (x + y >= hi).any():
-                    continue
-                weight = 2.0 if r == 2 and 2 * i < k else 1.0
-                terms.append((weight, a[i], a[k - i] if r == 2 else P[r - 1, k - i]))
-                firsts.append(x + y)
-            P[r, k] = (convolve_sum(terms, grid, rule, 0, hi) if terms
-                       else np.zeros_like(a[1]))
-            lead[r, k] = np.min(firsts, axis=0) if firsts else None
+            P[r, k] = convolve_sum(
+                [(2.0 if r == 2 and 2 * i < k else 1.0, a[i],
+                  a[k - i] if r == 2 else P[r - 1, k - i])
+                 for i in range(1, (k // 2 if r == 2 else k - r + 1) + 1)],
+                grid, rule, 0, hi)
         # a_k is made in place over P[m, k] (none below order m): +0.0 off the box
         a[k] = P.pop((m, k)) if k >= m else np.zeros_like(a[1])
-        # an order with no product keeps its zeros as allocated, unscanned
-        live = np.argwhere(a[k].any(axis=0)) if lead.get((m, k)) is not None else ()
-        # a_k vanishes where its integrand does in every frame
-        lead[1, k] = live.min(0) if len(live) else None
-        if len(live):  # Duhamel only on the box of the cells the integrand reaches
-            box = tuple(map(slice, lead[1, k], live.max(0) + 1))
-            _duhamel(a[k][(slice(None), *box)], w[box], dt)
+        # Duhamel only on order k's box, from k * first up to below hi
+        box = tuple(slice(k * f, min(hi, grid.n)) for f in first.tolist())
+        _duhamel(a[k][(slice(None), *box)], w[box], dt)
 
-    for k in range(2, k_top + 1):  # c_k = k! a_k, in place; a zero order is left as is
-        if lead[1, k] is not None:
-            np.multiply(math.factorial(k), a[k], out=a[k])
-    coeffs = [SpaceTimeField(grid, tgrid, a[k]) for k in range(1, k_top + 1)]
+    for k in reached:  # c_k = k! a_k, in place
+        np.multiply(math.factorial(k), a[k], out=a[k])
+    coeffs = [SpaceTimeField(grid, tgrid, a[k] if k in a else np.zeros_like(a[1]))
+              for k in range(1, k_top + 1)]
     return TaylorStack(coeffs=coeffs, K=float(K), eps0=eps)
 
 

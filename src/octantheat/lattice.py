@@ -246,8 +246,8 @@ class _Plan:
     term i swapped.  ``ends`` is set on a 1D trapezoid plan whose operands
     each hold one run: per term, the one cell it drops from f (the run's
     first or last) and the one it drops from g.  Only :meth:`window` cuts
-    the boxes and masks and derives output cells, crop and pad; the
-    :attr:`support` reads the whole grid's, and :meth:`direct` reads it
+    the boxes, masks and run ends and derives output cells, crop and pad;
+    the :attr:`support` reads the whole grid's, and :meth:`direct` reads it
     with its masks cast to complex128, :attr:`whole`.
     """
 
@@ -291,7 +291,7 @@ class _Plan:
         out = np.zeros(f.shape, dtype=np.complex128)
         if self.whole is None:
             return out
-        (terms, fbox, gbox, cells, crop, _), scale = self.whole, self.scale
+        (terms, fbox, gbox, cells, crop, _, _), scale = self.whole, self.scale
         if self.twin and (g is f or np.array_equal(f, g)):
             terms, scale = self.halves
         cells, fb, gb = out[cells], f[fbox], g[gbox]
@@ -305,7 +305,7 @@ class _Plan:
     def support(self) -> np.ndarray:
         """Which cells of the whole grid's crop some product reaches (the count
         convolution of the masks), where the direct sum may be nonzero."""
-        terms, _, _, _, crop, pad = self.window(0, self.n)
+        terms, _, _, _, crop, pad, _ = self.window(0, self.n)
         axes = tuple(range(len(pad)))
         # one object for both operands, so that equal masks share a transform
         spec = _spectrum(terms, True, True, lambda x, m: _fft.rfftn(x * m, pad, axes))
@@ -313,12 +313,14 @@ class _Plan:
 
     def window(self, lo: int, hi: int):
         """The plan cut to the output cells below hi on every axis whose index
-        sum is at least lo: ``(terms, fbox, gbox, cells, crop, pad)``, or None
-        when no product lands there (a + b >= hi on an axis, or lo above the
-        largest index sum).  ``cells`` is the output from a + b up and ``crop``
-        the part of the boxes' full convolution that lands there; ``pad`` is
-        :func:`_next_fast_len` of that convolution's length per axis, so that
-        a cyclic convolution of that length is the linear one.
+        sum is at least lo: ``(terms, fbox, gbox, cells, crop, pad, ends)``,
+        or None when no product lands there (a + b >= hi on an axis, or lo
+        above the largest index sum).  ``cells`` is the output from a + b up
+        and ``crop`` the part of the boxes' full convolution that lands
+        there; ``pad`` is :func:`_next_fast_len` of that convolution's length
+        per axis, so that a cyclic convolution of that length is the linear
+        one.  ``ends`` holds :attr:`ends`' cells in the boxes' indices, None
+        where the box cut that cell off (None with no :attr:`ends`).
 
         Only f on [a, min(A + 1, hi - b)) and g on [b, min(B + 1, hi - a))
         reach cells below hi, and the masks are cut to those boxes.  In 1D a
@@ -347,8 +349,11 @@ class _Plan:
         cut = {}  # each mask cut once, so that equal patterns keep sharing masks
         terms = tuple((cut.setdefault(id(fm), fm[fbox]), cut.setdefault(id(gm), gm[gbox]))
                       for fm, gm in self.terms)
+        ends = self.ends and tuple((i - a[0] if i < f_end[0] else None,
+                                    j - b[0] if j < g_end[0] else None)
+                                   for i, j in self.ends)
         return (terms, fbox, gbox, tuple(slice(s, s + c) for s, c in zip(ab, out)),
-                tuple(map(slice, out)), pad)
+                tuple(map(slice, out)), pad, ends)
 
 
 @functools.lru_cache(maxsize=64)
@@ -526,9 +531,8 @@ def convolve_sum(
             p = _plan(bits[id(a)], bits[id(b)], grid.shape, grid.h, rule)
             window = p.window(lo, hi)
             if window is not None:
-                rterms, fbox, gbox, cells, crop, pad = window
+                rterms, fbox, gbox, cells, crop, pad, ends = window
                 key = (*(c.start for c in cells), *(c.stop for c in crop), pad)
-                ends = p.ends and _box_ends(p.ends, fbox, gbox)
                 groups.setdefault(key, (cells, crop, pad, []))[-1].append(
                     (a, b, rterms, fbox, gbox, w * p.scale, ends, p.support))
         for written, (cells, crop, pad, group) in enumerate(groups.values()):
@@ -566,13 +570,6 @@ def convolve_sum(
                 else:
                     np.copyto(dst, vals, where=keep)
     return out
-
-
-def _box_ends(ends, fbox, gbox):
-    """A plan's run-end cells in its window's box indices, None where the
-    window cut that cell off."""
-    return tuple((i - fbox[0].start if i < fbox[0].stop else None,
-                  j - gbox[0].start if j < gbox[0].stop else None) for i, j in ends)
 
 
 def _subtract_ends(vals, f, g, ends, scale, first):

@@ -443,6 +443,19 @@ class TestTaylorAndOracle:
         rows = (out / "coefficients.csv").read_text().splitlines()
         assert rows[:2] == ["order,support_min_l1", "1,0.5625"]
 
+    def test_taylor_past_order_170_exit_2(self, tmp_path):
+        # a datum from cell 1 of 1/32 and K = 6 needs 192 orders, past the
+        # k! that a float holds: a config error with a manifest, not a crash
+        cfg = solve_cfg(grid={"xi_max": 8, "h": 1 / 32}, time={"T": 0.25, "nt": 5},
+                        epsilon0=1 / 32, band_K=6,
+                        initial_data={"kind": "HALFLINE_DERIVATIVE", "shift": 1 / 32,
+                                      "deriv_order": 0})
+        out = tmp_path / "out"
+        assert run("taylor", write_cfg(tmp_path, cfg), str(out)) == 2
+        man = manifest(out)
+        assert man["exit_status"] == 2
+        assert man["error"].startswith("config:") and "192 orders" in man["error"]
+
     def test_oracle_compare(self, tmp_path):
         cfg = solve_cfg(
             grid={"xi_max": 4, "h": 1 / 32},

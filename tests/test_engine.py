@@ -462,6 +462,21 @@ class TestTaylor:
         with pytest.raises(ValueError):
             taylor_coefficients(spec, exp_halfline(g), K=5.0)
 
+    @pytest.mark.parametrize("K, orders", [(6.0, 192), (171 / 32, 171)])
+    def test_more_than_170_orders_refused_before_any_kernel_work(self, monkeypatch,
+                                                                  K, orders):
+        # a datum from cell 1 of 1/32 needs 32 K orders; 171! leaves the float
+        # range, so the run is refused before the free evolution is formed
+        g = make_grid(1, 8, 1 / 32)
+        spec = power_spec(g, eps0=1 / 32, T=0.25, nt=5)
+        v0 = make_initial_data(InitialDataSpec(InitialDataKind.HALFLINE_DERIVATIVE,
+                                               shift=1 / 32, deriv_order=0), g)
+        for name in ("_free", "convolve_sum", "_duhamel"):
+            monkeypatch.setattr(engine, name, None)
+        with pytest.raises(ValueError, match=f"needs {orders} orders; k! is a finite "
+                                             "float only up to k = 170"):
+            taylor_coefficients(spec, v0, K)
+
     def test_assemble_zero_amplitude(self):
         g = make_grid(1, 4, 1 / 16)
         spec = power_spec(g, nt=17)
@@ -501,8 +516,9 @@ class TestTaylor:
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_2d_products_skipped_per_axis(self, monkeypatch):
-        # a product is dropped before the kernel only when its operands'
-        # first cells sum to hi or more on some axis (here hi = 8 K cells)
+        # order k starts at k times the datum's first cell per axis or above:
+        # an order runs no kernel only when that reaches hi on some axis
+        # (here hi = 8 K cells)
         calls = []
         kernel = engine.convolve_sum
         monkeypatch.setattr(engine, "convolve_sum",
@@ -515,17 +531,17 @@ class TestTaylor:
             inside = [(i >= f) & (i <= l) for i, f, l in zip(idx, first, last)]
             return (inside[0] & inside[1]).astype(complex)
 
-        # blobs from cells (8, 0) and (0, 8): the datum's first cells are
-        # (0, 0), and its cross products land on [8, 14]^2, below hi = 16 on
-        # both axes, though each blob lies 8 cells off the origin in linf and
-        # two such offsets sum to hi: order 2 is kept
+        # blobs from cells (8, 0) and (0, 8): the datum's first cell per axis
+        # is (0, 0), so order 2 is reached, and its cross products land on
+        # [8, 14]^2, below hi = 16 on both axes, though each blob lies 8
+        # cells off the origin in linf and two such offsets sum to hi
         v0 = FrequencyField(g, box((8, 0), (11, 3)) + box((0, 8), (3, 11)))
         stack = taylor_coefficients(spec, v0, 2.0)
         assert stack.orders == 2 and len(calls) == 1 and len(calls[0][0]) == 1
         c2 = stack.coeffs[1].values[-1]
         assert c2[8:15, 8:15].any() and not c2[16:].any() and not c2[:, 16:].any()
-        # one blob from cell (8, 2), hi = 24: order 3's product lands from
-        # (24, 6), at hi on the first axis only, and is dropped unplanned
+        # one blob from cell (8, 2), hi = 24: order 3 starts at (24, 6), at
+        # hi on the first axis only, and runs no kernel
         calls.clear()
         stack = taylor_coefficients(spec, FrequencyField(g, box((8, 2), (11, 5))), 3.0)
         assert stack.orders == 3 and len(calls) == 1
@@ -937,9 +953,10 @@ class TestBandWindows:
         assert calls == [((n, n), True) for n in (7, 27) for _ in range(2**g.d)]
 
     def test_second_run_misses_no_plan(self):
-        # solve and taylor on band-1d use 8 plans, within the cache's 64 (a
-        # product that lands at or above K plans nothing); a window is a cut
-        # of its pair's plan, so a second run plans nothing
+        # solve and taylor on band-1d use 8 plans, within the cache's 64 (an
+        # order whose k times the datum's first cell reaches K runs no kernel
+        # and plans nothing); a window is a cut of its pair's plan, so a
+        # second run plans nothing
         spec, v0 = self.band_1d()
         lattice._plan.cache_clear()
         misses = []
@@ -1020,8 +1037,9 @@ def plain_taylor(spec, v0, K, orders):
 
 
 class TestLiveCells:
-    """Picard integrates only the box of unsettled cells and Taylor only each
-    integrand's nonzero box, bitwise as the whole grid does."""
+    """Picard integrates only the box of unsettled cells and Taylor only order
+    k's box from k times the datum's first cell, bitwise as the whole grid
+    does."""
 
     GRIDS = {1: (make_grid(1, 8, 1 / 16), 33), 2: (make_grid(2, 4, 1 / 8), 9),
              3: (make_grid(3, 4, 1 / 4), 5)}
@@ -1065,15 +1083,30 @@ class TestLiveCells:
         for key in ("C", "C_bound", "ratios", "errors"):
             assert np.array(got[key]).tobytes() == np.array(ref[key]).tobytes()
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("rule", lattice.RULES)
-    def test_taylor_bitwise_equal_to_full_grid_duhamel(self, d, rule):
-        g, nt = self.GRIDS[d]
-        spec = power_spec(g, eps0=0.5, nt=nt, conv_rule=rule)
-        v0 = bump(g, 0.5, amp=0.7)
-        stack = taylor_coefficients(spec, v0, 4.0)
+    @pytest.mark.parametrize("rule, d", [
+        *(pytest.param(rule, d, id=f"{rule}-{d}") for rule in lattice.RULES
+          for d in (1, 2, 3)),
+        *(pytest.param(rule, "band-1d", id=f"{rule}-band-1d") for rule in lattice.RULES)])
+    def test_taylor_bitwise_equal_to_full_grid_duhamel(self, rule, d):
+        # order k is reached when k times the datum's first cell lies below
+        # hi on every axis; a reached order may still have no product below
+        # hi, and then integrates zeros: the trapezoid rule's 3D bump from
+        # cell 2 reaches order 3 (6 < hi = 16), whose products vanish under
+        # the masks, and band-1d at K = 6.01 (hi = 385) reaches order 6
+        # (6 * 64 = 384), whose three products start at cell 388
+        if d == "band-1d":
+            g, K = make_grid(1, 8, 1 / 64), 6.01
+            spec, v0 = power_spec(g, nt=17, conv_rule=rule), exp_halfline(g)
+        else:
+            (g, nt), K = self.GRIDS[d], 4.0
+            spec = power_spec(g, eps0=0.5, nt=nt, conv_rule=rule)
+            v0 = bump(g, 0.5, amp=0.7)
+        stack = taylor_coefficients(spec, v0, K)
         assert stack.orders >= 3
-        for got, ref in zip(stack.coeffs, plain_taylor(spec, v0, 4.0, stack.orders)):
+        empty = {3: 3, "band-1d": 6}.get(d) if rule == "trapezoid" else None
+        if empty:  # the reached order with no cell
+            assert not stack.coeffs[empty - 1].values.any()
+        for got, ref in zip(stack.coeffs, plain_taylor(spec, v0, K, stack.orders)):
             assert got.values.tobytes() == ref.tobytes()
 
 

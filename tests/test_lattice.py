@@ -805,11 +805,10 @@ def groupby_frames(a, b, grid, rule="riemann", lo=0, hi=None):
         window = p.window(lo, hi)
         if window is None:
             continue
-        terms, fbox, gbox, cells, crop, pad = window
+        terms, fbox, gbox, cells, crop, pad, ends = window
         keep, skip = p.support[crop], lo - sum(c.start for c in cells)
         if skip > 0:
             keep = keep & (np.indices(keep.shape).sum(axis=0) >= skip)
-        ends = p.ends and lattice._box_ends(p.ends, fbox, gbox)
         block = max(1, BLOCK_CELLS // math.prod(pad))
         for start in range(first, stop, block):
             t = slice(start, min(start + block, stop))
